@@ -27,7 +27,6 @@ from .config import (
     emit_config,
     load_config,
 )
-from .data import EmbeddingRecord, KIND_CODES, KIND_NAMES
 from .downstream import (
     DERM_INPUTS,
     DownstreamModel,
@@ -46,28 +45,26 @@ from .errors import (
     MissingPrerequisiteError,
 )
 from .lifecycle import (
-    DailyEmbeddingSet,
-    aggregate_day,
-    apply_retention,
-    coverage_report,
-    infer_daily,
-    dedup_day,
     back_infer,
+    coverage_report,
+    dedup_day,
+    fold_days,
+    infer_daily,
     initial_state,
     stability_report,
 )
 from .store import (
-    STATE_META,
+    STATE_FILE,
     StoreGeneration,
-    generation_bytes,
     list_generations,
+    load_daily,
     load_generation,
     load_state,
-    parse_generation,
     publish,
+    save_daily,
     save_state,
     serve,
-    source_code,
+    state_generation,
     state_payload,
 )
 from .synth import load_world_files, write_world_files
@@ -131,7 +128,6 @@ def cmd_train_upstream(cfg: PipelineConfig, args) -> int:
     loss_log: list = []
     snapshot = train_batch_window(model, window, spec.train, loss_log)
     out = snapshot_path(cfg, args.model, end)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_snapshot(snapshot, out)
     print(f"batch window days 1..{end}: "
           f"{len(loss_log)} steps, wrote {out}")
@@ -149,20 +145,6 @@ def cmd_train_upstream(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _write_daily(cfg: PipelineConfig, model: str, daily: DailyEmbeddingSet,
-                 source: str) -> Path:
-    vectors = {}
-    dim = 0
-    for (kind, entity_id), rec in daily.records.items():
-        vec = np.asarray(rec.vector, dtype="<f4")
-        dim = len(vec)
-        vectors[(KIND_CODES[kind], entity_id, source_code(source))] = vec
-    path = embedding_path(cfg, model, daily.day)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(generation_bytes(daily.day, dim, vectors))
-    return path
-
-
 def cmd_infer(cfg: PipelineConfig, args) -> int:
     data = _load_world(cfg)
     spec = cfg.upstream[args.model]
@@ -175,7 +157,8 @@ def cmd_infer(cfg: PipelineConfig, args) -> int:
         records = infer_daily(snapshot, model, args.day,
                               data.get(args.day, []), spec.source)
         daily = dedup_day(records, day=args.day)
-        path = _write_daily(cfg, args.model, daily, spec.source)
+        path = embedding_path(cfg, args.model, args.day)
+        save_daily(daily, path, spec.source)
         print(f"day {args.day}: {len(daily.records)} entities, wrote {path}")
         return 0
     end = spec.batch_window_end
@@ -188,26 +171,24 @@ def cmd_infer(cfg: PipelineConfig, args) -> int:
     sets = back_infer(snapshot, model, list(range(first, end + 1)), data,
                       spec.source)
     for daily in sets:
-        path = _write_daily(cfg, args.model, daily, spec.source)
+        path = embedding_path(cfg, args.model, daily.day)
+        save_daily(daily, path, spec.source)
         print(f"day {daily.day}: {len(daily.records)} entities, wrote {path}")
     return 0
 
 
-def _daily_from_file(path: Path, source: str) -> DailyEmbeddingSet:
-    gen = load_generation(path)
-    records = {}
-    for (kind_code, entity_id, _), vec in gen.vectors.items():
-        kind = KIND_NAMES[kind_code]
-        records[(kind, entity_id)] = EmbeddingRecord(
-            entity_id, kind, gen.day, vec.astype(np.float64), source, 0)
-    return DailyEmbeddingSet(gen.day, records)
+def _load_dailies(cfg: PipelineConfig, model: str, first: int, last: int):
+    source = UPSTREAM_SOURCES[model]
+    return [load_daily(_require(embedding_path(cfg, model, day),
+                                f"daily embeddings for day {day}"), source)
+            for day in range(first, last + 1)]
 
 
 def cmd_aggregate(cfg: PipelineConfig, args) -> int:
     spec = cfg.upstream[args.model]
     heuristic = cfg.lifecycle.heuristic
     sdir = state_dir(cfg, args.model, heuristic.label)
-    if (sdir / STATE_META).exists():
+    if (sdir / STATE_FILE).exists():
         state = load_state(sdir)
     else:
         state = initial_state(heuristic)
@@ -221,14 +202,10 @@ def cmd_aggregate(cfg: PipelineConfig, args) -> int:
                 "(run `derm infer` first)"
             )
         target = max(available)
-    before = state
-    for day in range(state.day + 1, target + 1):
-        path = _require(embedding_path(cfg, args.model, day),
-                        f"daily embeddings for day {day}")
-        daily = _daily_from_file(path, spec.source)
-        before = state
-        state = aggregate_day(state, daily)
-        state = apply_retention(state, day, cfg.lifecycle.retention_days)
+    dailies = _load_dailies(cfg, args.model, state.day + 1, target)
+    retention = cfg.lifecycle.retention_days
+    before = fold_days(state, dailies[:-1], retention)
+    state = fold_days(before, dailies[-1:], retention)
     save_state(state, sdir, spec.source)
     report = {
         "model": args.model,
@@ -280,7 +257,7 @@ def cmd_publish(cfg: PipelineConfig, args) -> int:
     spec = cfg.upstream[args.model]
     heuristic = cfg.lifecycle.heuristic
     sdir = state_dir(cfg, args.model, heuristic.label)
-    _require(sdir / STATE_META,
+    _require(sdir / STATE_FILE,
              "aggregated state (run `derm aggregate` first)")
     state = load_state(sdir)
     candidate = state_payload(state, state.day, spec.source)
@@ -407,32 +384,18 @@ def cmd_train_downstream(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _fold_generations(cfg: PipelineConfig, heuristics, sources):
-    """Aggregate the daily embedding files in memory, one state per
-    (heuristic, source), and freeze each into a generation."""
-    end = cfg.upstream_end_day
-    dailies = {}
-    for source in sources:
-        model = SOURCE_MODELS[source]
-        per_day = []
-        for day in range(1, end + 1):
-            path = _require(embedding_path(cfg, model, day),
-                            f"daily embeddings for day {day}")
-            per_day.append(_daily_from_file(path, source))
-        dailies[source] = per_day
-    out: dict[str, dict[str, StoreGeneration]] = {}
-    for h in heuristics:
-        per_source = {}
-        for source in sources:
-            state = initial_state(h)
-            for daily in dailies[source]:
-                state = aggregate_day(state, daily)
-                state = apply_retention(state, daily.day,
-                                        cfg.lifecycle.retention_days)
-            per_source[source] = parse_generation(
-                state_payload(state, state.day, source))
-        out[h.label] = per_source
-    return out
+def experiment_generations(cfg: PipelineConfig, heuristics, sources
+                           ) -> dict[str, dict[str, StoreGeneration]]:
+    """Per heuristic label and source, the generation that `aggregate` over
+    every daily embedding file followed by `publish` would serve."""
+    dailies = {source: _load_dailies(cfg, SOURCE_MODELS[source], 1,
+                                     cfg.upstream_end_day)
+               for source in sources}
+    retention = cfg.lifecycle.retention_days
+    return {h.label: {source: state_generation(fold_days(
+                          initial_state(h), dailies[source], retention), source)
+                      for source in sources}
+            for h in heuristics}
 
 
 def cmd_experiment(cfg: PipelineConfig, args) -> int:
@@ -447,7 +410,7 @@ def cmd_experiment(cfg: PipelineConfig, args) -> int:
         arms = input_count_arms(cfg.lifecycle.heuristic)
         heuristics = [cfg.lifecycle.heuristic]
         sources = sorted({src for src, _ in DERM_INPUTS.values()})
-    generations = _fold_generations(cfg, heuristics, sources)
+    generations = experiment_generations(cfg, heuristics, sources)
     train, test = _split_samples(cfg, data)
     result = run_sensitivity_experiment(
         ex.task, arms, list(ex.seeds), train, test, generations,

@@ -1,14 +1,25 @@
-"""Binary file conventions shared by snapshots, datasets, and the store.
+"""Sealed binary files, the one codec behind every derm artifact.
 
-Every on-disk artifact is little-endian, starts with a four-byte magic and a
-format version, and ends with a CRC-64 of everything before the trailer.
+Day files, snapshots, daily embeddings, generations and the aggregated
+state are sealed: little-endian, a header that starts with a four-byte
+magic and a u32 format version, a payload, and a CRC-64 trailer over all of
+it. `SealedFormat.pack` returns the complete file; `SealedFormat.unpack`
+checks truncation, checksum, magic and version, raising the format's error.
+
+`write_atomic` writes `<path>.tmp` in the same directory, fsyncs it, then
+renames it over `path`, so a crash leaves the old file or the new one,
+never a prefix of the new one.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
+from dataclasses import dataclass
+from pathlib import Path
 
-from .errors import IoFailureError
+from .errors import DermError, IoFailureError
 
 
 def _crc64_table() -> list[int]:
@@ -34,33 +45,60 @@ def crc64(data: bytes, value: int = 0) -> int:
     return crc ^ 0xFFFFFFFFFFFFFFFF
 
 
-def seal(body: bytes) -> bytes:
-    """Append the CRC-64 trailer."""
-    return body + struct.pack("<Q", crc64(body))
+@dataclass(frozen=True)
+class SealedFormat:
+    """One sealed file format; `header` is its struct format, which starts
+    with the magic and the version ("<4sI...")."""
+
+    magic: bytes
+    version: int
+    header: str
+    error: type[DermError] = IoFailureError
+
+    def pack(self, fields: tuple, *payload: bytes) -> bytes:
+        """The complete file: header, payload, CRC-64 trailer."""
+        body = b"".join([struct.pack(self.header, self.magic, self.version,
+                                     *fields), *payload])
+        return body + struct.pack("<Q", crc64(body))
+
+    def unpack(self, blob: bytes, what: str) -> tuple[tuple, bytes, int]:
+        """Check a complete file; returns (header fields after the version,
+        the file less its trailer, the offset of the payload in it)."""
+        head = struct.calcsize(self.header)
+        if len(blob) < head + 8:
+            raise self.error(f"{what} is truncated")
+        body, (stored,) = blob[:-8], struct.unpack("<Q", blob[-8:])
+        if crc64(body) != stored:
+            raise self.error(f"{what} fails its checksum")
+        magic, version, *fields = struct.unpack_from(self.header, body)
+        if magic != self.magic:
+            raise self.error(f"{what} has wrong magic {magic!r}")
+        if version != self.version:
+            raise self.error(f"{what} has unsupported version {version}")
+        return tuple(fields), body, head
 
 
-def unseal(blob: bytes, what: str) -> bytes:
-    """Verify and strip the CRC-64 trailer; raises IoFailure on mismatch."""
-    if len(blob) < 8:
-        raise IoFailureError(f"{what} is truncated")
-    body, (stored,) = blob[:-8], struct.unpack("<Q", blob[-8:])
-    if crc64(body) != stored:
-        raise IoFailureError(f"{what} fails its checksum")
-    return body
-
-
-def write_sealed(path, body: bytes) -> None:
+def write_atomic(path, blob: bytes) -> None:
+    """Write blob to path through a fsynced same-directory temp file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(path, "wb") as f:
-            f.write(seal(body))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "wb") as f:
+            f.write(blob)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
     except OSError as e:
         raise IoFailureError(f"cannot write {path}: {e}") from e
+    finally:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
-def read_sealed(path, what: str) -> bytes:
+def read_file(path, what: str) -> bytes:
     try:
         with open(path, "rb") as f:
-            blob = f.read()
+            return f.read()
     except OSError as e:
-        raise IoFailureError(f"cannot read {path}: {e}") from e
-    return unseal(blob, what)
+        raise IoFailureError(f"cannot read {what}: {e}") from e

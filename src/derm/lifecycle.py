@@ -217,6 +217,15 @@ def apply_retention(state: AggregatedStoreState, current_day: int,
     return AggregatedStoreState(state.day, state.heuristic, entries, prev_daily)
 
 
+def fold_days(state: AggregatedStoreState, dailies: list[DailyEmbeddingSet],
+              window_days: int = RETENTION_DAYS) -> AggregatedStoreState:
+    """Aggregate each daily set in order, applying retention after each day."""
+    for daily in dailies:
+        state = apply_retention(aggregate_day(state, daily), daily.day,
+                                window_days)
+    return state
+
+
 # ---------------------------------------------------------------------------
 # reporting
 

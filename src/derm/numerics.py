@@ -35,16 +35,6 @@ def as_vector(x: Sequence[float] | np.ndarray) -> np.ndarray:
     return v
 
 
-def as_matrix(x: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
-    """Validate and return x as a finite float64 2-D array."""
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimMismatchError(f"expected 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NonFiniteFunctionError("matrix contains non-finite entries")
-    return m
-
-
 def l2_norm(v: np.ndarray) -> float:
     return float(np.sqrt(np.dot(v, v)))
 

@@ -44,12 +44,6 @@ def unflatten_params(vec: np.ndarray, layout: list[tuple[str, tuple[int, ...]]])
     return out
 
 
-def params_allclose(a: ParamDict, b: ParamDict, rtol=0.0, atol=0.0) -> bool:
-    if a.keys() != b.keys():
-        return False
-    return all(np.allclose(a[k], b[k], rtol=rtol, atol=atol) for k in a)
-
-
 def params_equal_exact(a: ParamDict, b: ParamDict) -> bool:
     """Bit-exact comparison (shapes and every byte)."""
     if a.keys() != b.keys():

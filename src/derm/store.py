@@ -1,6 +1,6 @@
 """Key-value embedding store: immutable generation files plus TCP serving.
 
-Generation file layout, little-endian throughout:
+Every file here is sealed (see ioutil). A generation file, little-endian:
 
   header  {magic "DERM", format_version u32, dim u32, count u64, day u32}
   records count * {kind u8, id u64, source u16, dim * f32}, sorted by key
@@ -8,6 +8,17 @@ Generation file layout, little-endian throughout:
 
 Vectors are downcast to f32 at publish; the file is immutable once written,
 and a repeat publish for the same day claims the next generation suffix.
+Daily embedding files share the layout.
+
+The aggregated state is the single file `state.bin`, at f64, so a state
+loads back exactly and `aggregate` gives the same bytes however it is split:
+
+  header  {magic "DAGS", format_version u32, day u32, heuristic kind 4s,
+           heuristic w f64, source u16, dim u32, entries u64, buffered u64}
+  entries entries * {kind u8, id u64, last_active_day i32, dim * f64}
+  buffer  buffered * {kind u8, id u64, dim * f64}: the ap heuristic's
+          previous daily embeddings, both tables sorted by (kind, id)
+  trailer CRC-64
 
 The wire protocol frames one request per message: u32 length, then
 {kind u8, id u64, source u16}. Responses are {status u8, dim u32, payload}.
@@ -15,7 +26,6 @@ The wire protocol frames one request per message: u32 length, then
 
 from __future__ import annotations
 
-import json
 import re
 import socket
 import socketserver
@@ -23,28 +33,35 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .data import KIND_CODES, KIND_NAMES
+from .data import KIND_CODES, KIND_NAMES, EmbeddingRecord
 from .errors import (
     BindFailureError,
     CorruptGenerationError,
     DimInconsistentError,
     IoFailureError,
 )
-from .ioutil import crc64
+# crc64 stays importable from here for existing callers
+from .ioutil import SealedFormat, crc64, read_file, write_atomic  # noqa: F401
 from .lifecycle import (
     AggregatedStoreState,
     AggregationHeuristic,
+    DailyEmbeddingSet,
+    EntityKey,
     StoreEntry,
 )
 
-STORE_MAGIC = b"DERM"
-STORE_VERSION = 1
+GENERATION = SealedFormat(b"DERM", 1, "<4sIIQI", CorruptGenerationError)
+STATE = SealedFormat(b"DAGS", 1, "<4sII4sdHIQQ")
+STATE_FILE = "state.bin"
 
-HEADER = "<4sIIQI"
 RECORD_HEAD = "<BQH"
+_GENERATION_KEY = [("kind", "u1"), ("id", "<u8"), ("source", "<u2")]
+_ENTITY_KEY = [("kind", "u1"), ("id", "<u8")]
+_ENTRY_KEY = _ENTITY_KEY + [("last_active_day", "<i4")]
 
 STATUS_OK = 0
 STATUS_MISSING = 1
@@ -89,53 +106,118 @@ class StoreGeneration:
         return self.vectors.get((kind_code, entity_id, source))
 
 
+# ---------------------------------------------------------------------------
+# record tables: one structured row {key fields, vec[dim]} per key
+
+
+def _dim_of(vectors) -> int:
+    dims = {len(v) for v in vectors}
+    if len(dims) > 1:
+        raise DimInconsistentError(f"mixed vector dims: {sorted(dims)}")
+    return dims.pop() if dims else 0
+
+
+def _rows(key, vec: str, dim: int, vectors: dict) -> np.ndarray:
+    """One row per key tuple, sorted by key; vectors are cast to vec."""
+    keys = sorted(vectors)
+    rows = np.zeros(len(keys), [*key, ("vec", vec, (dim,))])
+    for (name, _), column in zip(key, zip(*keys)):
+        rows[name] = column
+    if keys:
+        rows["vec"] = [vectors[k] for k in keys]
+    return rows
+
+
+def _read_rows(body: bytes, off: int, dim: int, what: str, error,
+               *tables) -> list[np.ndarray]:
+    """Consecutive tables of (key, vec type, count) that fill body exactly
+    from off; every row must have a known kind."""
+    dtypes = [np.dtype([*key, ("vec", vec, (dim,))]) for key, vec, _ in tables]
+    counts = [count for _, _, count in tables]
+    if len(body) != off + sum(c * t.itemsize for c, t in zip(counts, dtypes)):
+        raise error(f"{what} declares {sum(counts)} records of dim {dim} "
+                    "but its size disagrees")
+    out = []
+    for dtype, count in zip(dtypes, counts):
+        rows = np.frombuffer(body, dtype, count, off)
+        off += rows.nbytes
+        unknown = np.setdiff1d(rows["kind"], list(KIND_NAMES))
+        if unknown.size:
+            raise error(f"{what} has unknown kind {unknown[0]}")
+        out.append(rows)
+    return out
+
+
+def _generation(day: int, dim: int, rows: np.ndarray) -> StoreGeneration:
+    """Rows back the vectors: one aligned copy of the vector column."""
+    keys = zip(rows["kind"].tolist(), rows["id"].tolist(),
+               rows["source"].tolist())
+    return StoreGeneration(day, dim, dict(zip(keys, np.array(rows["vec"]))))
+
+
+def _entity_keys(rows: np.ndarray) -> list[EntityKey]:
+    return [(KIND_NAMES[k], i)
+            for k, i in zip(rows["kind"].tolist(), rows["id"].tolist())]
+
+
+# ---------------------------------------------------------------------------
+# generations and daily embedding files
+
+
 def generation_bytes(day: int, dim: int,
                      vectors: dict[tuple[int, int, int], np.ndarray]) -> bytes:
-    parts = [struct.pack(HEADER, STORE_MAGIC, STORE_VERSION, dim,
-                         len(vectors), day)]
-    for key in sorted(vectors):
-        parts.append(struct.pack(RECORD_HEAD, *key))
-        parts.append(np.ascontiguousarray(vectors[key], dtype="<f4").tobytes())
-    body = b"".join(parts)
-    return body + struct.pack("<Q", crc64(body))
+    rows = _rows(_GENERATION_KEY, "<f4", dim, vectors)
+    return GENERATION.pack((dim, len(rows), day), rows.tobytes())
 
 
 def parse_generation(blob: bytes, what: str = "generation") -> StoreGeneration:
-    head = struct.calcsize(HEADER)
-    if len(blob) < head + 8:
-        raise CorruptGenerationError(f"{what} is truncated")
-    body, (stored,) = blob[:-8], struct.unpack("<Q", blob[-8:])
-    if crc64(body) != stored:
-        raise CorruptGenerationError(f"{what} fails its checksum")
-    magic, version, dim, count, day = struct.unpack_from(HEADER, body)
-    if magic != STORE_MAGIC:
-        raise CorruptGenerationError(f"{what} has wrong magic {magic!r}")
-    if version != STORE_VERSION:
-        raise CorruptGenerationError(f"{what} has unsupported version {version}")
-    record = struct.calcsize(RECORD_HEAD) + 4 * dim
-    if len(body) != head + count * record:
-        raise CorruptGenerationError(
-            f"{what} declares {count} records of dim {dim} but its size disagrees"
-        )
-    vectors = {}
-    off = head
-    for _ in range(count):
-        kind_code, entity_id, src = struct.unpack_from(RECORD_HEAD, body, off)
-        off += struct.calcsize(RECORD_HEAD)
-        vec = np.frombuffer(body, dtype="<f4", count=dim, offset=off).copy()
-        off += 4 * dim
-        if kind_code not in KIND_NAMES:
-            raise CorruptGenerationError(f"{what} has unknown kind {kind_code}")
-        vectors[(kind_code, entity_id, src)] = vec
-    return StoreGeneration(day, dim, vectors)
+    (dim, count, day), body, off = GENERATION.unpack(blob, what)
+    (rows,) = _read_rows(body, off, dim, what, CorruptGenerationError,
+                         (_GENERATION_KEY, "<f4", count))
+    return _generation(day, dim, rows)
 
 
 def load_generation(path) -> StoreGeneration:
-    try:
-        blob = open(path, "rb").read()
-    except OSError as e:
-        raise IoFailureError(f"cannot read generation {path}: {e}") from e
-    return parse_generation(blob, f"generation {path}")
+    what = f"generation {path}"
+    return parse_generation(read_file(path, what), what)
+
+
+def _keyed_generation(day: int, vectors: dict[EntityKey, np.ndarray],
+                     source: str) -> StoreGeneration:
+    """Vectors keyed by (kind, id) as a generation file of them holds them."""
+    src = source_code(source)
+    packed = {(KIND_CODES[kind], entity_id, src): v
+              for (kind, entity_id), v in vectors.items()}
+    dim = _dim_of(packed.values())
+    return _generation(day, dim, _rows(_GENERATION_KEY, "<f4", dim, packed))
+
+
+def state_generation(state: AggregatedStoreState,
+                     source: str) -> StoreGeneration:
+    """The generation a publish of this state serves."""
+    return _keyed_generation(
+        state.day, {k: e.vector for k, e in state.entries.items()}, source)
+
+
+def state_payload(state: AggregatedStoreState, day: int, source: str) -> bytes:
+    """The exact generation-file bytes a publish of this state would write."""
+    gen = state_generation(state, source)
+    return generation_bytes(day, gen.dim, gen.vectors)
+
+
+def save_daily(daily: DailyEmbeddingSet, path, source: str) -> None:
+    gen = _keyed_generation(
+        daily.day, {k: r.vector for k, r in daily.records.items()}, source)
+    write_atomic(path, generation_bytes(gen.day, gen.dim, gen.vectors))
+
+
+def load_daily(path, source: str) -> DailyEmbeddingSet:
+    gen = load_generation(path)
+    rows = np.array(list(gen.vectors.values()), dtype=np.float64)
+    return DailyEmbeddingSet(gen.day, {
+        (KIND_NAMES[kind], entity_id):
+            EmbeddingRecord(entity_id, KIND_NAMES[kind], gen.day, vec, source)
+        for (kind, entity_id, _), vec in zip(gen.vectors, rows)})
 
 
 def generation_name(source: str, day: int, attempt: int) -> str:
@@ -157,96 +239,54 @@ def list_generations(store_dir, source: str | None = None):
     return sorted(out, key=lambda t: (t[0], t[1]))
 
 
-def _pack_keyed(mapping: dict, source: str) -> tuple[int, dict]:
-    """f32-downcast vectors keyed for the file format; enforces one dim."""
-    src = source_code(source)
-    vectors = {(KIND_CODES[kind], entity_id, src): np.asarray(v, dtype="<f4")
-               for (kind, entity_id), v in mapping.items()}
-    dims = {len(v) for v in vectors.values()}
-    if len(dims) > 1:
-        raise DimInconsistentError(f"mixed vector dims in state: {sorted(dims)}")
-    return (dims.pop() if dims else 0), vectors
-
-
-def state_payload(state: AggregatedStoreState, day: int, source: str) -> bytes:
-    """The exact generation-file bytes a publish of this state would write."""
-    dim, vectors = _pack_keyed(
-        {k: e.vector for k, e in state.entries.items()}, source)
-    return generation_bytes(day, dim, vectors)
-
-
 def publish(state: AggregatedStoreState, day: int, source: str, store_dir):
     """Write the state's vectors as a new immutable generation file.
 
     Returns (path, StoreGeneration as loaded back from disk).
     """
     blob = state_payload(state, day, source)
-    store_dir.mkdir(parents=True, exist_ok=True)
     existing = [a for d, a, _ in list_generations(store_dir, source) if d == day]
     attempt = max(existing, default=0) + 1
     path = store_dir / generation_name(source, day, attempt)
-    try:
-        with open(path, "wb") as f:
-            f.write(blob)
-    except OSError as e:
-        raise IoFailureError(f"cannot write generation {path}: {e}") from e
+    write_atomic(path, blob)
     return path, load_generation(path)
 
 
 # ---------------------------------------------------------------------------
-# aggregated-state persistence (shares the generation file format)
-
-STATE_VECTORS = "agg.kv"
-STATE_BUFFER = "prev.kv"
-STATE_META = "state.json"
+# aggregated state
 
 
 def save_state(state: AggregatedStoreState, dir_path, source: str) -> None:
-    dir_path.mkdir(parents=True, exist_ok=True)
-    try:
-        (dir_path / STATE_VECTORS).write_bytes(
-            state_payload(state, state.day, source))
-        if state.heuristic.kind == "ap":
-            dim, buf = _pack_keyed(state.prev_daily, source)
-            (dir_path / STATE_BUFFER).write_bytes(
-                generation_bytes(state.day, dim, buf))
-        meta = {
-            "day": state.day,
-            "heuristic": {"kind": state.heuristic.kind, "w": state.heuristic.w},
-            "last_active": {
-                f"{kind}:{entity_id}": e.last_active_day
-                for (kind, entity_id), e in sorted(state.entries.items())
-            },
-            "source": source,
-        }
-        (dir_path / STATE_META).write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    except OSError as e:
-        raise IoFailureError(f"cannot write state under {dir_path}: {e}") from e
+    h = state.heuristic
+    entries = {(KIND_CODES[kind], i, e.last_active_day): e.vector
+               for (kind, i), e in state.entries.items()}
+    buffered = {(KIND_CODES[kind], i): v
+                for (kind, i), v in state.prev_daily.items()}
+    dim = _dim_of([*entries.values(), *buffered.values()])
+    header = (state.day, h.kind.encode("ascii"), h.w,
+              source_code(source), dim, len(entries), len(buffered))
+    write_atomic(Path(dir_path) / STATE_FILE, STATE.pack(
+        header, _rows(_ENTRY_KEY, "<f8", dim, entries).tobytes(),
+        _rows(_ENTITY_KEY, "<f8", dim, buffered).tobytes()))
 
 
 def load_state(dir_path) -> AggregatedStoreState:
-    try:
-        meta = json.loads((dir_path / STATE_META).read_text())
-    except OSError as e:
-        raise IoFailureError(f"cannot read state under {dir_path}: {e}") from e
-    heuristic = AggregationHeuristic(meta["heuristic"]["kind"],
-                                     meta["heuristic"]["w"])
+    path = Path(dir_path) / STATE_FILE
+    what = f"state {path}"
+    (day, kind, w, _, dim, count, buffered), body, off = \
+        STATE.unpack(read_file(path, what), what)
+    heuristic = AggregationHeuristic(kind.rstrip(b"\0").decode("latin-1"), w)
     heuristic.validate()
-    gen = load_generation(dir_path / STATE_VECTORS)
-    entries = {}
-    for (kind_code, entity_id, _), vec in gen.vectors.items():
-        key = (KIND_NAMES[kind_code], entity_id)
-        last = meta["last_active"][f"{key[0]}:{entity_id}"]
-        entries[key] = StoreEntry(vec.astype(np.float64), last)
-    prev_daily = {}
-    if heuristic.kind == "ap":
-        buf = load_generation(dir_path / STATE_BUFFER)
-        prev_daily = {
-            (KIND_NAMES[kc], i): vec.astype(np.float64)
-            for (kc, i, _), vec in buf.vectors.items()
-        }
-    return AggregatedStoreState(meta["day"], heuristic, entries, prev_daily)
+    entries, buffer = _read_rows(body, off, dim, what, IoFailureError,
+                                 (_ENTRY_KEY, "<f8", count),
+                                 (_ENTITY_KEY, "<f8", buffered))
+    return AggregatedStoreState(
+        day, heuristic,
+        {key: StoreEntry(vec, last) for key, last, vec in zip(
+            _entity_keys(entries), entries["last_active_day"].tolist(),
+            np.array(entries["vec"]))},
+        dict(zip(_entity_keys(buffer), np.array(buffer["vec"]))),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,10 @@ import numpy as np
 
 from .data import KIND_CODES, PIN, USER, FeatureBundle, TrainingSample
 from .errors import EmptyInputError, InvalidRatesError, IoFailureError
-from .ioutil import read_sealed, write_sealed
+from .ioutil import SealedFormat, read_file, write_atomic
 
-DAY_MAGIC = b"DDAY"
 DAY_VERSION = 1
+DAY_FILE = SealedFormat(b"DDAY", DAY_VERSION, "<4sIII")
 
 CLICK = "click"
 CONVERSION = "conversion"
@@ -260,7 +260,7 @@ def oracle_auc_bound(cfg: WorldConfig, task: str,
 
 
 def day_file_bytes(day: int, samples: list[TrainingSample]) -> bytes:
-    parts = [struct.pack("<4sIII", DAY_MAGIC, DAY_VERSION, day, len(samples))]
+    parts = []
     for s in samples:
         parts.append(struct.pack("<IIIBB", s.user_id, s.pin_id, s.event_seq,
                                  s.labels[CLICK], s.labels[CONVERSION]))
@@ -271,19 +271,12 @@ def day_file_bytes(day: int, samples: list[TrainingSample]) -> bytes:
         hist = s.user.sequence.get("hist", [])
         parts.append(struct.pack("<H", len(hist)))
         parts.append(struct.pack(f"<{len(hist)}I", *hist))
-    return b"".join(parts)
+    return DAY_FILE.pack((day, len(samples)), *parts)
 
 
-def parse_day_file(body: bytes, path="day file") -> tuple[int, list[TrainingSample]]:
-    head = struct.calcsize("<4sIII")
-    if len(body) < head:
-        raise IoFailureError(f"{path} is truncated")
-    magic, version, day, count = struct.unpack_from("<4sIII", body)
-    if magic != DAY_MAGIC:
-        raise IoFailureError(f"{path} has wrong magic {magic!r}")
-    if version != DAY_VERSION:
-        raise IoFailureError(f"{path} has unsupported version {version}")
-    off = head
+def parse_day_file(blob: bytes,
+                   what="day file") -> tuple[int, list[TrainingSample]]:
+    (day, count), body, off = DAY_FILE.unpack(blob, what)
     samples = []
     for _ in range(count):
         u, p, seq, click, conv = struct.unpack_from("<IIIBB", body, off)
@@ -324,9 +317,8 @@ def write_world_files(out_dir, cfg: WorldConfig) -> dict:
     Returns the manifest written to world.json.
     """
     data = generate_world(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for day, samples in sorted(data.items()):
-        write_sealed(out_dir / day_file_name(day), day_file_bytes(day, samples))
+        write_atomic(out_dir / day_file_name(day), day_file_bytes(day, samples))
     manifest = {
         "format_version": DAY_VERSION,
         "config": asdict(cfg),
@@ -334,15 +326,13 @@ def write_world_files(out_dir, cfg: WorldConfig) -> dict:
         "positive_rates": positive_rates(data),
     }
     text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    try:
-        (out_dir / "world.json").write_text(text)
-    except OSError as e:
-        raise IoFailureError(f"cannot write {out_dir / 'world.json'}: {e}") from e
+    write_atomic(out_dir / "world.json", text.encode("utf-8"))
     return manifest
 
 
 def load_day_samples(path) -> tuple[int, list[TrainingSample]]:
-    return parse_day_file(read_sealed(path, f"day file {path}"), path)
+    what = f"day file {path}"
+    return parse_day_file(read_file(path, what), what)
 
 
 def load_world_files(world_dir) -> tuple[WorldConfig, dict[int, list[TrainingSample]]]:

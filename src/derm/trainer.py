@@ -21,11 +21,11 @@ from .data import TrainingSample
 from .errors import (
     DivergedLossError,
     EmptyWindowError,
-    IoFailureError,
     ShapeMismatchError,
     WatermarkGapError,
 )
-from .ioutil import crc64, read_sealed, write_sealed
+# crc64 stays importable from here for existing callers
+from .ioutil import SealedFormat, crc64, read_file, write_atomic  # noqa: F401
 from .objectives import (
     CONTRASTIVE,
     ContrastiveBatch,
@@ -43,8 +43,8 @@ from .towers import (
     interaction_forward,
 )
 
-SNAPSHOT_MAGIC = b"DSNP"
 SNAPSHOT_VERSION = 1
+SNAPSHOT = SealedFormat(b"DSNP", SNAPSHOT_VERSION, "<4sIIQI")
 
 # stream tags keep evaluation draws disjoint from any (day, epoch) pair
 EVAL_STREAM = 0x7FFFFFFF
@@ -288,8 +288,7 @@ def _named_arrays(snapshot: ModelSnapshot) -> list[tuple[str, np.ndarray]]:
 
 def snapshot_bytes(snapshot: ModelSnapshot) -> bytes:
     arrays = _named_arrays(snapshot)
-    parts = [struct.pack("<4sIIQI", SNAPSHOT_MAGIC, snapshot.format_version,
-                         snapshot.watermark_day, snapshot.rng_seed, len(arrays))]
+    parts = []
     for name, arr in arrays:
         raw = name.encode("utf-8")
         parts.append(struct.pack("<H", len(raw)))
@@ -297,26 +296,18 @@ def snapshot_bytes(snapshot: ModelSnapshot) -> bytes:
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    body = b"".join(parts)
-    return body + struct.pack("<Q", crc64(body))
+    return SNAPSHOT.pack((snapshot.watermark_day, snapshot.rng_seed,
+                          len(arrays)), *parts)
 
 
 def save_snapshot(snapshot: ModelSnapshot, path) -> None:
-    arrays_blob = snapshot_bytes(snapshot)
-    write_sealed(path, arrays_blob[:-8])
+    write_atomic(path, snapshot_bytes(snapshot))
 
 
 def load_snapshot(path) -> ModelSnapshot:
-    body = read_sealed(path, f"snapshot {path}")
-    head = struct.calcsize("<4sIIQI")
-    if len(body) < head:
-        raise IoFailureError(f"snapshot {path} is truncated")
-    magic, version, watermark, rng_seed, count = struct.unpack_from("<4sIIQI", body)
-    if magic != SNAPSHOT_MAGIC:
-        raise IoFailureError(f"snapshot {path} has wrong magic {magic!r}")
-    if version != SNAPSHOT_VERSION:
-        raise IoFailureError(f"snapshot {path} has unsupported version {version}")
-    off = head
+    what = f"snapshot {path}"
+    (watermark, rng_seed, count), body, off = \
+        SNAPSHOT.unpack(read_file(path, what), what)
     params: ParamDict = {}
     velocity: ParamDict = {}
     for _ in range(count):
@@ -333,4 +324,5 @@ def load_snapshot(path) -> ModelSnapshot:
         off += 8 * n
         target = velocity if name.startswith("opt/") else params
         target[name.removeprefix("opt/")] = arr.astype(np.float64).copy()
-    return ModelSnapshot(version, watermark, rng_seed, params, velocity)
+    return ModelSnapshot(SNAPSHOT_VERSION, watermark, rng_seed, params,
+                         velocity)

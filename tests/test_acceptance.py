@@ -16,15 +16,18 @@ conservative.
 
 import csv
 import functools
+import os
 import subprocess
 import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import derm
 from derm.config import build_model, default_config, emit_config
 from derm.data import EmbeddingRecord, FeatureBundle
 from derm.downstream import (
@@ -151,9 +154,13 @@ def criterion(num: int):
 
 
 def _derm(root, *args: str) -> str:
+    # cwd moves to root, so a relative PYTHONPATH would no longer find derm
+    src = str(Path(derm.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "derm.cli", *args],
-        cwd=root, capture_output=True, text=True, timeout=1800,
+        cwd=root, env=env, capture_output=True, text=True, timeout=1800,
     )
     if proc.returncode != 0:
         raise AssertionError(

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from derm.cli import build_parser, main
+from derm.cli import build_parser, experiment_generations, main
 from derm.config import (
     PathsConfig,
     PipelineConfig,
@@ -26,6 +26,7 @@ from derm.config import (
     parse_config,
 )
 from derm.errors import ConfigParseError, MissingPrerequisiteError
+from derm.store import STATE_FILE, generation_bytes, list_generations
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +258,32 @@ class TestPipeline:
         assert 0.0 < report["coverage"]["user"] <= 1.0
         assert report["entities"] > 0
 
+    def test_aggregate_by_day_publishes_same_bytes(self, pipeline):
+        paths = replace(pipeline.cfg.paths,
+                        state_dir=pipeline.base / "state-by-day",
+                        store_dir=pipeline.base / "store-by-day",
+                        report_dir=pipeline.base / "report-by-day")
+        ini = pipeline.base / "by-day.ini"
+        ini.write_text(emit_config(replace(pipeline.cfg, paths=paths)))
+        for day in range(1, pipeline.cfg.upstream_end_day + 1):
+            run_cli(["aggregate", "-c", str(ini), "--model", "ctr",
+                     "--day", str(day)])
+        run_cli(["publish", "-c", str(ini), "--model", "ctr"])
+        (_, _, by_day), = list_generations(paths.store, "ctr-upstream")
+        *_, (_, _, at_once) = list_generations(pipeline.cfg.paths.store,
+                                               "ctr-upstream")
+        assert by_day.read_bytes() == at_once.read_bytes()
+
+    def test_experiment_folds_what_publish_writes(self, pipeline):
+        cfg = pipeline.cfg
+        h = cfg.lifecycle.heuristic
+        gen = experiment_generations(cfg, [h], ["ctr-upstream"])[h.label][
+            "ctr-upstream"]
+        *_, (_, _, published) = list_generations(cfg.paths.store,
+                                                 "ctr-upstream")
+        assert generation_bytes(gen.day, gen.dim, gen.vectors) == \
+            published.read_bytes()
+
     def test_publish_rerun_does_not_stack_generations(self, pipeline):
         store = pipeline.cfg.paths.store
         before = sorted(p.name for p in store.iterdir())
@@ -346,6 +373,17 @@ class TestCliErrors:
                          expect=1)
         assert "error: MissingPrerequisite:" in err
         assert "nope.ini" in err
+
+    def test_damaged_state_is_one_error_line(self, tmp_path):
+        cfg = small_config(tmp_path / "run")
+        ini = tmp_path / "derm.ini"
+        ini.write_text(emit_config(cfg))
+        sdir = cfg.paths.state / "ctr" / cfg.lifecycle.heuristic.label
+        sdir.mkdir(parents=True)
+        (sdir / STATE_FILE).write_bytes(b"DAGS" + bytes(40))
+        _, err = run_cli(["aggregate", "-c", str(ini), "--model", "ctr"],
+                         expect=1)
+        assert re.fullmatch(r"error: IoFailure: .+", err.strip())
 
     def test_error_line_is_machine_parsable(self, tmp_path):
         ini = tmp_path / "bad.ini"

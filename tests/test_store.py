@@ -1,3 +1,4 @@
+import os
 import struct
 import threading
 
@@ -7,7 +8,9 @@ import pytest
 from derm.errors import (
     BindFailureError,
     CorruptGenerationError,
+    DermError,
     DimInconsistentError,
+    IoFailureError,
 )
 from derm.lifecycle import (
     AggregatedStoreState,
@@ -16,6 +19,7 @@ from derm.lifecycle import (
 )
 from derm.store import (
     EmbeddingClient,
+    STATE_FILE,
     STATUS_BAD_REQUEST,
     STATUS_MISSING,
     STATUS_OK,
@@ -164,9 +168,8 @@ class TestStatePersistence:
         for key, entry in state.entries.items():
             got = loaded.entries[key]
             assert got.last_active_day == entry.last_active_day
-            assert np.array_equal(
-                got.vector, np.asarray(entry.vector, dtype="<f4").astype(np.float64)
-            )
+            assert got.vector.dtype == np.float64
+            assert np.array_equal(got.vector, entry.vector)
 
     def test_ap_buffer_round_trips(self, tmp_path):
         state = make_state(heuristic=AggregationHeuristic("ap"))
@@ -177,26 +180,73 @@ class TestStatePersistence:
         loaded = load_state(tmp_path)
         assert set(loaded.prev_daily) == set(state.prev_daily)
         for key, vec in state.prev_daily.items():
-            assert np.array_equal(
-                loaded.prev_daily[key],
-                np.asarray(vec, dtype="<f4").astype(np.float64),
-            )
+            assert np.array_equal(loaded.prev_daily[key], vec)
 
     def test_save_is_idempotent(self, tmp_path):
         state = make_state()
         save_state(state, tmp_path / "a", "ctr-upstream")
         save_state(state, tmp_path / "b", "ctr-upstream")
-        for name in ("agg.kv", "state.json"):
-            assert (tmp_path / "a" / name).read_bytes() == \
-                   (tmp_path / "b" / name).read_bytes()
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == \
+            [STATE_FILE]
+        assert (tmp_path / "a" / STATE_FILE).read_bytes() == \
+               (tmp_path / "b" / STATE_FILE).read_bytes()
 
     def test_save_load_save_stable(self, tmp_path):
         state = make_state()
         save_state(state, tmp_path / "a", "ctr-upstream")
         reloaded = load_state(tmp_path / "a")
         save_state(reloaded, tmp_path / "b", "ctr-upstream")
-        assert (tmp_path / "a" / "agg.kv").read_bytes() == \
-               (tmp_path / "b" / "agg.kv").read_bytes()
+        assert (tmp_path / "a" / STATE_FILE).read_bytes() == \
+               (tmp_path / "b" / STATE_FILE).read_bytes()
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip", "magic"])
+    def test_damaged_state_raises_derm_error(self, tmp_path, damage):
+        save_state(make_state(), tmp_path, "ctr-upstream")
+        path = tmp_path / STATE_FILE
+        blob = bytearray(path.read_bytes())
+        if damage == "truncate":
+            del blob[len(blob) // 2:]
+        elif damage == "flip":
+            blob[len(blob) // 3] ^= 0x01
+        else:
+            blob[0] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DermError):
+            load_state(tmp_path)
+
+    def test_missing_state_raises_io_failure(self, tmp_path):
+        with pytest.raises(IoFailureError):
+            load_state(tmp_path)
+
+
+class TestCrashSafeWrites:
+    """A write that fails after some bytes reached the temp file leaves the
+    final path as it was and no temp file behind."""
+
+    @staticmethod
+    def _fail(fd):
+        raise OSError("disk full")
+
+    def test_failed_publish_leaves_no_generation(self, tmp_path, monkeypatch):
+        state = make_state()
+        p1, _ = publish(state, 9, "ctr-upstream", tmp_path)
+        first = p1.read_bytes()
+        monkeypatch.setattr(os, "fsync", self._fail)
+        with pytest.raises(IoFailureError):
+            publish(state, 9, "ctr-upstream", tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [p1.name]
+        assert p1.read_bytes() == first
+        assert [a for _, a, _ in list_generations(tmp_path)] == [1]
+
+    def test_failed_save_keeps_previous_state(self, tmp_path, monkeypatch):
+        old = make_state(seed=1)
+        save_state(old, tmp_path, "ctr-upstream")
+        before = (tmp_path / STATE_FILE).read_bytes()
+        monkeypatch.setattr(os, "fsync", self._fail)
+        with pytest.raises(IoFailureError):
+            save_state(make_state(seed=2), tmp_path, "ctr-upstream")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [STATE_FILE]
+        assert (tmp_path / STATE_FILE).read_bytes() == before
 
 
 class TestServing:
