@@ -75,10 +75,6 @@ class UpstreamSpec:
     num_tokens: int = 4
     num_layers: int = 2
 
-    @property
-    def embedding_dim(self) -> int:
-        return self.token_dim * self.num_tokens
-
 
 @dataclass(frozen=True)
 class LifecycleConfig:

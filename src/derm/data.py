@@ -1,9 +1,10 @@
 """Shared domain records: feature bundles, embedding records, training samples.
 
-A FeatureBundle is the typed raw-feature map for one (entity, day) or for
-one event's context: dense vectors, categorical ids and id sequences keyed
-by slot name. Towers resolve slots against their input spec; missing slots
-fall back to per-slot defaults (reserved id 0, zero vector).
+A FeatureBundle is one entity's raw features for one day, or one event's
+context: dense vectors, categorical ids and id sequences keyed by slot
+name. The towers stack a batch of bundles into per-slot columns and
+resolve the slots against their input spec; a missing slot falls back to
+its default (reserved id 0, zero vector).
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ magic and a u32 format version, a payload, and a CRC-64 trailer over all of
 it. `SealedFormat.pack` returns the complete file; `SealedFormat.unpack`
 checks truncation, checksum, magic and version, raising the format's error.
 
-`write_atomic` writes `<path>.tmp` in the same directory, fsyncs it, then
-renames it over `path`, so a crash leaves the old file or the new one,
-never a prefix of the new one.
+`write_atomic` writes `<path>.<random>.tmp` in the same directory, fsyncs
+it, then renames it over `path`, so a crash leaves the old file or the new one,
+never a prefix of the new one. `write_new` links the temp file into place
+instead, so it never replaces an existing file.
 """
 
 from __future__ import annotations
@@ -80,16 +81,31 @@ class SealedFormat:
 
 def write_atomic(path, blob: bytes) -> None:
     """Write blob to path through a fsynced same-directory temp file."""
+    _write_via_temp(path, blob, os.replace)
+
+
+def write_new(path, blob: bytes) -> None:
+    """Like write_atomic, but hard-link the temp file into place; raises
+    FileExistsError, leaving the file as it was, if path already exists."""
+    _write_via_temp(path, blob, os.link)
+
+
+def _write_via_temp(path, blob: bytes, place) -> None:
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    # a fresh name per call ("xb": unlike mkstemp, it keeps the umask's mode)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    placing = False
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "wb") as f:
+        with open(tmp, "xb") as f:
             f.write(blob)
             f.flush()
             os.fsync(f.fileno())
-        os.replace(tmp, path)
+        placing = True
+        place(tmp, path)
     except OSError as e:
+        if placing and isinstance(e, FileExistsError):
+            raise  # write_new's path is taken; the caller picks another
         raise IoFailureError(f"cannot write {path}: {e}") from e
     finally:
         with contextlib.suppress(OSError):

@@ -121,17 +121,19 @@ def infer_daily(snapshot: ModelSnapshot, model: UpstreamModel, day: int,
             f"snapshot watermark {snapshot.watermark_day} is behind day {day}"
         )
     apply_snapshot(model, snapshot)
-    out = []
-    for s in samples:
-        if "user" in kinds:
-            u, _ = embed_entity(model.user_cfg, model.params, "user", s.user)
-            out.append(EmbeddingRecord(s.user_id, "user", day, u, source,
-                                       s.event_seq))
-        if "pin" in kinds:
-            p, _ = embed_entity(model.pin_cfg, model.params, "pin", s.pin)
-            out.append(EmbeddingRecord(s.pin_id, "pin", day, p, source,
-                                       s.event_seq))
-    return out
+    streams = []
+    if samples and "user" in kinds:
+        U, _ = embed_entity(model.user_cfg, model.params, "user",
+                            [s.user for s in samples])
+        streams.append([EmbeddingRecord(s.user_id, "user", day, u, source,
+                                        s.event_seq) for s, u in zip(samples, U)])
+    if samples and "pin" in kinds:
+        P, _ = embed_entity(model.pin_cfg, model.params, "pin",
+                            [s.pin for s in samples])
+        streams.append([EmbeddingRecord(s.pin_id, "pin", day, p, source,
+                                        s.event_seq) for s, p in zip(samples, P)])
+    # event order, a sample's user record before its pin record
+    return [r for recs in zip(*streams) for r in recs]
 
 
 def dedup_day(records: list[EmbeddingRecord],

@@ -68,53 +68,56 @@ def sampled_softmax_loss(
     """
     if tau <= 0:
         raise NonPositiveTauError(f"tau must be positive, got {tau}")
-    rng = (
-        rng_seed
-        if isinstance(rng_seed, np.random.Generator)
-        else np.random.default_rng(rng_seed)
-    )
+    rng = np.random.default_rng(rng_seed)  # a Generator passes through as is
     U, P = batch.user_embs, batch.pin_embs
-    ids = batch.pin_ids
-    B = U.shape[0]
+    ids = np.asarray(batch.pin_ids)
     du = np.zeros_like(U)
     dp = np.zeros_like(P)
-    dlog_tau = 0.0
-    pos_idx = [i for i in range(B) if batch.positives[i]]
-    if not pos_idx:
+    pos_idx = np.flatnonzero(batch.positives)
+    if not pos_idx.size:
         return ContrastiveResult(0.0, du, dp, 0.0, 0, True)
 
-    total = 0.0
-    inv_n = 1.0 / len(pos_idx)
+    # member rows: the positive, then its negatives drawn from the other
+    # batch positions holding a different pin, one draw per positive in
+    # batch order; short rows are padded and masked out
+    rows = []
     for i in pos_idx:
-        # candidate negatives: other batch positions holding a different pin
-        cand = [j for j in range(B) if ids[j] != ids[i]]
+        cand = np.flatnonzero(ids != ids[i])
         k = min(negatives_per_pair, len(cand))
-        negs = sorted(rng.choice(len(cand), size=k, replace=False)) if k else []
-        members = [i] + [cand[j] for j in negs]
-        sims = np.array([float(U[i] @ P[j]) for j in members])
-        logits = sims / tau - np.log(np.array([q[ids[j]] for j in members]))
-        m = logits.max()
-        e = np.exp(logits - m)
-        z = e.sum()
-        total += float(np.log(z) + m - logits[0])
-        soft = e / z
-        # dL/dlogit_j = softmax_j - [j == positive]
-        dlogit = soft.copy()
-        dlogit[0] -= 1.0
-        dlogit *= inv_n
-        for t, j in enumerate(members):
-            du[i] += dlogit[t] * P[j] / tau
-            dp[j] += dlogit[t] * U[i] / tau
-            dlog_tau += dlogit[t] * (-sims[t] / tau)
-    return ContrastiveResult(total * inv_n, du, dp, dlog_tau, len(pos_idx), False)
+        negs = np.sort(rng.choice(len(cand), size=k, replace=False)) if k else []
+        rows.append(np.concatenate(([i], cand[negs])))
+    width = max(len(r) for r in rows)
+    members = np.zeros((len(rows), width), dtype=np.int64)
+    valid = np.arange(width) < np.array([len(r) for r in rows])[:, None]
+    members[valid] = np.concatenate(rows)
+
+    Ui = U[pos_idx]
+    Pm = P[members]  # (positives, width, D)
+    sims = (Pm @ Ui[:, :, None])[..., 0]
+    log_q = np.log([q[pid] for pid in batch.pin_ids])
+    logits = np.where(valid, sims / tau - log_q[members], -np.inf)
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    z = e.sum(axis=1, keepdims=True)
+    inv_n = 1.0 / len(pos_idx)
+    loss = float((np.log(z) + m - logits[:, :1]).sum()) * inv_n
+    # dL/dlogit_j = softmax_j - [j == positive]
+    dlogit = e / z
+    dlogit[:, 0] -= 1.0
+    dlogit *= inv_n
+    du[pos_idx] = (dlogit[:, None, :] @ Pm)[:, 0] / tau
+    np.add.at(dp, members[valid], (dlogit[..., None] * Ui[:, None, :])[valid] / tau)
+    dlog_tau = float((dlogit * (-sims / tau)).sum())
+    return ContrastiveResult(loss, du, dp, dlog_tau, len(pos_idx), False)
 
 
-def bce_loss(logit: float, label: int) -> tuple[float, float]:
-    """Stable binary cross-entropy from a logit; returns (loss, dloss/dlogit)."""
-    x = float(logit)
-    y = float(label)
-    loss = max(x, 0.0) - x * y + np.log1p(np.exp(-abs(x)))
-    return float(loss), float(sigmoid(np.float64(x)) - y)
+def bce_loss(logit, label) -> tuple[np.ndarray, np.ndarray]:
+    """Stable elementwise binary cross-entropy from logits; returns
+    (loss, dloss/dlogit) shaped like the logits."""
+    x = np.asarray(logit, dtype=np.float64)
+    y = np.asarray(label, dtype=np.float64)
+    loss = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
+    return loss, sigmoid(x) - y
 
 
 def combined_loss(

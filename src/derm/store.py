@@ -45,7 +45,7 @@ from .errors import (
     IoFailureError,
 )
 # crc64 stays importable from here for existing callers
-from .ioutil import SealedFormat, crc64, read_file, write_atomic  # noqa: F401
+from .ioutil import SealedFormat, crc64, read_file, write_atomic, write_new  # noqa: F401
 from .lifecycle import (
     AggregatedStoreState,
     AggregationHeuristic,
@@ -240,16 +240,22 @@ def list_generations(store_dir, source: str | None = None):
 
 
 def publish(state: AggregatedStoreState, day: int, source: str, store_dir):
-    """Write the state's vectors as a new immutable generation file.
+    """Write the state's vectors as a new immutable generation file under
+    the next free attempt number; an existing generation is never replaced.
 
     Returns (path, StoreGeneration as loaded back from disk).
     """
     blob = state_payload(state, day, source)
     existing = [a for d, a, _ in list_generations(store_dir, source) if d == day]
     attempt = max(existing, default=0) + 1
-    path = store_dir / generation_name(source, day, attempt)
-    write_atomic(path, blob)
-    return path, load_generation(path)
+    while True:
+        path = store_dir / generation_name(source, day, attempt)
+        try:
+            write_new(path, blob)
+        except FileExistsError:  # a concurrent publisher claimed this attempt
+            attempt += 1
+        else:
+            return path, load_generation(path)
 
 
 # ---------------------------------------------------------------------------

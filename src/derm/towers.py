@@ -1,20 +1,24 @@
-"""Multi-tower upstream model with hand-derived backprop.
+"""Multi-tower upstream model with hand-derived backprop, run on whole batches.
 
-Each tower maps a FeatureBundle to a token matrix and refines it through
+A tower reads one batch as per-slot columns (`stack_bundles`): dense
+(B, dim) rows, categorical (B,) ids, and sequences as (B, L) ids padded
+with the reserved id 0 plus (B,) lengths; an empty history reads id 0.
+The slot tokens are mixed into (B, n, d) tokens and refined through
 stacked layers, every layer summing two feature-interaction blocks plus a
-shortcut. Entity towers flatten and L2-normalize their tokens into the
-served embedding; the interaction tower consumes both entity embeddings
-together with context features and feeds per-task affine heads, so
-context never touches the entity embeddings themselves.
+shortcut. Entity towers L2-normalize each flattened row into the served
+(B, D) embeddings; the interaction tower consumes both entity embeddings
+together with context features and feeds per-task affine heads with (B,)
+logits, so context never touches the entity embeddings themselves.
 
-Block kinds:
+Block kinds, each taking inputs with any leading axes (..., n, d):
   masknet   - sigmoid gate from the (flattened) block input applied to a
               linear projection of the same input
   attention - single-head scaled dot-product self-attention over tokens
   mlp       - two-layer ReLU on the flattened tokens
 
 Every forward returns a cache consumed by the matching backward; backward
-accumulates parameter gradients into a flat ParamDict and returns the
+adds parameter gradients summed over all rows (rows(dY).T @ rows(X), one
+np.add.at per embedding table) into a flat ParamDict and returns the
 gradient w.r.t. the block input.
 """
 
@@ -24,9 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FeatureBundle
 from .errors import ShapeMismatchError, UnknownCategoricalIdError, ZeroNormError
-from .numerics import NORM_EPS, l2_norm, sigmoid
+from .numerics import NORM_EPS, sigmoid
 from .params import ParamDict
 
 DENSE = "dense"
@@ -39,6 +42,7 @@ BLOCK_KINDS = ("masknet", "attention", "mlp")
 USER_EMB_SLOT = "user_emb"
 PIN_EMB_SLOT = "pin_emb"
 UDOTP_SLOT = "u_dot_p"
+_EMB_SLOTS = (USER_EMB_SLOT, PIN_EMB_SLOT, UDOTP_SLOT)  # filled from U and P
 
 
 @dataclass(frozen=True)
@@ -131,74 +135,103 @@ def init_tower_params(
 
 
 # ---------------------------------------------------------------------------
-# featurization: bundle -> slot token matrix
+# featurization: bundles -> per-slot columns -> slot token tensor
 
 
-def _featurize(cfg, params, prefix, bundle: FeatureBundle):
-    d = cfg.token_dim
-    tokens = np.zeros((len(cfg.slots), d))
-    slot_caches = []
-    for i, s in enumerate(cfg.slots):
-        key = f"{prefix}/slot/{s.name}"
+def _check_ids(s: SlotSpec, ids: np.ndarray) -> None:
+    bad = ids[(ids < 0) | (ids >= s.cardinality)]
+    if bad.size:
+        raise UnknownCategoricalIdError(f"slot {s.name}: id {bad[0]} outside [0, {s.cardinality})")
+
+
+def stack_bundles(slots, bundles) -> dict:
+    """Per-slot columns of a batch of bundles, shaped as the module docstring
+    says; a missing slot takes its default: a zero row, id 0, or an empty
+    history."""
+    B = len(bundles)
+    cols: dict = {}
+    for s in slots:
         if s.kind == DENSE:
-            x = bundle.dense.get(s.name)
-            x = np.zeros(s.dim) if x is None else np.asarray(x, dtype=np.float64)
-            if x.shape != (s.dim,):
-                raise ShapeMismatchError(
-                    f"slot {s.name}: expected dense dim {s.dim}, got {x.shape}"
-                )
-            tokens[i] = params[f"{key}/W"] @ x + params[f"{key}/b"]
-            slot_caches.append(("dense", s.name, x))
+            rows = [np.asarray(b.dense.get(s.name, np.zeros(s.dim)), dtype=np.float64)
+                    for b in bundles]
+            for x in rows:
+                if x.shape != (s.dim,):
+                    raise ShapeMismatchError(
+                        f"slot {s.name}: expected dense dim {s.dim}, got {x.shape}")
+            cols[s.name] = np.array(rows).reshape(B, s.dim)
         elif s.kind == CATEGORICAL:
-            cid = int(bundle.categorical.get(s.name, 0))
-            if cid < 0 or cid >= s.cardinality:
-                raise UnknownCategoricalIdError(
-                    f"slot {s.name}: id {cid} outside [0, {s.cardinality})"
-                )
-            tokens[i] = params[f"{key}/table"][cid]
-            slot_caches.append(("categorical", s.name, cid))
-        else:  # sequence: mean-pool id embeddings, empty falls back to id 0
-            ids = [int(t) for t in bundle.sequence.get(s.name, [])]
-            for t in ids:
-                if t < 0 or t >= s.cardinality:
-                    raise UnknownCategoricalIdError(
-                        f"slot {s.name}: id {t} outside [0, {s.cardinality})"
-                    )
-            if not ids:
-                ids = [0]
-            tokens[i] = params[f"{key}/table"][ids].mean(axis=0)
-            slot_caches.append(("sequence", s.name, ids))
-    return tokens, slot_caches
+            ids = np.array([b.categorical.get(s.name, 0) for b in bundles],
+                           dtype=np.int64)
+            _check_ids(s, ids)
+            cols[s.name] = ids
+        else:
+            seqs = [b.sequence.get(s.name, ()) for b in bundles]
+            lengths = np.array([len(q) for q in seqs], dtype=np.int64)
+            ids = np.zeros((B, max(1, lengths.max(initial=0))), dtype=np.int64)
+            for i, q in enumerate(seqs):
+                ids[i, :len(q)] = q
+            _check_ids(s, ids)
+            cols[s.name] = (ids, lengths)
+    return cols
 
 
-def _featurize_backward(cfg, prefix, params, slot_caches, dtokens, grads, want_input_grads):
+def _history(col):
+    """A sequence column's ids, the mask of the ids read and their count;
+    an empty history reads the padding id 0."""
+    ids, lengths = col
+    n = np.maximum(lengths, 1)[:, None]
+    return ids, np.arange(ids.shape[1]) < n, n
+
+
+def _featurize(cfg, params, prefix, cols):
+    """Slot tokens (B, slots, d): affine dense rows, table rows for ids,
+    and the mean of the table rows over a history."""
+    tokens = []
+    for s in cfg.slots:
+        key = f"{prefix}/slot/{s.name}"
+        col = cols[s.name]
+        if s.kind == DENSE:
+            tokens.append(col @ params[f"{key}/W"].T + params[f"{key}/b"])
+        elif s.kind == CATEGORICAL:
+            tokens.append(params[f"{key}/table"][col])
+        else:
+            ids, mask, n = _history(col)
+            tokens.append((params[f"{key}/table"][ids] * mask[..., None]).sum(axis=1) / n)
+    return np.stack(tokens, axis=1)
+
+
+def _featurize_backward(cfg, prefix, params, cols, dtokens, grads, want_input_grads):
     input_grads: dict[str, np.ndarray] = {}
     for i, s in enumerate(cfg.slots):
         key = f"{prefix}/slot/{s.name}"
-        kind, name, cached = slot_caches[i]
-        dt = dtokens[i]
-        if kind == "dense":
-            grads[f"{key}/W"] += np.outer(dt, cached)
-            grads[f"{key}/b"] += dt
+        col = cols[s.name]
+        dt = dtokens[:, i]
+        if s.kind == DENSE:
+            grads[f"{key}/W"] += dt.T @ col
+            grads[f"{key}/b"] += dt.sum(axis=0)
             if want_input_grads:
-                input_grads[name] = params[f"{key}/W"].T @ dt
-        elif kind == "categorical":
-            grads[f"{key}/table"][cached] += dt
+                input_grads[s.name] = dt @ params[f"{key}/W"]
+        elif s.kind == CATEGORICAL:
+            np.add.at(grads[f"{key}/table"], col, dt)
         else:
-            share = dt / len(cached)
-            for t in cached:
-                grads[f"{key}/table"][t] += share
+            ids, mask, n = _history(col)
+            share = np.broadcast_to((dt / n)[:, None], mask.shape + dt.shape[1:])
+            np.add.at(grads[f"{key}/table"], ids[mask], share[mask])
     return input_grads
 
 
 # ---------------------------------------------------------------------------
-# blocks
+# blocks: inputs carry any leading axes; weight gradients sum over all rows
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])
 
 
 def _masknet_forward(x_flat, P, bp):
-    h = P[f"{bp}/Wg"] @ x_flat + P[f"{bp}/bg"]
+    h = x_flat @ P[f"{bp}/Wg"].T + P[f"{bp}/bg"]
     g = sigmoid(h)
-    q = P[f"{bp}/Wp"] @ x_flat + P[f"{bp}/bp"]
+    q = x_flat @ P[f"{bp}/Wp"].T + P[f"{bp}/bp"]
     return g * q, (x_flat, g, q)
 
 
@@ -207,23 +240,22 @@ def _masknet_backward(dy, cache, P, bp, grads):
     dg = dy * q
     dq = dy * g
     dh = dg * g * (1.0 - g)
-    grads[f"{bp}/Wg"] += np.outer(dh, x)
-    grads[f"{bp}/bg"] += dh
-    grads[f"{bp}/Wp"] += np.outer(dq, x)
-    grads[f"{bp}/bp"] += dq
-    return P[f"{bp}/Wg"].T @ dh + P[f"{bp}/Wp"].T @ dq
+    grads[f"{bp}/Wg"] += _rows(dh).T @ _rows(x)
+    grads[f"{bp}/bg"] += _rows(dh).sum(axis=0)
+    grads[f"{bp}/Wp"] += _rows(dq).T @ _rows(x)
+    grads[f"{bp}/bp"] += _rows(dq).sum(axis=0)
+    return dh @ P[f"{bp}/Wg"] + dq @ P[f"{bp}/Wp"]
 
 
 def _attention_forward(X, P, bp):
-    d = X.shape[1]
-    scale = 1.0 / np.sqrt(d)
+    scale = 1.0 / np.sqrt(X.shape[-1])
     Q = X @ P[f"{bp}/Wq"]
     K = X @ P[f"{bp}/Wk"]
     V = X @ P[f"{bp}/Wv"]
-    S = scale * (Q @ K.T)
-    S = S - S.max(axis=1, keepdims=True)
+    S = scale * (Q @ np.swapaxes(K, -1, -2))
+    S = S - S.max(axis=-1, keepdims=True)
     E = np.exp(S)
-    A = E / E.sum(axis=1, keepdims=True)
+    A = E / E.sum(axis=-1, keepdims=True)
     H = A @ V
     Y = H @ P[f"{bp}/Wo"]
     return Y, (X, Q, K, V, A, H, scale)
@@ -232,116 +264,109 @@ def _attention_forward(X, P, bp):
 def _attention_backward(dY, cache, P, bp, grads):
     X, Q, K, V, A, H, scale = cache
     dH = dY @ P[f"{bp}/Wo"].T
-    grads[f"{bp}/Wo"] += H.T @ dY
-    dA = dH @ V.T
-    dV = A.T @ dH
+    grads[f"{bp}/Wo"] += _rows(H).T @ _rows(dY)
+    dA = dH @ np.swapaxes(V, -1, -2)
+    dV = np.swapaxes(A, -1, -2) @ dH
     # row-wise softmax jacobian
-    dS = A * (dA - (dA * A).sum(axis=1, keepdims=True))
+    dS = A * (dA - (dA * A).sum(axis=-1, keepdims=True))
     dQ = scale * (dS @ K)
-    dK = scale * (dS.T @ Q)
-    grads[f"{bp}/Wq"] += X.T @ dQ
-    grads[f"{bp}/Wk"] += X.T @ dK
-    grads[f"{bp}/Wv"] += X.T @ dV
+    dK = scale * (np.swapaxes(dS, -1, -2) @ Q)
+    grads[f"{bp}/Wq"] += _rows(X).T @ _rows(dQ)
+    grads[f"{bp}/Wk"] += _rows(X).T @ _rows(dK)
+    grads[f"{bp}/Wv"] += _rows(X).T @ _rows(dV)
     return dQ @ P[f"{bp}/Wq"].T + dK @ P[f"{bp}/Wk"].T + dV @ P[f"{bp}/Wv"].T
 
 
 def _mlp_forward(x_flat, P, bp):
-    z = P[f"{bp}/W1"] @ x_flat + P[f"{bp}/b1"]
+    z = x_flat @ P[f"{bp}/W1"].T + P[f"{bp}/b1"]
     h = np.maximum(z, 0.0)
-    y = P[f"{bp}/W2"] @ h + P[f"{bp}/b2"]
+    y = h @ P[f"{bp}/W2"].T + P[f"{bp}/b2"]
     return y, (x_flat, z, h)
 
 
 def _mlp_backward(dy, cache, P, bp, grads):
     x, z, h = cache
-    dh = P[f"{bp}/W2"].T @ dy
+    dh = dy @ P[f"{bp}/W2"]
     dz = dh * (z > 0)
-    grads[f"{bp}/W2"] += np.outer(dy, h)
-    grads[f"{bp}/b2"] += dy
-    grads[f"{bp}/W1"] += np.outer(dz, x)
-    grads[f"{bp}/b1"] += dz
-    return P[f"{bp}/W1"].T @ dz
+    grads[f"{bp}/W2"] += _rows(dy).T @ _rows(h)
+    grads[f"{bp}/b2"] += _rows(dy).sum(axis=0)
+    grads[f"{bp}/W1"] += _rows(dz).T @ _rows(x)
+    grads[f"{bp}/b1"] += _rows(dz).sum(axis=0)
+    return dz @ P[f"{bp}/W1"]
 
 
 def _block_forward(kind, X, P, bp):
-    n, d = X.shape
+    """Block output for X of shape (..., n, d); masknet and mlp see each
+    (n, d) token matrix flattened."""
     if kind == "attention":
         return _attention_forward(X, P, bp)
-    if kind == "masknet":
-        y, cache = _masknet_forward(X.ravel(), P, bp)
-        return y.reshape(n, d), cache
-    y, cache = _mlp_forward(X.ravel(), P, bp)
-    return y.reshape(n, d), cache
+    fwd = _masknet_forward if kind == "masknet" else _mlp_forward
+    y, cache = fwd(X.reshape(X.shape[:-2] + (-1,)), P, bp)
+    return y.reshape(X.shape), cache
 
 
 def _block_backward(kind, dY, cache, P, bp, grads):
     if kind == "attention":
         return _attention_backward(dY, cache, P, bp, grads)
-    if kind == "masknet":
-        return _masknet_backward(dY.ravel(), cache, P, bp, grads).reshape(dY.shape)
-    return _mlp_backward(dY.ravel(), cache, P, bp, grads).reshape(dY.shape)
+    bwd = _masknet_backward if kind == "masknet" else _mlp_backward
+    return bwd(dY.reshape(dY.shape[:-2] + (-1,)), cache, P, bp, grads).reshape(dY.shape)
 
 
 # ---------------------------------------------------------------------------
 # whole tower
 
 
-def tower_forward(cfg: TowerConfig, params: ParamDict, prefix: str, bundle: FeatureBundle):
-    """Run the tower, returning the flattened output and a backward cache."""
-    T0, slot_caches = _featurize(cfg, params, prefix, bundle)
+def tower_forward(cfg: TowerConfig, params: ParamDict, prefix: str, cols: dict):
+    """Run the tower on the columns of one batch (see stack_bundles).
+
+    Returns the flattened outputs (B, output_dim) and a backward cache.
+    """
+    T0 = _featurize(cfg, params, prefix, cols)
     X = params[f"{prefix}/mix/M"] @ T0
     layer_caches = []
     for li, (ka, kb) in enumerate(cfg.blocks):
         ya, ca = _block_forward(ka, X, params, f"{prefix}/layer{li}/a")
         yb, cb = _block_forward(kb, X, params, f"{prefix}/layer{li}/b")
-        layer_caches.append((X, ca, cb))
+        layer_caches.append((ca, cb))
         X = ya + yb + X
-    flat = X.ravel()
-    return flat, (T0, slot_caches, layer_caches)
+    return X.reshape(len(X), -1), (cols, T0, layer_caches)
 
 
-def tower_backward(
-    cfg: TowerConfig,
-    params: ParamDict,
-    prefix: str,
-    cache,
-    dflat: np.ndarray,
-    grads: ParamDict,
-    want_input_grads: bool = False,
-):
-    """Backprop dflat through the tower; accumulate into grads.
+def tower_backward(cfg: TowerConfig, params: ParamDict, prefix: str, cache,
+                   dflat: np.ndarray, grads: ParamDict, want_input_grads: bool = False):
+    """Backprop dflat (B, output_dim) through the tower; accumulate into grads.
 
-    Returns gradients w.r.t. the dense input slots when requested (used by
-    the interaction tower to push gradients into the entity embeddings).
+    Returns (B, dim) gradients w.r.t. the dense input slots when requested
+    (used by the interaction tower to push gradients into the entity
+    embeddings).
     """
-    T0, slot_caches, layer_caches = cache
-    dX = dflat.reshape(cfg.num_tokens, cfg.token_dim)
+    cols, T0, layer_caches = cache
+    dX = dflat.reshape(len(dflat), cfg.num_tokens, cfg.token_dim)
     for li in range(cfg.num_layers - 1, -1, -1):
         ka, kb = cfg.blocks[li]
-        Xin, ca, cb = layer_caches[li]
+        ca, cb = layer_caches[li]
         da = _block_backward(ka, dX, ca, params, f"{prefix}/layer{li}/a", grads)
         db = _block_backward(kb, dX, cb, params, f"{prefix}/layer{li}/b", grads)
         dX = da + db + dX
-    M = params[f"{prefix}/mix/M"]
-    grads[f"{prefix}/mix/M"] += dX @ T0.T
-    dT0 = M.T @ dX
-    return _featurize_backward(cfg, prefix, params, slot_caches, dT0, grads, want_input_grads)
+    grads[f"{prefix}/mix/M"] += np.tensordot(dX, T0, axes=([0, 2], [0, 2]))
+    dT0 = params[f"{prefix}/mix/M"].T @ dX
+    return _featurize_backward(cfg, prefix, params, cols, dT0, grads, want_input_grads)
 
 
-def embed_entity(cfg: TowerConfig, params: ParamDict, prefix: str, bundle: FeatureBundle):
-    """Entity embedding: flattened tower output, L2-normalized to unit norm."""
-    flat, cache = tower_forward(cfg, params, prefix, bundle)
-    r = l2_norm(flat)
-    if r <= NORM_EPS:
+def embed_entity(cfg: TowerConfig, params: ParamDict, prefix: str, bundles):
+    """Entity embeddings of a batch of bundles: (B, output_dim) unit rows."""
+    flat, cache = tower_forward(cfg, params, prefix, stack_bundles(cfg.slots, bundles))
+    r = np.sqrt((flat * flat).sum(axis=1, keepdims=True))
+    if np.any(r <= NORM_EPS):
         raise ZeroNormError(f"degenerate zero-norm embedding from tower {prefix!r}")
     y = flat / r
     return y, (cache, y, r)
 
 
-def embed_entity_backward(cfg, params, prefix, emb_cache, dy, grads):
-    """Backprop through the normalization jacobian, then the tower."""
+def embed_entity_backward(cfg, params, prefix, emb_cache, dY, grads):
+    """Backprop dY (B, output_dim) through the row normalization, then the tower."""
     cache, y, r = emb_cache
-    dflat = (dy - y * float(np.dot(y, dy))) / r
+    dflat = (dY - y * (y * dY).sum(axis=1, keepdims=True)) / r
     tower_backward(cfg, params, prefix, cache, dflat, grads)
 
 
@@ -358,18 +383,8 @@ class UpstreamModel:
     params: ParamDict = field(default_factory=dict)
 
     @property
-    def embedding_dim(self) -> int:
-        return self.user_cfg.output_dim
-
-    @property
     def temperature(self) -> float:
         return float(np.exp(self.params["log_tau"][0]))
-
-    def embed_user(self, bundle: FeatureBundle) -> np.ndarray:
-        return embed_entity(self.user_cfg, self.params, "user", bundle)[0]
-
-    def embed_pin(self, bundle: FeatureBundle) -> np.ndarray:
-        return embed_entity(self.pin_cfg, self.params, "pin", bundle)[0]
 
 
 def build_upstream_model(
@@ -398,7 +413,7 @@ def build_upstream_model(
 
 def _check_inter_cfg(inter_cfg: TowerConfig, emb_dim: int) -> None:
     names = {s.name: s for s in inter_cfg.slots}
-    for required in (USER_EMB_SLOT, PIN_EMB_SLOT, UDOTP_SLOT):
+    for required in _EMB_SLOTS:
         if required not in names:
             raise ShapeMismatchError(f"interaction tower missing slot {required!r}")
     if names[USER_EMB_SLOT].dim != emb_dim or names[PIN_EMB_SLOT].dim != emb_dim:
@@ -407,41 +422,28 @@ def _check_inter_cfg(inter_cfg: TowerConfig, emb_dim: int) -> None:
         raise ShapeMismatchError(f"{UDOTP_SLOT} slot must have dim 1")
 
 
-def _inter_bundle(u: np.ndarray, p: np.ndarray, context: FeatureBundle) -> FeatureBundle:
-    dense = dict(context.dense)
-    dense[USER_EMB_SLOT] = u
-    dense[PIN_EMB_SLOT] = p
-    dense[UDOTP_SLOT] = np.array([float(np.dot(u, p))])
-    return FeatureBundle(dense=dense, categorical=dict(context.categorical),
-                         sequence=dict(context.sequence))
-
-
-def interaction_forward(model: UpstreamModel, u, p, context: FeatureBundle):
-    """Cross the entity embeddings with context; one scalar logit per task."""
-    bundle = _inter_bundle(u, p, context)
-    z, cache = tower_forward(model.inter_cfg, model.params, "inter", bundle)
-    logits = {
-        t: float(model.params[f"head/{t}/w"] @ z + model.params[f"head/{t}/b"][0])
-        for t in model.tasks
-    }
-    return logits, (cache, z, u, p)
+def interaction_forward(model: UpstreamModel, U, P, contexts):
+    """Cross the entity embeddings U, P (B, D) with a batch of context
+    bundles; returns {task: (B,) logits} and a backward cache."""
+    context_slots = [s for s in model.inter_cfg.slots if s.name not in _EMB_SLOTS]
+    cols = {**stack_bundles(context_slots, contexts), USER_EMB_SLOT: U,
+            PIN_EMB_SLOT: P, UDOTP_SLOT: (U * P).sum(axis=1, keepdims=True)}
+    z, cache = tower_forward(model.inter_cfg, model.params, "inter", cols)
+    logits = {t: z @ model.params[f"head/{t}/w"] + model.params[f"head/{t}/b"][0]
+              for t in model.tasks}
+    return logits, (cache, z, U, P)
 
 
 def interaction_backward(model: UpstreamModel, fwd_cache, dlogits: dict, grads: ParamDict):
-    """Backprop per-task logit grads; returns (du, dp) for the entity towers."""
-    cache, z, u, p = fwd_cache
+    """Backprop per-task (B,) logit grads; returns (dU, dP) for the entity towers."""
+    cache, z, U, P = fwd_cache
     dz = np.zeros_like(z)
     for t, dl in dlogits.items():
-        grads[f"head/{t}/w"] += dl * z
-        grads[f"head/{t}/b"][0] += dl
-        dz += dl * model.params[f"head/{t}/w"]
+        grads[f"head/{t}/w"] += dl @ z
+        grads[f"head/{t}/b"][0] += dl.sum()
+        dz += dl[:, None] * model.params[f"head/{t}/w"]
     input_grads = tower_backward(
         model.inter_cfg, model.params, "inter", cache, dz, grads, want_input_grads=True
     )
-    du = input_grads.get(USER_EMB_SLOT, np.zeros_like(u)).copy()
-    dp = input_grads.get(PIN_EMB_SLOT, np.zeros_like(p)).copy()
-    ddot = input_grads.get(UDOTP_SLOT)
-    if ddot is not None:
-        du += float(ddot[0]) * p
-        dp += float(ddot[0]) * u
-    return du, dp
+    ddot = input_grads[UDOTP_SLOT]
+    return input_grads[USER_EMB_SLOT] + ddot * P, input_grads[PIN_EMB_SLOT] + ddot * U

@@ -21,6 +21,7 @@ from .data import TrainingSample
 from .errors import (
     DivergedLossError,
     EmptyWindowError,
+    IoFailureError,
     ShapeMismatchError,
     WatermarkGapError,
 )
@@ -138,63 +139,35 @@ def batch_step(model: UpstreamModel, samples: list[TrainingSample],
     """
     B = len(samples)
     grads = zeros_like_params(model.params)
+    U, user_cache = embed_entity(model.user_cfg, model.params, "user",
+                                 [s.user for s in samples])
+    P, pin_cache = embed_entity(model.pin_cfg, model.params, "pin",
+                                [s.pin for s in samples])
 
-    user_caches = []
-    pin_caches = []
-    U = np.zeros((B, model.embedding_dim))
-    P = np.zeros((B, model.embedding_dim))
-    for i, s in enumerate(samples):
-        u, uc = embed_entity(model.user_cfg, model.params, "user", s.user)
-        p, pc = embed_entity(model.pin_cfg, model.params, "pin", s.pin)
-        U[i] = u
-        P[i] = p
-        user_caches.append(uc)
-        pin_caches.append(pc)
-
-    anchor_task = model.tasks[0]
-    positives = np.array([s.labels.get(anchor_task, 0) == 1 for s in samples])
+    positives = np.array([s.labels.get(model.tasks[0], 0) == 1 for s in samples])
     pin_ids = [s.pin_id for s in samples]
     q = estimate_batch_frequencies(pin_ids)
     con = sampled_softmax_loss(
-        ContrastiveBatch(U, P, pin_ids, positives), q,
-        tau=model.temperature, negatives_per_pair=cfg.negatives_per_pair,
-        rng_seed=rng,
-    )
+        ContrastiveBatch(U, P, pin_ids, positives), q, tau=model.temperature,
+        negatives_per_pair=cfg.negatives_per_pair, rng_seed=rng)
 
     w_con = cfg.contrastive_weight
-    dU = w_con * con.du
-    dP = w_con * con.dp
     grads["log_tau"][0] += w_con * con.dlog_tau
 
-    sup_losses = {t: 0.0 for t in model.tasks}
-    inter_caches = []
-    sample_logits = []
-    for i, s in enumerate(samples):
-        logits, ic = interaction_forward(model, U[i], P[i], s.context)
-        inter_caches.append(ic)
-        sample_logits.append(logits)
-        for t in model.tasks:
-            loss_t, _ = bce_loss(logits[t], s.labels[t])
-            sup_losses[t] += loss_t / B
-
-    weights = {t: cfg.weight_for(t) for t in model.tasks}
-    weights[CONTRASTIVE] = w_con
+    logits, inter_cache = interaction_forward(model, U, P,
+                                              [s.context for s in samples])
+    labels = np.array([[s.labels[t] for t in model.tasks] for s in samples])
+    losses, dl = bce_loss(np.stack([logits[t] for t in model.tasks], axis=1), labels)
+    weights = {t: cfg.weight_for(t) for t in model.tasks} | {CONTRASTIVE: w_con}
+    sup_losses = {t: float(losses[:, j].sum()) / B for j, t in enumerate(model.tasks)}
     total = combined_loss(sup_losses, con.loss, weights)
 
-    for i, s in enumerate(samples):
-        dlogits = {}
-        for t in model.tasks:
-            _, g = bce_loss(sample_logits[i][t], s.labels[t])
-            dlogits[t] = weights[t] * g / B
-        du_i, dp_i = interaction_backward(model, inter_caches[i], dlogits, grads)
-        dU[i] += du_i
-        dP[i] += dp_i
-
-    for i, s in enumerate(samples):
-        embed_entity_backward(model.user_cfg, model.params, "user",
-                              user_caches[i], dU[i], grads)
-        embed_entity_backward(model.pin_cfg, model.params, "pin",
-                              pin_caches[i], dP[i], grads)
+    dlogits = {t: weights[t] * dl[:, j] / B for j, t in enumerate(model.tasks)}
+    dU, dP = interaction_backward(model, inter_cache, dlogits, grads)
+    embed_entity_backward(model.user_cfg, model.params, "user", user_cache,
+                          w_con * con.du + dU, grads)
+    embed_entity_backward(model.pin_cfg, model.params, "pin", pin_cache,
+                          w_con * con.dp + dP, grads)
     return total, grads
 
 
@@ -310,19 +283,22 @@ def load_snapshot(path) -> ModelSnapshot:
         SNAPSHOT.unpack(read_file(path, what), what)
     params: ParamDict = {}
     velocity: ParamDict = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", body, off)
-        off += 2
-        name = body[off:off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", body, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", body, off)
-        off += 4 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(body, dtype="<f8", count=n, offset=off).reshape(shape)
-        off += 8 * n
-        target = velocity if name.startswith("opt/") else params
-        target[name.removeprefix("opt/")] = arr.astype(np.float64).copy()
+    try:
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<H", body, off)
+            off += 2
+            name = body[off:off + nlen].decode("utf-8")
+            off += nlen
+            (ndim,) = struct.unpack_from("<B", body, off)
+            off += 1
+            shape = struct.unpack_from(f"<{ndim}I", body, off)
+            off += 4 * ndim
+            n = int(np.prod(shape)) if ndim else 1
+            arr = np.frombuffer(body, dtype="<f8", count=n, offset=off).reshape(shape)
+            off += 8 * n
+            target = velocity if name.startswith("opt/") else params
+            target[name.removeprefix("opt/")] = arr.astype(np.float64).copy()
+    except (struct.error, UnicodeDecodeError, ValueError) as e:
+        raise IoFailureError(f"{what} has a malformed array table: {e}") from e
     return ModelSnapshot(SNAPSHOT_VERSION, watermark, rng_seed, params,
                          velocity)

@@ -285,10 +285,10 @@ def _tower_grad_err(seed: int) -> float:
     w = rng.normal(size=cfg.output_dim)
 
     def make_loss(p):
-        y, cache = embed_entity(cfg, p, "t", bundle)
+        y, cache = embed_entity(cfg, p, "t", [bundle])
         grads = zeros_like_params(p)
-        embed_entity_backward(cfg, p, "t", cache, w, grads)
-        return float(w @ y), grads
+        embed_entity_backward(cfg, p, "t", cache, w[None], grads)
+        return float(w @ y[0]), grads
 
     return fd_check_params(make_loss, params).max_rel_err
 

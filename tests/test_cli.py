@@ -4,6 +4,7 @@ import hashlib
 import io
 import contextlib
 import json
+import os
 import re
 import socket
 import struct
@@ -15,6 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import derm
 from derm.cli import build_parser, experiment_generations, main
 from derm.config import (
     PathsConfig,
@@ -312,10 +314,14 @@ class TestPipeline:
         assert csv_path.read_bytes() == before
 
     def test_serve_round_trip_over_tcp(self, pipeline):
+        # the child finds derm where this process did, installed or not
+        src = str(Path(derm.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.Popen(
             [sys.executable, "-m", "derm.cli", "serve", "-c", pipeline.ini,
              "--ttl-seconds", "20"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         try:
             line = proc.stdout.readline()
             m = re.search(r"on ([\d.]+):(\d+)", line)

@@ -175,6 +175,25 @@ class TestSampledSoftmaxProperties:
         assert rep.max_rel_err < 1e-4
 
 
+class TestNegativeDraws:
+    def test_pinned_loss_and_generator_stream(self):
+        # one rng.choice per positive, in batch order: the loss, the tau
+        # gradient and the generator state after the call are all pinned
+        rng = np.random.default_rng(11)
+        U = random_unit_rows(rng, 12, 6)
+        P = random_unit_rows(rng, 12, 6)
+        ids = [0, 1, 2, 0, 3, 4, 1, 5, 6, 0, 7, 8]
+        pos = [1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1]
+        gen = np.random.default_rng(123)
+        res = sampled_softmax_loss(
+            make_batch(U, P, ids, positives=pos), estimate_batch_frequencies(ids),
+            tau=0.2, negatives_per_pair=5, rng_seed=gen,
+        )
+        assert res.loss == pytest.approx(3.18716383297107, rel=0, abs=1e-12)
+        assert res.dlog_tau == pytest.approx(-1.9914300061617518, rel=0, abs=1e-12)
+        assert gen.integers(1 << 62) == 3675714610293869622
+
+
 class TestBCE:
     def test_logit_zero_label_one(self):
         loss, grad = bce_loss(0.0, 1)
@@ -199,6 +218,14 @@ class TestBCE:
             y = int(rng.integers(0, 2))
             _, grad = bce_loss(x, y)
             assert grad == pytest.approx(1 / (1 + np.exp(-x)) - y, abs=1e-10)
+
+    def test_elementwise_matches_scalar_calls(self):
+        x = np.array([[-3.0, 0.0], [1.7, 40.0]])
+        y = np.array([[1, 0], [0, 1]])
+        loss, grad = bce_loss(x, y)
+        assert loss.shape == grad.shape == (2, 2)
+        for i in np.ndindex(x.shape):
+            assert (loss[i], grad[i]) == bce_loss(x[i], y[i])
 
     def test_matches_finite_differences(self):
         for x in (-3.0, -0.2, 0.0, 1.7, 8.0):

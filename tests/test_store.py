@@ -1,5 +1,6 @@
 import os
 import struct
+import sys
 import threading
 
 import numpy as np
@@ -32,8 +33,10 @@ from derm.store import (
     save_state,
     serve,
     source_code,
+    state_payload,
 )
 
+import derm.store
 from util import random_unit_rows
 
 
@@ -238,6 +241,50 @@ class TestCrashSafeWrites:
         assert p1.read_bytes() == first
         assert [a for _, a, _ in list_generations(tmp_path)] == [1]
 
+    def test_stale_listing_never_overwrites_a_generation(self, tmp_path, monkeypatch):
+        # a second publisher that listed the store before the first one
+        # wrote picks the same attempt number; it must take the next one
+        store, ref = tmp_path / "store", tmp_path / "ref"
+        p1, _ = publish(make_state(seed=1), 9, "ctr-upstream", store)
+        first = p1.read_bytes()
+        monkeypatch.setattr(derm.store, "list_generations", lambda *a, **k: [])
+        p2, _ = publish(make_state(seed=2), 9, "ctr-upstream", store)
+        assert p1.read_bytes() == first
+        assert p2.name == generation_name("ctr-upstream", 9, 2)
+        assert sorted(p.name for p in store.iterdir()) == [p1.name, p2.name]
+        expected, _ = publish(make_state(seed=2), 9, "ctr-upstream", ref)
+        assert p2.read_bytes() == expected.read_bytes()
+
+    def test_concurrent_publishers_each_get_their_own_generation(
+            self, tmp_path, monkeypatch):
+        # every publisher starts from attempt 1 at once; each file must be
+        # one publisher's complete bytes, and no publisher may lose its file
+        n = 8
+        states = [make_state(seed=i) for i in range(n)]
+        monkeypatch.setattr(derm.store, "list_generations", lambda *a, **k: [])
+        start = threading.Barrier(n)
+        paths = [None] * n
+
+        def run(i):
+            start.wait()
+            paths[i], _ = publish(states[i], 9, "ctr-upstream", tmp_path)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            generation_name("ctr-upstream", 9, a) for a in range(1, n + 1))
+        for i in range(n):
+            assert paths[i].read_bytes() == state_payload(states[i], 9, "ctr-upstream")
+
     def test_failed_save_keeps_previous_state(self, tmp_path, monkeypatch):
         old = make_state(seed=1)
         save_state(old, tmp_path, "ctr-upstream")
@@ -247,6 +294,33 @@ class TestCrashSafeWrites:
             save_state(make_state(seed=2), tmp_path, "ctr-upstream")
         assert sorted(p.name for p in tmp_path.iterdir()) == [STATE_FILE]
         assert (tmp_path / STATE_FILE).read_bytes() == before
+
+    def test_state_dir_that_is_a_file_is_an_io_failure(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"x")
+        with pytest.raises(IoFailureError, match="cannot write"):
+            save_state(make_state(), blocker, "ctr-upstream")
+        assert blocker.read_bytes() == b"x"
+
+    def test_publish_into_a_file_is_an_io_failure(self, tmp_path):
+        # the mkdir fails with FileExistsError; it must not read as a
+        # claimed attempt number, or publish would retry for ever
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"x")
+        raised = []
+
+        def run():
+            try:
+                publish(make_state(), 9, "ctr-upstream", blocker)
+            except Exception as e:  # noqa: BLE001 - checked below
+                raised.append(e)
+
+        t = threading.Thread(target=run, daemon=True)
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive(), "publish kept retrying"
+        assert len(raised) == 1 and isinstance(raised[0], IoFailureError)
+        assert blocker.read_bytes() == b"x"
 
 
 class TestServing:

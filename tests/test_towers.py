@@ -19,6 +19,7 @@ from derm.towers import (
     init_tower_params,
     interaction_backward,
     interaction_forward,
+    stack_bundles,
     tower_backward,
     tower_forward,
 )
@@ -81,8 +82,8 @@ class TestEmbedEntity:
         params = make_params(cfg, 0)
         rng = np.random.default_rng(1)
         b = micro_bundle(rng)
-        y1, _ = embed_entity(cfg, params, "t", b)
-        y2, _ = embed_entity(cfg, params, "t", b)
+        y1, _ = embed_entity(cfg, params, "t", [b])
+        y2, _ = embed_entity(cfg, params, "t", [b])
         assert abs(np.linalg.norm(y1) - 1.0) < 1e-9
         assert np.array_equal(y1, y2)
 
@@ -98,7 +99,7 @@ class TestEmbedEntity:
         for k in params:
             params[k][:] = 0.0
         with pytest.raises(ZeroNormError):
-            embed_entity(cfg, params, "t", FeatureBundle(dense={"obs": np.zeros(3)}))
+            embed_entity(cfg, params, "t", [FeatureBundle(dense={"obs": np.zeros(3)})])
 
     def test_unknown_categorical_id(self):
         cfg = micro_tower_cfg()
@@ -106,7 +107,7 @@ class TestEmbedEntity:
         b = micro_bundle(np.random.default_rng(2))
         b.categorical["uid"] = 99
         with pytest.raises(UnknownCategoricalIdError):
-            embed_entity(cfg, params, "t", b)
+            embed_entity(cfg, params, "t", [b])
 
     def test_categorical_id_changes_embedding(self):
         # oracle: direct forward evaluation with seeded params
@@ -116,9 +117,9 @@ class TestEmbedEntity:
         b1 = micro_bundle(rng)
         b2 = b1.copy()
         b2.categorical["uid"] = (b1.categorical["uid"] % 4) + 1
-        y1, _ = embed_entity(cfg, params, "t", b1)
-        y2, _ = embed_entity(cfg, params, "t", b2)
-        assert float(y1 @ y2) < 1.0 - 1e-9
+        y1, _ = embed_entity(cfg, params, "t", [b1])
+        y2, _ = embed_entity(cfg, params, "t", [b2])
+        assert float(y1[0] @ y2[0]) < 1.0 - 1e-9
 
     def test_missing_slots_use_defaults(self):
         cfg = micro_tower_cfg()
@@ -127,8 +128,8 @@ class TestEmbedEntity:
         explicit = FeatureBundle(
             dense={"obs": np.zeros(3)}, categorical={"uid": 0}, sequence={"seq": [0]}
         )
-        ys, _ = embed_entity(cfg, params, "t", sparse)
-        ye, _ = embed_entity(cfg, params, "t", explicit)
+        ys, _ = embed_entity(cfg, params, "t", [sparse])
+        ye, _ = embed_entity(cfg, params, "t", [explicit])
         assert np.array_equal(ys, ye)
 
 
@@ -212,10 +213,10 @@ class TestTowerGradients:
         w = rng.normal(size=cfg.output_dim)
 
         def make_loss(p):
-            y, cache = embed_entity(cfg, p, "t", bundle)
+            y, cache = embed_entity(cfg, p, "t", [bundle])
             grads = zeros_like_params(p)
-            embed_entity_backward(cfg, p, "t", cache, w, grads)
-            return float(w @ y), grads
+            embed_entity_backward(cfg, p, "t", cache, w[None], grads)
+            return float(w @ y[0]), grads
 
         rep = fd_check_params(make_loss, params)
         assert rep.max_rel_err < 1e-4
@@ -228,10 +229,10 @@ class TestTowerGradients:
         w = rng.normal(size=cfg.output_dim)
 
         def make_loss(p):
-            flat, cache = tower_forward(cfg, p, "t", bundle)
+            flat, cache = tower_forward(cfg, p, "t", stack_bundles(cfg.slots, [bundle]))
             grads = zeros_like_params(p)
-            tower_backward(cfg, p, "t", cache, w, grads)
-            return float(w @ flat), grads
+            tower_backward(cfg, p, "t", cache, w[None], grads)
+            return float(w @ flat[0]), grads
 
         rep = fd_check_params(make_loss, params)
         assert rep.max_rel_err < 1e-4
@@ -273,25 +274,25 @@ class TestInteractionTower:
         p = rng.normal(size=6)
         p /= np.linalg.norm(p)
         ctx = FeatureBundle(dense={"ctx": rng.normal(size=2)})
-        l1, _ = interaction_forward(model, u, p, ctx)
-        l2, _ = interaction_forward(model, u, p, ctx)
-        assert l1 == l2
+        l1, _ = interaction_forward(model, u[None], p[None], [ctx])
+        l2, _ = interaction_forward(model, u[None], p[None], [ctx])
+        assert np.array_equal(l1["click"], l2["click"])
 
     def test_context_does_not_touch_entity_embeddings(self):
         model = micro_model(seed=1)
         rng = np.random.default_rng(1)
         ub = micro_bundle(rng)
         pb = FeatureBundle(dense={"pobs": rng.normal(size=3)}, categorical={"pid": 2})
-        e1 = model.embed_user(ub)
-        p1 = model.embed_pin(pb)
+        e1, _ = embed_entity(model.user_cfg, model.params, "user", [ub])
+        p1, _ = embed_entity(model.pin_cfg, model.params, "pin", [pb])
         ctx_a = FeatureBundle(dense={"ctx": np.array([0.0, 0.0])})
         ctx_b = FeatureBundle(dense={"ctx": np.array([5.0, -3.0])})
-        la, _ = interaction_forward(model, e1, p1, ctx_a)
-        lb, _ = interaction_forward(model, e1, p1, ctx_b)
-        assert la["click"] != lb["click"]
+        la, _ = interaction_forward(model, e1, p1, [ctx_a])
+        lb, _ = interaction_forward(model, e1, p1, [ctx_b])
+        assert la["click"][0] != lb["click"][0]
         # embeddings are a function of entity features only; recompute and compare
-        assert np.array_equal(model.embed_user(ub), e1)
-        assert np.array_equal(model.embed_pin(pb), p1)
+        assert np.array_equal(embed_entity(model.user_cfg, model.params, "user", [ub])[0], e1)
+        assert np.array_equal(embed_entity(model.pin_cfg, model.params, "pin", [pb])[0], p1)
 
     def test_matches_straight_line_reimplementation(self):
         # oracle: scalar re-evaluation of the same layer equations
@@ -303,7 +304,7 @@ class TestInteractionTower:
         p /= np.linalg.norm(p)
         ctx_x = rng.normal(size=2)
         logits, _ = interaction_forward(
-            model, u, p, FeatureBundle(dense={"ctx": ctx_x})
+            model, u[None], p[None], [FeatureBundle(dense={"ctx": ctx_x})]
         )
 
         P = model.params
@@ -342,7 +343,7 @@ class TestInteractionTower:
         z = ya + gate * proj + flat
         w, bias = P["head/click/w"], P["head/click/b"]
         expect = sum(w[c] * z[c] for c in range(z.size)) + bias[0]
-        assert logits["click"] == pytest.approx(expect, abs=1e-9)
+        assert logits["click"][0] == pytest.approx(expect, abs=1e-9)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_interaction_grads_including_embedding_inputs(self, seed):
@@ -360,14 +361,83 @@ class TestInteractionTower:
         def make_loss(pd):
             m = type(model)(model.user_cfg, model.pin_cfg, model.inter_cfg,
                             model.tasks, {k: v for k, v in pd.items() if not k.startswith("__")})
-            logits, cache = interaction_forward(m, pd["__u"], pd["__p"], ctx)
-            loss = float(np.tanh(logits["click"]))
+            logits, cache = interaction_forward(m, pd["__u"][None], pd["__p"][None], [ctx])
+            loss = float(np.tanh(logits["click"][0]))
             dl = 1.0 - np.tanh(logits["click"]) ** 2
             grads = zeros_like_params(m.params)
             du, dp = interaction_backward(m, cache, {"click": dl}, grads)
-            grads["__u"] = du
-            grads["__p"] = dp
+            grads["__u"] = du[0]
+            grads["__p"] = dp[0]
             return loss, grads
 
         rep = fd_check_params(make_loss, params)
+        assert rep.max_rel_err < 1e-4
+
+
+def batch_bundles():
+    """Six user bundles: histories of length 0, 1 and 3, uids repeated
+    across rows, history ids repeated within and across rows."""
+    rng = np.random.default_rng(31)
+    uids = [1, 3, 1, 0, 3, 1]
+    hists = [[], [4], [2, 2, 5], [5, 1, 5], [], [2]]
+    return [FeatureBundle(dense={"obs": rng.normal(size=3)},
+                          categorical={"uid": u}, sequence={"seq": h})
+            for u, h in zip(uids, hists)]
+
+
+class TestBatches:
+    """A batch is the stack of its rows, and its gradients sum over rows:
+    repeated ids must add up in the table gradients, not overwrite."""
+
+    def test_rows_match_batch_of_one(self):
+        cfg = micro_tower_cfg()
+        params = make_params(cfg, 9)
+        bundles = batch_bundles()
+        Y, _ = embed_entity(cfg, params, "t", bundles)
+        assert Y.shape == (len(bundles), cfg.output_dim)
+        for row, b in zip(Y, bundles):
+            alone, _ = embed_entity(cfg, params, "t", [b])
+            np.testing.assert_allclose(row, alone[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_embed_grads_on_batch(self, seed):
+        cfg = micro_tower_cfg()
+        params = make_params(cfg, seed)
+        bundles = batch_bundles()
+        W = np.random.default_rng(50 + seed).normal(size=(len(bundles), cfg.output_dim))
+
+        def make_loss(p):
+            Y, cache = embed_entity(cfg, p, "t", bundles)
+            grads = zeros_like_params(p)
+            embed_entity_backward(cfg, p, "t", cache, W, grads)
+            return float((W * Y).sum()), grads
+
+        rep = fd_check_params(make_loss, params)
+        assert rep.max_rel_err < 1e-4
+
+    def test_upstream_chain_grads_on_batch(self):
+        # user and pin towers feed the interaction tower, all on one batch
+        model = micro_model(seed=2)
+        users = batch_bundles()
+        rng = np.random.default_rng(62)
+        pins = [FeatureBundle(dense={"pobs": rng.normal(size=3)},
+                              categorical={"pid": pid})
+                for pid in (2, 5, 2, 2, 0, 5)]
+        contexts = [FeatureBundle(dense={"ctx": rng.normal(size=2)})
+                    for _ in users]
+
+        def make_loss(p):
+            m = type(model)(model.user_cfg, model.pin_cfg, model.inter_cfg,
+                            model.tasks, p)
+            U, uc = embed_entity(m.user_cfg, p, "user", users)
+            P, pc = embed_entity(m.pin_cfg, p, "pin", pins)
+            logits, cache = interaction_forward(m, U, P, contexts)
+            t = np.tanh(logits["click"])
+            grads = zeros_like_params(p)
+            dU, dP = interaction_backward(m, cache, {"click": 1.0 - t ** 2}, grads)
+            embed_entity_backward(m.user_cfg, p, "user", uc, dU, grads)
+            embed_entity_backward(m.pin_cfg, p, "pin", pc, dP, grads)
+            return float(t.sum()), grads
+
+        rep = fd_check_params(make_loss, model.params)
         assert rep.max_rel_err < 1e-4

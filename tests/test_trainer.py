@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from derm.errors import (
 )
 from derm.params import params_equal_exact
 from derm.trainer import (
+    SNAPSHOT,
     TrainConfig,
     crc64,
     evaluate_loss,
@@ -119,6 +122,28 @@ class TestSnapshotSerialization:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailureError):
             load_snapshot(tmp_path / "absent.snap")
+
+    @staticmethod
+    def _entry(name: bytes, shape: tuple, data: bytes) -> bytes:
+        return (struct.pack("<H", len(name)) + name + struct.pack("<B", len(shape))
+                + struct.pack(f"<{len(shape)}I", *shape) + data)
+
+    @pytest.mark.parametrize("count, table", [
+        # a count larger than the table
+        (2, lambda e: e(b"w", (2,), bytes(16))),
+        # a name length that runs past the end
+        (1, lambda e: struct.pack("<H", 40) + b"w"),
+        # a name that is not UTF-8
+        (1, lambda e: e(b"\xff\xfe", (1,), bytes(8))),
+        # an array that runs past the end
+        (1, lambda e: e(b"w", (100,), bytes(8))),
+    ], ids=["count", "name-length", "name-utf8", "array"])
+    def test_malformed_table_is_io_failure(self, tmp_path, count, table):
+        # the checksum holds, so only the table parser can catch these
+        path = tmp_path / "table.snap"
+        path.write_bytes(SNAPSHOT.pack((3, 5, count), table(self._entry)))
+        with pytest.raises(IoFailureError, match="table.snap"):
+            load_snapshot(path)
 
 
 class TestBatchWindow:
