@@ -95,10 +95,12 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
-def _load_world(cfg: PipelineConfig):
+def _load_world(cfg: PipelineConfig, days):
+    """The samples of the given days, after checking the world manifest
+    against the [world] section; other day files are not read."""
     manifest = cfg.paths.world / "world.json"
     _require(manifest, "world manifest (run `derm generate` first)")
-    world_cfg, data = load_world_files(cfg.paths.world)
+    world_cfg, data = load_world_files(cfg.paths.world, days)
     if world_cfg != cfg.world:
         raise ConfigParseError(
             f"world files under {cfg.paths.world} were generated from a "
@@ -120,7 +122,7 @@ def cmd_generate(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_train_upstream(cfg: PipelineConfig, args) -> int:
-    data = _load_world(cfg)
+    data = _load_world(cfg, range(1, cfg.upstream_end_day + 1))
     spec = cfg.upstream[args.model]
     model = build_model(cfg.world, spec)
     end = spec.batch_window_end
@@ -146,9 +148,9 @@ def cmd_train_upstream(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_infer(cfg: PipelineConfig, args) -> int:
-    data = _load_world(cfg)
     spec = cfg.upstream[args.model]
     if args.day is not None:
+        data = _load_world(cfg, [args.day])
         spath = _require(snapshot_path(cfg, args.model, args.day),
                          f"snapshot for day {args.day} "
                          "(run `derm train-upstream` first)")
@@ -162,14 +164,14 @@ def cmd_infer(cfg: PipelineConfig, args) -> int:
         print(f"day {args.day}: {len(daily.records)} entities, wrote {path}")
         return 0
     end = spec.batch_window_end
+    window = list(range(max(1, end - args.back_window + 1), end + 1))
+    data = _load_world(cfg, window)
     spath = _require(snapshot_path(cfg, args.model, end),
                      f"batch snapshot for day {end} "
                      "(run `derm train-upstream` first)")
     snapshot = load_snapshot(spath)
     model = build_model(cfg.world, spec)
-    first = max(1, end - args.back_window + 1)
-    sets = back_infer(snapshot, model, list(range(first, end + 1)), data,
-                      spec.source)
+    sets = back_infer(snapshot, model, window, data, spec.source)
     for daily in sets:
         path = embedding_path(cfg, args.model, daily.day)
         save_daily(daily, path, spec.source)
@@ -326,6 +328,10 @@ def cmd_serve(cfg: PipelineConfig, args) -> int:
     return 0
 
 
+def _downstream_days(cfg: PipelineConfig) -> range:
+    return range(cfg.downstream.train_day_start, cfg.downstream.test_day + 1)
+
+
 def _split_samples(cfg: PipelineConfig, data):
     ds = cfg.downstream
     train = [s for d in range(ds.train_day_start, ds.test_day)
@@ -350,7 +356,7 @@ def _generations_for(cfg: PipelineConfig, inputs) -> dict[str, StoreGeneration]:
 
 
 def cmd_train_downstream(cfg: PipelineConfig, args) -> int:
-    data = _load_world(cfg)
+    data = _load_world(cfg, _downstream_days(cfg))
     ds = cfg.downstream
     model_cfg = ds.model_config()
     gens = _generations_for(cfg, ds.derm_inputs)
@@ -399,7 +405,7 @@ def experiment_generations(cfg: PipelineConfig, heuristics, sources
 
 
 def cmd_experiment(cfg: PipelineConfig, args) -> int:
-    data = _load_world(cfg)
+    data = _load_world(cfg, _downstream_days(cfg))
     ex = cfg.experiment
     ds = cfg.downstream
     if ex.grid == "heuristics":

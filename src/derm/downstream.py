@@ -1,13 +1,21 @@
 """Downstream CTR/CVR consumers, evaluation metrics, sensitivity experiments.
 
-Architecture per sample: pretrained embeddings fetched from the store are
-concatenated, reduced by an affine projection, and crossed by a small DCN
-stack (the quadratic cost lives in these feature interactions, which is why
-the projection feeds them). The crossed block, the base features, presence
-flags, and an attention-pooled view of the user's engagement sequence meet
-in a concatenation layer, then a softmax-gated mixture of expert MLPs and a
-scalar head produce the logit. Base features carry no entity ids; whatever
-id-level signal the consumer gets arrives through the served embeddings.
+The consumer model runs on whole minibatches of B rows (`FeatureBatch`):
+  derm    (B, derm_dim) pretrained embeddings fetched from the store and
+          concatenated, reduced by an affine projection to (B, proj_dim) and
+          crossed by a small DCN stack (the quadratic cost lives in these
+          feature interactions, which is why the projection feeds them)
+  hist    (B, L) engagement-sequence ids padded with 0, and (B,) lengths;
+          the (B, L, seq_dim) table rows are pooled to (B, seq_dim) by one
+          masked attention softmax, and a row of length 0 pools to exactly 0
+  X       (B, concat_dim): base features, the crossed block, the presence
+          flags and the pooled sequence, concatenated
+  MoE     softmax gate (B, E) over E experts whose weights are stacked as
+          (E, h, concat_dim) and (E, o, h): one matmul per layer gives the
+          (E, B, h) hidden and (E, B, o) outputs, mixed by the gate to (B, o)
+  head    scalar affine head, (B,) logits
+Base features carry no entity ids; whatever id-level signal the consumer
+gets arrives through the served embeddings.
 
 Missing store lookups become a zero vector with presence flag 0, so serving
 gaps degrade smoothly instead of erroring.
@@ -31,8 +39,9 @@ from .errors import (
     UnknownTaskError,
 )
 from .lifecycle import AggregationHeuristic
-from .params import ParamDict, zeros_like_params
+from .params import ParamDict, flat_views, zeros_like_params
 from .store import StoreGeneration, StoreKey
+from .towers import pad_sequences
 
 CTR_TASK = "ctr"
 CVR_TASK = "cvr"
@@ -188,7 +197,8 @@ class FeatureBatch:
     base: np.ndarray  # (B, base_dim)
     derm: np.ndarray  # (B, derm_dim_total), zeros when absent
     flags: np.ndarray  # (B, n_inputs)
-    hist: list[list[int]]
+    hist: np.ndarray  # (B, L) int64 history ids, padded with 0
+    hist_len: np.ndarray  # (B,) history lengths
     labels: np.ndarray  # (B,)
 
     def __len__(self) -> int:
@@ -196,7 +206,7 @@ class FeatureBatch:
 
     def slice(self, idx) -> "FeatureBatch":
         return FeatureBatch(self.base[idx], self.derm[idx], self.flags[idx],
-                            [self.hist[i] for i in idx], self.labels[idx])
+                            self.hist[idx], self.hist_len[idx], self.labels[idx])
 
 
 def build_features(samples: list[TrainingSample], cfg: DownstreamConfig,
@@ -211,39 +221,34 @@ def build_features(samples: list[TrainingSample], cfg: DownstreamConfig,
     """
     if not samples:
         raise EmptyInputError("no samples to featurize")
-    label_key = cfg.label
-    dims = [generations[DERM_INPUTS[name][0]].dim for name in cfg.derm_inputs]
-    total = sum(dims)
     B = len(samples)
-    first = samples[0]
-    base_dim = (len(first.user.dense["profile"]) + len(first.pin.dense["attrs"])
-                + 1)
-    base = np.zeros((B, base_dim))
-    derm = np.zeros((B, total))
+    base = np.concatenate([
+        np.array([s.user.dense["profile"] for s in samples], dtype=np.float64),
+        np.array([s.pin.dense["attrs"] for s in samples], dtype=np.float64),
+        np.array([s.context.dense["hour"] for s in samples], dtype=np.float64),
+    ], axis=1)
+    blocks = [np.zeros((B, 0))]
     flags = np.zeros((B, len(cfg.derm_inputs)))
-    hist = []
-    labels = np.zeros(B)
-    for i, s in enumerate(samples):
-        base[i] = np.concatenate([
-            s.user.dense["profile"], s.pin.dense["attrs"],
-            s.context.dense["hour"],
-        ])
-        off = 0
-        for k, name in enumerate(cfg.derm_inputs):
-            source, kind = DERM_INPUTS[name]
-            entity_id = s.user_id if kind == "user" else s.pin_id
-            vec = generations[source].lookup(StoreKey(kind, entity_id, source))
-            if vec is not None:
-                v = vec.astype(np.float64)
-                norm = np.linalg.norm(v)
-                if norm > 0.0:
-                    v = v / norm
-                derm[i, off:off + dims[k]] = v
-                flags[i, k] = 1.0
-            off += dims[k]
-        hist.append(list(s.user.sequence.get("hist", [])))
-        labels[i] = s.labels[label_key]
-    return FeatureBatch(base, derm, flags, hist, labels)
+    for k, name in enumerate(cfg.derm_inputs):
+        source, kind = DERM_INPUTS[name]
+        gen = generations[source]
+        vecs = [gen.lookup(StoreKey(kind, s.user_id if kind == "user"
+                                    else s.pin_id, source)) for s in samples]
+        present = np.array([v is not None for v in vecs], dtype=bool)
+        block = np.zeros((B, gen.dim))
+        if present.any():
+            block[present] = np.array([v for v in vecs if v is not None],
+                                      dtype=np.float64)
+        # each row's own dot product, summed as np.linalg.norm sums one vector
+        norms = np.sqrt((block[:, None, :] @ block[:, :, None])[:, 0, 0])
+        np.divide(block, norms[:, None], out=block, where=norms[:, None] > 0.0)
+        blocks.append(block)
+        flags[:, k] = present
+    hist, hist_len = pad_sequences([s.user.sequence.get("hist", ())
+                                    for s in samples])
+    labels = np.array([s.labels[cfg.label] for s in samples], dtype=np.float64)
+    return FeatureBatch(base, np.concatenate(blocks, axis=1), flags, hist,
+                        hist_len, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +293,17 @@ class DownstreamModel:
             p["seq/table"] = rng.normal(size=(self.seq_vocab, cfg.seq_dim)) \
                 / np.sqrt(cfg.seq_dim)
             p["seq/query"] = rng.normal(size=cfg.seq_dim)
-        d = self.concat_dim
-        p["moe/gate/W"] = rng.normal(size=(cfg.num_experts, d)) / np.sqrt(d)
-        p["moe/gate/b"] = np.zeros(cfg.num_experts)
-        for e in range(cfg.num_experts):
-            p[f"moe/expert{e}/W1"] = rng.normal(
-                size=(cfg.expert_hidden, d)) / np.sqrt(d)
-            p[f"moe/expert{e}/b1"] = np.zeros(cfg.expert_hidden)
-            p[f"moe/expert{e}/W2"] = rng.normal(
-                size=(cfg.expert_out, cfg.expert_hidden)) / np.sqrt(cfg.expert_hidden)
-            p[f"moe/expert{e}/b2"] = np.zeros(cfg.expert_out)
+        d, E = self.concat_dim, cfg.num_experts
+        p["moe/gate/W"] = rng.normal(size=(E, d)) / np.sqrt(d)
+        p["moe/gate/b"] = np.zeros(E)
+        # drawn expert by expert (W1 then W2), then stacked on a leading axis
+        experts = [(rng.normal(size=(cfg.expert_hidden, d)) / np.sqrt(d),
+                    rng.normal(size=(cfg.expert_out, cfg.expert_hidden))
+                    / np.sqrt(cfg.expert_hidden)) for _ in range(E)]
+        p["moe/experts/W1"] = np.stack([w1 for w1, _ in experts])
+        p["moe/experts/b1"] = np.zeros((E, cfg.expert_hidden))
+        p["moe/experts/W2"] = np.stack([w2 for _, w2 in experts])
+        p["moe/experts/b2"] = np.zeros((E, cfg.expert_out))
         p["head/w"] = rng.normal(size=cfg.expert_out) / np.sqrt(cfg.expert_out)
         p["head/b"] = np.zeros(1)
         return p
@@ -307,7 +313,6 @@ class DownstreamModel:
     def forward(self, batch: FeatureBatch):
         cfg = self.cfg
         p = self.params
-        B = len(batch)
         pieces = [batch.base]
         cache: dict = {"batch": batch}
         if self.has_derm:
@@ -327,21 +332,17 @@ class DownstreamModel:
             pieces.append(zs[-1])
             pieces.append(batch.flags)
         if cfg.sequence_encoder:
-            pooled = np.zeros((B, cfg.seq_dim))
-            seq_cache = []
-            scale = 1.0 / np.sqrt(cfg.seq_dim)
-            for i, ids in enumerate(batch.hist):
-                if not ids:
-                    seq_cache.append(None)
-                    continue
-                T = p["seq/table"][ids]
-                scores = (T @ p["seq/query"]) * scale
-                a = np.exp(scores - scores.max())
-                a /= a.sum()
-                pooled[i] = a @ T
-                seq_cache.append((ids, T, a))
-            cache["seq"] = seq_cache
-            pieces.append(pooled)
+            mask = np.arange(batch.hist.shape[1]) < batch.hist_len[:, None]
+            T = p["seq/table"][batch.hist]  # (B, L, seq_dim)
+            scores = (T @ p["seq/query"]) * (1.0 / np.sqrt(cfg.seq_dim))
+            top = np.max(scores, axis=1, where=mask, initial=-np.inf,
+                         keepdims=True)
+            # masked positions, and every position of an empty row, get 0
+            e = np.exp(np.where(mask, scores - top, -np.inf))
+            total = e.sum(axis=1, keepdims=True)
+            a = np.divide(e, total, out=np.zeros_like(e), where=total > 0.0)
+            cache["seq"] = (mask, T, a)
+            pieces.append((a[:, None, :] @ T)[:, 0])
         X = np.concatenate(pieces, axis=1)
         cache["X"] = X
         G = X @ p["moe/gate/W"].T + p["moe/gate/b"]
@@ -349,15 +350,12 @@ class DownstreamModel:
         Pg = np.exp(G)
         Pg /= Pg.sum(axis=1, keepdims=True)
         cache["Pg"] = Pg
-        out = np.zeros((B, cfg.expert_out))
-        hs, os = [], []
-        for e in range(cfg.num_experts):
-            H = np.maximum(0.0, X @ p[f"moe/expert{e}/W1"].T + p[f"moe/expert{e}/b1"])
-            O = H @ p[f"moe/expert{e}/W2"].T + p[f"moe/expert{e}/b2"]
-            hs.append(H)
-            os.append(O)
-            out += Pg[:, e:e + 1] * O
-        cache["hs"], cache["os"], cache["moe_out"] = hs, os, out
+        H = np.maximum(0.0, X @ p["moe/experts/W1"].transpose(0, 2, 1)
+                       + p["moe/experts/b1"][:, None, :])  # (E, B, h)
+        O = (H @ p["moe/experts/W2"].transpose(0, 2, 1)
+             + p["moe/experts/b2"][:, None, :])  # (E, B, o)
+        out = (Pg.T[:, :, None] * O).sum(axis=0)
+        cache["H"], cache["O"], cache["moe_out"] = H, O, out
         logits = out @ p["head/w"] + p["head/b"][0]
         return logits, cache
 
@@ -371,20 +369,15 @@ class DownstreamModel:
         grads["head/b"][0] += dlogits.sum()
         dout = np.outer(dlogits, p["head/w"])
 
-        X = cache["X"]
-        Pg = cache["Pg"]
-        dX = np.zeros_like(X)
-        dPg = np.zeros_like(Pg)
-        for e in range(cfg.num_experts):
-            H, O = cache["hs"][e], cache["os"][e]
-            dO = Pg[:, e:e + 1] * dout
-            dPg[:, e] = (dout * O).sum(axis=1)
-            grads[f"moe/expert{e}/W2"] += dO.T @ H
-            grads[f"moe/expert{e}/b2"] += dO.sum(axis=0)
-            dH = (dO @ p[f"moe/expert{e}/W2"]) * (H > 0)
-            grads[f"moe/expert{e}/W1"] += dH.T @ X
-            grads[f"moe/expert{e}/b1"] += dH.sum(axis=0)
-            dX += dH @ p[f"moe/expert{e}/W1"]
+        X, Pg, H, O = cache["X"], cache["Pg"], cache["H"], cache["O"]
+        dO = Pg.T[:, :, None] * dout  # (E, B, o)
+        dPg = (dout * O).sum(axis=2).T
+        grads["moe/experts/W2"] += dO.transpose(0, 2, 1) @ H
+        grads["moe/experts/b2"] += dO.sum(axis=1)
+        dH = (dO @ p["moe/experts/W2"]) * (H > 0)  # (E, B, h)
+        grads["moe/experts/W1"] += dH.transpose(0, 2, 1) @ X
+        grads["moe/experts/b1"] += dH.sum(axis=1)
+        dX = (dH @ p["moe/experts/W1"]).sum(axis=0)
         dG = Pg * (dPg - (dPg * Pg).sum(axis=1, keepdims=True))
         grads["moe/gate/W"] += dG.T @ X
         grads["moe/gate/b"] += dG.sum(axis=0)
@@ -410,34 +403,32 @@ class DownstreamModel:
             grads["proj/W"] += dZ0.T @ batch.derm
             grads["proj/b"] += dZ0.sum(axis=0)
         if cfg.sequence_encoder:
+            mask, T, a = cache["seq"]
             dpooled = dX[:, off:off + cfg.seq_dim]
             scale = 1.0 / np.sqrt(cfg.seq_dim)
-            table = p["seq/table"]
-            q = p["seq/query"]
-            for i, entry in enumerate(cache["seq"]):
-                if entry is None:
-                    continue
-                ids, T, a = entry
-                dp = dpooled[i]
-                da = T @ dp
-                dT = np.outer(a, dp)
-                ds = a * (da - float(da @ a))
-                grads["seq/query"] += (T.T @ ds) * scale
-                dT += np.outer(ds, q) * scale
-                np.add.at(grads["seq/table"], ids, dT)
+            da = (T @ dpooled[:, :, None])[:, :, 0]  # (B, L)
+            ds = a * (da - (da * a).sum(axis=1, keepdims=True))
+            grads["seq/query"] += (T.reshape(-1, cfg.seq_dim).T
+                                   @ ds.reshape(-1)) * scale
+            dT = a[:, :, None] * dpooled[:, None, :] \
+                + ds[:, :, None] * p["seq/query"] * scale
+            # unmasked (row, position) pairs in row-major order
+            np.add.at(grads["seq/table"], cache["batch"].hist[mask], dT[mask])
 
     def loss_and_grads(self, batch: FeatureBatch):
         logits, cache = self.forward(batch)
-        y = batch.labels
-        # stable binary cross entropy, mean over the batch
-        losses = np.maximum(logits, 0.0) - logits * y + np.log1p(np.exp(-np.abs(logits)))
-        loss = float(losses.mean())
-        # sigmoid via tanh stays finite for any logit magnitude
-        sig = 0.5 * (1.0 + np.tanh(0.5 * logits))
-        dlogits = (sig - y) / len(batch)
+        loss, dlogits = _bce(logits, batch.labels)
         grads = zeros_like_params(self.params)
         self.backward(cache, dlogits, grads)
         return loss, grads
+
+
+def _bce(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean binary cross entropy over the batch and its logit gradient."""
+    losses = np.maximum(logits, 0.0) - logits * y + np.log1p(np.exp(-np.abs(logits)))
+    # sigmoid via tanh stays finite for any logit magnitude
+    sig = 0.5 * (1.0 + np.tanh(0.5 * logits))
+    return float(losses.mean()), (sig - y) / len(y)
 
 
 def project_embeddings(vec: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -472,37 +463,43 @@ def train_downstream(model: DownstreamModel, features: FeatureBatch,
     clipped by global norm and weights decay toward zero: the cross layers
     are multiplicative, so unchecked weight growth compounds through the
     forward pass until it overflows.
+
+    The model's parameters become views of one flat f64 buffer, and the
+    gradients views of another, so each step's clipping, weight decay and
+    momentum update are a few whole-buffer operations.
     """
     n = len(features)
     if n == 0:
         raise EmptyInputError("no training features")
-    velocity = zeros_like_params(model.params)
+    flat, model.params = flat_views(model.params)
+    gflat, grads = flat_views(zeros_like_params(model.params))
+    velocity = np.zeros_like(flat)
     total = cfg.epochs * ((n + cfg.batch_size - 1) // cfg.batch_size)
     step = 0
     for epoch in range(cfg.epochs):
         rng = np.random.default_rng([cfg.seed, 0xD5, epoch])
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            loss, grads = model.loss_and_grads(features.slice(idx))
+            batch = features.slice(order[start:start + cfg.batch_size])
+            logits, cache = model.forward(batch)
+            loss, dlogits = _bce(logits, batch.labels)
             if not np.isfinite(loss):
                 raise DivergedLossError(
                     f"non-finite downstream loss at epoch {epoch}"
                 )
+            gflat[:] = 0.0
+            model.backward(cache, dlogits, grads)
             if cfg.max_grad_norm > 0.0:
-                gnorm = np.sqrt(sum(float((g * g).sum())
-                                    for g in grads.values()))
+                gnorm = np.sqrt(gflat @ gflat)
                 if gnorm > cfg.max_grad_norm:
-                    scale = cfg.max_grad_norm / gnorm
-                    for g in grads.values():
-                        g *= scale
+                    gflat *= cfg.max_grad_norm / gnorm
             frac = step / total if total > 1 else 0.0
             lr = cfg.learning_rate * (1.0 - 0.9 * frac)
-            for name, g in grads.items():
-                if cfg.weight_decay > 0.0:
-                    g = g + cfg.weight_decay * model.params[name]
-                velocity[name] = cfg.momentum * velocity[name] + g
-                model.params[name] -= lr * velocity[name]
+            if cfg.weight_decay > 0.0:
+                gflat += cfg.weight_decay * flat
+            velocity *= cfg.momentum
+            velocity += gflat
+            flat -= lr * velocity
             step += 1
             if loss_log is not None:
                 loss_log.append(loss)

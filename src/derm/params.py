@@ -34,12 +34,23 @@ def flatten_params(params: ParamDict) -> tuple[np.ndarray, list[tuple[str, tuple
     return vec, layout
 
 
+def flat_views(params: ParamDict) -> tuple[np.ndarray, ParamDict]:
+    """One flat copy of params (the flatten_params layout) and name->array
+    views into it, so writes through either side show in the other."""
+    vec, layout = flatten_params(params)
+    return vec, _views(vec, layout)
+
+
 def unflatten_params(vec: np.ndarray, layout: list[tuple[str, tuple[int, ...]]]) -> ParamDict:
+    return {k: np.array(v, dtype=np.float64) for k, v in _views(vec, layout).items()}
+
+
+def _views(vec: np.ndarray, layout: list[tuple[str, tuple[int, ...]]]) -> ParamDict:
     out: ParamDict = {}
     off = 0
     for name, shape in layout:
         n = int(np.prod(shape)) if shape else 1
-        out[name] = np.array(vec[off : off + n], dtype=np.float64).reshape(shape)
+        out[name] = vec[off : off + n].reshape(shape)
         off += n
     return out
 

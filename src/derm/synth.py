@@ -335,15 +335,24 @@ def load_day_samples(path) -> tuple[int, list[TrainingSample]]:
     return parse_day_file(read_file(path, what), what)
 
 
-def load_world_files(world_dir) -> tuple[WorldConfig, dict[int, list[TrainingSample]]]:
+def load_world_files(world_dir, days=None
+                     ) -> tuple[WorldConfig, dict[int, list[TrainingSample]]]:
+    """The world's config and its day-keyed samples.
+
+    days limits the day files read (days outside 1..cfg.days are skipped);
+    None reads every day.
+    """
     manifest_path = world_dir / "world.json"
     try:
         manifest = json.loads(manifest_path.read_text())
     except OSError as e:
         raise IoFailureError(f"cannot read {manifest_path}: {e}") from e
     cfg = WorldConfig(**manifest["config"])
+    wanted = range(1, cfg.days + 1)
+    if days is not None:
+        wanted = sorted(set(days).intersection(wanted))
     data = {}
-    for day in range(1, cfg.days + 1):
+    for day in wanted:
         d, samples = load_day_samples(world_dir / day_file_name(day))
         data[d] = samples
     return cfg, data

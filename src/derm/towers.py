@@ -165,14 +165,20 @@ def stack_bundles(slots, bundles) -> dict:
             _check_ids(s, ids)
             cols[s.name] = ids
         else:
-            seqs = [b.sequence.get(s.name, ()) for b in bundles]
-            lengths = np.array([len(q) for q in seqs], dtype=np.int64)
-            ids = np.zeros((B, max(1, lengths.max(initial=0))), dtype=np.int64)
-            for i, q in enumerate(seqs):
-                ids[i, :len(q)] = q
+            ids, lengths = pad_sequences([b.sequence.get(s.name, ())
+                                          for b in bundles])
             _check_ids(s, ids)
             cols[s.name] = (ids, lengths)
     return cols
+
+
+def pad_sequences(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """(B, L) int64 ids padded with 0, L = max(1, longest), and (B,) lengths."""
+    lengths = np.array([len(q) for q in seqs], dtype=np.int64)
+    ids = np.zeros((len(seqs), max(1, lengths.max(initial=0))), dtype=np.int64)
+    for i, q in enumerate(seqs):
+        ids[i, :len(q)] = q
+    return ids, lengths
 
 
 def _history(col):

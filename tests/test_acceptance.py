@@ -75,6 +75,7 @@ from derm.towers import (
     embed_entity,
     embed_entity_backward,
     init_tower_params,
+    pad_sequences,
 )
 from derm.trainer import (
     TrainConfig,
@@ -306,13 +307,14 @@ def _downstream_grad_err(seed: int) -> float:
     hist = [list(rng.integers(0, 10, size=int(rng.integers(0, 4))))
             for _ in range(n)]
     hist[0] = []
+    hist, hist_len = pad_sequences(hist)
     derm = rng.normal(size=(n, 6))
     flags = np.ones((n, 2))
     derm[1] = 0.0
     flags[1] = 0.0
     batch = FeatureBatch(
         base=rng.normal(size=(n, 3)), derm=derm, flags=flags, hist=hist,
-        labels=rng.integers(0, 2, size=n).astype(float),
+        hist_len=hist_len, labels=rng.integers(0, 2, size=n).astype(float),
     )
 
     def make_loss(params):

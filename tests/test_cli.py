@@ -6,6 +6,7 @@ import contextlib
 import json
 import os
 import re
+import shutil
 import socket
 import struct
 import subprocess
@@ -285,6 +286,27 @@ class TestPipeline:
                                                  "ctr-upstream")
         assert generation_bytes(gen.day, gen.dim, gen.vectors) == \
             published.read_bytes()
+
+    def test_commands_read_only_the_day_files_they_use(self, pipeline):
+        damaged = pipeline.base / "damaged"
+        paths = replace(pipeline.cfg.paths, world_dir=damaged / "world",
+                        snapshot_dir=damaged / "snapshots",
+                        embeddings_dir=damaged / "embeddings")
+        shutil.copytree(pipeline.cfg.paths.world, paths.world)
+        shutil.copytree(pipeline.cfg.paths.snapshots, paths.snapshots)
+        day1 = paths.world / "day001.events"
+        blob = bytearray(day1.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        day1.write_bytes(bytes(blob))
+        ini = damaged / "derm.ini"
+        ini.write_text(emit_config(replace(pipeline.cfg, paths=paths)))
+        run_cli(["infer", "-c", str(ini), "--model", "ctr", "--day", "7"])
+        assert (paths.embeddings / "ctr" / "day007.kv").read_bytes() == (
+            pipeline.cfg.paths.embeddings / "ctr" / "day007.kv").read_bytes()
+        _, err = run_cli(["train-upstream", "-c", str(ini), "--model", "ctr"],
+                         expect=1)
+        assert re.fullmatch(r"error: IoFailure: .+", err.strip())
+        assert "day001.events" in err
 
     def test_publish_rerun_does_not_stack_generations(self, pipeline):
         store = pipeline.cfg.paths.store

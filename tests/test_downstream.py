@@ -5,6 +5,7 @@ import pytest
 
 from derm.data import FeatureBundle, TrainingSample, KIND_CODES
 from derm.downstream import (
+    DERM_INPUTS,
     ArmSpec,
     DownstreamConfig,
     DownstreamModel,
@@ -29,8 +30,9 @@ from derm.errors import (
     UnknownTaskError,
 )
 from derm.lifecycle import AggregationHeuristic, MA
-from derm.store import StoreGeneration, source_code
-from derm.synth import _pair_count_auc
+from derm.store import StoreGeneration, StoreKey, source_code
+from derm.synth import WorldConfig, _pair_count_auc, generate_world
+from derm.towers import pad_sequences
 
 from util import fd_check_params, random_unit_rows
 
@@ -307,6 +309,66 @@ class TestBuildFeatures:
         with pytest.raises(EmptyInputError):
             build_features([], DownstreamConfig(), {})
 
+    @pytest.mark.parametrize("task", ["ctr", "cvr"])
+    def test_columns_match_per_sample_reference(self, task):
+        data = generate_world(WorldConfig(num_users=12, num_pins=12, days=4,
+                                          seed=3))
+        samples = [s for day in sorted(data) for s in data[day]]
+        rng = np.random.default_rng(8)
+        gens = {}
+        for source, dim in (("ctr-upstream", 32), ("cvr-upstream", 7)):
+            vecs = {(kind, e): rng.normal(size=dim) * rng.uniform(0.01, 50.0)
+                    for kind in ("user", "pin") for e in range(12)
+                    if rng.random() < 0.8}  # about a fifth miss
+            vecs[("user", 0)] = np.zeros(dim)
+            gens[source] = fake_generation(source, vecs)
+        cfg = DownstreamConfig(task=task, derm_inputs=("cvr-pin", "ctr-user",
+                                                       "ctr-pin", "cvr-user"))
+        got = build_features(samples, cfg, gens)
+        want = reference_build_features(samples, cfg, gens)
+        assert set(got.flags.ravel()) == {0.0, 1.0}
+        for name in ("base", "derm", "flags", "labels"):
+            a, b = getattr(got, name), want[name]
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        hist = [list(s.user.sequence.get("hist", [])) for s in samples]
+        assert any(hist) and not all(hist)
+        assert got.hist_len.tolist() == [len(h) for h in hist]
+        for i, h in enumerate(hist):
+            assert got.hist[i, :len(h)].tolist() == h
+            assert not got.hist[i, len(h):].any()
+
+
+def reference_build_features(samples, cfg, generations):
+    """build_features in loop form, one sample and one input at a time;
+    returns the base, derm, flags and labels arrays."""
+    dims = [generations[DERM_INPUTS[name][0]].dim for name in cfg.derm_inputs]
+    B = len(samples)
+    first = samples[0]
+    base = np.zeros((B, len(first.user.dense["profile"])
+                     + len(first.pin.dense["attrs"]) + 1))
+    derm = np.zeros((B, sum(dims)))
+    flags = np.zeros((B, len(cfg.derm_inputs)))
+    labels = np.zeros(B)
+    for i, s in enumerate(samples):
+        base[i] = np.concatenate([s.user.dense["profile"], s.pin.dense["attrs"],
+                                  s.context.dense["hour"]])
+        off = 0
+        for k, name in enumerate(cfg.derm_inputs):
+            source, kind = DERM_INPUTS[name]
+            entity_id = s.user_id if kind == "user" else s.pin_id
+            vec = generations[source].lookup(StoreKey(kind, entity_id, source))
+            if vec is not None:
+                v = vec.astype(np.float64)
+                norm = np.linalg.norm(v)
+                if norm > 0.0:
+                    v = v / norm
+                derm[i, off:off + dims[k]] = v
+                flags[i, k] = 1.0
+            off += dims[k]
+        labels[i] = s.labels[cfg.label]
+    return {"base": base, "derm": derm, "flags": flags, "labels": labels}
+
 
 # ---------------------------------------------------------------------------
 # the model
@@ -328,6 +390,7 @@ def small_batch(rng, n=7, derm_dim=6, with_missing=True):
         k = int(rng.integers(0, 4))
         hist.append(list(rng.integers(0, 10, size=k)))
     hist[0] = []  # keep one guaranteed-empty sequence
+    hist, hist_len = pad_sequences(hist)
     derm = rng.normal(size=(n, derm_dim))
     flags = np.ones((n, 2))
     if with_missing:
@@ -338,6 +401,7 @@ def small_batch(rng, n=7, derm_dim=6, with_missing=True):
         derm=derm,
         flags=flags,
         hist=hist,
+        hist_len=hist_len,
         labels=rng.integers(0, 2, size=n).astype(float),
     )
 
@@ -394,13 +458,13 @@ class TestModelBehavior:
         rng = np.random.default_rng(60)
         batch = small_batch(rng, with_missing=False)
         zeroed = FeatureBatch(batch.base.copy(), batch.derm.copy(),
-                              batch.flags.copy(), [list(h) for h in batch.hist],
-                              batch.labels.copy())
+                              batch.flags.copy(), batch.hist.copy(),
+                              batch.hist_len.copy(), batch.labels.copy())
         zeroed.derm[2] = 0.0
         zeroed.flags[2] = 0.0
         logits_a, _ = model.forward(zeroed)
         manual = FeatureBatch(batch.base, zeroed.derm, zeroed.flags,
-                              batch.hist, batch.labels)
+                              batch.hist, batch.hist_len, batch.labels)
         logits_b, _ = model.forward(manual)
         assert np.array_equal(logits_a, logits_b)
 
@@ -416,6 +480,183 @@ class TestModelBehavior:
         c = small_model(4)
         assert any(not np.array_equal(a.params[k], c.params[k])
                    for k in a.params)
+
+
+def reference_loss_and_grads(model, batch, hist):
+    """The model's loss and gradients in loop form: the attention pooled
+    one sample at a time and the experts run one by one.
+
+    hist is the batch's histories as lists; expert gradients come back
+    stacked like the model's parameters.
+    """
+    cfg, p = model.cfg, model.params
+    B, E = len(batch), cfg.num_experts
+    W1, b1 = p["moe/experts/W1"], p["moe/experts/b1"]
+    W2, b2 = p["moe/experts/W2"], p["moe/experts/b2"]
+    scale = 1.0 / np.sqrt(cfg.seq_dim)
+    # forward
+    pieces = [batch.base]
+    if model.has_derm:
+        Z0 = batch.derm @ p["proj/W"].T + p["proj/b"]
+        zs, acts = [Z0], []
+        for l in range(cfg.cross_layers):
+            A = zs[-1] @ p[f"cross/{l}/W"].T + p[f"cross/{l}/b"]
+            acts.append(A)
+            zs.append(Z0 * A + zs[-1])
+        pieces += [zs[-1], batch.flags]
+    if cfg.sequence_encoder:
+        pooled = np.zeros((B, cfg.seq_dim))
+        seq = []
+        for i, ids in enumerate(hist):
+            if not ids:
+                seq.append(None)
+                continue
+            T = p["seq/table"][ids]
+            scores = (T @ p["seq/query"]) * scale
+            a = np.exp(scores - scores.max())
+            a /= a.sum()
+            pooled[i] = a @ T
+            seq.append((ids, T, a))
+        pieces.append(pooled)
+    X = np.concatenate(pieces, axis=1)
+    G = X @ p["moe/gate/W"].T + p["moe/gate/b"]
+    G = G - G.max(axis=1, keepdims=True)
+    Pg = np.exp(G)
+    Pg /= Pg.sum(axis=1, keepdims=True)
+    out = np.zeros((B, cfg.expert_out))
+    hs, os_ = [], []
+    for e in range(E):
+        H = np.maximum(0.0, X @ W1[e].T + b1[e])
+        O = H @ W2[e].T + b2[e]
+        hs.append(H)
+        os_.append(O)
+        out += Pg[:, e:e + 1] * O
+    logits = out @ p["head/w"] + p["head/b"][0]
+    y = batch.labels
+    losses = (np.maximum(logits, 0.0) - logits * y
+              + np.log1p(np.exp(-np.abs(logits))))
+    dlogits = (0.5 * (1.0 + np.tanh(0.5 * logits)) - y) / B
+    # backward
+    g = {k: np.zeros_like(v) for k, v in p.items()}
+    g["head/w"] += out.T @ dlogits
+    g["head/b"][0] += dlogits.sum()
+    dout = np.outer(dlogits, p["head/w"])
+    dX = np.zeros_like(X)
+    dPg = np.zeros_like(Pg)
+    for e in range(E):
+        H, O = hs[e], os_[e]
+        dO = Pg[:, e:e + 1] * dout
+        dPg[:, e] = (dout * O).sum(axis=1)
+        g["moe/experts/W2"][e] += dO.T @ H
+        g["moe/experts/b2"][e] += dO.sum(axis=0)
+        dH = (dO @ W2[e]) * (H > 0)
+        g["moe/experts/W1"][e] += dH.T @ X
+        g["moe/experts/b1"][e] += dH.sum(axis=0)
+        dX += dH @ W1[e]
+    dG = Pg * (dPg - (dPg * Pg).sum(axis=1, keepdims=True))
+    g["moe/gate/W"] += dG.T @ X
+    g["moe/gate/b"] += dG.sum(axis=0)
+    dX += dG @ p["moe/gate/W"]
+    off = model.base_dim
+    if model.has_derm:
+        dZ = dX[:, off:off + model.proj_dim].copy()
+        off += model.proj_dim + len(cfg.derm_inputs)
+        dZ0 = np.zeros_like(Z0)
+        for l in range(cfg.cross_layers - 1, -1, -1):
+            dA = dZ * Z0
+            dZ0 += dZ * acts[l]
+            g[f"cross/{l}/W"] += dA.T @ zs[l]
+            g[f"cross/{l}/b"] += dA.sum(axis=0)
+            dZ = dZ + dA @ p[f"cross/{l}/W"]
+        dZ0 += dZ
+        g["proj/W"] += dZ0.T @ batch.derm
+        g["proj/b"] += dZ0.sum(axis=0)
+    if cfg.sequence_encoder:
+        dpooled = dX[:, off:off + cfg.seq_dim]
+        for i, entry in enumerate(seq):
+            if entry is None:
+                continue
+            ids, T, a = entry
+            dp = dpooled[i]
+            da = T @ dp
+            dT = np.outer(a, dp)
+            ds = a * (da - float(da @ a))
+            g["seq/query"] += (T.T @ ds) * scale
+            dT += np.outer(ds, p["seq/query"]) * scale
+            np.add.at(g["seq/table"], ids, dT)
+    return float(losses.mean()), logits, g
+
+
+class TestBatchedModel:
+    """The batched model against the per-sample reference above."""
+
+    # lengths 0, 1 and the maximum; ids repeat within and across rows
+    HIST = [[], [3], [2, 7, 7, 1, 2], [7], [], [2, 2], [5, 0, 3, 3, 9], [1, 7]]
+
+    def _model(self, num_experts, seed, derm=True):
+        cfg = DownstreamConfig(
+            derm_inputs=("ctr-user", "ctr-pin") if derm else (),
+            projection_dim=4, num_experts=num_experts, expert_hidden=5,
+            expert_out=4, seq_dim=3)
+        return DownstreamModel(cfg, base_dim=3, derm_dim=6 if derm else 0,
+                               seq_vocab=10, seed=seed)
+
+    def _batch(self, rng, hist, derm_dim=6):
+        n = len(hist)
+        ids, lengths = pad_sequences(hist)
+        return FeatureBatch(rng.normal(size=(n, 3)), rng.normal(size=(n, derm_dim)),
+                            np.ones((n, 2 if derm_dim else 0)), ids, lengths,
+                            rng.integers(0, 2, size=n).astype(float))
+
+    @pytest.mark.parametrize("num_experts", [1, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_per_sample_reference(self, num_experts, seed):
+        model = self._model(num_experts, seed)
+        # large enough weights that the attention is far from uniform
+        model.params["seq/table"] *= 4.0
+        model.params["seq/query"] *= 4.0
+        batch = self._batch(np.random.default_rng(70 + seed), self.HIST)
+        loss, grads = model.loss_and_grads(batch)
+        logits, _ = model.forward(batch)
+        ref_loss, ref_logits, ref_grads = reference_loss_and_grads(
+            model, batch, self.HIST)
+        assert np.abs(logits - ref_logits).max() <= 1e-12
+        assert abs(loss - ref_loss) <= 1e-12
+        assert grads.keys() == ref_grads.keys()
+        for k in grads:
+            assert grads[k].shape == ref_grads[k].shape, k
+            assert np.abs(grads[k] - ref_grads[k]).max() <= 1e-12, k
+        assert np.abs(grads["seq/table"]).max() > 1e-3
+
+    @pytest.mark.parametrize("num_experts", [1, 4])
+    def test_all_histories_empty(self, num_experts):
+        model = self._model(num_experts, 3)
+        hist = [[] for _ in range(5)]
+        batch = self._batch(np.random.default_rng(80), hist)
+        with np.errstate(all="raise"):
+            logits, cache = model.forward(batch)
+            loss, grads = model.loss_and_grads(batch)
+        pooled = cache["X"][:, -model.cfg.seq_dim:]
+        assert np.all(pooled == 0.0)
+        assert np.isfinite(loss) and np.all(np.isfinite(logits))
+        assert np.all(grads["seq/table"] == 0.0)
+        assert np.all(grads["seq/query"] == 0.0)
+        for k in grads:
+            assert np.all(np.isfinite(grads[k])), k
+        _, ref_logits, ref_grads = reference_loss_and_grads(model, batch, hist)
+        assert np.abs(logits - ref_logits).max() <= 1e-12
+        for k in grads:
+            assert np.abs(grads[k] - ref_grads[k]).max() <= 1e-12, k
+
+    def test_no_derm_inputs(self):
+        model = self._model(4, 5, derm=False)
+        batch = self._batch(np.random.default_rng(90), self.HIST, derm_dim=0)
+        loss, grads = model.loss_and_grads(batch)
+        ref_loss, _, ref_grads = reference_loss_and_grads(model, batch,
+                                                          self.HIST)
+        assert abs(loss - ref_loss) <= 1e-12
+        for k in grads:
+            assert np.abs(grads[k] - ref_grads[k]).max() <= 1e-12, k
 
 
 class TestTraining:
@@ -459,7 +700,8 @@ class TestTraining:
     def test_empty_features_raise(self):
         model = small_model(derm=False)
         empty = FeatureBatch(np.zeros((0, 3)), np.zeros((0, 0)),
-                             np.zeros((0, 0)), [], np.zeros(0))
+                             np.zeros((0, 0)), np.zeros((0, 1), dtype=np.int64),
+                             np.zeros(0, dtype=np.int64), np.zeros(0))
         with pytest.raises(EmptyInputError):
             train_downstream(model, empty, DownstreamTrainConfig())
 
