@@ -30,7 +30,6 @@ from .config import (
 from .downstream import (
     DERM_INPUTS,
     DownstreamModel,
-    DownstreamTrainConfig,
     build_features,
     evaluate,
     heuristic_arms,
@@ -163,8 +162,12 @@ def cmd_infer(cfg: PipelineConfig, args) -> int:
         save_daily(daily, path, spec.source)
         print(f"day {args.day}: {len(daily.records)} entities, wrote {path}")
         return 0
+    back_window = (cfg.lifecycle.back_window if args.back_window is None
+                   else args.back_window)
+    if back_window < 1:
+        raise ConfigParseError(f"--back-window must be >= 1, got {back_window}")
     end = spec.batch_window_end
-    window = list(range(max(1, end - args.back_window + 1), end + 1))
+    window = list(range(max(1, end - back_window + 1), end + 1))
     data = _load_world(cfg, window)
     spath = _require(snapshot_path(cfg, args.model, end),
                      f"batch snapshot for day {end} "
@@ -366,10 +369,7 @@ def cmd_train_downstream(cfg: PipelineConfig, args) -> int:
     model = DownstreamModel(model_cfg, train_feats.base.shape[1],
                             train_feats.derm.shape[1],
                             seq_vocab=cfg.world.num_pins, seed=ds.seed)
-    train_downstream(model, train_feats,
-                     DownstreamTrainConfig(learning_rate=ds.learning_rate,
-                                           batch_size=ds.batch_size,
-                                           epochs=ds.epochs, seed=ds.seed))
+    train_downstream(model, train_feats, ds.train_config())
     train_rep = evaluate(model, train_feats)
     test_rep = evaluate(model, test_feats)
     report = {
@@ -422,9 +422,7 @@ def cmd_experiment(cfg: PipelineConfig, args) -> int:
         ex.task, arms, list(ex.seeds), train, test, generations,
         seq_vocab=cfg.world.num_pins,
         model_cfg_base=ds.model_config(),
-        train_cfg=DownstreamTrainConfig(learning_rate=ds.learning_rate,
-                                        batch_size=ds.batch_size,
-                                        epochs=ds.epochs, seed=ds.seed),
+        train_cfg=ds.train_config(),
     )
     cfg.paths.reports.mkdir(parents=True, exist_ok=True)
     stem = f"experiment-{ex.grid}-{ex.task}"
@@ -474,9 +472,11 @@ def build_parser() -> argparse.ArgumentParser:
     group = inf.add_mutually_exclusive_group(required=True)
     group.add_argument("--day", type=int,
                        help="infer one day with that day's snapshot")
-    group.add_argument("--back-window", type=int, metavar="DAYS",
-                       help="re-infer the trailing window with the batch "
-                            "snapshot")
+    # SUPPRESS keeps a bare --back-window (value None) counting as given
+    group.add_argument("--back-window", type=int, nargs="?", metavar="DAYS",
+                       default=argparse.SUPPRESS,
+                       help="re-infer the trailing DAYS (default: [lifecycle] "
+                            "back_window) with the batch snapshot")
 
     ag = add("aggregate", cmd_aggregate,
              "fold daily embeddings into the aggregated store state")

@@ -5,17 +5,21 @@ artifacts. Parsing is eager and total: every key is type-checked and every
 semantic invariant validated before any command does work, and parse errors
 carry the line and column of the offending entry. emit_config writes the
 canonical form; parse(emit(parse(text))) equals parse(text).
+
+The section dataclasses are the schema: each field is one key, and the
+field's type picks the codec that reads and writes its value.
 """
 
 from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable, get_type_hints
 
-from .downstream import DERM_INPUTS, DownstreamConfig
-from .errors import ConfigParseError
+from .downstream import DERM_INPUTS, DownstreamConfig, DownstreamTrainConfig
+from .errors import ConfigParseError, WeightOutOfRangeError
 from .lifecycle import RETENTION_DAYS, AggregationHeuristic
 from .synth import WorldConfig
 from .towers import SlotSpec, TowerConfig, UpstreamModel, build_upstream_model
@@ -113,6 +117,11 @@ class DownstreamSection:
             cross_layers=self.cross_layers,
             sequence_encoder=self.sequence_encoder,
         )
+
+    def train_config(self) -> DownstreamTrainConfig:
+        return DownstreamTrainConfig(learning_rate=self.learning_rate,
+                                     batch_size=self.batch_size,
+                                     epochs=self.epochs, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -271,11 +280,126 @@ def build_model(world: WorldConfig, spec: UpstreamSpec) -> UpstreamModel:
 
 
 # ---------------------------------------------------------------------------
+# the key table
+
+
+@dataclass(frozen=True)
+class _Codec:
+    """Text to value (a ValueError carries the detail) and value to text;
+    a None text leaves the key out of the emitted file."""
+
+    parse: Callable[[str], object]
+    emit: Callable[[object], str | None]
+
+
+def _number(kind, expected: str):
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ValueError(f"expected {expected}, got {text!r}") from None
+    return parse
+
+
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in _BOOLS:
+        raise ValueError(f"expected true or false, got {text!r}")
+    return _BOOLS[text.lower()]
+
+
+def _optional_int(text: str) -> int | None:
+    if text.lower() == "none":
+        return None
+    return _number(int, "an integer or none")(text)
+
+
+def _items(text: str) -> tuple[str, ...]:
+    items = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not items:
+        raise ValueError("expected a comma-separated list")
+    return items
+
+
+def _inputs(text: str) -> tuple[str, ...]:
+    items = _items(text)
+    return {("all",): tuple(DERM_INPUTS), ("none",): ()}.get(items, items)
+
+
+def _upstream_task(text: str) -> str:
+    if text not in UPSTREAM_TASKS.values():
+        raise ValueError(f"expected click or conversion, got {text!r}")
+    return text
+
+
+_CODECS = {
+    int: _Codec(_number(int, "an integer"), str),
+    float: _Codec(_number(float, "a number"), "{:g}".format),
+    bool: _Codec(_bool, lambda v: str(v).lower()),
+    str: _Codec(str, str),
+    Path: _Codec(Path, str),
+    Path | None: _Codec(Path, lambda v: None if v is None else str(v)),
+    int | None: _Codec(_optional_int,
+                       lambda v: "none" if v is None else str(v)),
+    AggregationHeuristic: _Codec(AggregationHeuristic.parse,
+                                 lambda h: h.label),
+    tuple[AggregationHeuristic, ...]: _Codec(
+        lambda text: tuple(map(AggregationHeuristic.parse, _items(text))),
+        lambda hs: ", ".join(h.label for h in hs)),
+    tuple[int, ...]: _Codec(
+        lambda text: tuple(map(_number(int, "integers"), _items(text))),
+        lambda v: ", ".join(map(str, v))),
+    tuple[str, ...]: _Codec(_inputs, lambda names: ", ".join(names) or "none"),
+}
+
+
+def _keys(cls, skip: tuple[str, ...] = ()) -> tuple[tuple[str, _Codec], ...]:
+    hints = get_type_hints(cls)
+    return tuple((f.name, _CODECS[hints[f.name]])
+                 for f in fields(cls) if f.name not in skip)
+
+
+# [upstream.*] flattens an UpstreamSpec: its task, the TrainConfig fields
+# with one supervised_weight for that task, then the tower sizes
+_TRAIN_KEYS = _keys(TrainConfig, skip=("supervised_weights",))
+_UPSTREAM_KEYS = (("task", _Codec(_upstream_task, str)), *_TRAIN_KEYS,
+                  ("supervised_weight", _CODECS[float]),
+                  *_keys(UpstreamSpec, skip=("task", "source", "train")))
+
+
+def _upstream_values(spec: UpstreamSpec) -> dict:
+    flat = {**vars(spec), **vars(spec.train),
+            "supervised_weight": spec.train.weight_for(spec.task)}
+    return {key: flat[key] for key, _ in _UPSTREAM_KEYS}
+
+
+def _upstream_spec(model: str, values: dict) -> UpstreamSpec:
+    rest = dict(values)
+    weight = rest.pop("supervised_weight")
+    train = TrainConfig(**{key: rest.pop(key) for key, _ in _TRAIN_KEYS},
+                        supervised_weights={rest["task"]: weight})
+    return UpstreamSpec(source=UPSTREAM_SOURCES[model], train=train, **rest)
+
+
+def _sections(cfg: PipelineConfig):
+    """(section, keys, values of cfg) for every section, in file order."""
+    for f in fields(PipelineConfig):
+        part = getattr(cfg, f.name)
+        if f.name == "upstream":
+            for model in UPSTREAM_MODELS:
+                yield (f"upstream.{model}", _UPSTREAM_KEYS,
+                       _upstream_values(part[model]))
+        else:
+            keys = _keys(type(part))
+            yield f.name, keys, {key: getattr(part, key) for key, _ in keys}
+
+
+# ---------------------------------------------------------------------------
 # parsing
 
-
-_SECTIONS = ("world", "paths", "upstream.ctr", "upstream.cvr", "lifecycle",
-             "serve", "downstream", "experiment")
 
 _SECTION_RE = re.compile(r"^\s*\[(?P<name>[^\]]+)\]\s*$")
 _OPTION_RE = re.compile(r"^(?P<key>[^\s=:#;][^=:]*?)\s*[=:]\s*(?P<value>.*)$")
@@ -310,108 +434,26 @@ class _Locator:
         return "line 1, column 1"
 
 
-class _Section:
-    def __init__(self, name: str, raw: dict[str, str], locator: _Locator):
-        self.name = name
-        self.raw = raw
-        self.locator = locator
-        self.seen: set[str] = set()
+def _read_section(name: str, raw: dict[str, str],
+                  keys: tuple[tuple[str, _Codec], ...], defaults: dict,
+                  locator: _Locator) -> dict:
+    """The defaults, with every key present in raw read by its codec."""
 
-    def _fail(self, key: str, detail: str):
-        where = self.locator.locate(self.name, key)
-        raise ConfigParseError(f"{where}: [{self.name}] {key}: {detail}")
+    def fail(key: str, detail: str):
+        where = locator.locate(name, key)
+        raise ConfigParseError(f"{where}: [{name}] {key}: {detail}")
 
-    def _value(self, key: str, default):
-        self.seen.add(key)
-        if key not in self.raw:
-            return default
-        return self.raw[key].strip()
-
-    def get_str(self, key: str, default: str) -> str:
-        v = self._value(key, default)
-        return v
-
-    def get_int(self, key: str, default: int) -> int:
-        v = self._value(key, default)
-        if isinstance(v, int):
-            return v
-        try:
-            return int(v)
-        except ValueError:
-            self._fail(key, f"expected an integer, got {v!r}")
-
-    def get_float(self, key: str, default: float) -> float:
-        v = self._value(key, default)
-        if isinstance(v, float):
-            return v
-        try:
-            return float(v)
-        except ValueError:
-            self._fail(key, f"expected a number, got {v!r}")
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        v = self._value(key, default)
-        if isinstance(v, bool):
-            return v
-        low = v.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        self._fail(key, f"expected true or false, got {v!r}")
-
-    def get_optional_int(self, key: str, default: int | None) -> int | None:
-        v = self._value(key, default)
-        if v is None or isinstance(v, int):
-            return v
-        if v.lower() == "none":
-            return None
-        try:
-            return int(v)
-        except ValueError:
-            self._fail(key, f"expected an integer or none, got {v!r}")
-
-    def get_path(self, key: str, default: Path | None) -> Path | None:
-        v = self._value(key, default)
-        if v is None or isinstance(v, Path):
-            return v
-        return Path(v)
-
-    def get_list(self, key: str, default):
-        v = self._value(key, default)
-        if v is None or isinstance(v, tuple):
-            return v
-        items = tuple(part.strip() for part in v.split(",") if part.strip())
-        if not items:
-            self._fail(key, "expected a comma-separated list")
-        return items
-
-    def get_int_list(self, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-        items = self.get_list(key, default)
-        if items is default:
-            return default
-        out = []
-        for part in items:
+    values = dict(defaults)
+    for key, codec in keys:
+        if key in raw:
             try:
-                out.append(int(part))
-            except ValueError:
-                self._fail(key, f"expected integers, got {part!r}")
-        return tuple(out)
-
-    def get_heuristic(self, key: str, default: AggregationHeuristic) -> AggregationHeuristic:
-        v = self._value(key, default)
-        if isinstance(v, AggregationHeuristic):
-            return v
-        try:
-            return AggregationHeuristic.parse(v)
-        except Exception as e:
-            self._fail(key, str(e))
-
-    def reject_unknown(self) -> None:
-        unknown = set(self.raw) - self.seen
-        if unknown:
-            key = sorted(unknown)[0]
-            self._fail(key, "unknown key")
+                values[key] = codec.parse(raw[key].strip())
+            except (ValueError, WeightOutOfRangeError) as e:
+                fail(key, str(e))
+    unknown = sorted(raw.keys() - dict(keys).keys())
+    if unknown:
+        fail(unknown[0], "unknown key")
+    return values
 
 
 def parse_config(text: str) -> PipelineConfig:
@@ -424,150 +466,26 @@ def parse_config(text: str) -> PipelineConfig:
         raise ConfigParseError(
             f"line {lineno}, column 1: {e.message.splitlines()[0]}"
         ) from e
+    defaults = default_config()
+    sections = list(_sections(defaults))
+    known = {name for name, _, _ in sections}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in known:
             where = locator.locate(section)
             raise ConfigParseError(f"{where}: unknown section [{section}]")
-
-    def sec(name: str) -> _Section:
-        raw = dict(parser[name]) if parser.has_section(name) else {}
-        return _Section(name, raw, locator)
-
-    defaults = default_config()
-
-    w = sec("world")
-    dw = defaults.world
-    world = WorldConfig(
-        num_users=w.get_int("num_users", dw.num_users),
-        num_pins=w.get_int("num_pins", dw.num_pins),
-        latent_dim=w.get_int("latent_dim", dw.latent_dim),
-        days=w.get_int("days", dw.days),
-        activity_rate=w.get_float("activity_rate", dw.activity_rate),
-        click_rate=w.get_float("click_rate", dw.click_rate),
-        conversion_rate=w.get_float("conversion_rate", dw.conversion_rate),
-        noise_level=w.get_float("noise_level", dw.noise_level),
-        events_per_user=w.get_float("events_per_user", dw.events_per_user),
-        seed=w.get_int("seed", dw.seed),
-        threshold_labels=w.get_bool("threshold_labels", dw.threshold_labels),
+    values = {
+        name: _read_section(name, dict(parser[name]) if parser.has_section(name)
+                            else {}, keys, dflt, locator)
+        for name, keys, dflt in sections
+    }
+    cfg = PipelineConfig(
+        upstream={model: _upstream_spec(model, values[f"upstream.{model}"])
+                  for model in UPSTREAM_MODELS},
+        **{f.name: type(getattr(defaults, f.name))(**values[f.name])
+           for f in fields(PipelineConfig) if f.name != "upstream"},
     )
-    w.reject_unknown()
-
-    p = sec("paths")
-    paths = PathsConfig(
-        root=p.get_path("root", Path("run")),
-        world_dir=p.get_path("world_dir", None),
-        snapshot_dir=p.get_path("snapshot_dir", None),
-        embeddings_dir=p.get_path("embeddings_dir", None),
-        state_dir=p.get_path("state_dir", None),
-        store_dir=p.get_path("store_dir", None),
-        report_dir=p.get_path("report_dir", None),
-    )
-    p.reject_unknown()
-
-    upstream = {}
-    for name in UPSTREAM_MODELS:
-        u = sec(f"upstream.{name}")
-        du = defaults.upstream[name]
-        task = u.get_str("task", du.task)
-        if task not in UPSTREAM_TASKS.values():
-            u._fail("task", f"expected click or conversion, got {task!r}")
-        train = TrainConfig(
-            learning_rate=u.get_float("learning_rate", du.train.learning_rate),
-            momentum=u.get_float("momentum", du.train.momentum),
-            batch_size=u.get_int("batch_size", du.train.batch_size),
-            epochs=u.get_int("epochs", du.train.epochs),
-            negatives_per_pair=u.get_int("negatives_per_pair",
-                                         du.train.negatives_per_pair),
-            seed=u.get_int("seed", du.train.seed),
-            contrastive_weight=u.get_float("contrastive_weight",
-                                           du.train.contrastive_weight),
-            supervised_weights={task: u.get_float("supervised_weight", 1.0)},
-        )
-        upstream[name] = UpstreamSpec(
-            task=task,
-            source=UPSTREAM_SOURCES[name],
-            train=train,
-            batch_window_end=u.get_int("batch_window_end", du.batch_window_end),
-            token_dim=u.get_int("token_dim", du.token_dim),
-            num_tokens=u.get_int("num_tokens", du.num_tokens),
-            num_layers=u.get_int("num_layers", du.num_layers),
-        )
-        u.reject_unknown()
-
-    lc = sec("lifecycle")
-    dl = defaults.lifecycle
-    lifecycle = LifecycleConfig(
-        heuristic=lc.get_heuristic("heuristic", dl.heuristic),
-        retention_days=lc.get_int("retention_days", dl.retention_days),
-        back_window=lc.get_int("back_window", dl.back_window),
-    )
-    lc.reject_unknown()
-
-    sv = sec("serve")
-    serve = ServeConfig(
-        host=sv.get_str("host", defaults.serve.host),
-        port=sv.get_int("port", defaults.serve.port),
-    )
-    sv.reject_unknown()
-
-    d = sec("downstream")
-    dd = defaults.downstream
-    downstream = DownstreamSection(
-        task=d.get_str("task", dd.task),
-        derm_inputs=_parse_inputs(d, "derm_inputs", dd.derm_inputs),
-        projection_dim=d.get_optional_int("projection_dim", dd.projection_dim),
-        num_experts=d.get_int("num_experts", dd.num_experts),
-        cross_layers=d.get_int("cross_layers", dd.cross_layers),
-        sequence_encoder=d.get_bool("sequence_encoder", dd.sequence_encoder),
-        learning_rate=d.get_float("learning_rate", dd.learning_rate),
-        batch_size=d.get_int("batch_size", dd.batch_size),
-        epochs=d.get_int("epochs", dd.epochs),
-        seed=d.get_int("seed", dd.seed),
-        train_day_start=d.get_int("train_day_start", dd.train_day_start),
-        test_day=d.get_int("test_day", dd.test_day),
-    )
-    d.reject_unknown()
-
-    e = sec("experiment")
-    de = defaults.experiment
-    heuristics = e.get_list("heuristics", None)
-    if heuristics is None:
-        parsed_heuristics = de.heuristics
-    else:
-        parsed_heuristics = tuple(_heuristic(e, h) for h in heuristics)
-    experiment = ExperimentConfig(
-        grid=e.get_str("grid", de.grid),
-        task=e.get_str("task", de.task),
-        seeds=e.get_int_list("seeds", de.seeds),
-        heuristics=parsed_heuristics,
-        derm_inputs=_parse_inputs(e, "derm_inputs", de.derm_inputs),
-    )
-    e.reject_unknown()
-
-    cfg = PipelineConfig(world=world, paths=paths, upstream=upstream,
-                         lifecycle=lifecycle, serve=serve,
-                         downstream=downstream, experiment=experiment)
     cfg.validate()
     return cfg
-
-
-def _heuristic(section: _Section, text: str) -> AggregationHeuristic:
-    try:
-        return AggregationHeuristic.parse(text)
-    except Exception as e:
-        section._fail("heuristics", str(e))
-
-
-def _parse_inputs(section: _Section, key: str,
-                  default: tuple[str, ...]) -> tuple[str, ...]:
-    items = section.get_list(key, default)
-    if items is default:
-        return default
-    if items == ("all",):
-        return tuple(DERM_INPUTS)
-    if items == ("none",):
-        return ()
-    return items
 
 
 def load_config(path: Path) -> PipelineConfig:
@@ -587,79 +505,12 @@ def load_config(path: Path) -> PipelineConfig:
 
 def emit_config(cfg: PipelineConfig) -> str:
     """Canonical text form; every key explicit, fixed order."""
-    w, pth, lc, sv, ds, ex = (cfg.world, cfg.paths, cfg.lifecycle, cfg.serve,
-                              cfg.downstream, cfg.experiment)
-    lines = ["[world]"]
-    lines += [
-        f"num_users = {w.num_users}",
-        f"num_pins = {w.num_pins}",
-        f"latent_dim = {w.latent_dim}",
-        f"days = {w.days}",
-        f"activity_rate = {w.activity_rate:g}",
-        f"click_rate = {w.click_rate:g}",
-        f"conversion_rate = {w.conversion_rate:g}",
-        f"noise_level = {w.noise_level:g}",
-        f"events_per_user = {w.events_per_user:g}",
-        f"seed = {w.seed}",
-        f"threshold_labels = {str(w.threshold_labels).lower()}",
-        "",
-        "[paths]",
-        f"root = {pth.root}",
-    ]
-    for name in ("world", "snapshot", "embeddings", "state", "store", "report"):
-        explicit = getattr(pth, f"{name}_dir")
-        if explicit is not None:
-            lines.append(f"{name}_dir = {explicit}")
-    for name in UPSTREAM_MODELS:
-        spec = cfg.upstream[name]
-        t = spec.train
-        lines += [
-            "",
-            f"[upstream.{name}]",
-            f"task = {spec.task}",
-            f"learning_rate = {t.learning_rate:g}",
-            f"momentum = {t.momentum:g}",
-            f"batch_size = {t.batch_size}",
-            f"epochs = {t.epochs}",
-            f"negatives_per_pair = {t.negatives_per_pair}",
-            f"seed = {t.seed}",
-            f"contrastive_weight = {t.contrastive_weight:g}",
-            f"supervised_weight = {t.weight_for(spec.task):g}",
-            f"batch_window_end = {spec.batch_window_end}",
-            f"token_dim = {spec.token_dim}",
-            f"num_tokens = {spec.num_tokens}",
-            f"num_layers = {spec.num_layers}",
-        ]
-    lines += [
-        "",
-        "[lifecycle]",
-        f"heuristic = {lc.heuristic.label}",
-        f"retention_days = {lc.retention_days}",
-        f"back_window = {lc.back_window}",
-        "",
-        "[serve]",
-        f"host = {sv.host}",
-        f"port = {sv.port}",
-        "",
-        "[downstream]",
-        f"task = {ds.task}",
-        f"derm_inputs = {', '.join(ds.derm_inputs) if ds.derm_inputs else 'none'}",
-        f"projection_dim = {ds.projection_dim if ds.projection_dim is not None else 'none'}",
-        f"num_experts = {ds.num_experts}",
-        f"cross_layers = {ds.cross_layers}",
-        f"sequence_encoder = {str(ds.sequence_encoder).lower()}",
-        f"learning_rate = {ds.learning_rate:g}",
-        f"batch_size = {ds.batch_size}",
-        f"epochs = {ds.epochs}",
-        f"seed = {ds.seed}",
-        f"train_day_start = {ds.train_day_start}",
-        f"test_day = {ds.test_day}",
-        "",
-        "[experiment]",
-        f"grid = {ex.grid}",
-        f"task = {ex.task}",
-        f"seeds = {', '.join(str(s) for s in ex.seeds)}",
-        f"heuristics = {', '.join(h.label for h in ex.heuristics)}",
-        f"derm_inputs = {', '.join(ex.derm_inputs) if ex.derm_inputs else 'none'}",
-    ]
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for name, keys, values in _sections(cfg):
+        lines = [f"[{name}]"]
+        for key, codec in keys:
+            text = codec.emit(values[key])
+            if text is not None:
+                lines.append(f"{key} = {text}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"

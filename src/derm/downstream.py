@@ -594,17 +594,7 @@ def run_sensitivity_experiment(
     feature_cache: dict[tuple, tuple[FeatureBatch, FeatureBatch]] = {}
     results: dict[tuple[str, int], ArmResult] = {}
     for arm in arms:
-        cfg = DownstreamConfig(
-            task=task,
-            derm_inputs=arm.derm_inputs,
-            projection_dim=base_cfg.projection_dim,
-            num_experts=base_cfg.num_experts,
-            cross_layers=base_cfg.cross_layers,
-            sequence_encoder=base_cfg.sequence_encoder,
-            expert_hidden=base_cfg.expert_hidden,
-            expert_out=base_cfg.expert_out,
-            seq_dim=base_cfg.seq_dim,
-        )
+        cfg = replace(base_cfg, task=task, derm_inputs=arm.derm_inputs)
         gens = generations_by_heuristic.get(arm.heuristic_label, {})
         cache_key = (arm.derm_inputs, arm.heuristic_label)
         if cache_key not in feature_cache:

@@ -69,6 +69,8 @@ STATUS_BAD_REQUEST = 2
 
 REQUEST_LEN = struct.calcsize(RECORD_HEAD)
 MAX_FRAME = 4096
+# how often serve_forever checks for shutdown; close() waits up to this long
+POLL_INTERVAL_S = 0.05
 
 
 def source_code(tag: str) -> int:
@@ -365,7 +367,8 @@ def serve(generation: StoreGeneration, bind_address=("127.0.0.1", 0)) -> Serving
     except OSError as e:
         raise BindFailureError(f"cannot bind {bind_address}: {e}") from e
     server.generation = generation
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever,
+                              args=(POLL_INTERVAL_S,), daemon=True)
     thread.start()
     return ServingHandle(server, thread)
 

@@ -23,12 +23,14 @@ from derm.config import (
     PathsConfig,
     PipelineConfig,
     ServeConfig,
+    _sections,
     default_config,
     emit_config,
     load_config,
     parse_config,
 )
-from derm.errors import ConfigParseError, MissingPrerequisiteError
+from derm.errors import ConfigParseError, DermError, MissingPrerequisiteError
+from derm.lifecycle import AggregationHeuristic
 from derm.store import STATE_FILE, generation_bytes, list_generations
 
 
@@ -158,6 +160,58 @@ class TestConfigValues:
         assert cfg.upstream_end_day == cfg.downstream.test_day - 1
 
 
+DEFAULT_VALUES = {(section, key): value
+                  for section, _, values in _sections(default_config())
+                  for key, value in values.items()}
+
+
+def non_default_texts(value) -> list[str]:
+    """Values to try, in order, for a key whose default is value; the first
+    that parses, validates and differs from the default is used."""
+    if isinstance(value, bool):
+        return [str(not value).lower()]
+    if isinstance(value, int):
+        return [str(value + 2), str(value - 1)]
+    if isinstance(value, float):
+        return [f"{value / 2:g}", f"{value + 0.25:g}"]
+    if isinstance(value, str):
+        return ["cvr", "click", "conversion", "inputs"]
+    if isinstance(value, AggregationHeuristic):
+        return ["acc"]
+    if isinstance(value, tuple):
+        return {int: ["7"], str: ["none"], AggregationHeuristic: ["ap"]}[
+            type(value[0])]
+    return ["elsewhere"]  # a path, set or unset
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("section,key", sorted(DEFAULT_VALUES))
+    def test_each_key_round_trips(self, section, key):
+        default = default_config()
+        for text in non_default_texts(DEFAULT_VALUES[(section, key)]):
+            try:
+                cfg = parse_config(f"[{section}]\n{key} = {text}\n")
+            except DermError:
+                continue
+            if cfg != default:
+                break
+        else:
+            pytest.fail(f"no valid non-default value for [{section}] {key}")
+        emitted = emit_config(cfg)
+        assert parse_config(emitted) == cfg
+        block = next(b for b in emitted.split("\n\n")
+                     if b.startswith(f"[{section}]\n"))
+        assert f"\n{key} = " in block
+
+    @pytest.mark.parametrize("section,key", sorted(
+        k for k, v in DEFAULT_VALUES.items() if isinstance(v, (int, float))))
+    def test_bad_number_or_bool_is_located(self, section, key):
+        with pytest.raises(ConfigParseError) as exc:
+            parse_config(f"# comment\n\n[{section}]\n{key} = bogus\n")
+        assert str(exc.value).startswith(
+            f"line 4, column {len(key) + 4}: [{section}] {key}: expected ")
+
+
 # ---------------------------------------------------------------------------
 # the pipeline surface
 
@@ -247,6 +301,25 @@ class TestPipeline:
                  "--back-window", "5"])
         run_cli(["infer", "-c", pipeline.ini, "--model", "ctr", "--day", "6"])
         assert tree_digest(edir) == before
+
+    def test_back_window_defaults_to_config_and_must_be_positive(
+            self, pipeline, tmp_path):
+        paths = replace(pipeline.cfg.paths, embeddings_dir=tmp_path / "emb")
+        lifecycle = replace(pipeline.cfg.lifecycle, back_window=2)
+        ini = tmp_path / "derm.ini"
+        ini.write_text(emit_config(replace(pipeline.cfg, paths=paths,
+                                           lifecycle=lifecycle)))
+        for days in ("0", "-3"):
+            _, err = run_cli(["infer", "-c", str(ini), "--model", "ctr",
+                              "--back-window", days], expect=1)
+            assert re.fullmatch(r"error: ConfigParse: .+", err.strip())
+        assert not paths.embeddings.exists()
+        run_cli(["infer", "-c", str(ini), "--model", "ctr", "--back-window"])
+        written = sorted(p.name for p in (paths.embeddings / "ctr").iterdir())
+        assert written == ["day004.kv", "day005.kv"]
+        for name in written:
+            assert (paths.embeddings / "ctr" / name).read_bytes() == (
+                pipeline.cfg.paths.embeddings / "ctr" / name).read_bytes()
 
     def test_aggregate_rerun_is_stable(self, pipeline):
         sdir = pipeline.cfg.paths.state / "ctr" / "ma0.8"
