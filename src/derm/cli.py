@@ -39,8 +39,10 @@ from .downstream import (
 )
 from .errors import (
     ConfigParseError,
+    CorruptGenerationError,
     DermError,
     DimInconsistentError,
+    IoFailureError,
     MissingPrerequisiteError,
 )
 from .lifecycle import (
@@ -278,45 +280,43 @@ def cmd_publish(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _latest_generation(cfg: PipelineConfig, source: str,
-                       store_dir: Path | None = None) -> StoreGeneration:
-    sdir = store_dir if store_dir is not None else cfg.paths.store
+def _latest_generation(sdir: Path, source: str) -> StoreGeneration | None:
+    """The newest generation of source under sdir that verifies, or None if
+    none is published; each newer one that fails is reported and skipped."""
     found = list_generations(sdir, source)
-    if not found:
-        raise MissingPrerequisiteError(
-            f"no published generation for {source} under {sdir} "
-            "(run `derm publish` first)"
+    for _, _, path in reversed(found):
+        try:
+            return load_generation(path)
+        except (CorruptGenerationError, IoFailureError) as e:
+            print(f"skipped: {e}", file=sys.stderr)
+    if found:
+        raise CorruptGenerationError(
+            f"none of the {len(found)} generations of {source} under {sdir} "
+            "verifies (run `derm publish` again)"
         )
-    return load_generation(found[-1][2])
+    return None
 
 
 def cmd_serve(cfg: PipelineConfig, args) -> int:
     sdir = args.store_dir if args.store_dir is not None else cfg.paths.store
+    gens = [g for g in (_latest_generation(sdir, source)
+                        for source in UPSTREAM_SOURCES.values()) if g is not None]
     merged: dict = {}
-    dims = set()
-    days = []
-    loaded = 0
-    for source in UPSTREAM_SOURCES.values():
-        found = list_generations(sdir, source)
-        if not found:
-            continue
-        gen = load_generation(found[-1][2])
-        merged.update(gen.vectors)
-        dims.add(gen.dim)
-        days.append(gen.day)
-        loaded += 1
+    for g in gens:
+        merged.update(g.vectors)
     if not merged:
         raise MissingPrerequisiteError(
             f"no generations under {sdir} (run `derm publish` first)"
         )
+    dims = {g.dim for g in gens}
     if len(dims) > 1:
         raise DimInconsistentError(
             f"generations disagree on vector dim: {sorted(dims)}"
         )
-    gen = StoreGeneration(max(days), dims.pop(), merged)
+    gen = StoreGeneration(max(g.day for g in gens), dims.pop(), merged)
     handle = serve(gen, (cfg.serve.host, cfg.serve.port))
     host, port = handle.address
-    print(f"serving {len(merged)} vectors from {loaded} generations "
+    print(f"serving {len(merged)} vectors from {len(gens)} generations "
           f"on {host}:{port}", flush=True)
     try:
         if args.ttl_seconds is not None:
@@ -347,7 +347,12 @@ def _generations_for(cfg: PipelineConfig, inputs) -> dict[str, StoreGeneration]:
     sources = {DERM_INPUTS[name][0] for name in inputs}
     gens = {}
     for source in sorted(sources):
-        gen = _latest_generation(cfg, source)
+        gen = _latest_generation(cfg.paths.store, source)
+        if gen is None:
+            raise MissingPrerequisiteError(
+                f"no published generation for {source} under "
+                f"{cfg.paths.store} (run `derm publish` first)"
+            )
         if gen.day >= cfg.downstream.test_day:
             raise MissingPrerequisiteError(
                 f"need a generation for {source} published before test day "

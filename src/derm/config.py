@@ -154,53 +154,71 @@ class PipelineConfig:
         """Last day upstream models train on; the test day stays unseen."""
         return self.downstream.test_day - 1
 
-    def validate(self) -> None:
+    def validate(self, locate: Callable[[str, str], str] | None = None) -> None:
+        """Check every invariant; locate(section, key), when given, prefixes an
+        error with where its key sits in the parsed text."""
+
+        def fail(section: str, key: str, detail: str):
+            where = locate(section, key) if locate else ""
+            raise ConfigParseError(f"{where}[{section}] {key}: {detail}")
+
         self.world.validate()
         for name, spec in self.upstream.items():
+            section = f"upstream.{name}"
             try:
                 spec.train.validate()
             except ValueError as e:
-                raise ConfigParseError(f"[upstream.{name}] {e}") from e
+                # each TrainConfig message starts with the key it is about
+                key, _, detail = str(e).partition(" ")
+                fail(section, key, detail)
             if not (1 <= spec.batch_window_end <= self.upstream_end_day):
-                raise ConfigParseError(
-                    f"[upstream.{name}] batch_window_end {spec.batch_window_end} "
-                    f"must lie in [1, {self.upstream_end_day}]"
-                )
-            if spec.token_dim < 1 or spec.num_tokens < 1 or spec.num_layers < 1:
-                raise ConfigParseError(
-                    f"[upstream.{name}] tower sizes must be >= 1"
-                )
+                fail(section, "batch_window_end",
+                     f"{spec.batch_window_end} must lie in "
+                     f"[1, {self.upstream_end_day}]")
+            for key in ("token_dim", "num_tokens"):
+                if getattr(spec, key) < 1:
+                    fail(section, key, "must be >= 1")
+            if not (1 <= spec.num_layers <= len(_USER_BLOCKS)):
+                fail(section, "num_layers", f"{spec.num_layers} must lie in "
+                     f"[1, {len(_USER_BLOCKS)}], one per block pair")
         lc = self.lifecycle
         lc.heuristic.validate()
-        if lc.retention_days < 1:
-            raise ConfigParseError("[lifecycle] retention_days must be >= 1")
-        if not (1 <= lc.back_window):
-            raise ConfigParseError("[lifecycle] back_window must be >= 1")
+        for key in ("retention_days", "back_window"):
+            if getattr(lc, key) < 1:
+                fail("lifecycle", key, "must be >= 1")
         ds = self.downstream
         ds.model_config().validate()
-        if not (1 <= ds.train_day_start < ds.test_day <= self.world.days):
-            raise ConfigParseError(
-                f"[downstream] need 1 <= train_day_start < test_day <= "
-                f"{self.world.days}, got {ds.train_day_start} and {ds.test_day}"
-            )
-        if ds.learning_rate <= 0 or ds.batch_size < 1 or ds.epochs < 1:
-            raise ConfigParseError("[downstream] training hyperparameters out of range")
+        if not (1 <= ds.train_day_start < ds.test_day):
+            fail("downstream", "train_day_start", f"{ds.train_day_start} must "
+                 f"lie in [1, test_day) = [1, {ds.test_day})")
+        if ds.test_day > self.world.days:
+            fail("downstream", "test_day", f"{ds.test_day} is past the last "
+                 f"day of the world, {self.world.days}")
+        if not ds.learning_rate > 0:
+            fail("downstream", "learning_rate", "must be > 0")
+        for key in ("batch_size", "epochs"):
+            if getattr(ds, key) < 1:
+                fail("downstream", key, "must be >= 1")
         ex = self.experiment
         if ex.grid not in ("heuristics", "inputs"):
-            raise ConfigParseError(
-                f"[experiment] grid must be heuristics or inputs, got {ex.grid!r}"
-            )
+            fail("experiment", "grid", f"must be heuristics or inputs, got {ex.grid!r}")
         if ex.task not in UPSTREAM_MODELS:
-            raise ConfigParseError(f"[experiment] unknown task {ex.task!r}")
-        if not ex.seeds:
-            raise ConfigParseError("[experiment] seeds must be non-empty")
-        if ex.grid == "heuristics" and not ex.heuristics:
-            raise ConfigParseError("[experiment] heuristics must be non-empty")
+            fail("experiment", "task", f"unknown task {ex.task!r}")
         for h in ex.heuristics:
             h.validate()
         for name in ex.derm_inputs:
             if name not in DERM_INPUTS:
-                raise ConfigParseError(f"[experiment] unknown derm input {name!r}")
+                fail("experiment", "derm_inputs", f"unknown derm input {name!r}")
+        # emit_config's text must parse back (an empty list, for one, does not)
+        for section, keys, values in _sections(self):
+            for key, codec in keys:
+                text = codec.emit(values[key])
+                try:
+                    if text is not None:
+                        codec.parse(text)
+                except (ValueError, WeightOutOfRangeError) as e:
+                    fail(section, key, f"emitted as {text!r}, which does not "
+                         f"parse back: {e}")
 
 
 def default_config() -> PipelineConfig:
@@ -426,12 +444,14 @@ class _Locator:
                 self.options.setdefault((current, key), (lineno, col))
 
     def locate(self, section: str, key: str | None = None) -> str:
+        """'line L, column C: ' of the key, else of its section's header;
+        '' when the text has neither."""
         if key is not None and (section, key) in self.options:
             line, col = self.options[(section, key)]
-            return f"line {line}, column {col}"
+            return f"line {line}, column {col}: "
         if section in self.sections:
-            return f"line {self.sections[section]}, column 1"
-        return "line 1, column 1"
+            return f"line {self.sections[section]}, column 1: "
+        return ""
 
 
 def _read_section(name: str, raw: dict[str, str],
@@ -440,8 +460,7 @@ def _read_section(name: str, raw: dict[str, str],
     """The defaults, with every key present in raw read by its codec."""
 
     def fail(key: str, detail: str):
-        where = locator.locate(name, key)
-        raise ConfigParseError(f"{where}: [{name}] {key}: {detail}")
+        raise ConfigParseError(f"{locator.locate(name, key)}[{name}] {key}: {detail}")
 
     values = dict(defaults)
     for key, codec in keys:
@@ -471,8 +490,8 @@ def parse_config(text: str) -> PipelineConfig:
     known = {name for name, _, _ in sections}
     for section in parser.sections():
         if section not in known:
-            where = locator.locate(section)
-            raise ConfigParseError(f"{where}: unknown section [{section}]")
+            raise ConfigParseError(
+                f"{locator.locate(section)}unknown section [{section}]")
     values = {
         name: _read_section(name, dict(parser[name]) if parser.has_section(name)
                             else {}, keys, dflt, locator)
@@ -484,7 +503,7 @@ def parse_config(text: str) -> PipelineConfig:
         **{f.name: type(getattr(defaults, f.name))(**values[f.name])
            for f in fields(PipelineConfig) if f.name != "upstream"},
     )
-    cfg.validate()
+    cfg.validate(locator.locate)
     return cfg
 
 

@@ -26,13 +26,6 @@ class FeatureBundle:
     categorical: dict[str, int] = field(default_factory=dict)
     sequence: dict[str, list[int]] = field(default_factory=dict)
 
-    def copy(self) -> "FeatureBundle":
-        return FeatureBundle(
-            dense={k: np.array(v) for k, v in self.dense.items()},
-            categorical=dict(self.categorical),
-            sequence={k: list(v) for k, v in self.sequence.items()},
-        )
-
 
 @dataclass
 class EmbeddingRecord:

@@ -42,6 +42,7 @@ from .lifecycle import AggregationHeuristic
 from .params import ParamDict, flat_views, zeros_like_params
 from .store import StoreGeneration, StoreKey
 from .towers import pad_sequences
+from .trainer import sgd_step
 
 CTR_TASK = "ctr"
 CVR_TASK = "cvr"
@@ -67,6 +68,12 @@ def _check_binary(labels: np.ndarray) -> None:
         raise DegenerateLabelsError("labels must be 0/1")
 
 
+def _tie_blocks(sorted_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of each run of equal values in a sorted array."""
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    return starts, np.diff(np.r_[starts, len(sorted_scores)])
+
+
 def roc_auc(scores, labels) -> float:
     """Exact ROC-AUC via sorting; ties get half credit.
 
@@ -82,18 +89,10 @@ def roc_auc(scores, labels) -> float:
             f"need both classes, got {n_pos} positives and {n_neg} negatives"
         )
     order = np.argsort(scores, kind="mergesort")
+    starts, lengths = _tie_blocks(scores[order])
+    # every member of a tie block gets the block's average 1-based rank
     ranks = np.empty(len(scores), dtype=np.float64)
-    ranks[order] = np.arange(1, len(scores) + 1)
-    # average ranks within tie groups
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (2 * starts + lengths + 1), lengths)
     pos_rank_sum = float(ranks[labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -111,25 +110,12 @@ def pr_auc(scores, labels) -> float:
     if n_pos == 0:
         raise DegenerateLabelsError("need at least one positive")
     order = np.argsort(-scores, kind="mergesort")
-    s = scores[order]
-    y = labels[order]
-    area = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
-            j += 1
-        block_pos = int(y[i:j + 1].sum())
-        tp += block_pos
-        seen += j - i + 1
-        if block_pos:
-            precision = tp / seen
-            recall_step = block_pos / n_pos
-            area += precision * recall_step
-        i = j + 1
-    return area
+    starts, lengths = _tie_blocks(scores[order])
+    block_pos = np.add.reduceat(labels[order].astype(np.int64), starts)
+    hit = block_pos > 0
+    precision = np.cumsum(block_pos)[hit] / (starts + lengths)[hit]
+    # cumsum adds the steps in threshold order, as a running sum would
+    return float(np.cumsum(precision * (block_pos[hit] / n_pos))[-1])
 
 
 @dataclass
@@ -431,15 +417,10 @@ def _bce(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return float(losses.mean()), (sig - y) / len(y)
 
 
-def project_embeddings(vec: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Affine reduction of a concatenated embedding vector."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if W.shape[1] != len(vec) or W.shape[0] != len(b):
-        raise ShapeMismatchError(
-            f"projection {W.shape} incompatible with input {len(vec)} "
-            f"and bias {len(b)}"
-        )
-    return W @ vec + b
+# the optimizer settings every downstream run shares
+MOMENTUM = 0.9
+MAX_GRAD_NORM = 5.0
+WEIGHT_DECAY = 1e-3
 
 
 @dataclass
@@ -447,9 +428,6 @@ class DownstreamTrainConfig:
     learning_rate: float = 0.1
     batch_size: int = 32
     epochs: int = 4
-    momentum: float = 0.9
-    max_grad_norm: float = 5.0
-    weight_decay: float = 1e-3
     seed: int = 0
 
 
@@ -466,7 +444,7 @@ def train_downstream(model: DownstreamModel, features: FeatureBatch,
 
     The model's parameters become views of one flat f64 buffer, and the
     gradients views of another, so each step's clipping, weight decay and
-    momentum update are a few whole-buffer operations.
+    momentum update (trainer.sgd_step) are a few whole-buffer operations.
     """
     n = len(features)
     if n == 0:
@@ -489,17 +467,13 @@ def train_downstream(model: DownstreamModel, features: FeatureBatch,
                 )
             gflat[:] = 0.0
             model.backward(cache, dlogits, grads)
-            if cfg.max_grad_norm > 0.0:
-                gnorm = np.sqrt(gflat @ gflat)
-                if gnorm > cfg.max_grad_norm:
-                    gflat *= cfg.max_grad_norm / gnorm
+            gnorm = np.sqrt(gflat @ gflat)
+            if gnorm > MAX_GRAD_NORM:
+                gflat *= MAX_GRAD_NORM / gnorm
             frac = step / total if total > 1 else 0.0
             lr = cfg.learning_rate * (1.0 - 0.9 * frac)
-            if cfg.weight_decay > 0.0:
-                gflat += cfg.weight_decay * flat
-            velocity *= cfg.momentum
-            velocity += gflat
-            flat -= lr * velocity
+            gflat += WEIGHT_DECAY * flat
+            sgd_step(flat, gflat, lr, MOMENTUM, velocity)
             step += 1
             if loss_log is not None:
                 loss_log.append(loss)

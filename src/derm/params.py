@@ -21,10 +21,6 @@ def clone_params(params: ParamDict) -> ParamDict:
     return {k: v.copy() for k, v in params.items()}
 
 
-def accumulate(into: ParamDict, key: str, value: np.ndarray) -> None:
-    into[key] += value
-
-
 def flatten_params(params: ParamDict) -> tuple[np.ndarray, list[tuple[str, tuple[int, ...]]]]:
     """Concatenate all arrays (sorted by key) into one 1-D vector."""
     layout = [(k, params[k].shape) for k in sorted(params)]

@@ -44,6 +44,8 @@ PIN_EMB_SLOT = "pin_emb"
 UDOTP_SLOT = "u_dot_p"
 _EMB_SLOTS = (USER_EMB_SLOT, PIN_EMB_SLOT, UDOTP_SLOT)  # filled from U and P
 
+TAU_INIT = 0.07  # the contrastive temperature a new model starts from
+
 
 @dataclass(frozen=True)
 class SlotSpec:
@@ -399,7 +401,6 @@ def build_upstream_model(
     inter_cfg: TowerConfig,
     tasks: tuple[str, ...],
     seed: int,
-    tau_init: float = 0.07,
 ) -> UpstreamModel:
     if user_cfg.output_dim != pin_cfg.output_dim:
         raise ShapeMismatchError("user and pin towers must share output_dim")
@@ -413,7 +414,7 @@ def build_upstream_model(
     for t in tasks:
         params[f"head/{t}/w"] = rng.normal(0.0, 1.0 / np.sqrt(zdim), (zdim,))
         params[f"head/{t}/b"] = np.zeros(1)
-    params["log_tau"] = np.array([np.log(tau_init)])
+    params["log_tau"] = np.array([np.log(TAU_INIT)])
     return UpstreamModel(user_cfg, pin_cfg, inter_cfg, tuple(tasks), params)
 
 

@@ -22,7 +22,6 @@ from .errors import (
     DivergedLossError,
     EmptyWindowError,
     IoFailureError,
-    ShapeMismatchError,
     WatermarkGapError,
 )
 # crc64 stays importable from here for existing callers
@@ -35,7 +34,7 @@ from .objectives import (
     estimate_batch_frequencies,
     sampled_softmax_loss,
 )
-from .params import ParamDict, clone_params, zeros_like_params
+from .params import ParamDict, clone_params, flat_views, zeros_like_params
 from .towers import (
     UpstreamModel,
     embed_entity,
@@ -75,6 +74,13 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.negatives_per_pair < 0:
             raise ValueError("negatives_per_pair must be >= 0")
+        if not (self.contrastive_weight >= 0.0):
+            raise ValueError(
+                f"contrastive_weight must be >= 0, got {self.contrastive_weight}")
+        for task, weight in self.supervised_weights.items():
+            if not (weight >= 0.0):
+                raise ValueError(
+                    f"supervised_weight must be >= 0, got {weight} for {task!r}")
 
     def weight_for(self, task: str) -> float:
         return float(self.supervised_weights.get(task, 1.0))
@@ -89,56 +95,43 @@ class ModelSnapshot:
     velocity: ParamDict
 
 
-def _empty_velocity(params: ParamDict) -> ParamDict:
-    return zeros_like_params(params)
-
-
 def make_snapshot(model: UpstreamModel, watermark_day: int, rng_seed: int,
                   velocity: ParamDict | None = None) -> ModelSnapshot:
-    vel = clone_params(velocity) if velocity is not None else _empty_velocity(model.params)
+    vel = clone_params(velocity) if velocity is not None else zeros_like_params(model.params)
     return ModelSnapshot(SNAPSHOT_VERSION, watermark_day, rng_seed,
                          clone_params(model.params), vel)
 
 
-def apply_snapshot(model: UpstreamModel, snapshot: ModelSnapshot) -> ParamDict:
-    """Load snapshot weights into the model; returns a velocity copy to thread on."""
+def apply_snapshot(model: UpstreamModel, snapshot: ModelSnapshot) -> None:
+    """Load a copy of the snapshot weights into the model."""
     model.params = clone_params(snapshot.params)
-    return clone_params(snapshot.velocity)
 
 
-def sgd_step(params: ParamDict, grads: ParamDict, lr: float,
-             momentum: float = 0.0, velocity: ParamDict | None = None) -> None:
-    """In-place SGD over parameters in sorted name order.
+def sgd_step(flat: np.ndarray, grad: np.ndarray, lr: float,
+             momentum: float = 0.0, velocity: np.ndarray | None = None) -> None:
+    """In-place SGD on one flat parameter buffer and its flat gradient.
 
-    With momentum: v <- momentum * v + g; p <- p - lr * v.
+    With momentum: v <- momentum * v + g; p <- p - lr * v. At momentum 0 the
+    velocity is not touched, so it stays as it was (zero from a fresh start).
     """
-    for name in sorted(params):
-        g = grads.get(name)
-        if g is None:
-            continue
-        if g.shape != params[name].shape:
-            raise ShapeMismatchError(
-                f"gradient for {name} has shape {g.shape}, "
-                f"parameter has {params[name].shape}"
-            )
-        if momentum > 0.0 and velocity is not None:
-            v = velocity[name]
-            v *= momentum
-            v += g
-            params[name] -= lr * v
-        else:
-            params[name] -= lr * g
+    if momentum > 0.0:
+        velocity *= momentum
+        velocity += grad
+        flat -= lr * velocity
+    else:
+        flat -= lr * grad
 
 
 def batch_step(model: UpstreamModel, samples: list[TrainingSample],
-               cfg: TrainConfig, rng: np.random.Generator) -> tuple[float, ParamDict]:
+               cfg: TrainConfig, rng: np.random.Generator,
+               grads: ParamDict) -> float:
     """One combined forward/backward pass over a minibatch.
 
-    Returns (combined loss, gradient dict). Loss weights come from cfg; the
-    contrastive positives are the samples whose first-task label is 1.
+    Adds the gradients into grads, which the caller zeroes, and returns the
+    combined loss. Loss weights come from cfg; the contrastive positives are
+    the samples whose first-task label is 1.
     """
     B = len(samples)
-    grads = zeros_like_params(model.params)
     U, user_cache = embed_entity(model.user_cfg, model.params, "user",
                                  [s.user for s in samples])
     P, pin_cache = embed_entity(model.pin_cfg, model.params, "pin",
@@ -168,30 +161,36 @@ def batch_step(model: UpstreamModel, samples: list[TrainingSample],
                           w_con * con.du + dU, grads)
     embed_entity_backward(model.pin_cfg, model.params, "pin", pin_cache,
                           w_con * con.dp + dP, grads)
-    return total, grads
+    return total
 
 
-def _day_batches(samples: list[TrainingSample], batch_size: int,
-                 rng: np.random.Generator):
-    order = rng.permutation(len(samples))
-    for start in range(0, len(order), batch_size):
-        yield [samples[j] for j in order[start:start + batch_size]]
+def _train(model: UpstreamModel, runs, cfg: TrainConfig, rng_seed: int,
+           velocity: ParamDict, loss_log: list | None) -> ParamDict:
+    """Step the model through (day, epoch, samples) runs; returns the velocity.
 
-
-def _train_one_day(model: UpstreamModel, samples: list[TrainingSample],
-                   cfg: TrainConfig, rng_seed: int, day: int, epoch: int,
-                   velocity: ParamDict, loss_log: list | None) -> None:
-    rng = np.random.default_rng([rng_seed, day, epoch])
-    for bi, batch in enumerate(_day_batches(samples, cfg.batch_size, rng)):
-        loss, grads = batch_step(model, batch, cfg, rng)
-        if not np.isfinite(loss):
-            raise DivergedLossError(
-                f"non-finite loss {loss} at day {day} epoch {epoch} batch {bi}; "
-                f"lower the learning rate"
-            )
-        sgd_step(model.params, grads, cfg.learning_rate, cfg.momentum, velocity)
-        if loss_log is not None:
-            loss_log.append((day, epoch, bi, loss))
+    The parameters, the gradients and the velocity (copied, so the caller's
+    stays as it was) each become name->array views of one flat buffer, so
+    every step is a few whole-buffer operations.
+    """
+    flat, model.params = flat_views(model.params)
+    gflat, grads = flat_views(zeros_like_params(model.params))
+    vflat, velocity = flat_views(velocity)
+    for day, epoch, samples in runs:
+        rng = np.random.default_rng([rng_seed, day, epoch])
+        order = rng.permutation(len(samples))
+        for bi, start in enumerate(range(0, len(order), cfg.batch_size)):
+            batch = [samples[j] for j in order[start:start + cfg.batch_size]]
+            gflat[:] = 0.0
+            loss = batch_step(model, batch, cfg, rng, grads)
+            if not np.isfinite(loss):
+                raise DivergedLossError(
+                    f"non-finite loss {loss} at day {day} epoch {epoch} batch {bi}; "
+                    f"lower the learning rate"
+                )
+            sgd_step(flat, gflat, cfg.learning_rate, cfg.momentum, vflat)
+            if loss_log is not None:
+                loss_log.append((day, epoch, bi, loss))
+    return velocity
 
 
 def train_batch_window(model: UpstreamModel,
@@ -203,14 +202,10 @@ def train_batch_window(model: UpstreamModel,
     days = sorted(data_by_day)
     if not days or all(len(data_by_day[d]) == 0 for d in days):
         raise EmptyWindowError("batch window contains no training samples")
-    velocity = _empty_velocity(model.params)
-    for epoch in range(cfg.epochs):
-        for day in days:
-            samples = data_by_day[day]
-            if not samples:
-                continue
-            _train_one_day(model, samples, cfg, cfg.seed, day, epoch,
-                           velocity, loss_log)
+    runs = [(day, epoch, data_by_day[day]) for epoch in range(cfg.epochs)
+            for day in days if data_by_day[day]]
+    velocity = _train(model, runs, cfg, cfg.seed,
+                      zeros_like_params(model.params), loss_log)
     return make_snapshot(model, days[-1], cfg.seed, velocity)
 
 
@@ -225,10 +220,9 @@ def train_incremental(snapshot: ModelSnapshot, new_day: int,
             f"incremental day {new_day} does not follow watermark "
             f"{snapshot.watermark_day}"
         )
-    velocity = apply_snapshot(model, snapshot)
-    if samples:
-        _train_one_day(model, samples, cfg, snapshot.rng_seed, new_day, 0,
-                       velocity, loss_log)
+    apply_snapshot(model, snapshot)
+    velocity = _train(model, [(new_day, 0, samples)], cfg, snapshot.rng_seed,
+                      snapshot.velocity, loss_log)
     return make_snapshot(model, new_day, snapshot.rng_seed, velocity)
 
 
@@ -240,9 +234,10 @@ def evaluate_loss(model: UpstreamModel, samples: list[TrainingSample],
     rng = np.random.default_rng([cfg.seed, EVAL_STREAM])
     total = 0.0
     count = 0
+    grads = zeros_like_params(model.params)  # a sink; never read
     for start in range(0, len(samples), cfg.batch_size):
         batch = samples[start:start + cfg.batch_size]
-        loss, _ = batch_step(model, batch, cfg, rng)
+        loss = batch_step(model, batch, cfg, rng, grads)
         total += loss * len(batch)
         count += len(batch)
     return total / count

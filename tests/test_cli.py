@@ -24,6 +24,8 @@ from derm.config import (
     PipelineConfig,
     ServeConfig,
     _sections,
+    _upstream_spec,
+    _upstream_values,
     default_config,
     emit_config,
     load_config,
@@ -31,7 +33,8 @@ from derm.config import (
 )
 from derm.errors import ConfigParseError, DermError, MissingPrerequisiteError
 from derm.lifecycle import AggregationHeuristic
-from derm.store import STATE_FILE, generation_bytes, list_generations
+from derm.store import (STATE_FILE, generation_bytes, generation_name,
+                        list_generations)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +122,38 @@ class TestConfigErrors:
     def test_negative_learning_rate_rejected(self):
         msg = self._err("[upstream.ctr]\nlearning_rate = -0.5\n")
         assert "learning_rate" in msg
+
+
+def with_keys(cfg: PipelineConfig, section: str, values: dict) -> PipelineConfig:
+    """cfg with the given keys of one section set, as the key table reads them."""
+    if section.startswith("upstream."):
+        model = section.removeprefix("upstream.")
+        spec = _upstream_spec(model, {**_upstream_values(cfg.upstream[model]),
+                                      **values})
+        return replace(cfg, upstream={**cfg.upstream, model: spec})
+    return replace(cfg, **{section: replace(getattr(cfg, section), **values)})
+
+
+class TestConfigInvariants:
+    @pytest.mark.parametrize("section, key, values", [
+        ("upstream.ctr", "num_layers", {"num_layers": 4}),
+        ("upstream.cvr", "contrastive_weight", {"contrastive_weight": -1.0}),
+        ("upstream.ctr", "supervised_weight", {"supervised_weight": -2.0}),
+        # emitted as "heuristics = ", which does not parse
+        ("experiment", "heuristics", {"grid": "inputs", "heuristics": ()}),
+    ], ids=["num_layers", "contrastive_weight", "supervised_weight",
+            "heuristics"])
+    def test_rejected_as_one_located_error(self, tmp_path, section, key, values):
+        cfg = with_keys(small_config(tmp_path / "run"), section, values)
+        with pytest.raises(ConfigParseError,
+                           match=rf"^\[{re.escape(section)}\] {key}: "):
+            cfg.validate()
+        ini = tmp_path / "derm.ini"
+        ini.write_text(emit_config(cfg))
+        _, err = run_cli(["generate", "-c", str(ini)], expect=1)
+        assert re.fullmatch(rf"error: ConfigParse: .+: line \d+, column \d+: "
+                            rf"\[{re.escape(section)}\] {key}: .+", err.strip())
+        assert not (tmp_path / "run").exists()
 
 
 class TestConfigValues:
@@ -407,6 +442,62 @@ class TestPipeline:
         before = csv_path.read_bytes()
         run_cli(["experiment", "-c", pipeline.ini])
         assert csv_path.read_bytes() == before
+
+    def _damaged_store(self, pipeline, tmp_path, keep_previous: bool):
+        """A config over a copy of the store where the newest generation of
+        each source fails its checksum; with keep_previous, a corrupt copy
+        is added as a newer attempt and the real one stays intact."""
+        store = tmp_path / "store"
+        shutil.copytree(pipeline.cfg.paths.store, store)
+        for source in ("ctr-upstream", "cvr-upstream"):
+            day, attempt, path = list_generations(store, source)[-1]
+            blob = bytearray(path.read_bytes())
+            blob[len(blob) // 2] ^= 0xFF
+            if keep_previous:
+                path = store / generation_name(source, day, attempt + 1)
+            path.write_bytes(bytes(blob))
+        paths = replace(pipeline.cfg.paths, store_dir=store,
+                        report_dir=tmp_path / "report")
+        ini = tmp_path / "damaged.ini"
+        ini.write_text(emit_config(replace(pipeline.cfg, paths=paths)))
+        return str(ini), paths
+
+    @staticmethod
+    def _command(name, ini):
+        # serve in-process, up and down at once
+        return {"serve": ["serve", "-c", ini, "--ttl-seconds", "0"],
+                "train-downstream": ["train-downstream", "-c", ini]}[name]
+
+    @pytest.mark.parametrize("command", ["serve", "train-downstream"])
+    def test_corrupt_latest_generation_is_skipped(self, pipeline, tmp_path,
+                                                  command):
+        ini, paths = self._damaged_store(pipeline, tmp_path, keep_previous=True)
+        clean = replace(pipeline.cfg.paths, report_dir=tmp_path / "clean")
+        (tmp_path / "clean.ini").write_text(
+            emit_config(replace(pipeline.cfg, paths=clean)))
+        want, _ = run_cli(self._command(command, str(tmp_path / "clean.ini")))
+        out, err = run_cli(self._command(command, ini))
+        skipped = err.strip().splitlines()
+        assert len(skipped) == 2
+        assert all(re.fullmatch(r"skipped: generation .+-g\d+\.kv fails its "
+                                r"checksum", line) for line in skipped)
+        # the same first line, up to the port the server happened to bind
+        assert out.splitlines()[0].split(" on ")[0] == \
+            want.splitlines()[0].split(" on ")[0]
+        if command == "train-downstream":
+            name = "downstream-ctr.json"
+            assert (paths.reports / name).read_bytes() == \
+                (clean.reports / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["serve", "train-downstream"])
+    def test_every_generation_corrupt_is_one_error_line(self, pipeline,
+                                                        tmp_path, command):
+        ini, _ = self._damaged_store(pipeline, tmp_path, keep_previous=False)
+        _, err = run_cli(self._command(command, ini), expect=1)
+        *skipped, last = err.strip().splitlines()
+        assert skipped and all(line.startswith("skipped: ") for line in skipped)
+        assert re.fullmatch(r"error: CorruptGeneration: none of the 1 "
+                            r"generations of .+ verifies .+", last)
 
     def test_serve_round_trip_over_tcp(self, pipeline):
         # the child finds derm where this process did, installed or not

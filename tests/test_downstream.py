@@ -17,7 +17,6 @@ from derm.downstream import (
     heuristic_arms,
     input_count_arms,
     pr_auc,
-    project_embeddings,
     roc_auc,
     run_sensitivity_experiment,
     train_downstream,
@@ -126,6 +125,72 @@ class TestPrAuc:
             pr_auc([0.1, 0.2], [0, 0])
 
 
+def reference_roc_auc(scores, labels) -> float:
+    """roc_auc as it was with a Python loop over tie groups; kept as the
+    bit-exact reference for the vectorized tie blocks."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    ranks[order] = np.arange(1, len(scores) + 1)
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(sorted_scores):
+        j = i
+        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        if j > i:
+            ranks[order[i:j + 1]] = 0.5 * (i + 1 + j + 1)
+        i = j + 1
+    pos_rank_sum = float(ranks[labels == 1].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def reference_pr_auc(scores, labels) -> float:
+    """pr_auc as it was with a Python loop over tie blocks (the reference)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    order = np.argsort(-scores, kind="mergesort")
+    s = scores[order]
+    y = labels[order]
+    area = 0.0
+    tp = 0
+    seen = 0
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and s[j + 1] == s[i]:
+            j += 1
+        block_pos = int(y[i:j + 1].sum())
+        tp += block_pos
+        seen += j - i + 1
+        if block_pos:
+            area += (tp / seen) * (block_pos / n_pos)
+        i = j + 1
+    return area
+
+
+@pytest.mark.parametrize("metric, reference", [(roc_auc, reference_roc_auc),
+                                               (pr_auc, reference_pr_auc)],
+                         ids=["roc", "pr"])
+def test_auc_matches_loop_reference_bit_for_bit(metric, reference):
+    rng = np.random.default_rng(23)
+    for case in range(1500):
+        n = int(rng.integers(2, 200))
+        scores = rng.normal(size=n)
+        if case % 3 == 0:
+            scores = np.round(scores, 1)  # some ties
+        elif case % 3 == 1:
+            scores = rng.integers(0, 1 + case % 7, size=n) * 0.1  # mostly ties
+        labels = rng.integers(0, 2, size=n)
+        labels[0], labels[-1] = 0, 1
+        got, want = metric(scores, labels), reference(scores, labels)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), case
+
+
 # ---------------------------------------------------------------------------
 # configuration and flop accounting
 
@@ -171,18 +236,32 @@ class TestConfig:
 
 
 class TestProjection:
+    """The model's projection layer: Z0 = derm @ W.T + b."""
+
+    @staticmethod
+    def _z0(W, b, derm):
+        cfg = DownstreamConfig(derm_inputs=("ctr-user",), projection_dim=len(b),
+                               cross_layers=0, sequence_encoder=False)
+        model = DownstreamModel(cfg, base_dim=1, derm_dim=W.shape[1],
+                                seq_vocab=1, seed=0)
+        model.params["proj/W"], model.params["proj/b"] = W, b
+        n = len(derm)
+        batch = FeatureBatch(np.zeros((n, 1)), np.asarray(derm), np.ones((n, 1)),
+                             np.zeros((n, 1), dtype=np.int64),
+                             np.zeros(n, dtype=np.int64), np.zeros(n))
+        return model.forward(batch)[1]["Z0"]
+
     def test_identity_projection_preserves_input(self):
-        vec = np.arange(5.0)
-        out = project_embeddings(vec, np.eye(5), np.zeros(5))
-        assert np.array_equal(out, vec)
+        vec = np.arange(5.0)[None, :]
+        assert np.array_equal(self._z0(np.eye(5), np.zeros(5), vec), vec)
 
     def test_affine_example(self):
-        out = project_embeddings([1.0, 2.0], np.array([[1.0, 1.0]]), np.array([0.5]))
-        assert out == pytest.approx([3.5])
+        out = self._z0(np.array([[1.0, 1.0]]), np.array([0.5]), [[1.0, 2.0]])
+        assert out[0] == pytest.approx([3.5])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            project_embeddings([1.0, 2.0, 3.0], np.eye(2), np.zeros(2))
+            self._z0(np.eye(2), np.zeros(2), [[1.0, 2.0, 3.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -115,7 +117,7 @@ class TestEmbedEntity:
         params = make_params(cfg, 3)
         rng = np.random.default_rng(4)
         b1 = micro_bundle(rng)
-        b2 = b1.copy()
+        b2 = copy.deepcopy(b1)
         b2.categorical["uid"] = (b1.categorical["uid"] % 4) + 1
         y1, _ = embed_entity(cfg, params, "t", [b1])
         y2, _ = embed_entity(cfg, params, "t", [b2])

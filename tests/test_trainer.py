@@ -7,7 +7,6 @@ from derm.errors import (
     DivergedLossError,
     EmptyWindowError,
     IoFailureError,
-    ShapeMismatchError,
     WatermarkGapError,
 )
 from derm.params import params_equal_exact
@@ -51,33 +50,29 @@ class TestConfig:
 
 class TestSgdStep:
     def test_zero_grads_no_change(self):
-        p = {"w": np.array([1.0, 2.0])}
-        sgd_step(p, {"w": np.zeros(2)}, lr=0.3)
-        assert np.array_equal(p["w"], [1.0, 2.0])
+        p = np.array([1.0, 2.0])
+        sgd_step(p, np.zeros(2), lr=0.3)
+        assert np.array_equal(p, [1.0, 2.0])
 
     def test_scalar_update(self):
-        p = {"w": np.array([1.0])}
-        sgd_step(p, {"w": np.array([2.0])}, lr=0.1)
-        assert p["w"][0] == pytest.approx(0.8, abs=1e-15)
+        p = np.array([1.0])
+        sgd_step(p, np.array([2.0]), lr=0.1)
+        assert p[0] == pytest.approx(0.8, abs=1e-15)
 
     def test_zero_lr_no_change(self):
-        p = {"w": np.array([5.0])}
-        sgd_step(p, {"w": np.array([99.0])}, lr=0.0)
-        assert p["w"][0] == 5.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            sgd_step({"w": np.zeros(3)}, {"w": np.zeros(4)}, lr=0.1)
+        p = np.array([5.0])
+        sgd_step(p, np.array([99.0]), lr=0.0)
+        assert p[0] == 5.0
 
     def test_momentum_accumulates(self):
-        p = {"w": np.array([0.0])}
-        v = {"w": np.array([0.0])}
-        g = {"w": np.array([1.0])}
+        p = np.array([0.0])
+        v = np.array([0.0])
+        g = np.array([1.0])
         sgd_step(p, g, lr=1.0, momentum=0.5, velocity=v)
-        assert p["w"][0] == -1.0 and v["w"][0] == 1.0
+        assert p[0] == -1.0 and v[0] == 1.0
         sgd_step(p, g, lr=1.0, momentum=0.5, velocity=v)
         # v = 0.5*1 + 1 = 1.5
-        assert v["w"][0] == 1.5 and p["w"][0] == -2.5
+        assert v[0] == 1.5 and p[0] == -2.5
 
 
 class TestCrc64:

@@ -1,0 +1,87 @@
+"""Run the default pipeline on two checkouts and compare what each writes.
+
+    python tools/compare_pipeline.py PARENT CHANGE
+
+PARENT and CHANGE are the roots of two derm checkouts. For each one the
+script makes a temp dir, writes the default config there (and a copy that
+sets `grid = inputs`), and runs every stage as `python -m derm.cli` with
+PYTHONPATH=<root>/src:
+  generate; for ctr and cvr: train-upstream, infer --back-window 14,
+  infer --day 15..17, aggregate, publish; then train-downstream and the
+  heuristics and inputs experiment grids.
+It then compares every file under run/ and each command's stdout, prints
+one `DIFF <what>` line per difference and a summary line, and exits 1 if
+anything differs (2 if a command fails).
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+INPUTS_INI = "inputs.ini"
+
+
+def commands() -> list[list[str]]:
+    out = [["generate"]]
+    for model in ("ctr", "cvr"):
+        out += [["train-upstream", "--model", model],
+                ["infer", "--model", model, "--back-window", "14"]]
+        out += [["infer", "--model", model, "--day", str(day)]
+                for day in (15, 16, 17)]
+        out += [["aggregate", "--model", model], ["publish", "--model", model]]
+    return out + [["train-downstream"], ["experiment"],
+                  ["experiment", "-c", INPUTS_INI]]
+
+
+def run_tree(root: Path, work: Path) -> tuple[dict[str, bytes], dict[str, str]]:
+    """(run/ file bytes by relative path, stdout by command) for one tree."""
+    env = {**os.environ, "PYTHONPATH": str(root.resolve() / "src")}
+
+    def derm(args: list[str]) -> str:
+        proc = subprocess.run([sys.executable, "-m", "derm.cli", *args],
+                              cwd=work, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"{root}: derm {' '.join(args)} failed:\n{proc.stderr}",
+                  file=sys.stderr)
+            sys.exit(2)
+        return proc.stdout
+
+    text = derm(["default-config"])
+    (work / "derm.ini").write_text(text)
+    (work / INPUTS_INI).write_text(
+        text.replace("grid = heuristics", "grid = inputs"))
+    stdouts = {" ".join(args): derm(args) for args in commands()}
+    files = {str(p.relative_to(work)): p.read_bytes()
+             for p in sorted((work / "run").rglob("*")) if p.is_file()}
+    return files, stdouts
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    results = []
+    for root in map(Path, argv):
+        with tempfile.TemporaryDirectory(prefix="derm-compare-") as tmp:
+            print(f"running the pipeline on {root}", flush=True)
+            results.append(run_tree(root, Path(tmp)))
+    (files_a, out_a), (files_b, out_b) = results
+    file_diffs = [p for p in sorted(files_a.keys() | files_b.keys())
+                  if files_a.get(p) != files_b.get(p)]
+    out_diffs = [c for c in out_a if out_a[c] != out_b[c]]
+    for path in file_diffs:
+        print(f"DIFF {path}")
+    for cmd in out_diffs:
+        print(f"DIFF stdout of `derm {cmd}`")
+    total = len(files_a.keys() | files_b.keys())
+    print(f"{len(file_diffs)} of {total} files differ; "
+          f"{len(out_diffs)} of {len(out_a)} stdouts differ")
+    return 1 if file_diffs or out_diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
