@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
+import math
 import sys
 import time
 from pathlib import Path
@@ -45,15 +45,16 @@ from .errors import (
     IoFailureError,
     MissingPrerequisiteError,
 )
+from .ioutil import write_atomic
 from .lifecycle import (
     back_infer,
     coverage_report,
-    dedup_day,
     fold_days,
-    infer_daily,
     initial_state,
     stability_report,
 )
+# infer_daily stays importable from here for existing callers
+from .lifecycle import infer_daily  # noqa: F401
 from .store import (
     STATE_FILE,
     StoreGeneration,
@@ -151,32 +152,21 @@ def cmd_train_upstream(cfg: PipelineConfig, args) -> int:
 def cmd_infer(cfg: PipelineConfig, args) -> int:
     spec = cfg.upstream[args.model]
     if args.day is not None:
-        data = _load_world(cfg, [args.day])
-        spath = _require(snapshot_path(cfg, args.model, args.day),
-                         f"snapshot for day {args.day} "
-                         "(run `derm train-upstream` first)")
-        snapshot = load_snapshot(spath)
-        model = build_model(cfg.world, spec)
-        records = infer_daily(snapshot, model, args.day,
-                              data.get(args.day, []), spec.source)
-        daily = dedup_day(records, day=args.day)
-        path = embedding_path(cfg, args.model, args.day)
-        save_daily(daily, path, spec.source)
-        print(f"day {args.day}: {len(daily.records)} entities, wrote {path}")
-        return 0
-    back_window = (cfg.lifecycle.back_window if args.back_window is None
-                   else args.back_window)
-    if back_window < 1:
-        raise ConfigParseError(f"--back-window must be >= 1, got {back_window}")
-    end = spec.batch_window_end
-    window = list(range(max(1, end - back_window + 1), end + 1))
-    data = _load_world(cfg, window)
-    spath = _require(snapshot_path(cfg, args.model, end),
-                     f"batch snapshot for day {end} "
+        snap_day, days = args.day, [args.day]
+    else:
+        back_window = (cfg.lifecycle.back_window if args.back_window is None
+                       else args.back_window)
+        if back_window < 1:
+            raise ConfigParseError(
+                f"--back-window must be >= 1, got {back_window}")
+        snap_day = spec.batch_window_end
+        days = list(range(max(1, snap_day - back_window + 1), snap_day + 1))
+    data = _load_world(cfg, days)
+    spath = _require(snapshot_path(cfg, args.model, snap_day),
+                     f"snapshot for day {snap_day} "
                      "(run `derm train-upstream` first)")
-    snapshot = load_snapshot(spath)
-    model = build_model(cfg.world, spec)
-    sets = back_infer(snapshot, model, window, data, spec.source)
+    sets = back_infer(load_snapshot(spath), build_model(cfg.world, spec),
+                      days, data, spec.source)
     for daily in sets:
         path = embedding_path(cfg, args.model, daily.day)
         save_daily(daily, path, spec.source)
@@ -202,13 +192,14 @@ def cmd_aggregate(cfg: PipelineConfig, args) -> int:
     if args.day is not None:
         target = args.day
     else:
-        available = _list_embedding_days(cfg, args.model)
-        if not available:
+        found = sorted((cfg.paths.embeddings / args.model).glob(
+            "day[0-9][0-9][0-9].kv"))
+        if not found:
             raise MissingPrerequisiteError(
                 f"daily embeddings missing: {embedding_path(cfg, args.model, 1)} "
                 "(run `derm infer` first)"
             )
-        target = max(available)
+        target = int(found[-1].stem[3:])
     dailies = _load_dailies(cfg, args.model, state.day + 1, target)
     retention = cfg.lifecycle.retention_days
     before = fold_days(state, dailies[:-1], retention)
@@ -230,10 +221,10 @@ def cmd_aggregate(cfg: PipelineConfig, args) -> int:
     universe = {"user": set(range(cfg.world.num_users)),
                 "pin": set(range(cfg.world.num_pins))}
     report["coverage"] = coverage_report(state, universe)
-    cfg.paths.reports.mkdir(parents=True, exist_ok=True)
     rpath = cfg.paths.reports / \
         f"aggregate-{args.model}-{heuristic.label}-day{state.day:03d}.json"
-    rpath.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    write_atomic(rpath, json.dumps(report, sort_keys=True, indent=2).encode()
+                 + b"\n")
     stab = report["stability_mean"]
     line = (f"state at day {state.day}: {len(state.entries)} entities, "
             f"coverage user {report['coverage'].get('user', 0.0):.2f} "
@@ -243,21 +234,6 @@ def cmd_aggregate(cfg: PipelineConfig, args) -> int:
     print(line)
     print(f"wrote {rpath}")
     return 0
-
-
-_DAY_FILE_RE = re.compile(r"day(\d{3})\.kv$")
-
-
-def _list_embedding_days(cfg: PipelineConfig, model: str) -> list[int]:
-    edir = cfg.paths.embeddings / model
-    if not edir.is_dir():
-        return []
-    days = []
-    for p in edir.iterdir():
-        m = _DAY_FILE_RE.fullmatch(p.name)
-        if m:
-            days.append(int(m.group(1)))
-    return sorted(days)
 
 
 def cmd_publish(cfg: PipelineConfig, args) -> int:
@@ -298,6 +274,9 @@ def _latest_generation(sdir: Path, source: str) -> StoreGeneration | None:
 
 
 def cmd_serve(cfg: PipelineConfig, args) -> int:
+    ttl = math.inf if args.ttl_seconds is None else args.ttl_seconds
+    if not ttl >= 0:
+        raise ConfigParseError(f"--ttl-seconds must be >= 0, got {ttl}")
     sdir = args.store_dir if args.store_dir is not None else cfg.paths.store
     gens = [g for g in (_latest_generation(sdir, source)
                         for source in UPSTREAM_SOURCES.values()) if g is not None]
@@ -319,11 +298,9 @@ def cmd_serve(cfg: PipelineConfig, args) -> int:
     print(f"serving {len(merged)} vectors from {len(gens)} generations "
           f"on {host}:{port}", flush=True)
     try:
-        if args.ttl_seconds is not None:
-            time.sleep(args.ttl_seconds)
-        else:
-            while True:
-                time.sleep(3600)
+        deadline = time.monotonic() + ttl
+        while (left := deadline - time.monotonic()) > 0:
+            time.sleep(min(left, 3600))
     except KeyboardInterrupt:
         pass
     finally:
@@ -385,9 +362,9 @@ def cmd_train_downstream(cfg: PipelineConfig, args) -> int:
         "test": {"roc_auc": test_rep.roc_auc, "pr_auc": test_rep.pr_auc,
                  "samples": test_rep.samples},
     }
-    cfg.paths.reports.mkdir(parents=True, exist_ok=True)
     rpath = cfg.paths.reports / f"downstream-{ds.task}.json"
-    rpath.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    write_atomic(rpath, json.dumps(report, sort_keys=True, indent=2).encode()
+                 + b"\n")
     print(f"{ds.task}: train roc_auc {train_rep.roc_auc:.4f}, "
           f"test roc_auc {test_rep.roc_auc:.4f} "
           f"pr_auc {test_rep.pr_auc:.4f} over {test_rep.samples} samples")
@@ -429,12 +406,11 @@ def cmd_experiment(cfg: PipelineConfig, args) -> int:
         model_cfg_base=ds.model_config(),
         train_cfg=ds.train_config(),
     )
-    cfg.paths.reports.mkdir(parents=True, exist_ok=True)
     stem = f"experiment-{ex.grid}-{ex.task}"
     csv_path = cfg.paths.reports / f"{stem}.csv"
-    csv_path.write_text(result.to_csv())
+    write_atomic(csv_path, result.to_csv().encode())
     txt_path = cfg.paths.reports / f"{stem}.txt"
-    txt_path.write_text(result.summary_text())
+    write_atomic(txt_path, result.summary_text().encode())
     print(result.summary_text(), end="")
     print(f"wrote {csv_path} and {txt_path}")
     return 0

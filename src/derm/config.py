@@ -19,8 +19,9 @@ from pathlib import Path
 from typing import Callable, get_type_hints
 
 from .downstream import DERM_INPUTS, DownstreamConfig, DownstreamTrainConfig
-from .errors import ConfigParseError, WeightOutOfRangeError
+from .errors import ConfigParseError, DermError, WeightOutOfRangeError
 from .lifecycle import RETENTION_DAYS, AggregationHeuristic
+from .numerics import float_text
 from .synth import WorldConfig
 from .towers import SlotSpec, TowerConfig, UpstreamModel, build_upstream_model
 from .trainer import TrainConfig
@@ -162,15 +163,18 @@ class PipelineConfig:
             where = locate(section, key) if locate else ""
             raise ConfigParseError(f"{where}[{section}] {key}: {detail}")
 
-        self.world.validate()
-        for name, spec in self.upstream.items():
-            section = f"upstream.{name}"
+        def check(section: str, validate: Callable[[], None]):
+            # each message of these validators starts with its key
             try:
-                spec.train.validate()
-            except ValueError as e:
-                # each TrainConfig message starts with the key it is about
+                validate()
+            except (ValueError, DermError) as e:
                 key, _, detail = str(e).partition(" ")
                 fail(section, key, detail)
+
+        check("world", self.world.validate)
+        for name, spec in self.upstream.items():
+            section = f"upstream.{name}"
+            check(section, spec.train.validate)
             if not (1 <= spec.batch_window_end <= self.upstream_end_day):
                 fail(section, "batch_window_end",
                      f"{spec.batch_window_end} must lie in "
@@ -187,7 +191,7 @@ class PipelineConfig:
             if getattr(lc, key) < 1:
                 fail("lifecycle", key, "must be >= 1")
         ds = self.downstream
-        ds.model_config().validate()
+        check("downstream", ds.model_config().validate)
         if not (1 <= ds.train_day_start < ds.test_day):
             fail("downstream", "train_day_start", f"{ds.train_day_start} must "
                  f"lie in [1, test_day) = [1, {ds.test_day})")
@@ -206,6 +210,10 @@ class PipelineConfig:
             fail("experiment", "task", f"unknown task {ex.task!r}")
         for h in ex.heuristics:
             h.validate()
+        labels = [h.label for h in ex.heuristics]
+        if len(set(labels)) != len(labels):
+            fail("experiment", "heuristics",
+                 f"labels must be distinct, got {', '.join(labels)}")
         for name in ex.derm_inputs:
             if name not in DERM_INPUTS:
                 fail("experiment", "derm_inputs", f"unknown derm input {name!r}")
@@ -355,7 +363,7 @@ def _upstream_task(text: str) -> str:
 
 _CODECS = {
     int: _Codec(_number(int, "an integer"), str),
-    float: _Codec(_number(float, "a number"), "{:g}".format),
+    float: _Codec(_number(float, "a number"), float_text),
     bool: _Codec(_bool, lambda v: str(v).lower()),
     str: _Codec(str, str),
     Path: _Codec(Path, str),

@@ -143,13 +143,14 @@ class DownstreamConfig:
     seq_dim: int = 6
 
     def validate(self, derm_dim_total: int | None = None) -> None:
+        """Each error's message starts with the key it is about."""
         if self.task not in TASK_LABELS:
-            raise UnknownTaskError(f"unknown downstream task {self.task!r}")
+            raise UnknownTaskError(f"task {self.task!r} is not in {sorted(TASK_LABELS)}")
         for name in self.derm_inputs:
             if name not in DERM_INPUTS:
-                raise UnknownTaskError(f"unknown derm input {name!r}")
+                raise UnknownTaskError(f"derm_inputs has unknown input {name!r}")
         if len(set(self.derm_inputs)) != len(self.derm_inputs):
-            raise UnknownTaskError("duplicate derm inputs")
+            raise UnknownTaskError("derm_inputs must be distinct")
         if self.num_experts < 1:
             raise ShapeMismatchError("num_experts must be >= 1")
         if self.cross_layers < 0:
@@ -565,18 +566,12 @@ def run_sensitivity_experiment(
     base_cfg = model_cfg_base or DownstreamConfig(task=task)
     tcfg = train_cfg or DownstreamTrainConfig()
 
-    feature_cache: dict[tuple, tuple[FeatureBatch, FeatureBatch]] = {}
     results: dict[tuple[str, int], ArmResult] = {}
     for arm in arms:
         cfg = replace(base_cfg, task=task, derm_inputs=arm.derm_inputs)
         gens = generations_by_heuristic.get(arm.heuristic_label, {})
-        cache_key = (arm.derm_inputs, arm.heuristic_label)
-        if cache_key not in feature_cache:
-            feature_cache[cache_key] = (
-                build_features(train_samples, cfg, gens),
-                build_features(test_samples, cfg, gens),
-            )
-        train_feats, test_feats = feature_cache[cache_key]
+        train_feats = build_features(train_samples, cfg, gens)
+        test_feats = build_features(test_samples, cfg, gens)
         derm_dim = train_feats.derm.shape[1]
         for seed in seeds:
             model = DownstreamModel(cfg, train_feats.base.shape[1], derm_dim,

@@ -25,14 +25,13 @@ from .data import EmbeddingRecord, TrainingSample
 from .errors import (
     DayGapError,
     EmptyIntersectionError,
-    EmptyInputError,
     EmptyUniverseError,
     MixedDaysError,
     WatermarkBehindDayError,
     WeightOutOfRangeError,
     WindowExceedsWatermarkError,
 )
-from .numerics import cosine_similarity, l2_normalize
+from .numerics import cosine_similarity, float_text, l2_normalize
 from .towers import UpstreamModel, embed_entity
 from .trainer import ModelSnapshot, apply_snapshot
 
@@ -60,7 +59,7 @@ class AggregationHeuristic:
 
     @property
     def label(self) -> str:
-        return f"ma{self.w:g}" if self.kind == MA else self.kind
+        return f"ma{float_text(self.w)}" if self.kind == MA else self.kind
 
     @staticmethod
     def parse(text: str) -> "AggregationHeuristic":
@@ -108,41 +107,33 @@ def initial_state(heuristic: AggregationHeuristic) -> AggregatedStoreState:
 
 
 def infer_daily(snapshot: ModelSnapshot, model: UpstreamModel, day: int,
-                samples: list[TrainingSample], source: str,
-                kinds: tuple[str, ...] = ("user", "pin")) -> list[EmbeddingRecord]:
+                samples: list[TrainingSample], source: str) -> list[EmbeddingRecord]:
     """Raw per-occurrence embedding stream for one day, pre-dedup.
 
-    Emits one record per entity occurrence per requested kind, in event
-    order, so an entity occurring k times yields k records with distinct
-    seq numbers. Restricting kinds leaves the other stream empty.
+    Emits one user and one pin record per sample, in event order, so an
+    entity occurring k times yields k records with distinct seq numbers.
     """
     if snapshot.watermark_day < day:
         raise WatermarkBehindDayError(
             f"snapshot watermark {snapshot.watermark_day} is behind day {day}"
         )
     apply_snapshot(model, snapshot)
-    streams = []
-    if samples and "user" in kinds:
-        U, _ = embed_entity(model.user_cfg, model.params, "user",
-                            [s.user for s in samples])
-        streams.append([EmbeddingRecord(s.user_id, "user", day, u, source,
-                                        s.event_seq) for s, u in zip(samples, U)])
-    if samples and "pin" in kinds:
-        P, _ = embed_entity(model.pin_cfg, model.params, "pin",
-                            [s.pin for s in samples])
-        streams.append([EmbeddingRecord(s.pin_id, "pin", day, p, source,
-                                        s.event_seq) for s, p in zip(samples, P)])
+    if not samples:
+        return []
+    U, _ = embed_entity(model.user_cfg, model.params, "user",
+                        [s.user for s in samples])
+    P, _ = embed_entity(model.pin_cfg, model.params, "pin",
+                        [s.pin for s in samples])
     # event order, a sample's user record before its pin record
-    return [r for recs in zip(*streams) for r in recs]
+    return [r for s, u, p in zip(samples, U, P)
+            for r in (EmbeddingRecord(s.user_id, "user", day, u, source,
+                                      s.event_seq),
+                      EmbeddingRecord(s.pin_id, "pin", day, p, source,
+                                      s.event_seq))]
 
 
-def dedup_day(records: list[EmbeddingRecord],
-              day: int | None = None) -> DailyEmbeddingSet:
+def dedup_day(records: list[EmbeddingRecord], day: int) -> DailyEmbeddingSet:
     """Keep the last embedding of the day per entity (greatest seq wins)."""
-    if day is None:
-        if not records:
-            raise EmptyInputError("cannot infer the day of an empty stream")
-        day = records[0].day
     kept: dict[EntityKey, EmbeddingRecord] = {}
     for r in records:
         if r.day != day:
@@ -160,7 +151,8 @@ def back_infer(snapshot: ModelSnapshot, model: UpstreamModel,
                window_days: list[int],
                data_by_day: dict[int, list[TrainingSample]],
                source: str) -> list[DailyEmbeddingSet]:
-    """Re-infer past days with the one latest snapshot; returns deduped sets."""
+    """Infer each day with one snapshot (the latest, when re-inferring a
+    window); returns the deduped sets in day order."""
     days = sorted(window_days)
     for d in days:
         if not (1 <= d <= snapshot.watermark_day):

@@ -25,6 +25,11 @@ NORM_EPS = 1e-12
 GRAD_CHECK_STEP = 1e-5
 
 
+def float_text(v: float) -> str:
+    """The shortest positional text that reads back as exactly v."""
+    return np.format_float_positional(v, trim="-")
+
+
 def as_vector(x: Sequence[float] | np.ndarray) -> np.ndarray:
     """Validate and return x as a finite float64 1-D array."""
     v = np.asarray(x, dtype=np.float64)

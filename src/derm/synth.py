@@ -54,6 +54,7 @@ class WorldConfig:
     threshold_labels: bool = False
 
     def validate(self) -> None:
+        """Each error's message starts with the key it is about."""
         for name in ("activity_rate", "click_rate", "conversion_rate"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
@@ -63,8 +64,9 @@ class WorldConfig:
                 f"conversion_rate {self.conversion_rate} must be below "
                 f"click_rate {self.click_rate}"
             )
-        if self.num_users < 2 or self.num_pins < 2:
-            raise InvalidRatesError("world needs at least 2 users and 2 pins")
+        for name in ("num_users", "num_pins"):
+            if getattr(self, name) < 2:
+                raise InvalidRatesError(f"{name} must be >= 2")
         if self.latent_dim < 2 or self.latent_dim % 2:
             raise InvalidRatesError("latent_dim must be even and >= 2")
         if self.days < 1:
@@ -344,10 +346,9 @@ def load_world_files(world_dir, days=None
     """
     manifest_path = world_dir / "world.json"
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except OSError as e:
-        raise IoFailureError(f"cannot read {manifest_path}: {e}") from e
-    cfg = WorldConfig(**manifest["config"])
+        cfg = WorldConfig(**json.loads(manifest_path.read_text())["config"])
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise IoFailureError(f"cannot read {manifest_path}: {e!r}") from e
     wanted = range(1, cfg.days + 1)
     if days is not None:
         wanted = sorted(set(days).intersection(wanted))

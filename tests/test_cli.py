@@ -141,8 +141,20 @@ class TestConfigInvariants:
         ("upstream.ctr", "supervised_weight", {"supervised_weight": -2.0}),
         # emitted as "heuristics = ", which does not parse
         ("experiment", "heuristics", {"grid": "inputs", "heuristics": ()}),
+        # two arms with one label would share a state directory
+        ("experiment", "heuristics", {"heuristics": (
+            AggregationHeuristic("acc"), AggregationHeuristic("acc"))}),
+        ("world", "click_rate", {"click_rate": 2.0}),
+        ("world", "days", {"days": 0}),
+        ("world", "num_users", {"num_users": 1}),
+        ("downstream", "num_experts", {"num_experts": 0}),
+        ("downstream", "projection_dim", {"projection_dim": 0}),
+        ("downstream", "task", {"task": "foo"}),
+        ("downstream", "derm_inputs", {"derm_inputs": ("ctr-user", "ctr-user")}),
     ], ids=["num_layers", "contrastive_weight", "supervised_weight",
-            "heuristics"])
+            "heuristics", "duplicate_heuristic_labels", "click_rate", "days",
+            "num_users", "num_experts", "projection_dim", "downstream_task",
+            "duplicate_derm_inputs"])
     def test_rejected_as_one_located_error(self, tmp_path, section, key, values):
         cfg = with_keys(small_config(tmp_path / "run"), section, values)
         with pytest.raises(ConfigParseError,
@@ -208,13 +220,16 @@ def non_default_texts(value) -> list[str]:
     if isinstance(value, int):
         return [str(value + 2), str(value - 1)]
     if isinstance(value, float):
-        return [f"{value / 2:g}", f"{value + 0.25:g}"]
+        # many digits first: the emitted text must keep every one
+        return [repr(value / 3 + 0.0123456789), f"{value / 2:g}",
+                f"{value + 0.25:g}"]
     if isinstance(value, str):
         return ["cvr", "click", "conversion", "inputs"]
     if isinstance(value, AggregationHeuristic):
-        return ["acc"]
+        return ["ma0.00001"]
     if isinstance(value, tuple):
-        return {int: ["7"], str: ["none"], AggregationHeuristic: ["ap"]}[
+        return {int: ["7"], str: ["none"],
+                AggregationHeuristic: ["acc, ma0.123456789, ma0.00001"]}[
             type(value[0])]
     return ["elsewhere"]  # a path, set or unset
 
@@ -498,6 +513,39 @@ class TestPipeline:
         assert skipped and all(line.startswith("skipped: ") for line in skipped)
         assert re.fullmatch(r"error: CorruptGeneration: none of the 1 "
                             r"generations of .+ verifies .+", last)
+
+    @pytest.mark.parametrize("case, condition", [
+        ("report_dir_is_a_file", "IoFailure"),
+        ("truncated_world_manifest", "IoFailure"),
+        ("world_manifest_without_config", "IoFailure"),
+        ("negative_ttl", "ConfigParse"),
+        ("nan_ttl", "ConfigParse"),
+    ])
+    def test_failure_ends_as_one_error_line(self, pipeline, tmp_path, case,
+                                            condition):
+        paths = replace(pipeline.cfg.paths, world_dir=tmp_path / "world",
+                        state_dir=tmp_path / "state",
+                        report_dir=tmp_path / "report")
+        ini = tmp_path / "derm.ini"
+        ini.write_text(emit_config(replace(pipeline.cfg, paths=paths)))
+        manifest = (pipeline.cfg.paths.world / "world.json").read_text()
+        paths.world.mkdir()
+        if case == "report_dir_is_a_file":
+            paths.reports.write_text("")
+        elif case == "truncated_world_manifest":
+            (paths.world / "world.json").write_text(manifest[:len(manifest) // 2])
+        elif case == "world_manifest_without_config":
+            (paths.world / "world.json").write_text("{}")
+        command = {
+            "report_dir_is_a_file": ["aggregate", "--model", "ctr"],
+            "truncated_world_manifest": ["train-upstream", "--model", "ctr"],
+            "world_manifest_without_config": ["infer", "--model", "ctr",
+                                              "--day", "6"],
+            "negative_ttl": ["serve", "--ttl-seconds", "-1"],
+            "nan_ttl": ["serve", "--ttl-seconds", "nan"],
+        }[case]
+        _, err = run_cli([*command, "-c", str(ini)], expect=1)
+        assert re.fullmatch(rf"error: {condition}: [^\n]+", err.strip())
 
     def test_serve_round_trip_over_tcp(self, pipeline):
         # the child finds derm where this process did, installed or not

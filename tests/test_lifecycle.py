@@ -5,7 +5,6 @@ from derm.data import EmbeddingRecord
 from derm.errors import (
     DayGapError,
     EmptyIntersectionError,
-    EmptyInputError,
     EmptyUniverseError,
     MixedDaysError,
     WatermarkBehindDayError,
@@ -102,11 +101,6 @@ class TestInferDaily:
             assert x.entity_id == y.entity_id and x.seq == y.seq
             assert x.vector.tobytes() == y.vector.tobytes()
 
-    def test_pin_only_stream(self):
-        raw = infer_daily(self.snap, self.model, 4, self.samples, "m",
-                          kinds=("pin",))
-        assert raw and all(r.kind == "pin" for r in raw)
-
     def test_watermark_behind(self):
         with pytest.raises(WatermarkBehindDayError):
             infer_daily(self.snap, self.model, 6, self.samples, "m")
@@ -121,14 +115,14 @@ class TestDedup:
     def test_last_of_day_wins(self):
         records = [rec(7, 3, [1, 0], seq=5), rec(7, 3, [0, 1], seq=9),
                    rec(7, 3, [1, 1], seq=2)]
-        out = dedup_day(records)
+        out = dedup_day(records, day=3)
         assert out.day == 3
         assert list(out.records) == [("user", 7)]
         assert out.records[("user", 7)].seq == 9
         assert np.array_equal(out.records[("user", 7)].vector, [0, 1])
 
     def test_single_record(self):
-        out = dedup_day([rec(1, 2, [1.0, 0.0], seq=4)])
+        out = dedup_day([rec(1, 2, [1.0, 0.0], seq=4)], day=2)
         assert out.records[("user", 1)].seq == 4
 
     def test_cardinality(self):
@@ -138,22 +132,20 @@ class TestDedup:
             seqs = rng.permutation(100)
             records += [rec(e, 1, [float(q), 0.0], seq=int(q)) for q in seqs]
         rng.shuffle(records)
-        out = dedup_day(records)
+        out = dedup_day(records, day=1)
         assert len(out.records) == 10
         assert all(r.seq == 99 for r in out.records.values())
 
     def test_mixed_days(self):
         with pytest.raises(MixedDaysError):
-            dedup_day([rec(1, 2, [1.0]), rec(1, 3, [1.0])])
+            dedup_day([rec(1, 2, [1.0]), rec(1, 3, [1.0])], day=2)
 
     def test_empty_stream_needs_day(self):
         assert dedup_day([], day=5).records == {}
-        with pytest.raises(EmptyInputError):
-            dedup_day([])
 
     def test_user_and_pin_do_not_collide(self):
         records = [rec(4, 1, [1, 0], kind="user"), rec(4, 1, [0, 1], kind="pin")]
-        assert len(dedup_day(records).records) == 2
+        assert len(dedup_day(records, day=1).records) == 2
 
 
 class TestBackInfer:
@@ -331,7 +323,7 @@ class TestAggregationAlgebra:
             e = int(rng.integers(len(entities)))
             records.append(rec(e, 1, list(rng.normal(size=3)), seq=seq))
             seq += 1
-        out = dedup_day(records)
+        out = dedup_day(records, day=1)
         assert len(out.records) == len({r.entity_id for r in records})
 
 

@@ -10,8 +10,9 @@ PYTHONPATH=<root>/src:
   infer --day 15..17, aggregate, publish; then train-downstream and the
   heuristics and inputs experiment grids.
 It then compares every file under run/ and each command's stdout, prints
-one `DIFF <what>` line per difference and a summary line, and exits 1 if
-anything differs (2 if a command fails).
+one `DIFF <what>` line per difference, a summary line and each tree's count
+of non-blank lines in src/derm/*.py, and exits 1 if anything differs (2 if a
+command fails).
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ def commands() -> list[list[str]]:
         out += [["aggregate", "--model", model], ["publish", "--model", model]]
     return out + [["train-downstream"], ["experiment"],
                   ["experiment", "-c", INPUTS_INI]]
+
+
+def src_lines(root: Path) -> int:
+    """Non-blank lines of src/derm/*.py, as `grep -cv '^\\s*$'` counts them."""
+    return sum(1 for p in (root / "src" / "derm").glob("*.py")
+               for line in p.read_text().split("\n") if line.strip())
 
 
 def run_tree(root: Path, work: Path) -> tuple[dict[str, bytes], dict[str, str]]:
@@ -80,6 +87,9 @@ def main(argv: list[str]) -> int:
     total = len(files_a.keys() | files_b.keys())
     print(f"{len(file_diffs)} of {total} files differ; "
           f"{len(out_diffs)} of {len(out_a)} stdouts differ")
+    parent, change = (src_lines(Path(root)) for root in argv)
+    print(f"non-blank src/ lines: {parent} in {argv[0]}, {change} in "
+          f"{argv[1]} ({change - parent:+d})")
     return 1 if file_diffs or out_diffs else 0
 
 
