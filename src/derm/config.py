@@ -13,6 +13,7 @@ field's type picks the codec that reads and writes its value.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -321,9 +322,13 @@ class _Codec:
 def _number(kind, expected: str):
     def parse(text: str):
         try:
-            return kind(text)
+            value = kind(text)
         except ValueError:
             raise ValueError(f"expected {expected}, got {text!r}") from None
+        # float() reads nan and inf, which no key means
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {text!r}")
+        return value
     return parse
 
 

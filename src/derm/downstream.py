@@ -17,12 +17,19 @@ The consumer model runs on whole minibatches of B rows (`FeatureBatch`):
 Base features carry no entity ids; whatever id-level signal the consumer
 gets arrives through the served embeddings.
 
+A stack of M same-shape models (DownstreamModel.stack) puts a leading model
+axis on every parameter and activation: features (M, B, d), weights
+(M, h, d), experts (M, E, h, d), and one (M, P) row per model in the flat
+training buffers. One forward/backward then steps all M models, and each
+model's numbers are bit-for-bit those of its lone run. An experiment trains
+each group of same-shape (arm, seed) models as one stack.
+
 Missing store lookups become a zero vector with presence flag 0, so serving
 gaps degrade smoothly instead of erroring.
 """
-
 from __future__ import annotations
 
+import copy
 import csv
 import io
 from dataclasses import dataclass, field, replace
@@ -187,12 +194,18 @@ class FeatureBatch:
     hist: np.ndarray  # (B, L) int64 history ids, padded with 0
     hist_len: np.ndarray  # (B,) history lengths
     labels: np.ndarray  # (B,)
+    # with one derm and flags block per arm, (A, B, .), the block each
+    # stacked model reads
+    arm: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def slice(self, idx) -> "FeatureBatch":
-        return FeatureBatch(self.base[idx], self.derm[idx], self.flags[idx],
+        """Rows idx. A (M, b) idx gives a stacked batch whose model m holds
+        rows idx[m], of its own arm's block when arm is set."""
+        pick = idx if self.arm is None else (self.arm[:, None], idx)
+        return FeatureBatch(self.base[idx], self.derm[pick], self.flags[pick],
                             self.hist[idx], self.hist_len[idx], self.labels[idx])
 
 
@@ -242,8 +255,28 @@ def build_features(samples: list[TrainingSample], cfg: DownstreamConfig,
 # model
 
 
+def _t(x: np.ndarray) -> np.ndarray:
+    """Swap the last two axes: the per-model transpose of a stacked matrix."""
+    return x.swapaxes(-1, -2)
+
+
+def _table_rows(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows of ids in table.reshape(-1, seq_dim): in a stacked
+    (M, V, seq_dim) table, model m's ids are offset by m * V."""
+    if table.ndim == 2:
+        return ids
+    offsets = np.arange(0, table.shape[0] * table.shape[1], table.shape[1])
+    return ids + offsets.reshape(-1, *(1,) * (ids.ndim - 1))
+
+
 class DownstreamModel:
-    """Hand-differentiated consumer model over assembled feature batches."""
+    """Hand-differentiated consumer model over assembled feature batches.
+
+    Built from one seed, its parameters and batches have no model axis.
+    DownstreamModel.stack puts same-shape models on a leading model axis M;
+    forward and backward then step all M models at once, and model m of
+    the stack computes exactly what it would alone.
+    """
 
     def __init__(self, cfg: DownstreamConfig, base_dim: int, derm_dim: int,
                  seq_vocab: int, seed: int):
@@ -252,6 +285,8 @@ class DownstreamModel:
         self.base_dim = base_dim
         self.derm_dim = derm_dim
         self.seq_vocab = seq_vocab
+        self.seeds = (seed,)
+        self.stacked = False
         self.has_derm = bool(cfg.derm_inputs)
         if self.has_derm:
             self.proj_dim = cfg.projection_dim or derm_dim
@@ -263,6 +298,35 @@ class DownstreamModel:
         if cfg.sequence_encoder:
             self.concat_dim += cfg.seq_dim
         self.params = self._init_params(seed)
+
+    @classmethod
+    def stack(cls, models: list["DownstreamModel"]) -> "DownstreamModel":
+        """One model whose parameters are the given models' stacked on a
+        leading model axis, in order. It runs with the first one's config
+        (equal shapes make the others' equivalent) and keeps all configs
+        and seeds."""
+        first = models[0]
+        shapes = [{k: v.shape for k, v in m.params.items()} for m in models]
+        if any(shape != shapes[0] for shape in shapes):
+            raise ShapeMismatchError("only models with equal parameter "
+                                     "shapes can be stacked")
+        out = copy.copy(first)
+        out.stacked = True
+        out.cfgs = tuple(m.cfg for m in models)
+        out.seeds = tuple(m.seeds[0] for m in models)
+        out.params = {k: np.stack([m.params[k] for m in models])
+                      for k in first.params}
+        return out
+
+    def member(self, m: int) -> "DownstreamModel":
+        """Model m of a stack, as a model without the model axis whose
+        parameters view the stack's."""
+        out = copy.copy(self)
+        out.stacked = False
+        out.cfg = self.cfgs[m]
+        out.seeds = (self.seeds[m],)
+        out.params = {k: v[m] for k, v in self.params.items()}
+        return out
 
     def _init_params(self, seed: int) -> ParamDict:
         cfg = self.cfg
@@ -296,6 +360,11 @@ class DownstreamModel:
         return p
 
     # forward ---------------------------------------------------------------
+    # Every operation below reads leading axes as "...", so one code path
+    # serves a single model and a stack. Matrix products are batched matmul
+    # and reductions keep their axis's place in memory, so each model's
+    # slice is summed in the order it would be alone (einsum is avoided: it
+    # may reorder the sums).
 
     def forward(self, batch: FeatureBatch):
         cfg = self.cfg
@@ -303,47 +372,52 @@ class DownstreamModel:
         pieces = [batch.base]
         cache: dict = {"batch": batch}
         if self.has_derm:
-            if batch.derm.shape[1] != self.derm_dim:
+            if batch.derm.shape[-1] != self.derm_dim:
                 raise ShapeMismatchError(
-                    f"derm block is {batch.derm.shape[1]}-dim, model expects "
+                    f"derm block is {batch.derm.shape[-1]}-dim, model expects "
                     f"{self.derm_dim}"
                 )
-            Z = batch.derm @ p["proj/W"].T + p["proj/b"]
+            Z = batch.derm @ _t(p["proj/W"]) + p["proj/b"][..., None, :]
             cache["Z0"] = Z
             zs, acts = [Z], []
             for l in range(cfg.cross_layers):
-                A = zs[-1] @ p[f"cross/{l}/W"].T + p[f"cross/{l}/b"]
+                A = zs[-1] @ _t(p[f"cross/{l}/W"]) \
+                    + p[f"cross/{l}/b"][..., None, :]
                 acts.append(A)
                 zs.append(cache["Z0"] * A + zs[-1])
             cache["zs"], cache["acts"] = zs, acts
             pieces.append(zs[-1])
             pieces.append(batch.flags)
         if cfg.sequence_encoder:
-            mask = np.arange(batch.hist.shape[1]) < batch.hist_len[:, None]
-            T = p["seq/table"][batch.hist]  # (B, L, seq_dim)
-            scores = (T @ p["seq/query"]) * (1.0 / np.sqrt(cfg.seq_dim))
-            top = np.max(scores, axis=1, where=mask, initial=-np.inf,
+            table = p["seq/table"]
+            mask = np.arange(batch.hist.shape[-1]) < batch.hist_len[..., None]
+            rows = _table_rows(table, batch.hist)
+            T = np.take(table.reshape(-1, cfg.seq_dim), rows, axis=0)
+            scores = (T @ p["seq/query"][..., None, :, None])[..., 0] \
+                * (1.0 / np.sqrt(cfg.seq_dim))
+            top = np.max(scores, axis=-1, where=mask, initial=-np.inf,
                          keepdims=True)
             # masked positions, and every position of an empty row, get 0
             e = np.exp(np.where(mask, scores - top, -np.inf))
-            total = e.sum(axis=1, keepdims=True)
+            total = e.sum(axis=-1, keepdims=True)
             a = np.divide(e, total, out=np.zeros_like(e), where=total > 0.0)
-            cache["seq"] = (mask, T, a)
-            pieces.append((a[:, None, :] @ T)[:, 0])
-        X = np.concatenate(pieces, axis=1)
+            cache["seq"] = (mask, rows, T, a)  # T is (..., B, L, seq_dim)
+            pieces.append((a[..., None, :] @ T)[..., 0, :])
+        X = np.concatenate(pieces, axis=-1)
         cache["X"] = X
-        G = X @ p["moe/gate/W"].T + p["moe/gate/b"]
-        G = G - G.max(axis=1, keepdims=True)
+        G = X @ _t(p["moe/gate/W"]) + p["moe/gate/b"][..., None, :]
+        G = G - G.max(axis=-1, keepdims=True)
         Pg = np.exp(G)
-        Pg /= Pg.sum(axis=1, keepdims=True)
+        Pg /= Pg.sum(axis=-1, keepdims=True)
         cache["Pg"] = Pg
-        H = np.maximum(0.0, X @ p["moe/experts/W1"].transpose(0, 2, 1)
-                       + p["moe/experts/b1"][:, None, :])  # (E, B, h)
-        O = (H @ p["moe/experts/W2"].transpose(0, 2, 1)
-             + p["moe/experts/b2"][:, None, :])  # (E, B, o)
-        out = (Pg.T[:, :, None] * O).sum(axis=0)
+        H = X[..., None, :, :] @ _t(p["moe/experts/W1"])  # (..., E, B, h)
+        H += p["moe/experts/b1"][..., None, :]
+        np.maximum(0.0, H, out=H)
+        O = H @ _t(p["moe/experts/W2"])  # (..., E, B, o)
+        O += p["moe/experts/b2"][..., None, :]
+        out = (_t(Pg)[..., None] * O).sum(axis=-3)
         cache["H"], cache["O"], cache["moe_out"] = H, O, out
-        logits = out @ p["head/w"] + p["head/b"][0]
+        logits = (out @ p["head/w"][..., None])[..., 0] + p["head/b"][..., :1]
         return logits, cache
 
     # backward --------------------------------------------------------------
@@ -352,28 +426,29 @@ class DownstreamModel:
         cfg = self.cfg
         p = self.params
         out = cache["moe_out"]
-        grads["head/w"] += out.T @ dlogits
-        grads["head/b"][0] += dlogits.sum()
-        dout = np.outer(dlogits, p["head/w"])
+        grads["head/w"] += (_t(out) @ dlogits[..., None])[..., 0]
+        grads["head/b"][..., 0] += dlogits.sum(axis=-1)
+        dout = dlogits[..., None] * p["head/w"][..., None, :]
 
         X, Pg, H, O = cache["X"], cache["Pg"], cache["H"], cache["O"]
-        dO = Pg.T[:, :, None] * dout  # (E, B, o)
-        dPg = (dout * O).sum(axis=2).T
-        grads["moe/experts/W2"] += dO.transpose(0, 2, 1) @ H
-        grads["moe/experts/b2"] += dO.sum(axis=1)
-        dH = (dO @ p["moe/experts/W2"]) * (H > 0)  # (E, B, h)
-        grads["moe/experts/W1"] += dH.transpose(0, 2, 1) @ X
-        grads["moe/experts/b1"] += dH.sum(axis=1)
-        dX = (dH @ p["moe/experts/W1"]).sum(axis=0)
-        dG = Pg * (dPg - (dPg * Pg).sum(axis=1, keepdims=True))
-        grads["moe/gate/W"] += dG.T @ X
-        grads["moe/gate/b"] += dG.sum(axis=0)
+        dO = _t(Pg)[..., None] * dout[..., None, :, :]  # (..., E, B, o)
+        dPg = _t((dout[..., None, :, :] * O).sum(axis=-1))
+        grads["moe/experts/W2"] += _t(dO) @ H
+        grads["moe/experts/b2"] += dO.sum(axis=-2)
+        dH = dO @ p["moe/experts/W2"]  # (..., E, B, h)
+        dH *= H > 0
+        grads["moe/experts/W1"] += _t(dH) @ X[..., None, :, :]
+        grads["moe/experts/b1"] += dH.sum(axis=-2)
+        dX = (dH @ p["moe/experts/W1"]).sum(axis=-3)
+        dG = Pg * (dPg - (dPg * Pg).sum(axis=-1, keepdims=True))
+        grads["moe/gate/W"] += _t(dG) @ X
+        grads["moe/gate/b"] += dG.sum(axis=-2)
         dX += dG @ p["moe/gate/W"]
 
         # split the concatenation layer gradient
         off = self.base_dim  # base features are inputs, not params
         if self.has_derm:
-            dZL = dX[:, off:off + self.proj_dim]
+            dZL = dX[..., off:off + self.proj_dim]
             off += self.proj_dim + len(cfg.derm_inputs)  # flags are inputs
             zs, acts = cache["zs"], cache["acts"]
             Z0 = cache["Z0"]
@@ -382,25 +457,34 @@ class DownstreamModel:
             for l in range(cfg.cross_layers - 1, -1, -1):
                 dA = dZ * Z0
                 dZ0 += dZ * acts[l]
-                grads[f"cross/{l}/W"] += dA.T @ zs[l]
-                grads[f"cross/{l}/b"] += dA.sum(axis=0)
+                grads[f"cross/{l}/W"] += _t(dA) @ zs[l]
+                grads[f"cross/{l}/b"] += dA.sum(axis=-2)
                 dZ = dZ + dA @ p[f"cross/{l}/W"]
             dZ0 += dZ
             batch = cache["batch"]
-            grads["proj/W"] += dZ0.T @ batch.derm
-            grads["proj/b"] += dZ0.sum(axis=0)
+            grads["proj/W"] += _t(dZ0) @ batch.derm
+            grads["proj/b"] += dZ0.sum(axis=-2)
         if cfg.sequence_encoder:
-            mask, T, a = cache["seq"]
-            dpooled = dX[:, off:off + cfg.seq_dim]
+            mask, rows, T, a = cache["seq"]
+            q = p["seq/query"]
+            dpooled = dX[..., off:off + cfg.seq_dim]
             scale = 1.0 / np.sqrt(cfg.seq_dim)
-            da = (T @ dpooled[:, :, None])[:, :, 0]  # (B, L)
-            ds = a * (da - (da * a).sum(axis=1, keepdims=True))
-            grads["seq/query"] += (T.reshape(-1, cfg.seq_dim).T
-                                   @ ds.reshape(-1)) * scale
-            dT = a[:, :, None] * dpooled[:, None, :] \
-                + ds[:, :, None] * p["seq/query"] * scale
-            # unmasked (row, position) pairs in row-major order
-            np.add.at(grads["seq/table"], cache["batch"].hist[mask], dT[mask])
+            da = (T @ dpooled[..., None])[..., 0]  # (..., B, L)
+            ds = a * (da - (da * a).sum(axis=-1, keepdims=True))
+            # (B * L, seq_dim) rows of each model against its (B * L) weights
+            Tf = T.reshape(*T.shape[:-3], -1, cfg.seq_dim)
+            grads["seq/query"] += (_t(Tf) @ ds.reshape(*Tf.shape[:-1], 1)
+                                   )[..., 0] * scale
+            dT = ds[..., None] * q[..., None, None, :]
+            dT *= scale
+            dT += a[..., None] * dpooled[..., None, :]
+            # one bincount adds up each table row's terms over the unmasked
+            # (row, position) pairs in row-major order, as np.add.at would
+            # into the zeroed gradient, for every model at once
+            table = grads["seq/table"]
+            cells = (rows[mask] * cfg.seq_dim)[:, None] + np.arange(cfg.seq_dim)
+            table += np.bincount(cells.ravel(), weights=dT[mask].ravel(),
+                                 minlength=table.size).reshape(table.shape)
 
     def loss_and_grads(self, batch: FeatureBatch):
         logits, cache = self.forward(batch)
@@ -410,12 +494,15 @@ class DownstreamModel:
         return loss, grads
 
 
-def _bce(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean binary cross entropy over the batch and its logit gradient."""
+def _bce(logits: np.ndarray, y: np.ndarray):
+    """Mean binary cross entropy over each model's batch (the last axis) and
+    the logit gradient."""
     losses = np.maximum(logits, 0.0) - logits * y + np.log1p(np.exp(-np.abs(logits)))
     # sigmoid via tanh stays finite for any logit magnitude
     sig = 0.5 * (1.0 + np.tanh(0.5 * logits))
-    return float(losses.mean()), (sig - y) / len(y)
+    n = y.shape[-1]
+    # a sum over n, as mean() takes it
+    return losses.sum(axis=-1) / n, (sig - y) / n
 
 
 # the optimizer settings every downstream run shares
@@ -434,8 +521,9 @@ class DownstreamTrainConfig:
 
 def train_downstream(model: DownstreamModel, features: FeatureBatch,
                      cfg: DownstreamTrainConfig,
-                     loss_log: list | None = None) -> None:
-    """Minibatch momentum SGD on BCE; deterministic given (features, cfg.seed).
+                     loss_log: list | None = None,
+                     seeds: tuple[int, ...] | None = None) -> None:
+    """Minibatch momentum SGD on BCE; deterministic given (features, seeds).
 
     The learning rate decays linearly to a tenth of its starting value over
     the run so late epochs refine rather than overshoot.  Gradients are
@@ -443,44 +531,64 @@ def train_downstream(model: DownstreamModel, features: FeatureBatch,
     are multiplicative, so unchecked weight growth compounds through the
     forward pass until it overflows.
 
-    The model's parameters become views of one flat f64 buffer, and the
-    gradients views of another, so each step's clipping, weight decay and
-    momentum update (trainer.sgd_step) are a few whole-buffer operations.
+    A stacked model trains all its models in one loop, and each ends exactly
+    as it would alone. Model m shuffles the rows with seeds[m] (cfg.seed for
+    every model when seeds is None), reads its own arm's derm and flags
+    blocks when features.arm is set, and clips by its own global norm. An
+    unstacked model trains as a stack of one.
+
+    The parameters become views of one flat (M, P) f64 buffer, one row per
+    model, and the gradients views of another, so each step's clipping,
+    weight decay and momentum update (trainer.sgd_step) are a few
+    whole-buffer operations. loss_log gets each step's loss: a float for an
+    unstacked model, else the (M,) losses.
     """
     n = len(features)
     if n == 0:
         raise EmptyInputError("no training features")
-    flat, model.params = flat_views(model.params)
-    gflat, grads = flat_views(zeros_like_params(model.params))
+    stack = model if model.stacked else DownstreamModel.stack([model])
+    seeds = tuple(seeds) if seeds is not None else (cfg.seed,) * len(stack.seeds)
+    if len(seeds) != len(stack.seeds):
+        raise ShapeMismatchError(f"{len(seeds)} shuffle seeds for a stack of "
+                                 f"{len(stack.seeds)} models")
+    flat, stack.params = flat_views(stack.params, lead=1)
+    gflat, grads = flat_views(zeros_like_params(stack.params), lead=1)
     velocity = np.zeros_like(flat)
     total = cfg.epochs * ((n + cfg.batch_size - 1) // cfg.batch_size)
     step = 0
     for epoch in range(cfg.epochs):
-        rng = np.random.default_rng([cfg.seed, 0xD5, epoch])
-        order = rng.permutation(n)
+        orders = np.stack([np.random.default_rng([seed, 0xD5, epoch])
+                           .permutation(n) for seed in seeds])
         for start in range(0, n, cfg.batch_size):
-            batch = features.slice(order[start:start + cfg.batch_size])
-            logits, cache = model.forward(batch)
+            batch = features.slice(orders[:, start:start + cfg.batch_size])
+            logits, cache = stack.forward(batch)
             loss, dlogits = _bce(logits, batch.labels)
-            if not np.isfinite(loss):
+            diverged = np.flatnonzero(~np.isfinite(loss))
+            if len(diverged):
+                m = int(diverged[0])
                 raise DivergedLossError(
-                    f"non-finite downstream loss at epoch {epoch}"
+                    f"non-finite downstream loss at epoch {epoch} in model "
+                    f"{m} (seed {stack.seeds[m]})"
                 )
             gflat[:] = 0.0
-            model.backward(cache, dlogits, grads)
-            gnorm = np.sqrt(gflat @ gflat)
-            if gnorm > MAX_GRAD_NORM:
-                gflat *= MAX_GRAD_NORM / gnorm
+            stack.backward(cache, dlogits, grads)
+            # each row's own dot product, summed as gflat[m] @ gflat[m] is
+            gnorm = np.sqrt((gflat[:, None, :] @ gflat[:, :, None])[:, 0, 0])
+            for m in np.flatnonzero(gnorm > MAX_GRAD_NORM):
+                gflat[m] *= MAX_GRAD_NORM / gnorm[m]
             frac = step / total if total > 1 else 0.0
             lr = cfg.learning_rate * (1.0 - 0.9 * frac)
             gflat += WEIGHT_DECAY * flat
             sgd_step(flat, gflat, lr, MOMENTUM, velocity)
             step += 1
             if loss_log is not None:
-                loss_log.append(loss)
+                loss_log.append(loss if model.stacked else float(loss[0]))
+    if stack is not model:
+        model.params = stack.member(0).params
 
 
 def evaluate(model: DownstreamModel, features: FeatureBatch) -> EvalReport:
+    """Metrics of one unstacked model (a stack's member(m)) on features."""
     logits, _ = model.forward(features)
     y = features.labels.astype(int)
     return EvalReport(
@@ -566,21 +674,36 @@ def run_sensitivity_experiment(
     base_cfg = model_cfg_base or DownstreamConfig(task=task)
     tcfg = train_cfg or DownstreamTrainConfig()
 
-    results: dict[tuple[str, int], ArmResult] = {}
+    def arm_inputs(arm: ArmSpec):
+        return (replace(base_cfg, task=task, derm_inputs=arm.derm_inputs),
+                generations_by_heuristic.get(arm.heuristic_label, {}))
+
+    # arms whose models have equal parameter shapes (the same number of
+    # inputs, of the same total width) train their seeds as one stack
+    groups: dict[tuple[int, int], list[ArmSpec]] = {}
     for arm in arms:
-        cfg = replace(base_cfg, task=task, derm_inputs=arm.derm_inputs)
-        gens = generations_by_heuristic.get(arm.heuristic_label, {})
-        train_feats = build_features(train_samples, cfg, gens)
-        test_feats = build_features(test_samples, cfg, gens)
-        derm_dim = train_feats.derm.shape[1]
-        for seed in seeds:
-            model = DownstreamModel(cfg, train_feats.base.shape[1], derm_dim,
-                                    seq_vocab, seed=seed)
-            run_cfg = replace(tcfg, seed=seed)
-            train_downstream(model, train_feats, run_cfg)
-            report = evaluate(model, test_feats)
-            results[(arm.name, seed)] = ArmResult(arm.name, seed,
-                                                  report.roc_auc, report.pr_auc)
+        gens = arm_inputs(arm)[1]
+        width = sum(gens[DERM_INPUTS[name][0]].dim for name in arm.derm_inputs)
+        groups.setdefault((len(arm.derm_inputs), width), []).append(arm)
+
+    results: dict[tuple[str, int], ArmResult] = {}
+    for group in groups.values():
+        feats = _stacked_features(train_samples,
+                                  [arm_inputs(arm) for arm in group], len(seeds))
+        # each model drawn as a lone run draws it, then stacked
+        stack = DownstreamModel.stack([
+            DownstreamModel(arm_inputs(arm)[0], feats.base.shape[1],
+                            feats.derm.shape[-1], seq_vocab, seed=seed)
+            for arm in group for seed in seeds])
+        train_downstream(stack, feats, tcfg, seeds=stack.seeds)
+        for a, arm in enumerate(group):
+            test_feats = build_features(test_samples, *arm_inputs(arm))
+            for i, seed in enumerate(seeds):
+                report = evaluate(stack.member(a * len(seeds) + i), test_feats)
+                results[(arm.name, seed)] = ArmResult(arm.name, seed,
+                                                      report.roc_auc,
+                                                      report.pr_auc)
+        del feats, stack, test_feats  # before the next stack is built
 
     baseline_name = next(a.name for a in arms if a.is_baseline)
     for (name, seed), r in results.items():
@@ -599,6 +722,26 @@ def run_sensitivity_experiment(
             "lift_std": float(np.std([r.lift for r in rs])),
         }
     return ExperimentResult(task, rows, summary)
+
+
+def _stacked_features(samples: list[TrainingSample],
+                      arm_inputs: list[tuple[DownstreamConfig, dict]],
+                      models_per_arm: int) -> FeatureBatch:
+    """The features of each (config, generations) arm in one FeatureBatch:
+    one copy of the columns every arm shares, one derm and flags block per
+    arm, and the arm index of models_per_arm models in a row per arm."""
+    stacked = None
+    for a, (cfg, gens) in enumerate(arm_inputs):
+        feats = build_features(samples, cfg, gens)
+        if stacked is None:
+            stacked = replace(
+                feats,
+                derm=np.empty((len(arm_inputs), *feats.derm.shape)),
+                flags=np.empty((len(arm_inputs), *feats.flags.shape)),
+                arm=np.repeat(np.arange(len(arm_inputs)), models_per_arm))
+        stacked.derm[a], stacked.flags[a] = feats.derm, feats.flags
+        del feats  # before the next arm's features are built
+    return stacked
 
 
 def heuristic_arms(derm_inputs: tuple[str, ...],

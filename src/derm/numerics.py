@@ -1,5 +1,5 @@
-"""Dense float64 numeric kernel: validation, normalization, softmax,
-similarity, and a central-difference gradient checker.
+"""Dense float64 numeric kernel: validation, normalization, similarity,
+the logistic function, and a central-difference gradient checker.
 
 All public operations are pure functions over numpy float64 arrays.
 Vectors are 1-D arrays, matrices 2-D row-major arrays; helpers below
@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     DimMismatchError,
-    EmptyInputError,
     NonFiniteFunctionError,
     ZeroNormError,
 )
@@ -57,14 +56,6 @@ def l2_normalize(v: Sequence[float] | np.ndarray, eps: float = NORM_EPS) -> np.n
     return v / n
 
 
-def dot(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape != b.shape:
-        raise DimMismatchError(f"dims {a.shape[0]} vs {b.shape[0]}")
-    return float(np.dot(a, b))
-
-
 def cosine_similarity(
     a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray
 ) -> float:
@@ -77,16 +68,6 @@ def cosine_similarity(
     if na <= NORM_EPS or nb <= NORM_EPS:
         raise ZeroNormError("cosine undefined for (near-)zero vector")
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def softmax(logits: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Stable softmax with max-subtraction; output sums to 1."""
-    z = as_vector(logits)
-    if z.size == 0:
-        raise EmptyInputError("softmax of empty vector")
-    z = z - np.max(z)
-    e = np.exp(z)
-    return e / np.sum(e)
 
 
 def sigmoid(x):

@@ -30,10 +30,20 @@ def flatten_params(params: ParamDict) -> tuple[np.ndarray, list[tuple[str, tuple
     return vec, layout
 
 
-def flat_views(params: ParamDict) -> tuple[np.ndarray, ParamDict]:
+def flat_views(params: ParamDict, lead: int = 0) -> tuple[np.ndarray, ParamDict]:
     """One flat copy of params (the flatten_params layout) and name->array
-    views into it, so writes through either side show in the other."""
-    vec, layout = flatten_params(params)
+    views into it, so writes through either side show in the other.
+
+    With lead > 0 every array shares that many leading axes (a stack of
+    models); the copy keeps them, with one flatten_params layout along its
+    last axis.
+    """
+    if not params:
+        return np.zeros(0), {}
+    layout = [(k, params[k].shape[lead:]) for k in sorted(params)]
+    shared = params[layout[0][0]].shape[:lead]
+    vec = np.concatenate([params[k].reshape(*shared, -1) for k, _ in layout],
+                         axis=-1)
     return vec, _views(vec, layout)
 
 
@@ -46,7 +56,7 @@ def _views(vec: np.ndarray, layout: list[tuple[str, tuple[int, ...]]]) -> ParamD
     off = 0
     for name, shape in layout:
         n = int(np.prod(shape)) if shape else 1
-        out[name] = vec[off : off + n].reshape(shape)
+        out[name] = vec[..., off : off + n].reshape(vec.shape[:-1] + shape)
         off += n
     return out
 

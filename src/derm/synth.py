@@ -71,10 +71,11 @@ class WorldConfig:
             raise InvalidRatesError("latent_dim must be even and >= 2")
         if self.days < 1:
             raise InvalidRatesError("days must be >= 1")
-        if self.noise_level < 0:
-            raise InvalidRatesError("noise_level must be >= 0")
-        if self.events_per_user <= 0:
-            raise InvalidRatesError("events_per_user must be > 0")
+        # written so that NaN fails too
+        if not (0 <= self.noise_level < np.inf):
+            raise InvalidRatesError("noise_level must be finite and >= 0")
+        if not (0 < self.events_per_user < np.inf):
+            raise InvalidRatesError("events_per_user must be finite and > 0")
 
     def task_subspace(self, task: str) -> slice:
         """Overlapping latent subspaces: each task sees 2/3 of the dimensions."""

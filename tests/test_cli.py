@@ -261,6 +261,16 @@ class TestConfigKeys:
         assert str(exc.value).startswith(
             f"line 4, column {len(key) + 4}: [{section}] {key}: expected ")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,key", sorted(
+        k for k, v in DEFAULT_VALUES.items() if isinstance(v, float)))
+    def test_non_finite_float_is_located(self, section, key, text):
+        with pytest.raises(ConfigParseError) as exc:
+            parse_config(f"# comment\n\n[{section}]\n{key} = {text}\n")
+        assert str(exc.value) == (
+            f"line 4, column {len(key) + 4}: [{section}] {key}: "
+            f"expected a finite number, got {text!r}")
+
 
 # ---------------------------------------------------------------------------
 # the pipeline surface
@@ -607,6 +617,18 @@ class TestCliErrors:
         _, err = run_cli(["generate", "-c", str(ini)], expect=1)
         assert "error: ConfigParse:" in err
         assert not (tmp_path / "run").exists()
+
+    def test_nan_world_float_fails_before_any_work(self, tmp_path):
+        cfg = small_config(tmp_path / "run")
+        text, n = re.subn(r"\nnoise_level = .*\n", "\nnoise_level = nan\n",
+                          emit_config(cfg))
+        assert n == 1
+        ini = tmp_path / "derm.ini"
+        ini.write_text(text)
+        _, err = run_cli(["generate", "-c", str(ini)], expect=1)
+        assert re.fullmatch(r"error: ConfigParse: .+: \[world\] noise_level: "
+                            r"expected a finite number, got 'nan'", err.strip())
+        assert not cfg.paths.world.exists()
 
     def test_missing_config_file(self, tmp_path):
         _, err = run_cli(["generate", "-c", str(tmp_path / "nope.ini")],

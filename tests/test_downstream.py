@@ -1,5 +1,7 @@
 """Metrics, the consumer model, and the sensitivity-experiment harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from derm.downstream import (
 )
 from derm.errors import (
     DegenerateLabelsError,
+    DivergedLossError,
     EmptyInputError,
     MissingBaselineError,
     ShapeMismatchError,
@@ -795,6 +798,141 @@ class TestTraining:
         assert rep.positives == int(feats.labels.sum())
         assert rep.roc_auc > 0.8
         assert 0.0 <= rep.pr_auc <= 1.0
+
+
+class TestStackedTraining:
+    """A stack of same-shape models trains each one exactly as a lone run."""
+
+    SEEDS = (3, 8)
+    MODEL = DownstreamConfig(projection_dim=4, num_experts=2, expert_hidden=5,
+                             expert_out=4, seq_dim=3)
+
+    def setup_method(self):
+        rng = np.random.default_rng(31)
+        zu = random_unit_rows(rng, 12, LATENT)
+        zp = random_unit_rows(rng, 16, LATENT)
+        by_day = noise_samples(2, range(1, 6), 13, zu, zp)
+        samples = [s for day in by_day.values() for s in day]
+        for i, s in enumerate(samples):
+            # histories of 0 to 5 ids; the first row's is empty
+            s.user.sequence["hist"] = list(rng.integers(0, 16, size=i % 6))
+        # 53 rows in minibatches of 13 leave a last minibatch of one row
+        self.train, self.test = samples[:53], samples[53:]
+        both = {("user", u): zu[u] for u in range(12)}
+        both.update({("pin", p): zp[p] for p in range(16)})
+        # the second arm's store misses two users and holds other vectors
+        other = {k: -2.0 * v[::-1] for k, v in both.items()
+                 if k not in {("user", 0), ("user", 5)}}
+        inputs = ("ctr-user", "ctr-pin")
+        self.arms = [
+            (replace(self.MODEL, derm_inputs=inputs),
+             {"ctr-upstream": fake_generation("ctr-upstream", both)}),
+            (replace(self.MODEL, derm_inputs=inputs),
+             {"ctr-upstream": fake_generation("ctr-upstream", other)}),
+        ]
+        self.tcfg = DownstreamTrainConfig(learning_rate=0.3, batch_size=13,
+                                          epochs=3)
+
+    def _stack(self, arms):
+        """The arms' stacked models, seeds innermost, and their features."""
+        feats = [build_features(self.train, cfg, gens) for cfg, gens in arms]
+        stacked = FeatureBatch(
+            feats[0].base, np.stack([f.derm for f in feats]),
+            np.stack([f.flags for f in feats]), feats[0].hist,
+            feats[0].hist_len, feats[0].labels,
+            arm=np.repeat(np.arange(len(arms)), len(self.SEEDS)))
+        stack = DownstreamModel.stack([
+            self._lone(cfg, feats[0], seed) for cfg, _ in arms
+            for seed in self.SEEDS])
+        return stack, stacked
+
+    def _lone(self, cfg, feats, seed):
+        return DownstreamModel(cfg, feats.base.shape[1], feats.derm.shape[-1],
+                               seq_vocab=16, seed=seed)
+
+    @pytest.mark.parametrize("derm", [True, False])
+    def test_each_model_matches_its_lone_run(self, derm):
+        arms = self.arms if derm else [(self.MODEL, {})]
+        stack, stacked = self._stack(arms)
+        assert stacked.hist_len.min() == 0
+        train_downstream(stack, stacked, self.tcfg, seeds=stack.seeds)
+        m = 0
+        for cfg, gens in arms:
+            feats = build_features(self.train, cfg, gens)
+            test_feats = build_features(self.test, cfg, gens)
+            for seed in self.SEEDS:
+                lone = self._lone(cfg, feats, seed)
+                train_downstream(lone, feats, replace(self.tcfg, seed=seed))
+                member = stack.member(m)
+                assert member.params.keys() == lone.params.keys()
+                for k in lone.params:
+                    assert np.array_equal(member.params[k], lone.params[k]), k
+                assert evaluate(member, test_feats) == evaluate(lone, test_feats)
+                m += 1
+
+    def test_experiment_rows_match_lone_runs(self):
+        gens = self.arms[0][1]
+        arms = [ArmSpec("baseline"), ArmSpec("user", ("ctr-user",), "h"),
+                ArmSpec("pin", ("ctr-pin",), "h"),
+                ArmSpec("both", ("ctr-user", "ctr-pin"), "h")]
+        tcfg = replace(self.tcfg, epochs=1)
+        result = run_sensitivity_experiment(
+            "ctr", arms, list(self.SEEDS), self.train, self.test, {"h": gens},
+            seq_vocab=16, model_cfg_base=self.MODEL, train_cfg=tcfg)
+        rows = iter(result.rows)
+        for arm in arms:
+            cfg = replace(self.MODEL, derm_inputs=arm.derm_inputs)
+            arm_gens = gens if arm.derm_inputs else {}
+            feats = build_features(self.train, cfg, arm_gens)
+            for seed in self.SEEDS:
+                lone = self._lone(cfg, feats, seed)
+                train_downstream(lone, feats, replace(tcfg, seed=seed))
+                report = evaluate(lone, build_features(self.test, cfg, arm_gens))
+                row = next(rows)
+                assert (row.arm, row.seed) == (arm.name, seed)
+                assert (row.roc_auc, row.pr_auc) == (report.roc_auc,
+                                                     report.pr_auc)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_divergence_names_the_model(self):
+        tcfg = replace(self.tcfg, learning_rate=1e40)
+        arms = self.arms[:1]
+        feats = build_features(self.train, *arms[0])
+        steps = []
+        for seed in self.SEEDS:
+            log = []
+            with pytest.raises(DivergedLossError):
+                train_downstream(self._lone(arms[0][0], feats, seed), feats,
+                                 replace(tcfg, seed=seed), loss_log=log)
+            steps.append(len(log))
+        # the stack stops where its first model to diverge alone does: here
+        # the second one, a step before the first
+        assert steps == [2, 1]
+        stack, stacked = self._stack(arms)
+        with pytest.raises(DivergedLossError) as exc:
+            train_downstream(stack, stacked, tcfg, seeds=stack.seeds)
+        assert str(exc.value) == ("non-finite downstream loss at epoch 0 in "
+                                  "model 1 (seed 8)")
+
+    def test_member_keeps_its_config_and_seed(self):
+        gens = self.arms[0][1]
+        cfgs = [replace(self.MODEL, derm_inputs=(name,))
+                for name in ("ctr-user", "ctr-pin")]
+        feats = build_features(self.train, cfgs[0], gens)
+        stack = DownstreamModel.stack([self._lone(cfg, feats, seed)
+                                       for cfg, seed in zip(cfgs, self.SEEDS)])
+        assert stack.seeds == self.SEEDS
+        for m, cfg in enumerate(cfgs):
+            member = stack.member(m)
+            assert (member.cfg, member.seeds) == (cfg, (self.SEEDS[m],))
+            member.params["head/b"][0] = 1.5 + m
+        assert stack.params["head/b"].tolist() == [[1.5], [2.5]]
+
+    def test_unequal_shapes_do_not_stack(self):
+        feats = build_features(self.train, *self.arms[0])
+        with pytest.raises(ShapeMismatchError):
+            DownstreamModel.stack([self._lone(self.arms[0][0], feats, 0),
+                                   self._lone(self.MODEL, feats, 0)])
 
 
 # ---------------------------------------------------------------------------

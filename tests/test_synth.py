@@ -37,6 +37,12 @@ class TestConfigValidation:
         with pytest.raises(InvalidRatesError):
             small_cfg(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field", ["noise_level", "events_per_user"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InvalidRatesError):
+            small_cfg(**{field: value}).validate()
+
     def test_conversion_must_be_sparser(self):
         with pytest.raises(InvalidRatesError):
             small_cfg(click_rate=0.2, conversion_rate=0.2).validate()

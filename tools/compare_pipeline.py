@@ -10,9 +10,10 @@ PYTHONPATH=<root>/src:
   infer --day 15..17, aggregate, publish; then train-downstream and the
   heuristics and inputs experiment grids.
 It then compares every file under run/ and each command's stdout, prints
-one `DIFF <what>` line per difference, a summary line and each tree's count
-of non-blank lines in src/derm/*.py, and exits 1 if anything differs (2 if a
-command fails).
+one `DIFF <what>` line per difference, a summary line, one line per command
+with its wall seconds in each tree (for information only) and each tree's
+count of non-blank lines in src/derm/*.py, and exits 1 if anything differs
+(2 if a command fails).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 INPUTS_INI = "inputs.ini"
@@ -44,13 +46,18 @@ def src_lines(root: Path) -> int:
                for line in p.read_text().split("\n") if line.strip())
 
 
-def run_tree(root: Path, work: Path) -> tuple[dict[str, bytes], dict[str, str]]:
-    """(run/ file bytes by relative path, stdout by command) for one tree."""
+def run_tree(root: Path, work: Path
+             ) -> tuple[dict[str, bytes], dict[str, str], dict[str, float]]:
+    """(run/ file bytes by relative path, stdout by command, wall seconds
+    by command) for one tree."""
     env = {**os.environ, "PYTHONPATH": str(root.resolve() / "src")}
+    walls: dict[str, float] = {}
 
     def derm(args: list[str]) -> str:
+        start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "derm.cli", *args],
                               cwd=work, env=env, capture_output=True, text=True)
+        walls[" ".join(args)] = time.perf_counter() - start
         if proc.returncode != 0:
             print(f"{root}: derm {' '.join(args)} failed:\n{proc.stderr}",
                   file=sys.stderr)
@@ -64,7 +71,7 @@ def run_tree(root: Path, work: Path) -> tuple[dict[str, bytes], dict[str, str]]:
     stdouts = {" ".join(args): derm(args) for args in commands()}
     files = {str(p.relative_to(work)): p.read_bytes()
              for p in sorted((work / "run").rglob("*")) if p.is_file()}
-    return files, stdouts
+    return files, stdouts, walls
 
 
 def main(argv: list[str]) -> int:
@@ -76,7 +83,7 @@ def main(argv: list[str]) -> int:
         with tempfile.TemporaryDirectory(prefix="derm-compare-") as tmp:
             print(f"running the pipeline on {root}", flush=True)
             results.append(run_tree(root, Path(tmp)))
-    (files_a, out_a), (files_b, out_b) = results
+    (files_a, out_a, wall_a), (files_b, out_b, wall_b) = results
     file_diffs = [p for p in sorted(files_a.keys() | files_b.keys())
                   if files_a.get(p) != files_b.get(p)]
     out_diffs = [c for c in out_a if out_a[c] != out_b[c]]
@@ -87,6 +94,10 @@ def main(argv: list[str]) -> int:
     total = len(files_a.keys() | files_b.keys())
     print(f"{len(file_diffs)} of {total} files differ; "
           f"{len(out_diffs)} of {len(out_a)} stdouts differ")
+    print(f"wall seconds per command, {argv[0]} then {argv[1]} "
+          "(informational):")
+    for cmd in out_a:
+        print(f"  {wall_a[cmd]:7.2f} s  {wall_b[cmd]:7.2f} s  derm {cmd}")
     parent, change = (src_lines(Path(root)) for root in argv)
     print(f"non-blank src/ lines: {parent} in {argv[0]}, {change} in "
           f"{argv[1]} ({change - parent:+d})")
