@@ -286,7 +286,6 @@ class DownstreamModel:
         self.derm_dim = derm_dim
         self.seq_vocab = seq_vocab
         self.seeds = (seed,)
-        self.stacked = False
         self.has_derm = bool(cfg.derm_inputs)
         if self.has_derm:
             self.proj_dim = cfg.projection_dim or derm_dim
@@ -299,20 +298,27 @@ class DownstreamModel:
             self.concat_dim += cfg.seq_dim
         self.params = self._init_params(seed)
 
+    @property
+    def stacked(self) -> bool:
+        """Whether the parameters carry a leading model axis."""
+        return self.params["head/b"].ndim == 2
+
+    @property
+    def shapes(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """Each parameter's name and shape: models stack when these match."""
+        return tuple((k, v.shape) for k, v in sorted(self.params.items()))
+
     @classmethod
     def stack(cls, models: list["DownstreamModel"]) -> "DownstreamModel":
         """One model whose parameters are the given models' stacked on a
-        leading model axis, in order. It runs with the first one's config
-        (equal shapes make the others' equivalent) and keeps all configs
-        and seeds."""
+        leading model axis, in order, and which keeps their seeds. It runs
+        with the first one's config: equal shapes make the others'
+        equivalent, as forward and backward read no input names."""
         first = models[0]
-        shapes = [{k: v.shape for k, v in m.params.items()} for m in models]
-        if any(shape != shapes[0] for shape in shapes):
+        if any(m.shapes != first.shapes for m in models):
             raise ShapeMismatchError("only models with equal parameter "
                                      "shapes can be stacked")
         out = copy.copy(first)
-        out.stacked = True
-        out.cfgs = tuple(m.cfg for m in models)
         out.seeds = tuple(m.seeds[0] for m in models)
         out.params = {k: np.stack([m.params[k] for m in models])
                       for k in first.params}
@@ -322,8 +328,6 @@ class DownstreamModel:
         """Model m of a stack, as a model without the model axis whose
         parameters view the stack's."""
         out = copy.copy(self)
-        out.stacked = False
-        out.cfg = self.cfgs[m]
         out.seeds = (self.seeds[m],)
         out.params = {k: v[m] for k, v in self.params.items()}
         return out
@@ -521,8 +525,7 @@ class DownstreamTrainConfig:
 
 def train_downstream(model: DownstreamModel, features: FeatureBatch,
                      cfg: DownstreamTrainConfig,
-                     loss_log: list | None = None,
-                     seeds: tuple[int, ...] | None = None) -> None:
+                     loss_log: list | None = None) -> None:
     """Minibatch momentum SGD on BCE; deterministic given (features, seeds).
 
     The learning rate decays linearly to a tenth of its starting value over
@@ -532,10 +535,10 @@ def train_downstream(model: DownstreamModel, features: FeatureBatch,
     forward pass until it overflows.
 
     A stacked model trains all its models in one loop, and each ends exactly
-    as it would alone. Model m shuffles the rows with seeds[m] (cfg.seed for
-    every model when seeds is None), reads its own arm's derm and flags
-    blocks when features.arm is set, and clips by its own global norm. An
-    unstacked model trains as a stack of one.
+    as it would alone. Model m shuffles the rows with its own seed,
+    model.seeds[m], reads its own arm's derm and flags blocks when
+    features.arm is set, and clips by its own global norm. An unstacked
+    model trains as a stack of one that shuffles with cfg.seed.
 
     The parameters become views of one flat (M, P) f64 buffer, one row per
     model, and the gradients views of another, so each step's clipping,
@@ -547,10 +550,7 @@ def train_downstream(model: DownstreamModel, features: FeatureBatch,
     if n == 0:
         raise EmptyInputError("no training features")
     stack = model if model.stacked else DownstreamModel.stack([model])
-    seeds = tuple(seeds) if seeds is not None else (cfg.seed,) * len(stack.seeds)
-    if len(seeds) != len(stack.seeds):
-        raise ShapeMismatchError(f"{len(seeds)} shuffle seeds for a stack of "
-                                 f"{len(stack.seeds)} models")
+    seeds = stack.seeds if model.stacked else (cfg.seed,)
     flat, stack.params = flat_views(stack.params, lead=1)
     gflat, grads = flat_views(zeros_like_params(stack.params), lead=1)
     velocity = np.zeros_like(flat)
@@ -678,25 +678,29 @@ def run_sensitivity_experiment(
         return (replace(base_cfg, task=task, derm_inputs=arm.derm_inputs),
                 generations_by_heuristic.get(arm.heuristic_label, {}))
 
-    # arms whose models have equal parameter shapes (the same number of
-    # inputs, of the same total width) train their seeds as one stack
-    groups: dict[tuple[int, int], list[ArmSpec]] = {}
+    def arm_models(arm: ArmSpec) -> list[DownstreamModel]:
+        """The arm's models, one per seed, each drawn as a lone run draws
+        it; one featurized row gives their input widths."""
+        cfg, gens = arm_inputs(arm)
+        row = build_features(train_samples[:1], cfg, gens)
+        return [DownstreamModel(cfg, row.base.shape[1], row.derm.shape[1],
+                                seq_vocab, seed=seed) for seed in seeds]
+
+    # arms whose models have equal parameter shapes train as one stack
+    groups: dict[tuple, list[tuple[ArmSpec, list[DownstreamModel]]]] = {}
     for arm in arms:
-        gens = arm_inputs(arm)[1]
-        width = sum(gens[DERM_INPUTS[name][0]].dim for name in arm.derm_inputs)
-        groups.setdefault((len(arm.derm_inputs), width), []).append(arm)
+        models = arm_models(arm)
+        groups.setdefault(models[0].shapes, []).append((arm, models))
 
     results: dict[tuple[str, int], ArmResult] = {}
     for group in groups.values():
         feats = _stacked_features(train_samples,
-                                  [arm_inputs(arm) for arm in group], len(seeds))
-        # each model drawn as a lone run draws it, then stacked
-        stack = DownstreamModel.stack([
-            DownstreamModel(arm_inputs(arm)[0], feats.base.shape[1],
-                            feats.derm.shape[-1], seq_vocab, seed=seed)
-            for arm in group for seed in seeds])
-        train_downstream(stack, feats, tcfg, seeds=stack.seeds)
-        for a, arm in enumerate(group):
+                                  [arm_inputs(arm) for arm, _ in group],
+                                  len(seeds))
+        stack = DownstreamModel.stack([m for _, models in group
+                                       for m in models])
+        train_downstream(stack, feats, tcfg)
+        for a, (arm, _) in enumerate(group):
             test_feats = build_features(test_samples, *arm_inputs(arm))
             for i, seed in enumerate(seeds):
                 report = evaluate(stack.member(a * len(seeds) + i), test_feats)

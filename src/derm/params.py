@@ -23,11 +23,7 @@ def clone_params(params: ParamDict) -> ParamDict:
 
 def flatten_params(params: ParamDict) -> tuple[np.ndarray, list[tuple[str, tuple[int, ...]]]]:
     """Concatenate all arrays (sorted by key) into one 1-D vector."""
-    layout = [(k, params[k].shape) for k in sorted(params)]
-    if not layout:
-        return np.zeros(0), layout
-    vec = np.concatenate([params[k].ravel() for k, _ in layout])
-    return vec, layout
+    return flat_views(params)[0], _layout(params)
 
 
 def flat_views(params: ParamDict, lead: int = 0) -> tuple[np.ndarray, ParamDict]:
@@ -40,7 +36,7 @@ def flat_views(params: ParamDict, lead: int = 0) -> tuple[np.ndarray, ParamDict]
     """
     if not params:
         return np.zeros(0), {}
-    layout = [(k, params[k].shape[lead:]) for k in sorted(params)]
+    layout = _layout(params, lead)
     shared = params[layout[0][0]].shape[:lead]
     vec = np.concatenate([params[k].reshape(*shared, -1) for k, _ in layout],
                          axis=-1)
@@ -49,6 +45,11 @@ def flat_views(params: ParamDict, lead: int = 0) -> tuple[np.ndarray, ParamDict]
 
 def unflatten_params(vec: np.ndarray, layout: list[tuple[str, tuple[int, ...]]]) -> ParamDict:
     return {k: np.array(v, dtype=np.float64) for k, v in _views(vec, layout).items()}
+
+
+def _layout(params: ParamDict, lead: int = 0) -> list[tuple[str, tuple[int, ...]]]:
+    """Each array's name and shape after its first lead axes, sorted by name."""
+    return [(k, params[k].shape[lead:]) for k in sorted(params)]
 
 
 def _views(vec: np.ndarray, layout: list[tuple[str, tuple[int, ...]]]) -> ParamDict:
