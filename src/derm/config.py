@@ -204,11 +204,16 @@ class PipelineConfig:
         for key in ("batch_size", "epochs"):
             if getattr(ds, key) < 1:
                 fail("downstream", key, "must be >= 1")
+        if not (0 <= ds.seed < 2**64):
+            fail("downstream", "seed", f"{ds.seed} must lie in [0, 2**64)")
         ex = self.experiment
         if ex.grid not in ("heuristics", "inputs"):
             fail("experiment", "grid", f"must be heuristics or inputs, got {ex.grid!r}")
         if ex.task not in UPSTREAM_MODELS:
             fail("experiment", "task", f"unknown task {ex.task!r}")
+        seeds = ex.seeds
+        if len(set(seeds)) < len(seeds) or not all(0 <= s < 2**64 for s in seeds):
+            fail("experiment", "seeds", f"must be distinct, in [0, 2**64), got {seeds}")
         for h in ex.heuristics:
             h.validate()
         labels = [h.label for h in ex.heuristics]

@@ -1,10 +1,15 @@
 """Sealed binary files, the one codec behind every derm artifact.
 
 Day files, snapshots, daily embeddings, generations and the aggregated
-state are sealed: little-endian, a header that starts with a four-byte
-magic and a u32 format version, a payload, and a CRC-64 trailer over all of
-it. `SealedFormat.pack` returns the complete file; `SealedFormat.unpack`
-checks truncation, checksum, magic and version, raising the format's error.
+state are sealed, little-endian:
+
+  header   {magic 4s, format_version u32, the format's own fields}
+  payload  numpy record tables, back to back; the header gives every count
+  trailer  CRC-64 of everything above
+
+`SealedFormat.pack` returns the complete file. `SealedFormat.unpack` checks
+truncation, checksum, magic and version, then reads the tables, which must
+fill the payload exactly, raising the format's error.
 
 `write_atomic` writes `<path>.<random>.tmp` in the same directory, fsyncs
 it, then renames it over `path`, so a crash leaves the old file or the new one,
@@ -15,10 +20,13 @@ instead, so it never replaces an existing file.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DermError, IoFailureError
 
@@ -56,27 +64,38 @@ class SealedFormat:
     header: str
     error: type[DermError] = IoFailureError
 
-    def pack(self, fields: tuple, *payload: bytes) -> bytes:
-        """The complete file: header, payload, CRC-64 trailer."""
+    def pack(self, fields: tuple, *payload) -> bytes:
+        """The complete file: header, payload (bytes or contiguous arrays),
+        CRC-64 trailer."""
         body = b"".join([struct.pack(self.header, self.magic, self.version,
                                      *fields), *payload])
         return body + struct.pack("<Q", crc64(body))
 
-    def unpack(self, blob: bytes, what: str) -> tuple[tuple, bytes, int]:
-        """Check a complete file; returns (header fields after the version,
-        the file less its trailer, the offset of the payload in it)."""
-        head = struct.calcsize(self.header)
-        if len(blob) < head + 8:
+    def unpack(self, blob: bytes, what: str, tables) -> tuple[tuple, list]:
+        """Check a complete file; returns (the header fields after the version,
+        one read-only array per (row dtype, count) of tables(*fields))."""
+        if len(blob) < 16:
             raise self.error(f"{what} is truncated")
         body, (stored,) = blob[:-8], struct.unpack("<Q", blob[-8:])
         if crc64(body) != stored:
             raise self.error(f"{what} fails its checksum")
-        magic, version, *fields = struct.unpack_from(self.header, body)
+        magic, version = struct.unpack_from("<4sI", body)
         if magic != self.magic:
             raise self.error(f"{what} has wrong magic {magic!r}")
         if version != self.version:
             raise self.error(f"{what} has unsupported version {version}")
-        return tuple(fields), body, head
+        try:
+            fields = struct.unpack_from(self.header, body)[2:]
+            layout = [(np.dtype(dtype), count) for dtype, count in tables(*fields)]
+        except (struct.error, ValueError, TypeError) as e:
+            raise self.error(f"{what} has a malformed header: {e}") from e
+        offsets = list(itertools.accumulate([n * dtype.itemsize for dtype, n in layout],
+                                            initial=struct.calcsize(self.header)))
+        if len(body) != offsets[-1]:
+            raise self.error(f"{what} declares {offsets[-1]} bytes before its trailer "
+                             f"but holds {len(body)}")
+        return fields, [np.frombuffer(body, dtype, count, off)
+                        for (dtype, count), off in zip(layout, offsets)]
 
 
 def write_atomic(path, blob: bytes) -> None:

@@ -44,7 +44,7 @@ from .errors import (
     DimInconsistentError,
     IoFailureError,
 )
-# crc64 stays importable from here for existing callers
+# crc64 stays importable from here: perfbench's patcher test wraps it here
 from .ioutil import SealedFormat, crc64, read_file, write_atomic, write_new  # noqa: F401
 from .lifecycle import (
     AggregatedStoreState,
@@ -119,42 +119,29 @@ def _dim_of(vectors) -> int:
     return dims.pop() if dims else 0
 
 
+def _row_type(key, vec: str, dim: int) -> np.dtype:
+    return np.dtype([*key, ("vec", vec, (dim,))])
+
+
 def _rows(key, vec: str, dim: int, vectors: dict) -> np.ndarray:
     """One row per key tuple, sorted by key; vectors are cast to vec."""
-    keys = sorted(vectors)
-    rows = np.zeros(len(keys), [*key, ("vec", vec, (dim,))])
-    for (name, _), column in zip(key, zip(*keys)):
-        rows[name] = column
-    if keys:
-        rows["vec"] = [vectors[k] for k in keys]
-    return rows
+    return np.array([(*k, vectors[k]) for k in sorted(vectors)],
+                    _row_type(key, vec, dim))
 
 
-def _read_rows(body: bytes, off: int, dim: int, what: str, error,
-               *tables) -> list[np.ndarray]:
-    """Consecutive tables of (key, vec type, count) that fill body exactly
-    from off; every row must have a known kind."""
-    dtypes = [np.dtype([*key, ("vec", vec, (dim,))]) for key, vec, _ in tables]
-    counts = [count for _, _, count in tables]
-    if len(body) != off + sum(c * t.itemsize for c, t in zip(counts, dtypes)):
-        raise error(f"{what} declares {sum(counts)} records of dim {dim} "
-                    "but its size disagrees")
-    out = []
-    for dtype, count in zip(dtypes, counts):
-        rows = np.frombuffer(body, dtype, count, off)
-        off += rows.nbytes
+def _check_kinds(what: str, error, *tables: np.ndarray) -> None:
+    for rows in tables:
         unknown = np.setdiff1d(rows["kind"], list(KIND_NAMES))
         if unknown.size:
             raise error(f"{what} has unknown kind {unknown[0]}")
-        out.append(rows)
-    return out
 
 
-def _generation(day: int, dim: int, rows: np.ndarray) -> StoreGeneration:
+def _generation(day: int, rows: np.ndarray) -> StoreGeneration:
     """Rows back the vectors: one aligned copy of the vector column."""
     keys = zip(rows["kind"].tolist(), rows["id"].tolist(),
                rows["source"].tolist())
-    return StoreGeneration(day, dim, dict(zip(keys, np.array(rows["vec"]))))
+    return StoreGeneration(day, rows.dtype["vec"].shape[0],
+                           dict(zip(keys, np.array(rows["vec"]))))
 
 
 def _entity_keys(rows: np.ndarray) -> list[EntityKey]:
@@ -166,17 +153,20 @@ def _entity_keys(rows: np.ndarray) -> list[EntityKey]:
 # generations and daily embedding files
 
 
+def _generation_file(day: int, rows: np.ndarray) -> bytes:
+    return GENERATION.pack((rows.dtype["vec"].shape[0], len(rows), day), rows)
+
+
 def generation_bytes(day: int, dim: int,
                      vectors: dict[tuple[int, int, int], np.ndarray]) -> bytes:
-    rows = _rows(_GENERATION_KEY, "<f4", dim, vectors)
-    return GENERATION.pack((dim, len(rows), day), rows.tobytes())
+    return _generation_file(day, _rows(_GENERATION_KEY, "<f4", dim, vectors))
 
 
 def parse_generation(blob: bytes, what: str = "generation") -> StoreGeneration:
-    (dim, count, day), body, off = GENERATION.unpack(blob, what)
-    (rows,) = _read_rows(body, off, dim, what, CorruptGenerationError,
-                         (_GENERATION_KEY, "<f4", count))
-    return _generation(day, dim, rows)
+    (_, _, day), (rows,) = GENERATION.unpack(blob, what, lambda dim, count, _: [
+        (_row_type(_GENERATION_KEY, "<f4", dim), count)])
+    _check_kinds(what, CorruptGenerationError, rows)
+    return _generation(day, rows)
 
 
 def load_generation(path) -> StoreGeneration:
@@ -184,33 +174,31 @@ def load_generation(path) -> StoreGeneration:
     return parse_generation(read_file(path, what), what)
 
 
-def _keyed_generation(day: int, vectors: dict[EntityKey, np.ndarray],
-                     source: str) -> StoreGeneration:
-    """Vectors keyed by (kind, id) as a generation file of them holds them."""
+def _keyed_rows(vectors: dict[EntityKey, np.ndarray], source: str) -> np.ndarray:
+    """Generation rows of vectors keyed by (kind, id)."""
     src = source_code(source)
-    packed = {(KIND_CODES[kind], entity_id, src): v
-              for (kind, entity_id), v in vectors.items()}
-    dim = _dim_of(packed.values())
-    return _generation(day, dim, _rows(_GENERATION_KEY, "<f4", dim, packed))
+    return _rows(_GENERATION_KEY, "<f4", _dim_of(vectors.values()),
+                 {(KIND_CODES[kind], i, src): v for (kind, i), v in vectors.items()})
+
+
+def _state_rows(state: AggregatedStoreState, source: str) -> np.ndarray:
+    return _keyed_rows({k: e.vector for k, e in state.entries.items()}, source)
 
 
 def state_generation(state: AggregatedStoreState,
                      source: str) -> StoreGeneration:
     """The generation a publish of this state serves."""
-    return _keyed_generation(
-        state.day, {k: e.vector for k, e in state.entries.items()}, source)
+    return _generation(state.day, _state_rows(state, source))
 
 
 def state_payload(state: AggregatedStoreState, day: int, source: str) -> bytes:
     """The exact generation-file bytes a publish of this state would write."""
-    gen = state_generation(state, source)
-    return generation_bytes(day, gen.dim, gen.vectors)
+    return _generation_file(day, _state_rows(state, source))
 
 
 def save_daily(daily: DailyEmbeddingSet, path, source: str) -> None:
-    gen = _keyed_generation(
-        daily.day, {k: r.vector for k, r in daily.records.items()}, source)
-    write_atomic(path, generation_bytes(gen.day, gen.dim, gen.vectors))
+    rows = _keyed_rows({k: r.vector for k, r in daily.records.items()}, source)
+    write_atomic(path, _generation_file(daily.day, rows))
 
 
 def load_daily(path, source: str) -> DailyEmbeddingSet:
@@ -274,20 +262,21 @@ def save_state(state: AggregatedStoreState, dir_path, source: str) -> None:
     header = (state.day, h.kind.encode("ascii"), h.w,
               source_code(source), dim, len(entries), len(buffered))
     write_atomic(Path(dir_path) / STATE_FILE, STATE.pack(
-        header, _rows(_ENTRY_KEY, "<f8", dim, entries).tobytes(),
-        _rows(_ENTITY_KEY, "<f8", dim, buffered).tobytes()))
+        header, _rows(_ENTRY_KEY, "<f8", dim, entries),
+        _rows(_ENTITY_KEY, "<f8", dim, buffered)))
 
 
 def load_state(dir_path) -> AggregatedStoreState:
     path = Path(dir_path) / STATE_FILE
     what = f"state {path}"
-    (day, kind, w, _, dim, count, buffered), body, off = \
-        STATE.unpack(read_file(path, what), what)
+    (day, kind, w, _, _, _, _), (entries, buffer) = STATE.unpack(
+        read_file(path, what), what,
+        lambda day, kind, w, src, dim, count, buffered: [
+            (_row_type(_ENTRY_KEY, "<f8", dim), count),
+            (_row_type(_ENTITY_KEY, "<f8", dim), buffered)])
     heuristic = AggregationHeuristic(kind.rstrip(b"\0").decode("latin-1"), w)
     heuristic.validate()
-    entries, buffer = _read_rows(body, off, dim, what, IoFailureError,
-                                 (_ENTRY_KEY, "<f8", count),
-                                 (_ENTITY_KEY, "<f8", buffered))
+    _check_kinds(what, IoFailureError, entries, buffer)
     return AggregatedStoreState(
         day, heuristic,
         {key: StoreEntry(vec, last) for key, last, vec in zip(

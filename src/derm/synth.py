@@ -11,12 +11,21 @@ is what carry-over aggregation and back inference later have to deal with.
 
 Every draw comes from a generator seeded by (seed, stream tag, ...indices),
 so any day can be regenerated independently and bit-identically.
+
+A day file is sealed (see ioutil), little-endian:
+
+  header   {magic "DDAY", format_version u32 (2), day u32, count u32,
+            profile_dim u32, attrs_dim u32, hist_total u64}
+  events   count * {user u32, pin u32, event_seq u32, click u8, conversion u8,
+           hour f64, profile f64[profile_dim], attrs f64[attrs_dim], hist_len u16}
+  history  hist_total u32 pin ids, each event's hist_len ids in event order
+  trailer  CRC-64 of everything above
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,8 +34,7 @@ from .data import KIND_CODES, PIN, USER, FeatureBundle, TrainingSample
 from .errors import EmptyInputError, InvalidRatesError, IoFailureError
 from .ioutil import SealedFormat, read_file, write_atomic
 
-DAY_VERSION = 1
-DAY_FILE = SealedFormat(b"DDAY", DAY_VERSION, "<4sIII")
+DAY_FILE = SealedFormat(b"DDAY", 2, "<4sIIIIIQ")
 
 CLICK = "click"
 CONVERSION = "conversion"
@@ -76,6 +84,8 @@ class WorldConfig:
             raise InvalidRatesError("noise_level must be finite and >= 0")
         if not (0 < self.events_per_user < np.inf):
             raise InvalidRatesError("events_per_user must be finite and > 0")
+        if not (0 <= self.seed < 2**64):
+            raise InvalidRatesError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     def task_subspace(self, task: str) -> slice:
         """Overlapping latent subspaces: each task sees 2/3 of the dimensions."""
@@ -159,6 +169,17 @@ def _label(world: World, task: str, user_id: int, pin_id: int,
     return int(rng.uniform() < p)
 
 
+def _sample(day: int, user: int, pin: int, seq: int, click: int, conversion: int,
+            hour: np.ndarray, profile: np.ndarray, attrs: np.ndarray, hist: list[int]):
+    return TrainingSample(
+        user_id=user, pin_id=pin, day=day, event_seq=seq,
+        user=FeatureBundle(dense={"profile": profile}, categorical={"uid": user},
+                           sequence={"hist": hist}),
+        pin=FeatureBundle(dense={"attrs": attrs}, categorical={"pid": pin}),
+        context=FeatureBundle(dense={"hour": hour}),
+        labels={CLICK: click, CONVERSION: conversion})
+
+
 def generate_day(world: World, day: int,
                  history: dict[int, list[int]] | None = None) -> list[TrainingSample]:
     """All events for one day, with both task labels on every sample.
@@ -182,23 +203,11 @@ def generate_day(world: World, day: int,
             hour = float(rng.uniform(-1.0, 1.0))
             jit_u = rng.normal(size=cfg.latent_dim)
             jit_p = rng.normal(size=cfg.latent_dim)
-            samples.append(TrainingSample(
-                user_id=u,
-                pin_id=p,
-                day=day,
-                event_seq=seq,
-                user=FeatureBundle(
-                    dense={"profile": world.observe(USER, u, day, jit_u)},
-                    categorical={"uid": u},
-                    sequence={"hist": list(history.get(u, [])[-HISTORY_LEN:])},
-                ),
-                pin=FeatureBundle(
-                    dense={"attrs": world.observe(PIN, p, day, jit_p)},
-                    categorical={"pid": p},
-                ),
-                context=FeatureBundle(dense={"hour": np.array([hour])}),
-                labels={CLICK: click, CONVERSION: conv},
-            ))
+            samples.append(_sample(
+                day, u, p, seq, click, conv, np.array([hour]),
+                world.observe(USER, u, day, jit_u),
+                world.observe(PIN, p, day, jit_p),
+                list(history.get(u, [])[-HISTORY_LEN:])))
             seq += 1
     return samples
 
@@ -262,52 +271,43 @@ def oracle_auc_bound(cfg: WorldConfig, task: str,
 # day-partitioned dataset files
 
 
+def _event_type(profile_dim: int, attrs_dim: int) -> np.dtype:
+    return np.dtype([("user", "<u4"), ("pin", "<u4"), ("event_seq", "<u4"),
+                     ("click", "u1"), ("conversion", "u1"), ("hour", "<f8"),
+                     ("profile", "<f8", (profile_dim,)), ("attrs", "<f8", (attrs_dim,)),
+                     ("hist_len", "<u2")])
+
+
 def day_file_bytes(day: int, samples: list[TrainingSample]) -> bytes:
-    parts = []
-    for s in samples:
-        parts.append(struct.pack("<IIIBB", s.user_id, s.pin_id, s.event_seq,
-                                 s.labels[CLICK], s.labels[CONVERSION]))
-        parts.append(struct.pack("<d", float(s.context.dense["hour"][0])))
-        for vec in (s.user.dense["profile"], s.pin.dense["attrs"]):
-            parts.append(struct.pack("<H", len(vec)))
-            parts.append(np.ascontiguousarray(vec, dtype="<f8").tobytes())
-        hist = s.user.sequence.get("hist", [])
-        parts.append(struct.pack("<H", len(hist)))
-        parts.append(struct.pack(f"<{len(hist)}I", *hist))
-    return DAY_FILE.pack((day, len(samples)), *parts)
+    hists = [s.user.sequence.get("hist", []) for s in samples]
+    dims = (len(samples[0].user.dense["profile"]),
+            len(samples[0].pin.dense["attrs"])) if samples else (0, 0)
+    events = np.array([(s.user_id, s.pin_id, s.event_seq, s.labels[CLICK],
+                        s.labels[CONVERSION], s.context.dense["hour"][0],
+                        s.user.dense["profile"], s.pin.dense["attrs"], len(h))
+                       for s, h in zip(samples, hists)], _event_type(*dims))
+    history = np.array([pin for h in hists for pin in h], "<u4")
+    return DAY_FILE.pack((day, len(events), *dims, len(history)), events, history)
 
 
 def parse_day_file(blob: bytes,
                    what="day file") -> tuple[int, list[TrainingSample]]:
-    (day, count), body, off = DAY_FILE.unpack(blob, what)
-    samples = []
-    for _ in range(count):
-        u, p, seq, click, conv = struct.unpack_from("<IIIBB", body, off)
-        off += struct.calcsize("<IIIBB")
-        (hour,) = struct.unpack_from("<d", body, off)
-        off += 8
-        vecs = []
-        for _ in range(2):
-            (dim,) = struct.unpack_from("<H", body, off)
-            off += 2
-            vecs.append(np.frombuffer(body, dtype="<f8", count=dim,
-                                      offset=off).astype(np.float64))
-            off += 8 * dim
-        (hlen,) = struct.unpack_from("<H", body, off)
-        off += 2
-        hist = list(struct.unpack_from(f"<{hlen}I", body, off))
-        off += 4 * hlen
-        samples.append(TrainingSample(
-            user_id=u, pin_id=p, day=day, event_seq=seq,
-            user=FeatureBundle(dense={"profile": vecs[0]},
-                               categorical={"uid": u},
-                               sequence={"hist": hist}),
-            pin=FeatureBundle(dense={"attrs": vecs[1]},
-                              categorical={"pid": p}),
-            context=FeatureBundle(dense={"hour": np.array([hour])}),
-            labels={CLICK: click, CONVERSION: conv},
-        ))
-    return day, samples
+    """The day and its samples, whose dense vectors view one copy of each column."""
+    (day, *_, hist_total), (events, history) = DAY_FILE.unpack(
+        blob, what, lambda day, count, profile_dim, attrs_dim, hist_total: [
+            (_event_type(profile_dim, attrs_dim), count), ("<u4", hist_total)])
+    lens = events["hist_len"].tolist()
+    if sum(lens) != hist_total:
+        raise IoFailureError(
+            f"{what} declares {hist_total} history ids but its events hold {sum(lens)}")
+    history = history.tolist()
+    columns = [events[name].tolist()
+               for name in ("user", "pin", "event_seq", "click", "conversion")]
+    dense = [np.array(events[name]) for name in ("profile", "attrs")]
+    return day, [
+        _sample(day, *row, history[end - n:end]) for *row, n, end in zip(
+            *columns, np.array(events["hour"])[:, None], *dense, lens,
+            itertools.accumulate(lens))]
 
 
 def day_file_name(day: int) -> str:
@@ -323,7 +323,7 @@ def write_world_files(out_dir, cfg: WorldConfig) -> dict:
     for day, samples in sorted(data.items()):
         write_atomic(out_dir / day_file_name(day), day_file_bytes(day, samples))
     manifest = {
-        "format_version": DAY_VERSION,
+        "format_version": DAY_FILE.version,
         "config": asdict(cfg),
         "event_counts": {str(d): len(data[d]) for d in sorted(data)},
         "positive_rates": positive_rates(data),
@@ -355,6 +355,8 @@ def load_world_files(world_dir, days=None
         wanted = sorted(set(days).intersection(wanted))
     data = {}
     for day in wanted:
-        d, samples = load_day_samples(world_dir / day_file_name(day))
-        data[d] = samples
+        path = world_dir / day_file_name(day)
+        found, data[day] = load_day_samples(path)
+        if found != day:
+            raise IoFailureError(f"day file {path} holds day {found}, not day {day}")
     return cfg, data

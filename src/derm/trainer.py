@@ -8,11 +8,22 @@ from a snapshot, and advances the watermark by one.
 Determinism contract: every batch order and every negative draw comes from a
 generator seeded by (rng_seed, day, epoch), so a run resumed from a snapshot
 replays the same streams as an uninterrupted run, bit for bit.
+
+A snapshot file is sealed (see ioutil), little-endian:
+
+  header    {magic "DSNP", format_version u32 (2), watermark_day u32,
+             rng_seed u64, arrays u32, name_width u32, dims u32, size u64}
+  layout    arrays * {name utf-8 NUL-padded to name_width, ndim u8}, by name
+  dims      dims u32, each array's shape in layout order
+  params    size f64, the arrays flattened in layout order
+  velocity  size f64, the momentum buffer in the same layout
+  trailer   CRC-64 of everything above
 """
 
 from __future__ import annotations
 
-import struct
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +35,7 @@ from .errors import (
     IoFailureError,
     WatermarkGapError,
 )
-# crc64 stays importable from here for existing callers
+# crc64 stays importable from here: perfbench's patcher test wraps it here
 from .ioutil import SealedFormat, crc64, read_file, write_atomic  # noqa: F401
 from .objectives import (
     CONTRASTIVE,
@@ -34,7 +45,8 @@ from .objectives import (
     estimate_batch_frequencies,
     sampled_softmax_loss,
 )
-from .params import ParamDict, clone_params, flat_views, zeros_like_params
+from .params import (ParamDict, clone_params, flat_views, flatten_params,
+                     unflatten_params, zeros_like_params)
 from .towers import (
     UpstreamModel,
     embed_entity,
@@ -43,8 +55,7 @@ from .towers import (
     interaction_forward,
 )
 
-SNAPSHOT_VERSION = 1
-SNAPSHOT = SealedFormat(b"DSNP", SNAPSHOT_VERSION, "<4sIIQI")
+SNAPSHOT = SealedFormat(b"DSNP", 2, "<4sIIQIIIQ")
 
 # stream tags keep evaluation draws disjoint from any (day, epoch) pair
 EVAL_STREAM = 0x7FFFFFFF
@@ -74,6 +85,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.negatives_per_pair < 0:
             raise ValueError("negatives_per_pair must be >= 0")
+        if not (0 <= self.seed < 2**64):  # a snapshot stores it as a u64
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not (self.contrastive_weight >= 0.0):
             raise ValueError(
                 f"contrastive_weight must be >= 0, got {self.contrastive_weight}")
@@ -98,7 +111,7 @@ class ModelSnapshot:
 def make_snapshot(model: UpstreamModel, watermark_day: int, rng_seed: int,
                   velocity: ParamDict | None = None) -> ModelSnapshot:
     vel = clone_params(velocity) if velocity is not None else zeros_like_params(model.params)
-    return ModelSnapshot(SNAPSHOT_VERSION, watermark_day, rng_seed,
+    return ModelSnapshot(SNAPSHOT.version, watermark_day, rng_seed,
                          clone_params(model.params), vel)
 
 
@@ -244,28 +257,24 @@ def evaluate_loss(model: UpstreamModel, samples: list[TrainingSample],
 
 
 # ---------------------------------------------------------------------------
-# snapshot serialization: little-endian, self-describing, CRC64 trailer
+# snapshot serialization
 
 
-def _named_arrays(snapshot: ModelSnapshot) -> list[tuple[str, np.ndarray]]:
-    out = [(name, snapshot.params[name]) for name in sorted(snapshot.params)]
-    out += [("opt/" + name, snapshot.velocity[name])
-            for name in sorted(snapshot.velocity)]
-    return out
+def _layout_type(name_width: int) -> np.dtype:
+    return np.dtype([("name", f"S{name_width}"), ("ndim", "u1")])
 
 
 def snapshot_bytes(snapshot: ModelSnapshot) -> bytes:
-    arrays = _named_arrays(snapshot)
-    parts = []
-    for name, arr in arrays:
-        raw = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return SNAPSHOT.pack((snapshot.watermark_day, snapshot.rng_seed,
-                          len(arrays)), *parts)
+    params, layout = flatten_params(snapshot.params)
+    names = [name.encode("utf-8") for name, _ in layout]
+    width = max(map(len, names), default=0)
+    table = np.array([(name, len(shape)) for name, (_, shape) in zip(names, layout)],
+                     _layout_type(width))
+    dims = np.array([d for _, shape in layout for d in shape], "<u4")
+    velocity = flatten_params(snapshot.velocity)[0]
+    return SNAPSHOT.pack((snapshot.watermark_day, snapshot.rng_seed, len(table), width,
+                          len(dims), len(params)), table, dims, params.astype("<f8"),
+                         velocity.astype("<f8"))
 
 
 def save_snapshot(snapshot: ModelSnapshot, path) -> None:
@@ -274,26 +283,17 @@ def save_snapshot(snapshot: ModelSnapshot, path) -> None:
 
 def load_snapshot(path) -> ModelSnapshot:
     what = f"snapshot {path}"
-    (watermark, rng_seed, count), body, off = \
-        SNAPSHOT.unpack(read_file(path, what), what)
-    params: ParamDict = {}
-    velocity: ParamDict = {}
+    (watermark, rng_seed, *_), (table, dims, params, velocity) = SNAPSHOT.unpack(
+        read_file(path, what), what, lambda day, seed, arrays, width, dims, size: [
+            (_layout_type(width), arrays), ("<u4", dims), ("<f8", size), ("<f8", size)])
+    ndims, dims = table["ndim"].tolist(), dims.tolist()
+    shapes = [tuple(dims[e - n:e]) for n, e in zip(ndims, itertools.accumulate(ndims))]
+    if sum(ndims) != len(dims) or sum(map(math.prod, shapes)) != len(params):
+        raise IoFailureError(f"{what} has array shapes that disagree with its sizes")
     try:
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", body, off)
-            off += 2
-            name = body[off:off + nlen].decode("utf-8")
-            off += nlen
-            (ndim,) = struct.unpack_from("<B", body, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", body, off)
-            off += 4 * ndim
-            n = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(body, dtype="<f8", count=n, offset=off).reshape(shape)
-            off += 8 * n
-            target = velocity if name.startswith("opt/") else params
-            target[name.removeprefix("opt/")] = arr.astype(np.float64).copy()
-    except (struct.error, UnicodeDecodeError, ValueError) as e:
-        raise IoFailureError(f"{what} has a malformed array table: {e}") from e
-    return ModelSnapshot(SNAPSHOT_VERSION, watermark, rng_seed, params,
-                         velocity)
+        layout = [(n.decode("utf-8"), s) for n, s in zip(table["name"].tolist(), shapes)]
+    except UnicodeDecodeError as e:
+        raise IoFailureError(f"{what} has a name that is not UTF-8: {e}") from e
+    return ModelSnapshot(SNAPSHOT.version, watermark, rng_seed,
+                         unflatten_params(params, layout),
+                         unflatten_params(velocity, layout))

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import pytest
 
 import derm
-from derm.cli import build_parser, experiment_generations, main
+from derm.cli import build_parser, experiment_generations, main, snapshot_path
 from derm.config import (
     PathsConfig,
     PipelineConfig,
@@ -32,6 +32,7 @@ from derm.config import (
     parse_config,
 )
 from derm.errors import ConfigParseError, DermError, MissingPrerequisiteError
+from derm.ioutil import SealedFormat
 from derm.lifecycle import AggregationHeuristic
 from derm.store import (STATE_FILE, generation_bytes, generation_name,
                         list_generations)
@@ -151,10 +152,19 @@ class TestConfigInvariants:
         ("downstream", "projection_dim", {"projection_dim": 0}),
         ("downstream", "task", {"task": "foo"}),
         ("downstream", "derm_inputs", {"derm_inputs": ("ctr-user", "ctr-user")}),
+        # numpy rejects a negative seed, and a snapshot stores it as a u64
+        ("world", "seed", {"seed": -1}),
+        ("upstream.ctr", "seed", {"seed": 2**64}),
+        ("downstream", "seed", {"seed": -1}),
+        ("experiment", "seeds", {"seeds": (0, 2**64)}),
+        # two runs of one seed would write duplicate CSV rows
+        ("experiment", "seeds", {"seeds": (0, 0)}),
     ], ids=["num_layers", "contrastive_weight", "supervised_weight",
             "heuristics", "duplicate_heuristic_labels", "click_rate", "days",
             "num_users", "num_experts", "projection_dim", "downstream_task",
-            "duplicate_derm_inputs"])
+            "duplicate_derm_inputs", "world_seed", "upstream_seed",
+            "downstream_seed", "experiment_seed_range",
+            "duplicate_experiment_seeds"])
     def test_rejected_as_one_located_error(self, tmp_path, section, key, values):
         cfg = with_keys(small_config(tmp_path / "run"), section, values)
         with pytest.raises(ConfigParseError,
@@ -556,6 +566,30 @@ class TestPipeline:
         }[case]
         _, err = run_cli([*command, "-c", str(ini)], expect=1)
         assert re.fullmatch(rf"error: {condition}: [^\n]+", err.strip())
+
+    @pytest.mark.parametrize("artifact", ["day_file", "snapshot"])
+    def test_old_format_version_is_one_error_line(self, pipeline, tmp_path,
+                                                  artifact):
+        paths = replace(pipeline.cfg.paths, world_dir=tmp_path / "world",
+                        snapshot_dir=tmp_path / "snapshots",
+                        embeddings_dir=tmp_path / "embeddings")
+        shutil.copytree(pipeline.cfg.paths.world, paths.world)
+        shutil.copytree(pipeline.cfg.paths.snapshots, paths.snapshots)
+        cfg = replace(pipeline.cfg, paths=paths)
+        ini = tmp_path / "derm.ini"
+        ini.write_text(emit_config(cfg))
+        # an empty day file and an empty snapshot as format 1 laid them out
+        if artifact == "day_file":
+            old = paths.world / "day006.events"
+            old.write_bytes(SealedFormat(b"DDAY", 1, "<4sIII").pack((6, 0)))
+        else:
+            old = snapshot_path(cfg, "ctr", 6)
+            old.write_bytes(SealedFormat(b"DSNP", 1, "<4sIIQI").pack((6, 0, 0)))
+        _, err = run_cli(["infer", "-c", str(ini), "--model", "ctr",
+                          "--day", "6"], expect=1)
+        assert re.fullmatch(rf"error: IoFailure: .*{re.escape(str(old))} "
+                            r"has unsupported version 1", err.strip())
+        assert not paths.embeddings.exists()
 
     def test_serve_round_trip_over_tcp(self, pipeline):
         # the child finds derm where this process did, installed or not

@@ -1,3 +1,6 @@
+import shutil
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from derm.errors import InvalidRatesError, IoFailureError
 from derm.synth import (
     CLICK,
     CONVERSION,
+    DAY_FILE,
     World,
     WorldConfig,
     day_file_bytes,
@@ -17,6 +21,20 @@ from derm.synth import (
     positive_rates,
     write_world_files,
 )
+
+
+def assert_samples_identical(got, want):
+    """Every field equal, every dense vector equal bit for bit."""
+    assert (got.user_id, got.pin_id, got.day, got.event_seq, got.labels) == \
+        (want.user_id, want.pin_id, want.day, want.event_seq, want.labels)
+    for a, b in ((got.user, want.user), (got.pin, want.pin),
+                 (got.context, want.context)):
+        assert (a.categorical, a.sequence) == (b.categorical, b.sequence)
+        assert a.dense.keys() == b.dense.keys()
+        for key in a.dense:
+            assert a.dense[key].dtype == b.dense[key].dtype
+            assert a.dense[key].shape == b.dense[key].shape
+            assert a.dense[key].tobytes() == b.dense[key].tobytes()
 
 
 def small_cfg(**kw):
@@ -143,11 +161,49 @@ class TestDayFiles:
     def test_round_trip(self, tmp_path):
         cfg = small_cfg()
         write_world_files(tmp_path, cfg)
+        fresh = generate_world(cfg)
+        fresh[3] = []
+        (tmp_path / day_file_name(3)).write_bytes(day_file_bytes(3, []))
         loaded_cfg, data = load_world_files(tmp_path)
         assert loaded_cfg == cfg
-        fresh = generate_world(cfg)
+        assert sorted(data) == sorted(fresh)
         for day in fresh:
-            assert day_file_bytes(day, data[day]) == day_file_bytes(day, fresh[day])
+            assert len(data[day]) == len(fresh[day])
+            for got, want in zip(data[day], fresh[day]):
+                assert_samples_identical(got, want)
+
+    def test_day_file_under_another_days_name_rejected(self, tmp_path):
+        write_world_files(tmp_path, small_cfg())
+        shutil.copy(tmp_path / day_file_name(3), tmp_path / day_file_name(2))
+        with pytest.raises(IoFailureError,
+                           match=r"day002\.events holds day 3, not day 2"):
+            load_world_files(tmp_path, days=[2])
+
+    @pytest.mark.parametrize("case", ["count", "trailing-bytes",
+                                      "history-total"])
+    def test_malformed_day_file_is_io_failure(self, tmp_path, case):
+        # the checksum holds, so only the table reader can catch these
+        cfg = small_cfg()
+        write_world_files(tmp_path, cfg)
+        path = tmp_path / day_file_name(cfg.days)
+        body = path.read_bytes()[:-8]
+        day, count, profile_dim, attrs_dim, hist_total = \
+            struct.unpack_from(DAY_FILE.header, body)[2:]
+        payload = body[struct.calcsize(DAY_FILE.header):]
+        assert hist_total > 0
+        error = "bytes before its trailer"
+        if case == "count":  # more events than the events table holds
+            count += 1
+        elif case == "trailing-bytes":  # bytes after the last history id
+            payload += bytes(4)
+        else:  # a history table one id short of the events' lengths
+            hist_total -= 1
+            payload = payload[:-4]
+            error = "history ids"
+        path.write_bytes(DAY_FILE.pack(
+            (day, count, profile_dim, attrs_dim, hist_total), payload))
+        with pytest.raises(IoFailureError, match=rf"{path.name}.*{error}"):
+            load_day_samples(path)
 
     def test_rerun_bit_identical_files(self, tmp_path):
         cfg = small_cfg()

@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 
@@ -9,11 +7,11 @@ from derm.errors import (
     IoFailureError,
     WatermarkGapError,
 )
+from derm.ioutil import crc64
 from derm.params import params_equal_exact
 from derm.trainer import (
     SNAPSHOT,
     TrainConfig,
-    crc64,
     evaluate_loss,
     load_snapshot,
     make_snapshot,
@@ -119,25 +117,43 @@ class TestSnapshotSerialization:
             load_snapshot(tmp_path / "absent.snap")
 
     @staticmethod
-    def _entry(name: bytes, shape: tuple, data: bytes) -> bytes:
-        return (struct.pack("<H", len(name)) + name + struct.pack("<B", len(shape))
-                + struct.pack(f"<{len(shape)}I", *shape) + data)
+    def _snapshot(names=(b"w",), ndims=(1,), dims=(2,), size=2,
+                  **declared) -> bytes:
+        """A one-array snapshot file by default, with a valid checksum;
+        declared overrides the header's counts."""
+        width = max(map(len, names))
+        table = np.zeros(len(names), [("name", f"S{width}"), ("ndim", "u1")])
+        table["name"], table["ndim"] = names, ndims
+        header = {"arrays": len(names), "width": width, "dims": len(dims),
+                  "size": size, **declared}
+        return SNAPSHOT.pack((3, 5, *header.values()), table,
+                             np.array(dims, "<u4"), bytes(16 * size))
 
-    @pytest.mark.parametrize("count, table", [
-        # a count larger than the table
-        (2, lambda e: e(b"w", (2,), bytes(16))),
-        # a name length that runs past the end
-        (1, lambda e: struct.pack("<H", 40) + b"w"),
-        # a name that is not UTF-8
-        (1, lambda e: e(b"\xff\xfe", (1,), bytes(8))),
-        # an array that runs past the end
-        (1, lambda e: e(b"w", (100,), bytes(8))),
-    ], ids=["count", "name-length", "name-utf8", "array"])
-    def test_malformed_table_is_io_failure(self, tmp_path, count, table):
-        # the checksum holds, so only the table parser can catch these
+    def test_hand_built_snapshot_loads(self, tmp_path):
         path = tmp_path / "table.snap"
-        path.write_bytes(SNAPSHOT.pack((3, 5, count), table(self._entry)))
-        with pytest.raises(IoFailureError, match="table.snap"):
+        path.write_bytes(self._snapshot())
+        loaded = load_snapshot(path)
+        assert (loaded.watermark_day, loaded.rng_seed) == (3, 5)
+        assert params_equal_exact(loaded.params, {"w": np.zeros(2)})
+        assert params_equal_exact(loaded.velocity, {"w": np.zeros(2)})
+
+    @pytest.mark.parametrize("layout, error", [
+        # more arrays declared than the layout table holds
+        ({"arrays": 2}, "bytes before its trailer"),
+        # a name width that runs past the end
+        ({"width": 40}, "bytes before its trailer"),
+        # a name that is not UTF-8
+        ({"names": (b"\xff\xfe",)}, "not UTF-8"),
+        # an array shape that needs more values than the file holds
+        ({"dims": (100,)}, "disagree"),
+        # ndims that disagree with the dims table
+        ({"ndims": (2,)}, "disagree"),
+    ], ids=["count", "name-length", "name-utf8", "array", "dims"])
+    def test_malformed_table_is_io_failure(self, tmp_path, layout, error):
+        # the checksum holds, so only the table reader can catch these
+        path = tmp_path / "table.snap"
+        path.write_bytes(self._snapshot(**layout))
+        with pytest.raises(IoFailureError, match=rf"table\.snap.*{error}"):
             load_snapshot(path)
 
 
