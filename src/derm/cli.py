@@ -27,6 +27,7 @@ from .config import (
     emit_config,
     load_config,
 )
+from .data import SampleBatch
 from .downstream import (
     DERM_INPUTS,
     DownstreamModel,
@@ -137,7 +138,7 @@ def cmd_train_upstream(cfg: PipelineConfig, args) -> int:
           f"{len(loss_log)} steps, wrote {out}")
     for day in range(end + 1, cfg.upstream_end_day + 1):
         day_log: list = []
-        snapshot = train_incremental(snapshot, day, data.get(day, []),
+        snapshot = train_incremental(snapshot, day, data[day],
                                      spec.train, model, day_log)
         out = snapshot_path(cfg, args.model, day)
         save_snapshot(snapshot, out)
@@ -314,10 +315,8 @@ def _downstream_days(cfg: PipelineConfig) -> range:
 
 def _split_samples(cfg: PipelineConfig, data):
     ds = cfg.downstream
-    train = [s for d in range(ds.train_day_start, ds.test_day)
-             for s in data.get(d, [])]
-    test = data.get(ds.test_day, [])
-    return train, test
+    return (SampleBatch.concat([data[d] for d in range(ds.train_day_start, ds.test_day)]),
+            data[ds.test_day])
 
 
 def _generations_for(cfg: PipelineConfig, inputs) -> dict[str, StoreGeneration]:

@@ -206,6 +206,8 @@ class PipelineConfig:
                 fail("downstream", key, "must be >= 1")
         if not (0 <= ds.seed < 2**64):
             fail("downstream", "seed", f"{ds.seed} must lie in [0, 2**64)")
+        if not (0 <= self.serve.port <= 65535):
+            fail("serve", "port", f"{self.serve.port} must lie in [0, 65535]")
         ex = self.experiment
         if ex.grid not in ("heuristics", "inputs"):
             fail("experiment", "grid", f"must be heuristics or inputs, got {ex.grid!r}")

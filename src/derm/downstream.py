@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import TrainingSample
+from .data import SampleBatch
 from .errors import (
     DegenerateLabelsError,
     DivergedLossError,
@@ -48,7 +48,6 @@ from .errors import (
 from .lifecycle import AggregationHeuristic
 from .params import ParamDict, flat_views, zeros_like_params
 from .store import StoreGeneration, StoreKey
-from .towers import pad_sequences
 from .trainer import sgd_step
 
 CTR_TASK = "ctr"
@@ -209,9 +208,9 @@ class FeatureBatch:
                             self.hist[idx], self.hist_len[idx], self.labels[idx])
 
 
-def build_features(samples: list[TrainingSample], cfg: DownstreamConfig,
+def build_features(samples: SampleBatch, cfg: DownstreamConfig,
                    generations: dict[str, StoreGeneration]) -> FeatureBatch:
-    """Assemble the downstream input matrices for a sample list.
+    """Assemble the downstream input matrices for a batch of events.
 
     generations maps source tags to loaded store generations; lookups that
     miss produce a zero block with presence flag 0.  Present blocks are
@@ -219,21 +218,18 @@ def build_features(samples: list[TrainingSample], cfg: DownstreamConfig,
     differ wildly in vector magnitude (lifetime sums grow without bound) and
     magnitude would otherwise dominate the projection layer's input scale.
     """
-    if not samples:
-        raise EmptyInputError("no samples to featurize")
     B = len(samples)
-    base = np.concatenate([
-        np.array([s.user.dense["profile"] for s in samples], dtype=np.float64),
-        np.array([s.pin.dense["attrs"] for s in samples], dtype=np.float64),
-        np.array([s.context.dense["hour"] for s in samples], dtype=np.float64),
-    ], axis=1)
+    if not B:
+        raise EmptyInputError("no samples to featurize")
+    base = np.concatenate([samples.user.dense["profile"], samples.pin.dense["attrs"],
+                           samples.context.dense["hour"]], axis=1)
     blocks = [np.zeros((B, 0))]
     flags = np.zeros((B, len(cfg.derm_inputs)))
     for k, name in enumerate(cfg.derm_inputs):
         source, kind = DERM_INPUTS[name]
         gen = generations[source]
-        vecs = [gen.lookup(StoreKey(kind, s.user_id if kind == "user"
-                                    else s.pin_id, source)) for s in samples]
+        ids = samples.user_id if kind == "user" else samples.pin_id
+        vecs = [gen.lookup(StoreKey(kind, i, source)) for i in ids.tolist()]
         present = np.array([v is not None for v in vecs], dtype=bool)
         block = np.zeros((B, gen.dim))
         if present.any():
@@ -244,11 +240,9 @@ def build_features(samples: list[TrainingSample], cfg: DownstreamConfig,
         np.divide(block, norms[:, None], out=block, where=norms[:, None] > 0.0)
         blocks.append(block)
         flags[:, k] = present
-    hist, hist_len = pad_sequences([s.user.sequence.get("hist", ())
-                                    for s in samples])
-    labels = np.array([s.labels[cfg.label] for s in samples], dtype=np.float64)
+    hist, hist_len = samples.user.sequence["hist"]
     return FeatureBatch(base, np.concatenate(blocks, axis=1), flags, hist,
-                        hist_len, labels)
+                        hist_len, samples.labels[cfg.label].astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +650,8 @@ def run_sensitivity_experiment(
         task: str,
         arms: list[ArmSpec],
         seeds: list[int],
-        train_samples: list[TrainingSample],
-        test_samples: list[TrainingSample],
+        train_samples: SampleBatch,
+        test_samples: SampleBatch,
         generations_by_heuristic: dict[str, dict[str, StoreGeneration]],
         seq_vocab: int,
         model_cfg_base: DownstreamConfig | None = None,
@@ -728,7 +722,7 @@ def run_sensitivity_experiment(
     return ExperimentResult(task, rows, summary)
 
 
-def _stacked_features(samples: list[TrainingSample],
+def _stacked_features(samples: SampleBatch,
                       arm_inputs: list[tuple[DownstreamConfig, dict]],
                       models_per_arm: int) -> FeatureBatch:
     """The features of each (config, generations) arm in one FeatureBatch:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EmbeddingRecord, TrainingSample
+from .data import EmbeddingRecord, SampleBatch
 from .errors import (
     DayGapError,
     EmptyIntersectionError,
@@ -107,10 +107,10 @@ def initial_state(heuristic: AggregationHeuristic) -> AggregatedStoreState:
 
 
 def infer_daily(snapshot: ModelSnapshot, model: UpstreamModel, day: int,
-                samples: list[TrainingSample], source: str) -> list[EmbeddingRecord]:
+                events: SampleBatch, source: str) -> list[EmbeddingRecord]:
     """Raw per-occurrence embedding stream for one day, pre-dedup.
 
-    Emits one user and one pin record per sample, in event order, so an
+    Emits one user and one pin record per event, in event order, so an
     entity occurring k times yields k records with distinct seq numbers.
     """
     if snapshot.watermark_day < day:
@@ -118,18 +118,16 @@ def infer_daily(snapshot: ModelSnapshot, model: UpstreamModel, day: int,
             f"snapshot watermark {snapshot.watermark_day} is behind day {day}"
         )
     apply_snapshot(model, snapshot)
-    if not samples:
+    if not len(events):
         return []
-    U, _ = embed_entity(model.user_cfg, model.params, "user",
-                        [s.user for s in samples])
-    P, _ = embed_entity(model.pin_cfg, model.params, "pin",
-                        [s.pin for s in samples])
-    # event order, a sample's user record before its pin record
-    return [r for s, u, p in zip(samples, U, P)
-            for r in (EmbeddingRecord(s.user_id, "user", day, u, source,
-                                      s.event_seq),
-                      EmbeddingRecord(s.pin_id, "pin", day, p, source,
-                                      s.event_seq))]
+    U, _ = embed_entity(model.user_cfg, model.params, "user", events.user)
+    P, _ = embed_entity(model.pin_cfg, model.params, "pin", events.pin)
+    # event order, an event's user record before its pin record
+    return [r for user_id, pin_id, seq, u, p in zip(
+                events.user_id.tolist(), events.pin_id.tolist(),
+                events.event_seq.tolist(), U, P)
+            for r in (EmbeddingRecord(user_id, "user", day, u, source, seq),
+                      EmbeddingRecord(pin_id, "pin", day, p, source, seq))]
 
 
 def dedup_day(records: list[EmbeddingRecord], day: int) -> DailyEmbeddingSet:
@@ -149,7 +147,7 @@ def dedup_day(records: list[EmbeddingRecord], day: int) -> DailyEmbeddingSet:
 
 def back_infer(snapshot: ModelSnapshot, model: UpstreamModel,
                window_days: list[int],
-               data_by_day: dict[int, list[TrainingSample]],
+               data_by_day: dict[int, SampleBatch],
                source: str) -> list[DailyEmbeddingSet]:
     """Infer each day with one snapshot (the latest, when re-inferring a
     window); returns the deduped sets in day order."""

@@ -203,6 +203,9 @@ def save_daily(daily: DailyEmbeddingSet, path, source: str) -> None:
 
 def load_daily(path, source: str) -> DailyEmbeddingSet:
     gen = load_generation(path)
+    if other := sorted({src for _, _, src in gen.vectors} - {source_code(source)}):
+        raise IoFailureError(f"daily embeddings {path} hold rows of source code {other[0]}, "
+                             f"not of {source} (code {source_code(source)})")
     rows = np.array(list(gen.vectors.values()), dtype=np.float64)
     return DailyEmbeddingSet(gen.day, {
         (KIND_NAMES[kind], entity_id):
@@ -353,7 +356,7 @@ def serve(generation: StoreGeneration, bind_address=("127.0.0.1", 0)) -> Serving
     """Serve a loaded generation read-only over TCP; returns a live handle."""
     try:
         server = _Server(bind_address, _Handler)
-    except OSError as e:
+    except (OSError, OverflowError) as e:  # OverflowError: port outside 0-65535
         raise BindFailureError(f"cannot bind {bind_address}: {e}") from e
     server.generation = generation
     thread = threading.Thread(target=server.serve_forever,

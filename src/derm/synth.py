@@ -12,6 +12,9 @@ is what carry-over aggregation and back inference later have to deal with.
 Every draw comes from a generator seeded by (seed, stream tag, ...indices),
 so any day can be regenerated independently and bit-identically.
 
+A day is one SampleBatch (see data), made from the event table a day file
+holds, whether generate_day draws that table or parse_day_file reads it.
+
 A day file is sealed (see ioutil), little-endian:
 
   header   {magic "DDAY", format_version u32 (2), day u32, count u32,
@@ -24,13 +27,12 @@ A day file is sealed (see ioutil), little-endian:
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import KIND_CODES, PIN, USER, FeatureBundle, TrainingSample
+from .data import KIND_CODES, PIN, USER, FeatureBundle, SampleBatch, pad_flat
 from .errors import EmptyInputError, InvalidRatesError, IoFailureError
 from .ioutil import SealedFormat, read_file, write_atomic
 
@@ -169,20 +171,9 @@ def _label(world: World, task: str, user_id: int, pin_id: int,
     return int(rng.uniform() < p)
 
 
-def _sample(day: int, user: int, pin: int, seq: int, click: int, conversion: int,
-            hour: np.ndarray, profile: np.ndarray, attrs: np.ndarray, hist: list[int]):
-    return TrainingSample(
-        user_id=user, pin_id=pin, day=day, event_seq=seq,
-        user=FeatureBundle(dense={"profile": profile}, categorical={"uid": user},
-                           sequence={"hist": hist}),
-        pin=FeatureBundle(dense={"attrs": attrs}, categorical={"pid": pin}),
-        context=FeatureBundle(dense={"hour": hour}),
-        labels={CLICK: click, CONVERSION: conversion})
-
-
 def generate_day(world: World, day: int,
-                 history: dict[int, list[int]] | None = None) -> list[TrainingSample]:
-    """All events for one day, with both task labels on every sample.
+                 history: dict[int, list[int]] | None = None) -> SampleBatch:
+    """All events for one day, with both task labels on every event.
 
     history maps user id to pins clicked on PRIOR days; pass None to use
     empty histories (day files always embed the history actually seen).
@@ -192,8 +183,7 @@ def generate_day(world: World, day: int,
     rng = np.random.default_rng([cfg.seed, _EVENTS, day])
     users = world.active_ids(USER, day)
     pins = world.active_ids(PIN, day)
-    samples = []
-    seq = 0
+    events, flat = [], []
     for u in users:
         count = 1 + rng.poisson(cfg.events_per_user - 1.0)
         for _ in range(count):
@@ -203,40 +193,34 @@ def generate_day(world: World, day: int,
             hour = float(rng.uniform(-1.0, 1.0))
             jit_u = rng.normal(size=cfg.latent_dim)
             jit_p = rng.normal(size=cfg.latent_dim)
-            samples.append(_sample(
-                day, u, p, seq, click, conv, np.array([hour]),
-                world.observe(USER, u, day, jit_u),
-                world.observe(PIN, p, day, jit_p),
-                list(history.get(u, [])[-HISTORY_LEN:])))
-            seq += 1
-    return samples
+            hist = history.get(u, [])[-HISTORY_LEN:]
+            flat += hist
+            events.append((u, p, len(events), click, conv, hour,
+                           world.observe(USER, u, day, jit_u),
+                           world.observe(PIN, p, day, jit_p), len(hist)))
+    return _batch(np.array(events, _event_type(cfg.latent_dim, cfg.latent_dim)), flat)
 
 
-def generate_world(cfg: WorldConfig) -> dict[int, list[TrainingSample]]:
-    """Day-keyed samples for days 1..cfg.days, histories threaded through."""
+def generate_world(cfg: WorldConfig) -> dict[int, SampleBatch]:
+    """Day-keyed events for days 1..cfg.days, histories threaded through."""
     world = World(cfg)
     history: dict[int, list[int]] = {}
     out = {}
     for day in range(1, cfg.days + 1):
-        samples = generate_day(world, day, history)
-        out[day] = samples
-        for s in samples:
-            if s.labels[CLICK]:
-                history.setdefault(s.user_id, []).append(s.pin_id)
+        batch = out[day] = generate_day(world, day, history)
+        clicked = batch.labels[CLICK] == 1
+        for u, p in zip(batch.user_id[clicked].tolist(),
+                        batch.pin_id[clicked].tolist()):
+            history.setdefault(u, []).append(p)
     return out
 
 
-def positive_rates(data: dict[int, list[TrainingSample]]) -> dict[str, float]:
-    counts = {CLICK: 0, CONVERSION: 0}
-    total = 0
-    for samples in data.values():
-        for s in samples:
-            total += 1
-            counts[CLICK] += s.labels[CLICK]
-            counts[CONVERSION] += s.labels[CONVERSION]
+def positive_rates(data: dict[int, SampleBatch]) -> dict[str, float]:
+    total = sum(map(len, data.values()))
     if total == 0:
         raise EmptyInputError("world generated no events")
-    return {k: v / total for k, v in counts.items()}
+    return {t: sum(int(b.labels[t].sum()) for b in data.values()) / total
+            for t in (CLICK, CONVERSION)}
 
 
 def _pair_count_auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -258,13 +242,12 @@ def oracle_auc_bound(cfg: WorldConfig, task: str,
     """
     world = World(cfg)
     data = generate_world(cfg)
-    use = days if days is not None else sorted(data)
-    scores, labels = [], []
-    for day in use:
-        for s in data[day]:
-            scores.append(world.true_logit(task, s.user_id, s.pin_id))
-            labels.append(s.labels[task])
-    return _pair_count_auc(np.array(scores), np.array(labels))
+    batch = SampleBatch.concat([data[d] for d in (days if days is not None
+                                                  else sorted(data))])
+    sub = cfg.task_subspace(task)
+    dots = (world.user_latents[batch.user_id, sub]
+            * world.pin_latents[batch.pin_id, sub]).sum(axis=1)
+    return _pair_count_auc(GAIN * dots + cfg.intercept(task), batch.labels[task])
 
 
 # ---------------------------------------------------------------------------
@@ -278,36 +261,41 @@ def _event_type(profile_dim: int, attrs_dim: int) -> np.dtype:
                      ("hist_len", "<u2")])
 
 
-def day_file_bytes(day: int, samples: list[TrainingSample]) -> bytes:
-    hists = [s.user.sequence.get("hist", []) for s in samples]
-    dims = (len(samples[0].user.dense["profile"]),
-            len(samples[0].pin.dense["attrs"])) if samples else (0, 0)
-    events = np.array([(s.user_id, s.pin_id, s.event_seq, s.labels[CLICK],
-                        s.labels[CONVERSION], s.context.dense["hour"][0],
-                        s.user.dense["profile"], s.pin.dense["attrs"], len(h))
-                       for s, h in zip(samples, hists)], _event_type(*dims))
-    history = np.array([pin for h in hists for pin in h], "<u4")
-    return DAY_FILE.pack((day, len(events), *dims, len(history)), events, history)
+def _batch(events: np.ndarray, history) -> SampleBatch:
+    """The columns of one day's event table and its flat history."""
+    user_id, pin_id = (events[k].astype(np.int64) for k in ("user", "pin"))
+    return SampleBatch(
+        user_id, pin_id, events["event_seq"].astype(np.int64),
+        {t: events[t].astype(np.int64) for t in (CLICK, CONVERSION)},
+        FeatureBundle({"profile": np.array(events["profile"])}, {"uid": user_id},
+                      {"hist": pad_flat(history, events["hist_len"].astype(np.int64))}),
+        FeatureBundle({"attrs": np.array(events["attrs"])}, {"pid": pin_id}),
+        FeatureBundle({"hour": np.array(events["hour"])[:, None]}))
 
 
-def parse_day_file(blob: bytes,
-                   what="day file") -> tuple[int, list[TrainingSample]]:
-    """The day and its samples, whose dense vectors view one copy of each column."""
+def day_file_bytes(day: int, batch: SampleBatch) -> bytes:
+    hist, lengths = batch.user.sequence["hist"]
+    profile, attrs = batch.user.dense["profile"], batch.pin.dense["attrs"]
+    events = np.zeros(len(batch), _event_type(profile.shape[1], attrs.shape[1]))
+    for name, col in zip(events.dtype.names, (
+            batch.user_id, batch.pin_id, batch.event_seq, batch.labels[CLICK],
+            batch.labels[CONVERSION], batch.context.dense["hour"][:, 0], profile,
+            attrs, lengths)):
+        events[name] = col
+    history = hist[np.arange(hist.shape[1]) < lengths[:, None]].astype("<u4")
+    return DAY_FILE.pack((day, len(events), profile.shape[1], attrs.shape[1],
+                          len(history)), events, history)
+
+
+def parse_day_file(blob: bytes, what="day file") -> tuple[int, SampleBatch]:
+    """The day and its events."""
     (day, *_, hist_total), (events, history) = DAY_FILE.unpack(
         blob, what, lambda day, count, profile_dim, attrs_dim, hist_total: [
             (_event_type(profile_dim, attrs_dim), count), ("<u4", hist_total)])
-    lens = events["hist_len"].tolist()
-    if sum(lens) != hist_total:
+    if (total := int(events["hist_len"].sum())) != hist_total:
         raise IoFailureError(
-            f"{what} declares {hist_total} history ids but its events hold {sum(lens)}")
-    history = history.tolist()
-    columns = [events[name].tolist()
-               for name in ("user", "pin", "event_seq", "click", "conversion")]
-    dense = [np.array(events[name]) for name in ("profile", "attrs")]
-    return day, [
-        _sample(day, *row, history[end - n:end]) for *row, n, end in zip(
-            *columns, np.array(events["hour"])[:, None], *dense, lens,
-            itertools.accumulate(lens))]
+            f"{what} declares {hist_total} history ids but its events hold {total}")
+    return day, _batch(events, history)
 
 
 def day_file_name(day: int) -> str:
@@ -320,8 +308,8 @@ def write_world_files(out_dir, cfg: WorldConfig) -> dict:
     Returns the manifest written to world.json.
     """
     data = generate_world(cfg)
-    for day, samples in sorted(data.items()):
-        write_atomic(out_dir / day_file_name(day), day_file_bytes(day, samples))
+    for day, batch in sorted(data.items()):
+        write_atomic(out_dir / day_file_name(day), day_file_bytes(day, batch))
     manifest = {
         "format_version": DAY_FILE.version,
         "config": asdict(cfg),
@@ -333,14 +321,9 @@ def write_world_files(out_dir, cfg: WorldConfig) -> dict:
     return manifest
 
 
-def load_day_samples(path) -> tuple[int, list[TrainingSample]]:
-    what = f"day file {path}"
-    return parse_day_file(read_file(path, what), what)
-
-
 def load_world_files(world_dir, days=None
-                     ) -> tuple[WorldConfig, dict[int, list[TrainingSample]]]:
-    """The world's config and its day-keyed samples.
+                     ) -> tuple[WorldConfig, dict[int, SampleBatch]]:
+    """The world's config and its day-keyed events.
 
     days limits the day files read (days outside 1..cfg.days are skipped);
     None reads every day.
@@ -356,7 +339,8 @@ def load_world_files(world_dir, days=None
     data = {}
     for day in wanted:
         path = world_dir / day_file_name(day)
-        found, data[day] = load_day_samples(path)
+        what = f"day file {path}"
+        found, data[day] = parse_day_file(read_file(path, what), what)
         if found != day:
             raise IoFailureError(f"day file {path} holds day {found}, not day {day}")
     return cfg, data

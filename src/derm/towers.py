@@ -1,8 +1,10 @@
 """Multi-tower upstream model with hand-derived backprop, run on whole batches.
 
-A tower reads one batch as per-slot columns (`stack_bundles`): dense
-(B, dim) rows, categorical (B,) ids, and sequences as (B, L) ids padded
-with the reserved id 0 plus (B,) lengths; an empty history reads id 0.
+A tower reads one batch's FeatureBundle (see data), one column per slot
+of its spec: dense (B, dim) rows, categorical (B,) ids, and sequences as
+(B, L) ids padded with the reserved id 0 plus (B,) lengths; an empty
+history reads id 0. A missing column, a dense width other than the slot's
+or an id outside the slot's range is an error.
 The slot tokens are mixed into (B, n, d) tokens and refined through
 stacked layers, every layer summing two feature-interaction blocks plus a
 shortcut. Entity towers L2-normalize each flattened row into the served
@@ -24,10 +26,11 @@ gradient w.r.t. the block input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .data import pad_flat
 from .errors import ShapeMismatchError, UnknownCategoricalIdError, ZeroNormError
 from .numerics import NORM_EPS, sigmoid
 from .params import ParamDict
@@ -137,50 +140,30 @@ def init_tower_params(
 
 
 # ---------------------------------------------------------------------------
-# featurization: bundles -> per-slot columns -> slot token tensor
+# featurization: bundle columns -> slot token tensor
 
 
-def _check_ids(s: SlotSpec, ids: np.ndarray) -> None:
-    bad = ids[(ids < 0) | (ids >= s.cardinality)]
-    if bad.size:
-        raise UnknownCategoricalIdError(f"slot {s.name}: id {bad[0]} outside [0, {s.cardinality})")
-
-
-def stack_bundles(slots, bundles) -> dict:
-    """Per-slot columns of a batch of bundles, shaped as the module docstring
-    says; a missing slot takes its default: a zero row, id 0, or an empty
-    history."""
-    B = len(bundles)
-    cols: dict = {}
-    for s in slots:
-        if s.kind == DENSE:
-            rows = [np.asarray(b.dense.get(s.name, np.zeros(s.dim)), dtype=np.float64)
-                    for b in bundles]
-            for x in rows:
-                if x.shape != (s.dim,):
-                    raise ShapeMismatchError(
-                        f"slot {s.name}: expected dense dim {s.dim}, got {x.shape}")
-            cols[s.name] = np.array(rows).reshape(B, s.dim)
-        elif s.kind == CATEGORICAL:
-            ids = np.array([b.categorical.get(s.name, 0) for b in bundles],
-                           dtype=np.int64)
-            _check_ids(s, ids)
-            cols[s.name] = ids
-        else:
-            ids, lengths = pad_sequences([b.sequence.get(s.name, ())
-                                          for b in bundles])
-            _check_ids(s, ids)
-            cols[s.name] = (ids, lengths)
-    return cols
+def _column(s: SlotSpec, bundle):
+    """Slot s's column of a bundle, after its shape or id-range check."""
+    col = getattr(bundle, s.kind).get(s.name)
+    if col is None:
+        raise ShapeMismatchError(f"slot {s.name}: no {s.kind} column in the bundle")
+    if s.kind == DENSE and (col.ndim != 2 or col.shape[1] != s.dim):
+        raise ShapeMismatchError(
+            f"slot {s.name}: expected dense dim {s.dim}, got shape {col.shape}")
+    if s.kind != DENSE:
+        ids = col[0] if s.kind == SEQUENCE else col
+        bad = ids[(ids < 0) | (ids >= s.cardinality)]
+        if bad.size:
+            raise UnknownCategoricalIdError(
+                f"slot {s.name}: id {bad[0]} outside [0, {s.cardinality})")
+    return col
 
 
 def pad_sequences(seqs) -> tuple[np.ndarray, np.ndarray]:
     """(B, L) int64 ids padded with 0, L = max(1, longest), and (B,) lengths."""
-    lengths = np.array([len(q) for q in seqs], dtype=np.int64)
-    ids = np.zeros((len(seqs), max(1, lengths.max(initial=0))), dtype=np.int64)
-    for i, q in enumerate(seqs):
-        ids[i, :len(q)] = q
-    return ids, lengths
+    return pad_flat([i for q in seqs for i in q],
+                    np.array([len(q) for q in seqs], dtype=np.int64))
 
 
 def _history(col):
@@ -191,13 +174,13 @@ def _history(col):
     return ids, np.arange(ids.shape[1]) < n, n
 
 
-def _featurize(cfg, params, prefix, cols):
-    """Slot tokens (B, slots, d): affine dense rows, table rows for ids,
-    and the mean of the table rows over a history."""
+def _featurize(cfg, params, prefix, bundle):
+    """Slot tokens (B, slots, d) and the slot columns read: affine dense
+    rows, table rows for ids, and the mean of the table rows over a history."""
+    cols = [_column(s, bundle) for s in cfg.slots]
     tokens = []
-    for s in cfg.slots:
+    for s, col in zip(cfg.slots, cols):
         key = f"{prefix}/slot/{s.name}"
-        col = cols[s.name]
         if s.kind == DENSE:
             tokens.append(col @ params[f"{key}/W"].T + params[f"{key}/b"])
         elif s.kind == CATEGORICAL:
@@ -205,14 +188,13 @@ def _featurize(cfg, params, prefix, cols):
         else:
             ids, mask, n = _history(col)
             tokens.append((params[f"{key}/table"][ids] * mask[..., None]).sum(axis=1) / n)
-    return np.stack(tokens, axis=1)
+    return np.stack(tokens, axis=1), cols
 
 
 def _featurize_backward(cfg, prefix, params, cols, dtokens, grads, want_input_grads):
     input_grads: dict[str, np.ndarray] = {}
-    for i, s in enumerate(cfg.slots):
+    for i, (s, col) in enumerate(zip(cfg.slots, cols)):
         key = f"{prefix}/slot/{s.name}"
-        col = cols[s.name]
         dt = dtokens[:, i]
         if s.kind == DENSE:
             grads[f"{key}/W"] += dt.T @ col
@@ -324,12 +306,12 @@ def _block_backward(kind, dY, cache, P, bp, grads):
 # whole tower
 
 
-def tower_forward(cfg: TowerConfig, params: ParamDict, prefix: str, cols: dict):
-    """Run the tower on the columns of one batch (see stack_bundles).
+def tower_forward(cfg: TowerConfig, params: ParamDict, prefix: str, bundle):
+    """Run the tower on the slot columns of one batch's bundle.
 
     Returns the flattened outputs (B, output_dim) and a backward cache.
     """
-    T0 = _featurize(cfg, params, prefix, cols)
+    T0, cols = _featurize(cfg, params, prefix, bundle)
     X = params[f"{prefix}/mix/M"] @ T0
     layer_caches = []
     for li, (ka, kb) in enumerate(cfg.blocks):
@@ -361,9 +343,9 @@ def tower_backward(cfg: TowerConfig, params: ParamDict, prefix: str, cache,
     return _featurize_backward(cfg, prefix, params, cols, dT0, grads, want_input_grads)
 
 
-def embed_entity(cfg: TowerConfig, params: ParamDict, prefix: str, bundles):
-    """Entity embeddings of a batch of bundles: (B, output_dim) unit rows."""
-    flat, cache = tower_forward(cfg, params, prefix, stack_bundles(cfg.slots, bundles))
+def embed_entity(cfg: TowerConfig, params: ParamDict, prefix: str, bundle):
+    """Entity embeddings of one batch's bundle: (B, output_dim) unit rows."""
+    flat, cache = tower_forward(cfg, params, prefix, bundle)
     r = np.sqrt((flat * flat).sum(axis=1, keepdims=True))
     if np.any(r <= NORM_EPS):
         raise ZeroNormError(f"degenerate zero-norm embedding from tower {prefix!r}")
@@ -429,13 +411,12 @@ def _check_inter_cfg(inter_cfg: TowerConfig, emb_dim: int) -> None:
         raise ShapeMismatchError(f"{UDOTP_SLOT} slot must have dim 1")
 
 
-def interaction_forward(model: UpstreamModel, U, P, contexts):
-    """Cross the entity embeddings U, P (B, D) with a batch of context
-    bundles; returns {task: (B,) logits} and a backward cache."""
-    context_slots = [s for s in model.inter_cfg.slots if s.name not in _EMB_SLOTS]
-    cols = {**stack_bundles(context_slots, contexts), USER_EMB_SLOT: U,
-            PIN_EMB_SLOT: P, UDOTP_SLOT: (U * P).sum(axis=1, keepdims=True)}
-    z, cache = tower_forward(model.inter_cfg, model.params, "inter", cols)
+def interaction_forward(model: UpstreamModel, U, P, context):
+    """Cross the entity embeddings U, P (B, D) with the batch's context
+    bundle; returns {task: (B,) logits} and a backward cache."""
+    bundle = replace(context, dense={**context.dense, USER_EMB_SLOT: U, PIN_EMB_SLOT: P,
+                                     UDOTP_SLOT: (U * P).sum(axis=1, keepdims=True)})
+    z, cache = tower_forward(model.inter_cfg, model.params, "inter", bundle)
     logits = {t: z @ model.params[f"head/{t}/w"] + model.params[f"head/{t}/b"][0]
               for t in model.tasks}
     return logits, (cache, z, U, P)

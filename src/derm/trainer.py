@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TrainingSample
+from .data import SampleBatch
 from .errors import (
     DivergedLossError,
     EmptyWindowError,
@@ -135,23 +135,21 @@ def sgd_step(flat: np.ndarray, grad: np.ndarray, lr: float,
         flat -= lr * grad
 
 
-def batch_step(model: UpstreamModel, samples: list[TrainingSample],
+def batch_step(model: UpstreamModel, batch: SampleBatch,
                cfg: TrainConfig, rng: np.random.Generator,
                grads: ParamDict) -> float:
     """One combined forward/backward pass over a minibatch.
 
     Adds the gradients into grads, which the caller zeroes, and returns the
     combined loss. Loss weights come from cfg; the contrastive positives are
-    the samples whose first-task label is 1.
+    the events whose first-task label is 1.
     """
-    B = len(samples)
-    U, user_cache = embed_entity(model.user_cfg, model.params, "user",
-                                 [s.user for s in samples])
-    P, pin_cache = embed_entity(model.pin_cfg, model.params, "pin",
-                                [s.pin for s in samples])
+    B = len(batch)
+    U, user_cache = embed_entity(model.user_cfg, model.params, "user", batch.user)
+    P, pin_cache = embed_entity(model.pin_cfg, model.params, "pin", batch.pin)
 
-    positives = np.array([s.labels.get(model.tasks[0], 0) == 1 for s in samples])
-    pin_ids = [s.pin_id for s in samples]
+    positives = batch.labels[model.tasks[0]] == 1
+    pin_ids = batch.pin_id.tolist()
     q = estimate_batch_frequencies(pin_ids)
     con = sampled_softmax_loss(
         ContrastiveBatch(U, P, pin_ids, positives), q, tau=model.temperature,
@@ -160,9 +158,8 @@ def batch_step(model: UpstreamModel, samples: list[TrainingSample],
     w_con = cfg.contrastive_weight
     grads["log_tau"][0] += w_con * con.dlog_tau
 
-    logits, inter_cache = interaction_forward(model, U, P,
-                                              [s.context for s in samples])
-    labels = np.array([[s.labels[t] for t in model.tasks] for s in samples])
+    logits, inter_cache = interaction_forward(model, U, P, batch.context)
+    labels = np.stack([batch.labels[t] for t in model.tasks], axis=1)
     losses, dl = bce_loss(np.stack([logits[t] for t in model.tasks], axis=1), labels)
     weights = {t: cfg.weight_for(t) for t in model.tasks} | {CONTRASTIVE: w_con}
     sup_losses = {t: float(losses[:, j].sum()) / B for j, t in enumerate(model.tasks)}
@@ -179,7 +176,7 @@ def batch_step(model: UpstreamModel, samples: list[TrainingSample],
 
 def _train(model: UpstreamModel, runs, cfg: TrainConfig, rng_seed: int,
            velocity: ParamDict, loss_log: list | None) -> ParamDict:
-    """Step the model through (day, epoch, samples) runs; returns the velocity.
+    """Step the model through (day, epoch, events) runs; returns the velocity.
 
     The parameters, the gradients and the velocity (copied, so the caller's
     stays as it was) each become name->array views of one flat buffer, so
@@ -188,13 +185,13 @@ def _train(model: UpstreamModel, runs, cfg: TrainConfig, rng_seed: int,
     flat, model.params = flat_views(model.params)
     gflat, grads = flat_views(zeros_like_params(model.params))
     vflat, velocity = flat_views(velocity)
-    for day, epoch, samples in runs:
+    for day, epoch, events in runs:
         rng = np.random.default_rng([rng_seed, day, epoch])
-        order = rng.permutation(len(samples))
+        order = rng.permutation(len(events))
         for bi, start in enumerate(range(0, len(order), cfg.batch_size)):
-            batch = [samples[j] for j in order[start:start + cfg.batch_size]]
             gflat[:] = 0.0
-            loss = batch_step(model, batch, cfg, rng, grads)
+            loss = batch_step(model, events[order[start:start + cfg.batch_size]],
+                              cfg, rng, grads)
             if not np.isfinite(loss):
                 raise DivergedLossError(
                     f"non-finite loss {loss} at day {day} epoch {epoch} batch {bi}; "
@@ -207,7 +204,7 @@ def _train(model: UpstreamModel, runs, cfg: TrainConfig, rng_seed: int,
 
 
 def train_batch_window(model: UpstreamModel,
-                       data_by_day: dict[int, list[TrainingSample]],
+                       data_by_day: dict[int, SampleBatch],
                        cfg: TrainConfig,
                        loss_log: list | None = None) -> ModelSnapshot:
     """Epochs over an extended day window; snapshot watermark = last window day."""
@@ -223,7 +220,7 @@ def train_batch_window(model: UpstreamModel,
 
 
 def train_incremental(snapshot: ModelSnapshot, new_day: int,
-                      samples: list[TrainingSample], cfg: TrainConfig,
+                      events: SampleBatch, cfg: TrainConfig,
                       model: UpstreamModel,
                       loss_log: list | None = None) -> ModelSnapshot:
     """Single pass over one new day, resumed from the snapshot state."""
@@ -234,26 +231,23 @@ def train_incremental(snapshot: ModelSnapshot, new_day: int,
             f"{snapshot.watermark_day}"
         )
     apply_snapshot(model, snapshot)
-    velocity = _train(model, [(new_day, 0, samples)], cfg, snapshot.rng_seed,
+    velocity = _train(model, [(new_day, 0, events)], cfg, snapshot.rng_seed,
                       snapshot.velocity, loss_log)
     return make_snapshot(model, new_day, snapshot.rng_seed, velocity)
 
 
-def evaluate_loss(model: UpstreamModel, samples: list[TrainingSample],
+def evaluate_loss(model: UpstreamModel, events: SampleBatch,
                   cfg: TrainConfig) -> float:
-    """Mean combined loss over a sample slice, no updates, fixed eval stream."""
-    if not samples:
+    """Mean combined loss over a batch of events, no updates, fixed eval stream."""
+    if not len(events):
         raise EmptyWindowError("no samples to evaluate")
     rng = np.random.default_rng([cfg.seed, EVAL_STREAM])
     total = 0.0
-    count = 0
     grads = zeros_like_params(model.params)  # a sink; never read
-    for start in range(0, len(samples), cfg.batch_size):
-        batch = samples[start:start + cfg.batch_size]
-        loss = batch_step(model, batch, cfg, rng, grads)
-        total += loss * len(batch)
-        count += len(batch)
-    return total / count
+    for start in range(0, len(events), cfg.batch_size):
+        batch = events[start:start + cfg.batch_size]
+        total += batch_step(model, batch, cfg, rng, grads) * len(batch)
+    return total / len(events)
 
 
 # ---------------------------------------------------------------------------

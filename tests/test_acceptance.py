@@ -279,14 +279,14 @@ def _tower_grad_err(seed: int) -> float:
     init_tower_params(cfg, np.random.default_rng(seed), "t", params)
     rng = np.random.default_rng(100 + seed)
     bundle = FeatureBundle(
-        dense={"obs": rng.normal(size=3)},
-        categorical={"uid": int(rng.integers(1, 5))},
-        sequence={"seq": [int(i) for i in rng.integers(1, 7, size=3)]},
+        dense={"obs": rng.normal(size=(1, 3))},
+        categorical={"uid": rng.integers(1, 5, size=1)},
+        sequence={"seq": pad_sequences([rng.integers(1, 7, size=3)])},
     )
     w = rng.normal(size=cfg.output_dim)
 
     def make_loss(p):
-        y, cache = embed_entity(cfg, p, "t", [bundle])
+        y, cache = embed_entity(cfg, p, "t", bundle)
         grads = zeros_like_params(p)
         embed_entity_backward(cfg, p, "t", cache, w[None], grads)
         return float(w @ y[0]), grads

@@ -1,0 +1,63 @@
+"""What perfbench/ relies on in derm, checked without editing perfbench/.
+
+The benchmark wraps the functions its span table names and builds the grid
+workload's daily embeddings from the day files it loads through derm. Its
+own tests are not part of this suite, so these checks keep a change under
+src/ from breaking the benchmark unnoticed.
+"""
+
+import contextlib
+import importlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+from derm.cli import embedding_path, main
+from derm.config import UPSTREAM_SOURCES, load_config
+from derm.store import load_daily
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def bench_module(name: str):
+    """A perfbench module, loaded from its file under its own name, the name
+    its siblings import it by."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def test_every_traced_name_resolves():
+    traced = bench_module("spans").TRACED
+    assert traced
+    missing = []
+    for module, attr in traced:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}.{attr}")
+    assert not missing, f"perfbench traces names derm lacks: {missing}"
+
+
+def test_grid_set_up_writes_dailies_derm_loads(tmp_path):
+    bench_module("spans")
+    bench_module("loadgen")
+    workloads = bench_module("workloads")
+    sections = {"paths": {"root": tmp_path / "run"}, **workloads.TOY.sections}
+    ini = tmp_path / "derm.ini"
+    ini.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                                  for k, v in values.items())
+                           for name, values in sections.items()))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "-c", str(ini)]) == 0
+    workloads.write_dailies(ini, seed=3)
+    cfg = load_config(ini)
+    for model, source in UPSTREAM_SOURCES.items():
+        for day in range(1, cfg.upstream_end_day + 1):
+            daily = load_daily(embedding_path(cfg, model, day), source)
+            assert daily.day == day and daily.records

@@ -159,12 +159,14 @@ class TestConfigInvariants:
         ("experiment", "seeds", {"seeds": (0, 2**64)}),
         # two runs of one seed would write duplicate CSV rows
         ("experiment", "seeds", {"seeds": (0, 0)}),
+        # bind() takes only 0-65535
+        ("serve", "port", {"port": 70000}),
     ], ids=["num_layers", "contrastive_weight", "supervised_weight",
             "heuristics", "duplicate_heuristic_labels", "click_rate", "days",
             "num_users", "num_experts", "projection_dim", "downstream_task",
             "duplicate_derm_inputs", "world_seed", "upstream_seed",
             "downstream_seed", "experiment_seed_range",
-            "duplicate_experiment_seeds"])
+            "duplicate_experiment_seeds", "serve_port"])
     def test_rejected_as_one_located_error(self, tmp_path, section, key, values):
         cfg = with_keys(small_config(tmp_path / "run"), section, values)
         with pytest.raises(ConfigParseError,

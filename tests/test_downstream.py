@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from derm.data import FeatureBundle, TrainingSample, KIND_CODES
+from derm.data import FeatureBundle, KIND_CODES, SampleBatch
 from derm.downstream import (
     DERM_INPUTS,
     ArmSpec,
@@ -283,7 +283,7 @@ def fake_generation(source, vecs, day=17):
     return StoreGeneration(day, dim, packed)
 
 
-def noise_samples(seed, days, per_day, zu, zp, task="click", with_hist=False):
+def noise_samples(seed, days, per_day, zu, zp, task="click"):
     """Labels come from hidden latents; dense slots are pure event noise.
 
     Only the store vectors can explain the label, which makes lift
@@ -293,24 +293,22 @@ def noise_samples(seed, days, per_day, zu, zp, task="click", with_hist=False):
     out = {}
     for day in days:
         rng = np.random.default_rng([seed, 0xBA5E, day])
-        samples = []
-        for e in range(per_day):
+        rows = []
+        for _ in range(per_day):
             u = int(rng.integers(num_users))
             p = int(rng.integers(num_pins))
-            label = int(float(zu[u] @ zp[p]) > 0.0)
-            samples.append(TrainingSample(
-                user_id=u, pin_id=p, day=day, event_seq=e,
-                user=FeatureBundle(
-                    dense={"profile": rng.normal(size=LATENT)},
-                    categorical={"uid": u},
-                    sequence={"hist": [p % num_pins] if with_hist else []},
-                ),
-                pin=FeatureBundle(dense={"attrs": rng.normal(size=LATENT)},
-                                  categorical={"pid": p}),
-                context=FeatureBundle(dense={"hour": np.array([rng.uniform(-1, 1)])}),
-                labels={task: label},
-            ))
-        out[day] = samples
+            rows.append((u, p, int(float(zu[u] @ zp[p]) > 0.0),
+                         rng.normal(size=LATENT), rng.normal(size=LATENT),
+                         rng.uniform(-1, 1)))
+        users, pins, labels, profiles, attrs, hours = map(np.array, zip(*rows))
+        out[day] = SampleBatch(
+            user_id=users, pin_id=pins, event_seq=np.arange(per_day),
+            labels={task: labels},
+            user=FeatureBundle(
+                dense={"profile": profiles}, categorical={"uid": users},
+                sequence={"hist": pad_sequences([[]] * per_day)}),
+            pin=FeatureBundle(dense={"attrs": attrs}, categorical={"pid": pins}),
+            context=FeatureBundle(dense={"hour": hours[:, None]}))
     return out
 
 
@@ -351,12 +349,9 @@ class TestBuildFeatures:
         })}
         cfg = DownstreamConfig(derm_inputs=("ctr-user",))
         fb = build_features(self.samples, cfg, gens)
-        for i, s in enumerate(self.samples):
-            if s.user_id < 3:
-                assert fb.flags[i, 0] == 1.0
-            else:
-                assert fb.flags[i, 0] == 0.0
-                assert np.all(fb.derm[i] == 0.0)
+        present = self.samples.user_id < 3
+        assert np.array_equal(fb.flags[:, 0], present)
+        assert np.all(fb.derm[~present] == 0.0)
 
     def test_present_blocks_are_unit_norm(self):
         scaled = fake_generation("ctr-upstream", {
@@ -389,13 +384,13 @@ class TestBuildFeatures:
 
     def test_empty_sample_list(self):
         with pytest.raises(EmptyInputError):
-            build_features([], DownstreamConfig(), {})
+            build_features(self.samples[:0], DownstreamConfig(), {})
 
     @pytest.mark.parametrize("task", ["ctr", "cvr"])
     def test_columns_match_per_sample_reference(self, task):
         data = generate_world(WorldConfig(num_users=12, num_pins=12, days=4,
                                           seed=3))
-        samples = [s for day in sorted(data) for s in data[day]]
+        samples = SampleBatch.concat([data[day] for day in sorted(data)])
         rng = np.random.default_rng(8)
         gens = {}
         for source, dim in (("ctr-upstream", 32), ("cvr-upstream", 7)):
@@ -413,8 +408,11 @@ class TestBuildFeatures:
             a, b = getattr(got, name), want[name]
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
-        hist = [list(s.user.sequence.get("hist", [])) for s in samples]
+        # each day's rows, read back from that day's own padding
+        hist = [row[:n].tolist() for day in sorted(data)
+                for row, n in zip(*data[day].user.sequence["hist"])]
         assert any(hist) and not all(hist)
+        assert got.hist.shape == pad_sequences(hist)[0].shape
         assert got.hist_len.tolist() == [len(h) for h in hist]
         for i, h in enumerate(hist):
             assert got.hist[i, :len(h)].tolist() == h
@@ -422,7 +420,7 @@ class TestBuildFeatures:
 
 
 def reference_build_features(samples, cfg, generations):
-    """build_features in loop form, one sample and one input at a time;
+    """build_features in loop form, one event and one input at a time;
     returns the base, derm, flags and labels arrays."""
     dims = [generations[DERM_INPUTS[name][0]].dim for name in cfg.derm_inputs]
     B = len(samples)
@@ -753,7 +751,7 @@ class TestTraining:
         })}
         cfg = DownstreamConfig(derm_inputs=("ctr-user", "ctr-pin"),
                                projection_dim=4, sequence_encoder=False)
-        samples = [s for d in days for s in by_day[d]]
+        samples = SampleBatch.concat([by_day[d] for d in days])
         return cfg, build_features(samples, cfg, gens)
 
     def test_loss_decreases_on_informative_embeddings(self):
@@ -812,10 +810,10 @@ class TestStackedTraining:
         zu = random_unit_rows(rng, 12, LATENT)
         zp = random_unit_rows(rng, 16, LATENT)
         by_day = noise_samples(2, range(1, 6), 13, zu, zp)
-        samples = [s for day in by_day.values() for s in day]
-        for i, s in enumerate(samples):
-            # histories of 0 to 5 ids; the first row's is empty
-            s.user.sequence["hist"] = list(rng.integers(0, 16, size=i % 6))
+        samples = SampleBatch.concat(list(by_day.values()))
+        # histories of 0 to 5 ids; the first row's is empty
+        samples.user.sequence["hist"] = pad_sequences(
+            [rng.integers(0, 16, size=i % 6) for i in range(len(samples))])
         # 53 rows in minibatches of 13 leave a last minibatch of one row
         self.train, self.test = samples[:53], samples[53:]
         both = {("user", u): zu[u] for u in range(12)}
@@ -945,7 +943,7 @@ class TestExperiment:
         zu = random_unit_rows(rng, 12, LATENT)
         zp = random_unit_rows(rng, 16, LATENT)
         by_day = noise_samples(0, range(1, 7), 60, zu, zp)
-        train = [s for d in range(1, 6) for s in by_day[d]]
+        train = SampleBatch.concat([by_day[d] for d in range(1, 6)])
         test = by_day[6]
         gens = {"ma0.8": {"ctr-upstream": fake_generation("ctr-upstream", {
             **{("user", u): zu[u] for u in range(12)},

@@ -88,9 +88,8 @@ class TestInferDaily:
         raw = infer_daily(self.snap, self.model, 4, self.samples, "m")
         assert len(raw) == 2 * len(self.samples)
         by_user = [r for r in raw if r.kind == "user"
-                   and r.entity_id == self.samples[0].user_id]
-        repeats = sum(1 for s in self.samples
-                      if s.user_id == self.samples[0].user_id)
+                   and r.entity_id == self.samples.user_id[0]]
+        repeats = int((self.samples.user_id == self.samples.user_id[0]).sum())
         assert len(by_user) == repeats
 
     def test_deterministic(self):
@@ -171,11 +170,10 @@ class TestBackInfer:
             back_infer(self.snap, self.model, [0, 1], self.data, "m")
 
     def test_entity_active_once_still_embedded(self):
-        data = {d: list(self.data[d]) for d in self.data}
-        lone = data[1][0]
-        uid = lone.user_id
+        data = dict(self.data)
+        uid = int(data[1].user_id[0])
         for d in range(2, 6):
-            data[d] = [s for s in data[d] if s.user_id != uid]
+            data[d] = data[d][data[d].user_id != uid]
         sets = back_infer(self.snap, self.model, list(range(1, 6)), data, "m")
         union = set().union(*(set(s.records) for s in sets))
         last_day_only = set(sets[-1].records)

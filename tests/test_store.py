@@ -13,9 +13,11 @@ from derm.errors import (
     DimInconsistentError,
     IoFailureError,
 )
+from derm.data import EmbeddingRecord
 from derm.lifecycle import (
     AggregatedStoreState,
     AggregationHeuristic,
+    DailyEmbeddingSet,
     StoreEntry,
 )
 from derm.store import (
@@ -27,9 +29,11 @@ from derm.store import (
     StoreKey,
     generation_name,
     list_generations,
+    load_daily,
     load_generation,
     load_state,
     publish,
+    save_daily,
     save_state,
     serve,
     source_code,
@@ -62,6 +66,30 @@ class TestSourceCodes:
 
     def test_stable(self):
         assert source_code("ctr-upstream") == source_code("ctr-upstream")
+
+
+class TestDailyFiles:
+    def _daily(self):
+        rng = np.random.default_rng(4)
+        return DailyEmbeddingSet(3, {
+            (kind, i): EmbeddingRecord(i, kind, 3, v, "cvr-upstream")
+            for kind in ("user", "pin")
+            for i, v in enumerate(random_unit_rows(rng, 5, 4))})
+
+    def test_round_trip_keeps_source(self, tmp_path):
+        path = tmp_path / "day003.kv"
+        save_daily(self._daily(), path, "cvr-upstream")
+        back = load_daily(path, "cvr-upstream")
+        assert back.day == 3 and sorted(back.records) == sorted(self._daily().records)
+        assert {r.source for r in back.records.values()} == {"cvr-upstream"}
+
+    def test_other_source_rejected(self, tmp_path):
+        path = tmp_path / "day003.kv"
+        save_daily(self._daily(), path, "cvr-upstream")
+        with pytest.raises(IoFailureError,
+                           match=rf"{path.name} hold rows of source code "
+                                 rf"{source_code('cvr-upstream')}, not of ctr-upstream"):
+            load_daily(path, "ctr-upstream")
 
 
 class TestPublishLoad:
@@ -402,3 +430,8 @@ class TestServing:
         host, port = handle.address
         with pytest.raises(BindFailureError):
             serve(gen, (host, port))
+
+    def test_port_out_of_range_is_bind_failure(self, served):
+        _, gen, _ = served
+        with pytest.raises(BindFailureError, match="70000"):
+            serve(gen, ("127.0.0.1", 70000))

@@ -15,7 +15,6 @@ from derm.synth import (
     day_file_bytes,
     day_file_name,
     generate_world,
-    load_day_samples,
     load_world_files,
     oracle_auc_bound,
     positive_rates,
@@ -23,18 +22,28 @@ from derm.synth import (
 )
 
 
-def assert_samples_identical(got, want):
-    """Every field equal, every dense vector equal bit for bit."""
-    assert (got.user_id, got.pin_id, got.day, got.event_seq, got.labels) == \
-        (want.user_id, want.pin_id, want.day, want.event_seq, want.labels)
+def assert_identical(a: np.ndarray, b: np.ndarray):
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_batches_identical(got, want):
+    """Every column equal bit for bit, with its dtype and shape."""
+    for name in ("user_id", "pin_id", "event_seq"):
+        assert_identical(getattr(got, name), getattr(want, name))
+    assert got.labels.keys() == want.labels.keys()
+    for task in got.labels:
+        assert_identical(got.labels[task], want.labels[task])
     for a, b in ((got.user, want.user), (got.pin, want.pin),
                  (got.context, want.context)):
-        assert (a.categorical, a.sequence) == (b.categorical, b.sequence)
-        assert a.dense.keys() == b.dense.keys()
-        for key in a.dense:
-            assert a.dense[key].dtype == b.dense[key].dtype
-            assert a.dense[key].shape == b.dense[key].shape
-            assert a.dense[key].tobytes() == b.dense[key].tobytes()
+        for kind in ("dense", "categorical", "sequence"):
+            cols, wants = getattr(a, kind), getattr(b, kind)
+            assert cols.keys() == wants.keys()
+            for key in cols:
+                pairs = (zip(cols[key], wants[key]) if kind == "sequence"
+                         else [(cols[key], wants[key])])
+                for col, want_col in pairs:
+                    assert_identical(col, want_col)
 
 
 def small_cfg(**kw):
@@ -99,16 +108,19 @@ class TestGeneration:
         data = generate_world(small_cfg())
         clicked_before: dict[int, set] = {}
         for day in sorted(data):
-            for s in data[day]:
-                hist = set(s.user.sequence["hist"])
-                assert hist <= clicked_before.get(s.user_id, set())
-            for s in data[day]:
-                if s.labels[CLICK]:
-                    clicked_before.setdefault(s.user_id, set()).add(s.pin_id)
+            batch = data[day]
+            ids, lengths = batch.user.sequence["hist"]
+            for u, row, n in zip(batch.user_id.tolist(), ids, lengths):
+                assert set(row[:n].tolist()) <= clicked_before.get(u, set())
+            clicked = batch.labels[CLICK] == 1
+            for u, p in zip(batch.user_id[clicked].tolist(),
+                            batch.pin_id[clicked].tolist()):
+                clicked_before.setdefault(u, set()).add(p)
 
     def test_day_one_history_empty(self):
         data = generate_world(small_cfg())
-        assert all(s.user.sequence["hist"] == [] for s in data[1])
+        ids, lengths = data[1].user.sequence["hist"]
+        assert not lengths.any() and ids.shape == (len(data[1]), 1)
 
     def test_activity_gaps_exist(self):
         cfg = WorldConfig()
@@ -128,9 +140,9 @@ class TestGeneration:
         world = World(cfg)
         data = generate_world(cfg)
         seen: dict[int, list] = {}
-        for day in data:
-            for s in data[day]:
-                seen.setdefault(s.user_id, []).append(s.user.dense["profile"])
+        for batch in data.values():
+            for u, profile in zip(batch.user_id.tolist(), batch.user.dense["profile"]):
+                seen.setdefault(u, []).append(profile)
         for u, profiles in seen.items():
             if len(profiles) < 8:
                 continue
@@ -162,15 +174,13 @@ class TestDayFiles:
         cfg = small_cfg()
         write_world_files(tmp_path, cfg)
         fresh = generate_world(cfg)
-        fresh[3] = []
-        (tmp_path / day_file_name(3)).write_bytes(day_file_bytes(3, []))
+        fresh[3] = fresh[3][:0]
+        (tmp_path / day_file_name(3)).write_bytes(day_file_bytes(3, fresh[3]))
         loaded_cfg, data = load_world_files(tmp_path)
         assert loaded_cfg == cfg
         assert sorted(data) == sorted(fresh)
         for day in fresh:
-            assert len(data[day]) == len(fresh[day])
-            for got, want in zip(data[day], fresh[day]):
-                assert_samples_identical(got, want)
+            assert_batches_identical(data[day], fresh[day])
 
     def test_day_file_under_another_days_name_rejected(self, tmp_path):
         write_world_files(tmp_path, small_cfg())
@@ -203,7 +213,7 @@ class TestDayFiles:
         path.write_bytes(DAY_FILE.pack(
             (day, count, profile_dim, attrs_dim, hist_total), payload))
         with pytest.raises(IoFailureError, match=rf"{path.name}.*{error}"):
-            load_day_samples(path)
+            load_world_files(tmp_path, days=[cfg.days])
 
     def test_rerun_bit_identical_files(self, tmp_path):
         cfg = small_cfg()
@@ -220,8 +230,8 @@ class TestDayFiles:
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0x01
         path.write_bytes(bytes(blob))
-        with pytest.raises(IoFailureError):
-            load_day_samples(path)
+        with pytest.raises(IoFailureError, match=path.name):
+            load_world_files(tmp_path)
 
     def test_manifest_counts_match(self, tmp_path):
         cfg = small_cfg()

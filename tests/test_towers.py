@@ -21,7 +21,7 @@ from derm.towers import (
     init_tower_params,
     interaction_backward,
     interaction_forward,
-    stack_bundles,
+    pad_sequences,
     tower_backward,
     tower_forward,
 )
@@ -44,10 +44,11 @@ def micro_tower_cfg():
 
 
 def micro_bundle(rng):
+    """A one-row batch of the micro tower's slot columns."""
     return FeatureBundle(
-        dense={"obs": rng.normal(size=3)},
-        categorical={"uid": int(rng.integers(1, 5))},
-        sequence={"seq": [int(i) for i in rng.integers(1, 7, size=3)]},
+        dense={"obs": rng.normal(size=(1, 3))},
+        categorical={"uid": rng.integers(1, 5, size=1)},
+        sequence={"seq": pad_sequences([rng.integers(1, 7, size=3)])},
     )
 
 
@@ -84,8 +85,8 @@ class TestEmbedEntity:
         params = make_params(cfg, 0)
         rng = np.random.default_rng(1)
         b = micro_bundle(rng)
-        y1, _ = embed_entity(cfg, params, "t", [b])
-        y2, _ = embed_entity(cfg, params, "t", [b])
+        y1, _ = embed_entity(cfg, params, "t", b)
+        y2, _ = embed_entity(cfg, params, "t", b)
         assert abs(np.linalg.norm(y1) - 1.0) < 1e-9
         assert np.array_equal(y1, y2)
 
@@ -101,15 +102,15 @@ class TestEmbedEntity:
         for k in params:
             params[k][:] = 0.0
         with pytest.raises(ZeroNormError):
-            embed_entity(cfg, params, "t", [FeatureBundle(dense={"obs": np.zeros(3)})])
+            embed_entity(cfg, params, "t", FeatureBundle(dense={"obs": np.zeros((1, 3))}))
 
     def test_unknown_categorical_id(self):
         cfg = micro_tower_cfg()
         params = make_params(cfg, 0)
         b = micro_bundle(np.random.default_rng(2))
-        b.categorical["uid"] = 99
+        b.categorical["uid"] = np.array([99])
         with pytest.raises(UnknownCategoricalIdError):
-            embed_entity(cfg, params, "t", [b])
+            embed_entity(cfg, params, "t", b)
 
     def test_categorical_id_changes_embedding(self):
         # oracle: direct forward evaluation with seeded params
@@ -119,20 +120,26 @@ class TestEmbedEntity:
         b1 = micro_bundle(rng)
         b2 = copy.deepcopy(b1)
         b2.categorical["uid"] = (b1.categorical["uid"] % 4) + 1
-        y1, _ = embed_entity(cfg, params, "t", [b1])
-        y2, _ = embed_entity(cfg, params, "t", [b2])
+        y1, _ = embed_entity(cfg, params, "t", b1)
+        y2, _ = embed_entity(cfg, params, "t", b2)
         assert float(y1[0] @ y2[0]) < 1.0 - 1e-9
 
-    def test_missing_slots_use_defaults(self):
+    def test_missing_slot_rejected(self):
         cfg = micro_tower_cfg()
         params = make_params(cfg, 5)
-        sparse = FeatureBundle()  # everything missing
-        explicit = FeatureBundle(
-            dense={"obs": np.zeros(3)}, categorical={"uid": 0}, sequence={"seq": [0]}
-        )
-        ys, _ = embed_entity(cfg, params, "t", [sparse])
-        ye, _ = embed_entity(cfg, params, "t", [explicit])
-        assert np.array_equal(ys, ye)
+        for kind, slot in ((DENSE, "obs"), (CATEGORICAL, "uid"), (SEQUENCE, "seq")):
+            b = micro_bundle(np.random.default_rng(6))
+            del getattr(b, kind)[slot]
+            with pytest.raises(ShapeMismatchError, match=rf"slot {slot}: no {kind} column"):
+                embed_entity(cfg, params, "t", b)
+
+    def test_wrong_dense_width_rejected(self):
+        cfg = micro_tower_cfg()
+        params = make_params(cfg, 5)
+        b = micro_bundle(np.random.default_rng(6))
+        b.dense["obs"] = np.zeros((1, 4))
+        with pytest.raises(ShapeMismatchError, match=r"slot obs: expected dense dim 3"):
+            embed_entity(cfg, params, "t", b)
 
 
 class TestBlockGradients:
@@ -215,7 +222,7 @@ class TestTowerGradients:
         w = rng.normal(size=cfg.output_dim)
 
         def make_loss(p):
-            y, cache = embed_entity(cfg, p, "t", [bundle])
+            y, cache = embed_entity(cfg, p, "t", bundle)
             grads = zeros_like_params(p)
             embed_entity_backward(cfg, p, "t", cache, w[None], grads)
             return float(w @ y[0]), grads
@@ -231,7 +238,7 @@ class TestTowerGradients:
         w = rng.normal(size=cfg.output_dim)
 
         def make_loss(p):
-            flat, cache = tower_forward(cfg, p, "t", stack_bundles(cfg.slots, [bundle]))
+            flat, cache = tower_forward(cfg, p, "t", bundle)
             grads = zeros_like_params(p)
             tower_backward(cfg, p, "t", cache, w[None], grads)
             return float(w @ flat[0]), grads
@@ -275,26 +282,27 @@ class TestInteractionTower:
         u /= np.linalg.norm(u)
         p = rng.normal(size=6)
         p /= np.linalg.norm(p)
-        ctx = FeatureBundle(dense={"ctx": rng.normal(size=2)})
-        l1, _ = interaction_forward(model, u[None], p[None], [ctx])
-        l2, _ = interaction_forward(model, u[None], p[None], [ctx])
+        ctx = FeatureBundle(dense={"ctx": rng.normal(size=(1, 2))})
+        l1, _ = interaction_forward(model, u[None], p[None], ctx)
+        l2, _ = interaction_forward(model, u[None], p[None], ctx)
         assert np.array_equal(l1["click"], l2["click"])
 
     def test_context_does_not_touch_entity_embeddings(self):
         model = micro_model(seed=1)
         rng = np.random.default_rng(1)
         ub = micro_bundle(rng)
-        pb = FeatureBundle(dense={"pobs": rng.normal(size=3)}, categorical={"pid": 2})
-        e1, _ = embed_entity(model.user_cfg, model.params, "user", [ub])
-        p1, _ = embed_entity(model.pin_cfg, model.params, "pin", [pb])
-        ctx_a = FeatureBundle(dense={"ctx": np.array([0.0, 0.0])})
-        ctx_b = FeatureBundle(dense={"ctx": np.array([5.0, -3.0])})
-        la, _ = interaction_forward(model, e1, p1, [ctx_a])
-        lb, _ = interaction_forward(model, e1, p1, [ctx_b])
+        pb = FeatureBundle(dense={"pobs": rng.normal(size=(1, 3))},
+                           categorical={"pid": np.array([2])})
+        e1, _ = embed_entity(model.user_cfg, model.params, "user", ub)
+        p1, _ = embed_entity(model.pin_cfg, model.params, "pin", pb)
+        ctx_a = FeatureBundle(dense={"ctx": np.array([[0.0, 0.0]])})
+        ctx_b = FeatureBundle(dense={"ctx": np.array([[5.0, -3.0]])})
+        la, _ = interaction_forward(model, e1, p1, ctx_a)
+        lb, _ = interaction_forward(model, e1, p1, ctx_b)
         assert la["click"][0] != lb["click"][0]
         # embeddings are a function of entity features only; recompute and compare
-        assert np.array_equal(embed_entity(model.user_cfg, model.params, "user", [ub])[0], e1)
-        assert np.array_equal(embed_entity(model.pin_cfg, model.params, "pin", [pb])[0], p1)
+        assert np.array_equal(embed_entity(model.user_cfg, model.params, "user", ub)[0], e1)
+        assert np.array_equal(embed_entity(model.pin_cfg, model.params, "pin", pb)[0], p1)
 
     def test_matches_straight_line_reimplementation(self):
         # oracle: scalar re-evaluation of the same layer equations
@@ -306,7 +314,7 @@ class TestInteractionTower:
         p /= np.linalg.norm(p)
         ctx_x = rng.normal(size=2)
         logits, _ = interaction_forward(
-            model, u[None], p[None], [FeatureBundle(dense={"ctx": ctx_x})]
+            model, u[None], p[None], FeatureBundle(dense={"ctx": ctx_x[None]})
         )
 
         P = model.params
@@ -353,7 +361,7 @@ class TestInteractionTower:
         rng = np.random.default_rng(200 + seed)
         u = rng.normal(size=6)
         p = rng.normal(size=6)
-        ctx = FeatureBundle(dense={"ctx": rng.normal(size=2)})
+        ctx = FeatureBundle(dense={"ctx": rng.normal(size=(1, 2))})
 
         # check params and (u, p) jointly by folding the embeddings into the vector
         params = dict(model.params)
@@ -363,7 +371,7 @@ class TestInteractionTower:
         def make_loss(pd):
             m = type(model)(model.user_cfg, model.pin_cfg, model.inter_cfg,
                             model.tasks, {k: v for k, v in pd.items() if not k.startswith("__")})
-            logits, cache = interaction_forward(m, pd["__u"][None], pd["__p"][None], [ctx])
+            logits, cache = interaction_forward(m, pd["__u"][None], pd["__p"][None], ctx)
             loss = float(np.tanh(logits["click"][0]))
             dl = 1.0 - np.tanh(logits["click"]) ** 2
             grads = zeros_like_params(m.params)
@@ -376,15 +384,14 @@ class TestInteractionTower:
         assert rep.max_rel_err < 1e-4
 
 
-def batch_bundles():
-    """Six user bundles: histories of length 0, 1 and 3, uids repeated
+def batch_bundle():
+    """Six user rows: histories of length 0, 1 and 3, uids repeated
     across rows, history ids repeated within and across rows."""
     rng = np.random.default_rng(31)
-    uids = [1, 3, 1, 0, 3, 1]
     hists = [[], [4], [2, 2, 5], [5, 1, 5], [], [2]]
-    return [FeatureBundle(dense={"obs": rng.normal(size=3)},
-                          categorical={"uid": u}, sequence={"seq": h})
-            for u, h in zip(uids, hists)]
+    return FeatureBundle(dense={"obs": rng.normal(size=(6, 3))},
+                         categorical={"uid": np.array([1, 3, 1, 0, 3, 1])},
+                         sequence={"seq": pad_sequences(hists)})
 
 
 class TestBatches:
@@ -394,22 +401,22 @@ class TestBatches:
     def test_rows_match_batch_of_one(self):
         cfg = micro_tower_cfg()
         params = make_params(cfg, 9)
-        bundles = batch_bundles()
-        Y, _ = embed_entity(cfg, params, "t", bundles)
-        assert Y.shape == (len(bundles), cfg.output_dim)
-        for row, b in zip(Y, bundles):
-            alone, _ = embed_entity(cfg, params, "t", [b])
+        bundle = batch_bundle()
+        Y, _ = embed_entity(cfg, params, "t", bundle)
+        assert Y.shape == (6, cfg.output_dim)
+        for i, row in enumerate(Y):
+            alone, _ = embed_entity(cfg, params, "t", bundle[i:i + 1])
             np.testing.assert_allclose(row, alone[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_embed_grads_on_batch(self, seed):
         cfg = micro_tower_cfg()
         params = make_params(cfg, seed)
-        bundles = batch_bundles()
-        W = np.random.default_rng(50 + seed).normal(size=(len(bundles), cfg.output_dim))
+        bundle = batch_bundle()
+        W = np.random.default_rng(50 + seed).normal(size=(6, cfg.output_dim))
 
         def make_loss(p):
-            Y, cache = embed_entity(cfg, p, "t", bundles)
+            Y, cache = embed_entity(cfg, p, "t", bundle)
             grads = zeros_like_params(p)
             embed_entity_backward(cfg, p, "t", cache, W, grads)
             return float((W * Y).sum()), grads
@@ -420,13 +427,11 @@ class TestBatches:
     def test_upstream_chain_grads_on_batch(self):
         # user and pin towers feed the interaction tower, all on one batch
         model = micro_model(seed=2)
-        users = batch_bundles()
+        users = batch_bundle()
         rng = np.random.default_rng(62)
-        pins = [FeatureBundle(dense={"pobs": rng.normal(size=3)},
-                              categorical={"pid": pid})
-                for pid in (2, 5, 2, 2, 0, 5)]
-        contexts = [FeatureBundle(dense={"ctx": rng.normal(size=2)})
-                    for _ in users]
+        pins = FeatureBundle(dense={"pobs": rng.normal(size=(6, 3))},
+                             categorical={"pid": np.array([2, 5, 2, 2, 0, 5])})
+        contexts = FeatureBundle(dense={"ctx": rng.normal(size=(6, 2))})
 
         def make_loss(p):
             m = type(model)(model.user_cfg, model.pin_cfg, model.inter_cfg,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from derm.data import SampleBatch
 from derm.errors import (
     DivergedLossError,
     EmptyWindowError,
@@ -30,6 +31,10 @@ def small_cfg(**kw):
                 negatives_per_pair=4, seed=3)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def no_events():
+    return separable_samples(seed=0, days=[1], per_day=1)[1][:0]
 
 
 class TestConfig:
@@ -162,7 +167,8 @@ class TestBatchWindow:
         with pytest.raises(EmptyWindowError):
             train_batch_window(tiny_model(), {}, small_cfg())
         with pytest.raises(EmptyWindowError):
-            train_batch_window(tiny_model(), {1: [], 2: []}, small_cfg())
+            train_batch_window(tiny_model(), {1: no_events(), 2: no_events()},
+                               small_cfg())
 
     def test_deterministic_rerun(self):
         data = separable_samples(seed=0, days=range(1, 3), per_day=24)
@@ -175,7 +181,7 @@ class TestBatchWindow:
 
     def test_loss_halves_on_separable_data(self):
         data = separable_samples(seed=1, days=range(1, 4), per_day=40)
-        train_flat = [s for d in sorted(data) for s in data[d]]
+        train_flat = SampleBatch.concat([data[d] for d in sorted(data)])
         held_out = separable_samples(seed=77, days=[9], per_day=40)[9]
         model = tiny_model(seed=2)
         cfg = small_cfg(epochs=12, learning_rate=0.2)
@@ -208,7 +214,7 @@ class TestIncremental:
     def test_empty_day_advances_watermark_only(self):
         model = tiny_model(seed=0)
         snap = make_snapshot(model, watermark_day=4, rng_seed=3)
-        out = train_incremental(snap, 5, [], small_cfg(), model)
+        out = train_incremental(snap, 5, no_events(), small_cfg(), model)
         assert out.watermark_day == 5
         assert params_equal_exact(out.params, snap.params)
         assert params_equal_exact(out.velocity, snap.velocity)
@@ -260,4 +266,4 @@ class TestEvaluateLoss:
 
     def test_empty(self):
         with pytest.raises(EmptyWindowError):
-            evaluate_loss(tiny_model(), [], small_cfg())
+            evaluate_loss(tiny_model(), no_events(), small_cfg())

@@ -1,11 +1,11 @@
-"""Shared helpers: gradient checks, a tiny upstream model, separable samples."""
+"""Shared helpers: gradient checks, a tiny upstream model, separable batches."""
 
 import numpy as np
 
-from derm.data import FeatureBundle, TrainingSample
+from derm.data import FeatureBundle, SampleBatch
 from derm.numerics import check_gradient
 from derm.params import flatten_params, unflatten_params
-from derm.towers import SlotSpec, TowerConfig, build_upstream_model
+from derm.towers import SlotSpec, TowerConfig, build_upstream_model, pad_sequences
 
 
 def fd_check_params(make_loss, params, step=1e-5):
@@ -75,7 +75,7 @@ def tiny_model(seed=0, tasks=("click",)):
 
 
 def separable_samples(seed, days, per_day, task="click"):
-    """Day-keyed samples whose labels are linearly separable in latent space.
+    """Day-keyed batches whose labels are linearly separable in latent space.
 
     Users and pins carry fixed latent vectors, exposed through the dense
     slots, and the label is the sign of the latent dot product. The user
@@ -88,31 +88,24 @@ def separable_samples(seed, days, per_day, task="click"):
     out = {}
     for day in days:
         day_rng = np.random.default_rng([seed, 0xDA7A, day])
-        samples = []
-        for e in range(per_day):
+        users, pins, labels, hours, hists = [], [], [], [], []
+        for _ in range(per_day):
             u = int(day_rng.integers(NUM_TEST_USERS))
             p = int(day_rng.integers(NUM_TEST_PINS))
             label = int(float(zu[u] @ zp[p]) > 0.0)
-            samples.append(TrainingSample(
-                user_id=u,
-                pin_id=p,
-                day=day,
-                event_seq=e,
-                user=FeatureBundle(
-                    dense={"profile": zu[u].copy()},
-                    categorical={"uid": u},
-                    sequence={"hist": list(hist[u][-6:])},
-                ),
-                pin=FeatureBundle(
-                    dense={"attrs": zp[p].copy()},
-                    categorical={"pid": p},
-                ),
-                context=FeatureBundle(
-                    dense={"hour": np.array([float(day_rng.uniform(-1, 1))])},
-                ),
-                labels={task: label},
-            ))
+            users.append(u)
+            pins.append(p)
+            labels.append(label)
+            hours.append(float(day_rng.uniform(-1, 1)))
+            hists.append(hist[u][-6:])
             if label:
                 hist[u].append(p)
-        out[day] = samples
+        users, pins = np.array(users, dtype=np.int64), np.array(pins, dtype=np.int64)
+        out[day] = SampleBatch(
+            user_id=users, pin_id=pins, event_seq=np.arange(per_day),
+            labels={task: np.array(labels, dtype=np.int64)},
+            user=FeatureBundle(dense={"profile": zu[users]}, categorical={"uid": users},
+                               sequence={"hist": pad_sequences(hists)}),
+            pin=FeatureBundle(dense={"attrs": zp[pins]}, categorical={"pid": pins}),
+            context=FeatureBundle(dense={"hour": np.array(hours)[:, None]}))
     return out
