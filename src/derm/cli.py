@@ -54,7 +54,7 @@ from .lifecycle import (
     initial_state,
     stability_report,
 )
-# infer_daily stays importable from here for existing callers
+# perfbench's patcher test checks that tracing rebinds this copy
 from .lifecycle import infer_daily  # noqa: F401
 from .store import (
     STATE_FILE,
@@ -167,7 +167,7 @@ def cmd_infer(cfg: PipelineConfig, args) -> int:
                      f"snapshot for day {snap_day} "
                      "(run `derm train-upstream` first)")
     sets = back_infer(load_snapshot(spath), build_model(cfg.world, spec),
-                      days, data, spec.source)
+                      days, data)
     for daily in sets:
         path = embedding_path(cfg, args.model, daily.day)
         save_daily(daily, path, spec.source)
@@ -177,9 +177,14 @@ def cmd_infer(cfg: PipelineConfig, args) -> int:
 
 def _load_dailies(cfg: PipelineConfig, model: str, first: int, last: int):
     source = UPSTREAM_SOURCES[model]
-    return [load_daily(_require(embedding_path(cfg, model, day),
-                                f"daily embeddings for day {day}"), source)
-            for day in range(first, last + 1)]
+    dailies = [load_daily(_require(embedding_path(cfg, model, day),
+                                   f"daily embeddings for day {day}"), source)
+               for day in range(first, last + 1)]
+    for day, daily in enumerate(dailies, first):
+        if daily.day != day:
+            raise IoFailureError(f"daily embeddings {embedding_path(cfg, model, day)} "
+                                 f"hold day {daily.day}, not day {day}")
+    return dailies
 
 
 def cmd_aggregate(cfg: PipelineConfig, args) -> int:

@@ -1,4 +1,4 @@
-"""Shared domain records: sample batches, feature bundles, embedding records.
+"""Shared domain records: sample batches, feature bundles, embedding rows.
 
 A SampleBatch holds n events as columns, from the day file through the
 towers, the lifecycle and the downstream features: (n,) int64 user, pin and
@@ -9,6 +9,8 @@ int64 ids padded with 0 plus (n,) lengths, L = max(1, longest).
 
 batch[idx] indexes every column: a slice or index array gives a sub-batch
 with the L of its own rows, an int one event, so iterating yields events.
+A day's entity embeddings are one record table (embedding_rows) from
+inference to aggregation.
 """
 
 from __future__ import annotations
@@ -90,13 +92,18 @@ class SampleBatch:
     concat = staticmethod(_concat)  # the events of each batch in turn
 
 
-@dataclass
-class EmbeddingRecord:
-    """One inferred entity embedding; seq orders records within a day."""
+def embedding_rows(kind=(), entity_id=(), seq=(), vec=np.empty((0, 0))) -> np.ndarray:
+    """Entity-embedding rows {kind u1, id u8, seq i8, vec f8[dim]} from (n,)
+    columns, or scalars broadcast to every row, and an (n, dim) vec matrix;
+    no arguments give zero rows of dim 0."""
+    vec = np.asarray(vec, dtype=np.float64)
+    rows = np.empty(len(vec), [("kind", "u1"), ("id", "<u8"), ("seq", "<i8"),
+                               ("vec", "<f8", vec.shape[1:])])
+    rows["kind"], rows["id"], rows["seq"], rows["vec"] = kind, entity_id, seq, vec
+    return rows
 
-    entity_id: int
-    kind: str  # USER or PIN
-    day: int
-    vector: np.ndarray
-    source: str  # producing model tag, e.g. "ctr-upstream"
-    seq: int = 0
+
+def entity_keys(rows: np.ndarray) -> list[tuple[str, int]]:
+    """(kind name, entity id) of each row of a table keyed by kind and id."""
+    return [(KIND_NAMES[k], i)
+            for k, i in zip(rows["kind"].tolist(), rows["id"].tolist())]

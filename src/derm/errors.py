@@ -69,10 +69,6 @@ class WatermarkGapError(DermError):
 
 
 # lifecycle
-class MixedDaysError(DermError):
-    pass
-
-
 class DayGapError(DermError):
     pass
 

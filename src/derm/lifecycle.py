@@ -1,9 +1,11 @@
 """Daily embedding production: inference, dedup, aggregation, retention.
 
 A day's pipeline is infer -> dedup -> aggregate -> retain, treated as one
-transaction over the aggregated store state. State transitions are pure:
-each step returns a new state object, and entries untouched by the day are
-shared with the previous state, which is what makes carry-over bit-exact.
+transaction over the aggregated store state. The day's embeddings are one
+record table, a row per entity occurrence until dedup keeps one per entity.
+State transitions are pure: each step returns a new state object, and entries
+untouched by the day are shared with the previous state, which is what makes
+carry-over bit-exact.
 
 Aggregation heuristics:
   acc   keep the latest daily embedding
@@ -21,12 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EmbeddingRecord, SampleBatch
+from .data import KIND_CODES, PIN, USER, SampleBatch, embedding_rows, entity_keys
 from .errors import (
     DayGapError,
     EmptyIntersectionError,
     EmptyUniverseError,
-    MixedDaysError,
     WatermarkBehindDayError,
     WeightOutOfRangeError,
     WindowExceedsWatermarkError,
@@ -80,7 +81,7 @@ class AggregationHeuristic:
 @dataclass
 class DailyEmbeddingSet:
     day: int
-    records: dict[EntityKey, EmbeddingRecord]
+    records: np.ndarray  # embedding rows, one per entity, sorted by (kind, id)
 
 
 @dataclass
@@ -107,11 +108,11 @@ def initial_state(heuristic: AggregationHeuristic) -> AggregatedStoreState:
 
 
 def infer_daily(snapshot: ModelSnapshot, model: UpstreamModel, day: int,
-                events: SampleBatch, source: str) -> list[EmbeddingRecord]:
-    """Raw per-occurrence embedding stream for one day, pre-dedup.
+                events: SampleBatch) -> np.ndarray:
+    """Raw per-occurrence embedding rows for one day, pre-dedup.
 
-    Emits one user and one pin record per event, in event order, so an
-    entity occurring k times yields k records with distinct seq numbers.
+    Emits one user and one pin row per event, in event order, so an entity
+    occurring k times yields k rows with the seq numbers of its events.
     """
     if snapshot.watermark_day < day:
         raise WatermarkBehindDayError(
@@ -119,49 +120,41 @@ def infer_daily(snapshot: ModelSnapshot, model: UpstreamModel, day: int,
         )
     apply_snapshot(model, snapshot)
     if not len(events):
-        return []
+        return embedding_rows()
     U, _ = embed_entity(model.user_cfg, model.params, "user", events.user)
     P, _ = embed_entity(model.pin_cfg, model.params, "pin", events.pin)
-    # event order, an event's user record before its pin record
-    return [r for user_id, pin_id, seq, u, p in zip(
-                events.user_id.tolist(), events.pin_id.tolist(),
-                events.event_seq.tolist(), U, P)
-            for r in (EmbeddingRecord(user_id, "user", day, u, source, seq),
-                      EmbeddingRecord(pin_id, "pin", day, p, source, seq))]
+    # event order, an event's user row before its pin row
+    return embedding_rows(np.tile([KIND_CODES[USER], KIND_CODES[PIN]], len(U)),
+                          np.stack([events.user_id, events.pin_id], 1).ravel(),
+                          np.repeat(events.event_seq, 2),
+                          np.stack([U, P], 1).reshape(-1, U.shape[1]))
 
 
-def dedup_day(records: list[EmbeddingRecord], day: int) -> DailyEmbeddingSet:
-    """Keep the last embedding of the day per entity (greatest seq wins)."""
-    kept: dict[EntityKey, EmbeddingRecord] = {}
-    for r in records:
-        if r.day != day:
-            raise MixedDaysError(
-                f"record for day {r.day} in a day-{day} stream"
-            )
-        key = (r.kind, r.entity_id)
-        prev = kept.get(key)
-        if prev is None or r.seq > prev.seq:
-            kept[key] = r
-    return DailyEmbeddingSet(day, kept)
+def dedup_day(rows: np.ndarray, day: int) -> DailyEmbeddingSet:
+    """Keep the last embedding of the day per entity: the greatest seq wins,
+    the first row of equal seqs."""
+    order = np.lexsort((-rows["seq"], rows["id"], rows["kind"]))  # stable
+    kind, ids = rows["kind"][order], rows["id"][order]
+    first = np.ones(len(order), bool)
+    first[1:] = (kind[1:] != kind[:-1]) | (ids[1:] != ids[:-1])
+    return DailyEmbeddingSet(day, rows[order[first]])
 
 
 def back_infer(snapshot: ModelSnapshot, model: UpstreamModel,
                window_days: list[int],
-               data_by_day: dict[int, SampleBatch],
-               source: str) -> list[DailyEmbeddingSet]:
+               data_by_day: dict[int, SampleBatch]) -> list[DailyEmbeddingSet]:
     """Infer each day with one snapshot (the latest, when re-inferring a
-    window); returns the deduped sets in day order."""
+    window); returns the deduped sets in day order, an empty one for a day
+    missing from data_by_day."""
     days = sorted(window_days)
     for d in days:
         if not (1 <= d <= snapshot.watermark_day):
             raise WindowExceedsWatermarkError(
                 f"back-inference day {d} outside [1, {snapshot.watermark_day}]"
             )
-    out = []
-    for d in days:
-        raw = infer_daily(snapshot, model, d, data_by_day.get(d, []), source)
-        out.append(dedup_day(raw, day=d))
-    return out
+    return [dedup_day(infer_daily(snapshot, model, d, data_by_day[d])
+                      if d in data_by_day else embedding_rows(), day=d)
+            for d in days]
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +172,7 @@ def aggregate_day(state: AggregatedStoreState,
         )
     entries = dict(state.entries)
     prev_daily = dict(state.prev_daily) if h.kind == AP else state.prev_daily
-    for key, rec in daily.records.items():
-        d = np.asarray(rec.vector, dtype=np.float64)
+    for key, d in zip(entity_keys(daily.records), daily.records["vec"]):
         prior = entries.get(key)
         if prior is None:
             agg = d.copy()
@@ -270,12 +262,9 @@ def noisy_daily_stability(heuristic: AggregationHeuristic,
     means = []
     for day in range(1, days + 1):
         noisy = base + noise * rng.normal(size=base.shape)
-        records = {
-            ("user", i): EmbeddingRecord(i, "user", day,
-                                         l2_normalize(noisy[i]), "sim", seq=0)
-            for i in range(num_entities)
-        }
-        new_state = aggregate_day(state, DailyEmbeddingSet(day, records))
+        rows = embedding_rows(KIND_CODES[USER], np.arange(num_entities), 0,
+                              [l2_normalize(v) for v in noisy])
+        new_state = aggregate_day(state, DailyEmbeddingSet(day, rows))
         if day > 1:
             means.append(stability_report(state, new_state).mean)
         state = new_state

@@ -8,7 +8,8 @@ Every file here is sealed (see ioutil). A generation file, little-endian:
 
 Vectors are downcast to f32 at publish; the file is immutable once written,
 and a repeat publish for the same day claims the next generation suffix.
-Daily embedding files share the layout.
+Daily embedding files share the layout: save_daily and load_daily copy the
+fields of a day's embedding rows (data.embedding_rows) to and from it.
 
 The aggregated state is the single file `state.bin`, at f64, so a state
 loads back exactly and `aggregate` gives the same bytes however it is split:
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import KIND_CODES, KIND_NAMES, EmbeddingRecord
+from .data import KIND_CODES, KIND_NAMES, embedding_rows, entity_keys
 from .errors import (
     BindFailureError,
     CorruptGenerationError,
@@ -50,7 +51,6 @@ from .lifecycle import (
     AggregatedStoreState,
     AggregationHeuristic,
     DailyEmbeddingSet,
-    EntityKey,
     StoreEntry,
 )
 
@@ -144,11 +144,6 @@ def _generation(day: int, rows: np.ndarray) -> StoreGeneration:
                            dict(zip(keys, np.array(rows["vec"]))))
 
 
-def _entity_keys(rows: np.ndarray) -> list[EntityKey]:
-    return [(KIND_NAMES[k], i)
-            for k, i in zip(rows["kind"].tolist(), rows["id"].tolist())]
-
-
 # ---------------------------------------------------------------------------
 # generations and daily embedding files
 
@@ -162,11 +157,15 @@ def generation_bytes(day: int, dim: int,
     return _generation_file(day, _rows(_GENERATION_KEY, "<f4", dim, vectors))
 
 
-def parse_generation(blob: bytes, what: str = "generation") -> StoreGeneration:
+def _generation_rows(blob: bytes, what: str) -> tuple[int, np.ndarray]:
     (_, _, day), (rows,) = GENERATION.unpack(blob, what, lambda dim, count, _: [
         (_row_type(_GENERATION_KEY, "<f4", dim), count)])
     _check_kinds(what, CorruptGenerationError, rows)
-    return _generation(day, rows)
+    return day, rows
+
+
+def parse_generation(blob: bytes, what: str = "generation") -> StoreGeneration:
+    return _generation(*_generation_rows(blob, what))
 
 
 def load_generation(path) -> StoreGeneration:
@@ -174,15 +173,11 @@ def load_generation(path) -> StoreGeneration:
     return parse_generation(read_file(path, what), what)
 
 
-def _keyed_rows(vectors: dict[EntityKey, np.ndarray], source: str) -> np.ndarray:
-    """Generation rows of vectors keyed by (kind, id)."""
-    src = source_code(source)
-    return _rows(_GENERATION_KEY, "<f4", _dim_of(vectors.values()),
-                 {(KIND_CODES[kind], i, src): v for (kind, i), v in vectors.items()})
-
-
 def _state_rows(state: AggregatedStoreState, source: str) -> np.ndarray:
-    return _keyed_rows({k: e.vector for k, e in state.entries.items()}, source)
+    src = source_code(source)
+    vectors = {(KIND_CODES[kind], i, src): e.vector
+               for (kind, i), e in state.entries.items()}
+    return _rows(_GENERATION_KEY, "<f4", _dim_of(vectors.values()), vectors)
 
 
 def state_generation(state: AggregatedStoreState,
@@ -197,20 +192,23 @@ def state_payload(state: AggregatedStoreState, day: int, source: str) -> bytes:
 
 
 def save_daily(daily: DailyEmbeddingSet, path, source: str) -> None:
-    rows = _keyed_rows({k: r.vector for k, r in daily.records.items()}, source)
+    records = daily.records
+    dim = records["vec"].shape[1]
+    rows = np.zeros(len(records), _row_type(_GENERATION_KEY, "<f4", dim))
+    for name in ("kind", "id", "vec"):
+        rows[name] = records[name]
+    rows["source"] = source_code(source)
     write_atomic(path, _generation_file(daily.day, rows))
 
 
 def load_daily(path, source: str) -> DailyEmbeddingSet:
-    gen = load_generation(path)
-    if other := sorted({src for _, _, src in gen.vectors} - {source_code(source)}):
+    what = f"generation {path}"
+    day, rows = _generation_rows(read_file(path, what), what)
+    if (other := np.setdiff1d(rows["source"], [source_code(source)])).size:
         raise IoFailureError(f"daily embeddings {path} hold rows of source code {other[0]}, "
                              f"not of {source} (code {source_code(source)})")
-    rows = np.array(list(gen.vectors.values()), dtype=np.float64)
-    return DailyEmbeddingSet(gen.day, {
-        (KIND_NAMES[kind], entity_id):
-            EmbeddingRecord(entity_id, KIND_NAMES[kind], gen.day, vec, source)
-        for (kind, entity_id, _), vec in zip(gen.vectors, rows)})
+    return DailyEmbeddingSet(day, embedding_rows(rows["kind"], rows["id"], 0,
+                                                 rows["vec"]))
 
 
 def generation_name(source: str, day: int, attempt: int) -> str:
@@ -283,9 +281,9 @@ def load_state(dir_path) -> AggregatedStoreState:
     return AggregatedStoreState(
         day, heuristic,
         {key: StoreEntry(vec, last) for key, last, vec in zip(
-            _entity_keys(entries), entries["last_active_day"].tolist(),
+            entity_keys(entries), entries["last_active_day"].tolist(),
             np.array(entries["vec"]))},
-        dict(zip(_entity_keys(buffer), np.array(buffer["vec"]))),
+        dict(zip(entity_keys(buffer), np.array(buffer["vec"]))),
     )
 
 

@@ -29,7 +29,7 @@ import pytest
 
 import derm
 from derm.config import build_model, default_config, emit_config
-from derm.data import EmbeddingRecord, FeatureBundle
+from derm.data import FeatureBundle
 from derm.downstream import (
     DownstreamConfig,
     DownstreamModel,
@@ -42,7 +42,6 @@ from derm.errors import CorruptGenerationError
 from derm.lifecycle import (
     AggregatedStoreState,
     AggregationHeuristic,
-    DailyEmbeddingSet,
     aggregate_day,
     back_infer,
     coverage_report,
@@ -87,7 +86,14 @@ from derm.trainer import (
     train_incremental,
 )
 
-from util import fd_check_params, random_unit_rows, separable_samples, tiny_model
+from util import (
+    daily_set,
+    daily_vectors,
+    fd_check_params,
+    random_unit_rows,
+    separable_samples,
+    tiny_model,
+)
 
 GRAD_TOL = 1e-4
 CLOSED_FORM_TOL = 1e-9
@@ -397,12 +403,11 @@ def _random_history(seed: int, days: int = 30, entities: int = 10,
     rng = np.random.default_rng(seed)
     out = []
     for day in range(1, days + 1):
-        records = {}
+        vectors = {}
         for e in range(entities):
             if rng.uniform() < presence:
-                records[("user", e)] = EmbeddingRecord(
-                    e, "user", day, rng.normal(size=dim), "sim", 0)
-        out.append(DailyEmbeddingSet(day, records))
+                vectors[e] = rng.normal(size=dim)
+        out.append(daily_set(day, vectors))
     return out
 
 
@@ -416,9 +421,7 @@ def test_criterion_03_aggregation_algebra():
         v = random_unit_rows(np.random.default_rng(seed), 1, 6)[0]
         state = initial_state(AggregationHeuristic("ma", 0.8))
         for day in range(1, 31):
-            rec = EmbeddingRecord(1, "user", day, v, "sim", 0)
-            state = aggregate_day(state, DailyEmbeddingSet(day,
-                                                           {("user", 1): rec}))
+            state = aggregate_day(state, daily_set(day, {1: v}))
             assert np.allclose(state.entries[("user", 1)].vector, v,
                                atol=1e-12)
 
@@ -428,8 +431,8 @@ def test_criterion_03_aggregation_algebra():
         lo: dict = {}
         hi: dict = {}
         for daily in history:
-            for key, rec in daily.records.items():
-                d = np.asarray(rec.vector, dtype=np.float64)
+            for key, vec in daily_vectors(daily).items():
+                d = np.asarray(vec, dtype=np.float64)
                 lo[key] = d if key not in lo else np.minimum(lo[key], d)
                 hi[key] = d if key not in hi else np.maximum(hi[key], d)
             state = aggregate_day(state, daily)
@@ -457,13 +460,14 @@ def test_criterion_03_aggregation_algebra():
                       for k, e in ap.entries.items()}
             ap = aggregate_day(ap, daily)
             checked_days += 1
+            present = daily_vectors(daily)
             for key, snap in before.items():
-                if key not in daily.records:
+                if key not in present:
                     entry = ap.entries[key]
                     assert (entry.vector.tobytes(),
                             entry.last_active_day) == snap
-            for key, rec in daily.records.items():
-                d = np.asarray(rec.vector, dtype=np.float64)
+            for key, vec in present.items():
+                d = np.asarray(vec, dtype=np.float64)
                 expect = d if key not in prev_present \
                     else 0.5 * (prev_present[key] + d)
                 assert np.array_equal(ap.entries[key].vector, expect)
@@ -623,8 +627,7 @@ def test_criterion_08_coverage():
         data = generate_world(wcfg)
         model = build_model(wcfg, spec)
         snap = make_snapshot(model, watermark_day=end, rng_seed=0)
-        sets = back_infer(snap, model, list(range(1, end + 1)), data,
-                          spec.source)
+        sets = back_infer(snap, model, list(range(1, end + 1)), data)
         universe: dict[str, set] = {"user": set(), "pin": set()}
         for day in range(1, end + 1):
             for s in data.get(day, []):

@@ -1,9 +1,10 @@
 """What perfbench/ relies on in derm, checked without editing perfbench/.
 
-The benchmark wraps the functions its span table names and builds the grid
-workload's daily embeddings from the day files it loads through derm. Its
-own tests are not part of this suite, so these checks keep a change under
-src/ from breaking the benchmark unnoticed.
+The benchmark wraps the functions its span table names, counts rows and hits
+from what some of them return, and builds the grid workload's daily
+embeddings from the day files it loads through derm. Its own tests are not
+part of this suite, so these checks keep a change under src/ from breaking
+the benchmark unnoticed.
 """
 
 import contextlib
@@ -13,9 +14,18 @@ import io
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import derm.downstream
+import derm.lifecycle
 from derm.cli import embedding_path, main
 from derm.config import UPSTREAM_SOURCES, load_config
-from derm.store import load_daily
+from derm.downstream import DownstreamConfig
+from derm.lifecycle import AggregationHeuristic, fold_days, initial_state
+from derm.store import load_daily, state_generation
+from derm.trainer import make_snapshot
+
+from util import separable_samples, tiny_model
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -60,4 +70,25 @@ def test_grid_set_up_writes_dailies_derm_loads(tmp_path):
     for model, source in UPSTREAM_SOURCES.items():
         for day in range(1, cfg.upstream_end_day + 1):
             daily = load_daily(embedding_path(cfg, model, day), source)
-            assert daily.day == day and daily.records
+            assert daily.day == day and len(daily.records)
+
+
+def test_traced_counters_count_rows_kept_entities_and_hits():
+    spans = bench_module("spans")
+    model = tiny_model(seed=1)
+    snap = make_snapshot(model, watermark_day=3, rng_seed=0)
+    data = separable_samples(seed=2, days=[1, 2, 3], per_day=12)
+    tracer = spans.Tracer()
+    with spans.Patcher(tracer):
+        sets = derm.lifecycle.back_infer(snap, model, [1, 2, 3], data)
+        state = fold_days(initial_state(AggregationHeuristic("acc")), sets)
+        derm.downstream.build_features(
+            data[3], DownstreamConfig(derm_inputs=("ctr-user", "ctr-pin")),
+            {"ctr-upstream": state_generation(state, "ctr-upstream")})
+    counts = tracer.counts
+    assert counts["lifecycle.infer_daily.records"] == \
+        2 * sum(len(b) for b in data.values())
+    assert counts["lifecycle.dedup_day.kept"] == sum(
+        len(np.unique(b.user_id)) + len(np.unique(b.pin_id))
+        for b in data.values())
+    assert counts["store.lookup.hits"] > 0

@@ -593,6 +593,23 @@ class TestPipeline:
                             r"has unsupported version 1", err.strip())
         assert not paths.embeddings.exists()
 
+    def test_daily_file_of_another_day_names_its_path(self, pipeline,
+                                                      tmp_path):
+        paths = replace(pipeline.cfg.paths, embeddings_dir=tmp_path / "embeddings",
+                        state_dir=tmp_path / "state", report_dir=tmp_path / "reports")
+        shutil.copytree(pipeline.cfg.paths.embeddings, paths.embeddings)
+        cfg = replace(pipeline.cfg, paths=paths)
+        ini = tmp_path / "derm.ini"
+        ini.write_text(emit_config(cfg))
+        wrong = paths.embeddings / "ctr" / "day003.kv"
+        shutil.copyfile(paths.embeddings / "ctr" / "day002.kv", wrong)
+        _, err = run_cli(["aggregate", "-c", str(ini), "--model", "ctr"],
+                         expect=1)
+        assert re.fullmatch(rf"error: IoFailure: daily embeddings "
+                            rf"{re.escape(str(wrong))} hold day 2, not day 3",
+                            err.strip())
+        assert not paths.state.exists()
+
     def test_serve_round_trip_over_tcp(self, pipeline):
         # the child finds derm where this process did, installed or not
         src = str(Path(derm.__file__).resolve().parent.parent)

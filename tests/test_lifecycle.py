@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from derm.data import EmbeddingRecord
+from derm.data import KIND_CODES, embedding_rows
 from derm.errors import (
     DayGapError,
     EmptyIntersectionError,
     EmptyUniverseError,
-    MixedDaysError,
     WatermarkBehindDayError,
     WeightOutOfRangeError,
     WindowExceedsWatermarkError,
 )
 from derm.lifecycle import (
     AggregationHeuristic,
-    DailyEmbeddingSet,
     aggregate_day,
     apply_retention,
     back_infer,
@@ -26,7 +24,13 @@ from derm.lifecycle import (
 )
 from derm.trainer import make_snapshot
 
-from util import random_unit_rows, separable_samples, tiny_model
+from util import (
+    daily_set,
+    daily_vectors,
+    random_unit_rows,
+    separable_samples,
+    tiny_model,
+)
 
 ACC = AggregationHeuristic("acc")
 AP = AggregationHeuristic("ap")
@@ -36,21 +40,14 @@ def MA(w):
     return AggregationHeuristic("ma", w)
 
 
-def rec(entity, day, vec, kind="user", seq=0):
-    return DailyEmbeddingSet(day, {
-        (kind, e): EmbeddingRecord(e, kind, day, np.asarray(v, dtype=float),
-                                   "test", seq)
-        for e, v in zip(entity, vec)
-    }) if isinstance(entity, list) else EmbeddingRecord(
-        entity, kind, day, np.asarray(vec, dtype=float), "test", seq)
+def rec(entity, vec, kind="user", seq=0):
+    return entity, vec, kind, seq
 
 
-def daily_set(day, vectors, kind="user"):
-    return DailyEmbeddingSet(day, {
-        (kind, e): EmbeddingRecord(e, kind, day, np.asarray(v, dtype=float),
-                                   "test", 0)
-        for e, v in vectors.items()
-    })
+def raw(*recs):
+    """Raw embedding rows, in the given order, of rec tuples."""
+    ids, vecs, kinds, seqs = zip(*recs)
+    return embedding_rows([KIND_CODES[k] for k in kinds], ids, seqs, vecs)
 
 
 class TestHeuristic:
@@ -85,66 +82,96 @@ class TestInferDaily:
         self.samples = separable_samples(seed=3, days=[4], per_day=12)[4]
 
     def test_one_record_per_occurrence(self):
-        raw = infer_daily(self.snap, self.model, 4, self.samples, "m")
-        assert len(raw) == 2 * len(self.samples)
-        by_user = [r for r in raw if r.kind == "user"
-                   and r.entity_id == self.samples.user_id[0]]
+        rows = infer_daily(self.snap, self.model, 4, self.samples)
+        assert len(rows) == 2 * len(self.samples)
+        by_user = rows[(rows["kind"] == KIND_CODES["user"])
+                       & (rows["id"] == self.samples.user_id[0])]
         repeats = int((self.samples.user_id == self.samples.user_id[0]).sum())
         assert len(by_user) == repeats
 
+    def test_event_order_user_row_first(self):
+        rows = infer_daily(self.snap, self.model, 4, self.samples)
+        assert rows["kind"].tolist() == [0, 1] * len(self.samples)
+        assert np.array_equal(rows["id"][0::2], self.samples.user_id)
+        assert np.array_equal(rows["id"][1::2], self.samples.pin_id)
+        assert np.array_equal(rows["seq"][0::2], self.samples.event_seq)
+        assert np.array_equal(rows["seq"][1::2], self.samples.event_seq)
+
+    def test_empty_day_is_zero_rows_of_dim_0(self):
+        rows = infer_daily(self.snap, self.model, 4, self.samples[:0])
+        assert len(rows) == 0 and rows.dtype["vec"].shape == (0,)
+
     def test_deterministic(self):
-        a = infer_daily(self.snap, self.model, 4, self.samples, "m")
-        b = infer_daily(self.snap, self.model, 4, self.samples, "m")
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert x.entity_id == y.entity_id and x.seq == y.seq
-            assert x.vector.tobytes() == y.vector.tobytes()
+        a = infer_daily(self.snap, self.model, 4, self.samples)
+        b = infer_daily(self.snap, self.model, 4, self.samples)
+        assert a.tobytes() == b.tobytes()
 
     def test_watermark_behind(self):
         with pytest.raises(WatermarkBehindDayError):
-            infer_daily(self.snap, self.model, 6, self.samples, "m")
+            infer_daily(self.snap, self.model, 6, self.samples)
 
     def test_unit_norm(self):
-        raw = infer_daily(self.snap, self.model, 4, self.samples, "m")
-        for r in raw:
-            assert np.linalg.norm(r.vector) == pytest.approx(1.0, abs=1e-12)
+        rows = infer_daily(self.snap, self.model, 4, self.samples)
+        assert np.allclose(np.linalg.norm(rows["vec"], axis=1), 1.0,
+                           rtol=0, atol=1e-12)
 
 
 class TestDedup:
     def test_last_of_day_wins(self):
-        records = [rec(7, 3, [1, 0], seq=5), rec(7, 3, [0, 1], seq=9),
-                   rec(7, 3, [1, 1], seq=2)]
-        out = dedup_day(records, day=3)
+        out = dedup_day(raw(rec(7, [1, 0], seq=5), rec(7, [0, 1], seq=9),
+                            rec(7, [1, 1], seq=2)), day=3)
         assert out.day == 3
-        assert list(out.records) == [("user", 7)]
-        assert out.records[("user", 7)].seq == 9
-        assert np.array_equal(out.records[("user", 7)].vector, [0, 1])
+        assert list(daily_vectors(out)) == [("user", 7)]
+        assert out.records["seq"].tolist() == [9]
+        assert np.array_equal(out.records["vec"][0], [0, 1])
 
     def test_single_record(self):
-        out = dedup_day([rec(1, 2, [1.0, 0.0], seq=4)], day=2)
-        assert out.records[("user", 1)].seq == 4
+        out = dedup_day(raw(rec(1, [1.0, 0.0], seq=4)), day=2)
+        assert out.records["seq"].tolist() == [4]
 
     def test_cardinality(self):
         rng = np.random.default_rng(0)
         records = []
         for e in range(10):
             seqs = rng.permutation(100)
-            records += [rec(e, 1, [float(q), 0.0], seq=int(q)) for q in seqs]
+            records += [rec(e, [float(q), 0.0], seq=int(q)) for q in seqs]
         rng.shuffle(records)
-        out = dedup_day(records, day=1)
-        assert len(out.records) == 10
-        assert all(r.seq == 99 for r in out.records.values())
+        out = dedup_day(raw(*records), day=1)
+        assert out.records["id"].tolist() == list(range(10))
+        assert out.records["seq"].tolist() == [99] * 10
+        assert np.array_equal(out.records["vec"][:, 0], [99.0] * 10)
 
-    def test_mixed_days(self):
-        with pytest.raises(MixedDaysError):
-            dedup_day([rec(1, 2, [1.0]), rec(1, 3, [1.0])], day=2)
+    def test_equal_seq_first_row_wins(self):
+        out = dedup_day(raw(rec(5, [1, 0], seq=3), rec(2, [0, 0], seq=1),
+                            rec(5, [0, 1], seq=3), rec(5, [1, 1], seq=1)), day=1)
+        assert daily_vectors(out)[("user", 5)].tolist() == [1, 0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_dict_walk_reference(self, seed):
+        rng = np.random.default_rng([seed, 7])
+        records = [rec(int(rng.integers(6)), list(rng.normal(size=2)),
+                       kind=("user", "pin")[int(rng.integers(2))],
+                       seq=int(rng.integers(10)))
+                   for _ in range(200)]
+        kept = {}  # the greatest seq wins; on equal seq the first row stays
+        for e, vec, kind, seq in records:
+            if (kind, e) not in kept or seq > kept[(kind, e)][1]:
+                kept[(kind, e)] = (vec, seq)
+        out = dedup_day(raw(*records), day=1)
+        assert list(daily_vectors(out)) == sorted(
+            kept, key=lambda k: (KIND_CODES[k[0]], k[1]))
+        for (key, v), seq in zip(daily_vectors(out).items(),
+                                 out.records["seq"].tolist()):
+            assert (v.tolist(), seq) == kept[key]
 
     def test_empty_stream_needs_day(self):
-        assert dedup_day([], day=5).records == {}
+        out = dedup_day(embedding_rows(), day=5)
+        assert out.day == 5 and len(out.records) == 0
 
     def test_user_and_pin_do_not_collide(self):
-        records = [rec(4, 1, [1, 0], kind="user"), rec(4, 1, [0, 1], kind="pin")]
-        assert len(dedup_day(records, day=1).records) == 2
+        out = dedup_day(raw(rec(4, [1, 0], kind="pin"),
+                            rec(4, [0, 1], kind="user")), day=1)
+        assert list(daily_vectors(out)) == [("user", 4), ("pin", 4)]
 
 
 class TestBackInfer:
@@ -154,29 +181,39 @@ class TestBackInfer:
         self.data = separable_samples(seed=5, days=range(1, 6), per_day=10)
 
     def test_window_shape_and_union_coverage(self):
-        sets = back_infer(self.snap, self.model, [1, 2, 3], self.data, "m")
+        sets = back_infer(self.snap, self.model, [1, 2, 3], self.data)
         assert [s.day for s in sets] == [1, 2, 3]
-        union = set().union(*(set(s.records) for s in sets))
+        union = set().union(*(set(daily_vectors(s)) for s in sets))
         for s in sets:
-            assert set(s.records) <= union
+            assert set(daily_vectors(s)) <= union
 
     def test_empty_window(self):
-        assert back_infer(self.snap, self.model, [], self.data, "m") == []
+        assert back_infer(self.snap, self.model, [], self.data) == []
+
+    def test_day_without_events_gives_empty_set(self):
+        data = {d: b for d, b in self.data.items() if d != 2}
+        sets = back_infer(self.snap, self.model, [1, 2, 3], data)
+        assert [s.day for s in sets] == [1, 2, 3]
+        assert len(sets[1].records) == 0
+        assert sets[1].records.dtype["vec"].shape == (0,)
+        assert [s.records.tobytes() for s in sets[::2]] == [
+            s.records.tobytes() for s in back_infer(self.snap, self.model,
+                                                    [1, 3], self.data)]
 
     def test_window_exceeds_watermark(self):
         with pytest.raises(WindowExceedsWatermarkError):
-            back_infer(self.snap, self.model, [5, 6], self.data, "m")
+            back_infer(self.snap, self.model, [5, 6], self.data)
         with pytest.raises(WindowExceedsWatermarkError):
-            back_infer(self.snap, self.model, [0, 1], self.data, "m")
+            back_infer(self.snap, self.model, [0, 1], self.data)
 
     def test_entity_active_once_still_embedded(self):
         data = dict(self.data)
         uid = int(data[1].user_id[0])
         for d in range(2, 6):
             data[d] = data[d][data[d].user_id != uid]
-        sets = back_infer(self.snap, self.model, list(range(1, 6)), data, "m")
-        union = set().union(*(set(s.records) for s in sets))
-        last_day_only = set(sets[-1].records)
+        sets = back_infer(self.snap, self.model, list(range(1, 6)), data)
+        union = set().union(*(set(daily_vectors(s)) for s in sets))
+        last_day_only = set(daily_vectors(sets[-1]))
         assert ("user", uid) in union
         assert ("user", uid) not in last_day_only
 
@@ -202,7 +239,7 @@ class TestAggregateDay:
 
     def test_ap_skips_gap_days(self):
         state = aggregate_day(initial_state(AP), daily_set(1, {1: [1.0, 0.0]}))
-        state = aggregate_day(state, DailyEmbeddingSet(2, {}))
+        state = aggregate_day(state, daily_set(2, {}))
         state = aggregate_day(state, daily_set(3, {1: [0.0, 1.0]}))
         # most recent two dailies are day 1 and day 3
         assert np.allclose(state.entries[("user", 1)].vector, [0.5, 0.5])
@@ -260,9 +297,9 @@ class TestAggregationAlgebra:
         hi: dict = {}
         for day_set in history:
             state = aggregate_day(state, day_set)
-            for key, r in day_set.records.items():
-                lo[key] = np.minimum(lo[key], r.vector) if key in lo else r.vector
-                hi[key] = np.maximum(hi[key], r.vector) if key in hi else r.vector
+            for key, v in daily_vectors(day_set).items():
+                lo[key] = np.minimum(lo[key], v) if key in lo else v
+                hi[key] = np.maximum(hi[key], v) if key in hi else v
             for key, entry in state.entries.items():
                 assert np.all(entry.vector >= lo[key] - 1e-12)
                 assert np.all(entry.vector <= hi[key] + 1e-12)
@@ -287,8 +324,9 @@ class TestAggregationAlgebra:
         frozen: dict = {}
         for day_set in history:
             next_state = aggregate_day(state, day_set)
+            present = daily_vectors(day_set)
             for key in state.entries:
-                if key not in day_set.records:
+                if key not in present:
                     assert next_state.entries[key].vector.tobytes() == \
                         state.entries[key].vector.tobytes()
             state = next_state
@@ -302,8 +340,8 @@ class TestAggregationAlgebra:
         seen: dict = {}
         for day_set in history:
             state = aggregate_day(state, day_set)
-            for key, r in day_set.records.items():
-                seen.setdefault(key, []).append(r.vector)
+            for key, v in daily_vectors(day_set).items():
+                seen.setdefault(key, []).append(v)
             for key, vecs in seen.items():
                 if len(vecs) == 1:
                     expect = vecs[-1]
@@ -319,10 +357,10 @@ class TestAggregationAlgebra:
         seq = 0
         for _ in range(300):
             e = int(rng.integers(len(entities)))
-            records.append(rec(e, 1, list(rng.normal(size=3)), seq=seq))
+            records.append(rec(e, list(rng.normal(size=3)), seq=seq))
             seq += 1
-        out = dedup_day(records, day=1)
-        assert len(out.records) == len({r.entity_id for r in records})
+        out = dedup_day(raw(*records), day=1)
+        assert len(out.records) == len({e for e, _, _, _ in records})
 
 
 class TestRetention:
@@ -366,7 +404,7 @@ class TestRetention:
 def AggregatedStoreStateDayShim(state, day):
     """Forward the state to a later day with no activity (empty dailies)."""
     while state.day < day:
-        state = aggregate_day(state, DailyEmbeddingSet(state.day + 1, {}))
+        state = aggregate_day(state, daily_set(state.day + 1, {}))
     return state
 
 

@@ -13,7 +13,7 @@ from derm.errors import (
     DimInconsistentError,
     IoFailureError,
 )
-from derm.data import EmbeddingRecord
+from derm.data import KIND_CODES, embedding_rows
 from derm.lifecycle import (
     AggregatedStoreState,
     AggregationHeuristic,
@@ -71,17 +71,32 @@ class TestSourceCodes:
 class TestDailyFiles:
     def _daily(self):
         rng = np.random.default_rng(4)
-        return DailyEmbeddingSet(3, {
-            (kind, i): EmbeddingRecord(i, kind, 3, v, "cvr-upstream")
-            for kind in ("user", "pin")
-            for i, v in enumerate(random_unit_rows(rng, 5, 4))})
+        vecs = random_unit_rows(rng, 10, 4)
+        return DailyEmbeddingSet(3, embedding_rows(
+            np.repeat([KIND_CODES["user"], KIND_CODES["pin"]], 5),
+            np.tile(np.arange(5), 2), 0, vecs))
 
     def test_round_trip_keeps_source(self, tmp_path):
         path = tmp_path / "day003.kv"
-        save_daily(self._daily(), path, "cvr-upstream")
+        daily = self._daily()
+        save_daily(daily, path, "cvr-upstream")
         back = load_daily(path, "cvr-upstream")
-        assert back.day == 3 and sorted(back.records) == sorted(self._daily().records)
-        assert {r.source for r in back.records.values()} == {"cvr-upstream"}
+        assert back.day == 3
+        assert back.records[["kind", "id"]].tolist() == \
+            daily.records[["kind", "id"]].tolist()
+        assert np.array_equal(back.records["vec"],
+                              daily.records["vec"].astype("<f4"))
+        assert {src for _, _, src in load_generation(path).vectors} == \
+            {source_code("cvr-upstream")}
+
+    def test_zero_rows_round_trip_with_dim_0(self, tmp_path):
+        path = tmp_path / "day004.kv"
+        save_daily(DailyEmbeddingSet(4, embedding_rows()), path, "ctr-upstream")
+        assert struct.unpack_from("<4sIIQI", path.read_bytes()) == \
+            (b"DERM", 1, 0, 0, 4)
+        back = load_daily(path, "ctr-upstream")
+        assert back.day == 4 and len(back.records) == 0
+        assert back.records.dtype == embedding_rows().dtype
 
     def test_other_source_rejected(self, tmp_path):
         path = tmp_path / "day003.kv"

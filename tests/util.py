@@ -1,8 +1,10 @@
-"""Shared helpers: gradient checks, a tiny upstream model, separable batches."""
+"""Shared helpers: gradient checks, a tiny upstream model, separable batches,
+daily embedding sets."""
 
 import numpy as np
 
-from derm.data import FeatureBundle, SampleBatch
+from derm.data import KIND_CODES, FeatureBundle, SampleBatch, embedding_rows, entity_keys
+from derm.lifecycle import DailyEmbeddingSet
 from derm.numerics import check_gradient
 from derm.params import flatten_params, unflatten_params
 from derm.towers import SlotSpec, TowerConfig, build_upstream_model, pad_sequences
@@ -109,3 +111,17 @@ def separable_samples(seed, days, per_day, task="click"):
             pin=FeatureBundle(dense={"attrs": zp[pins]}, categorical={"pid": pins}),
             context=FeatureBundle(dense={"hour": np.array(hours)[:, None]}))
     return out
+
+
+def daily_set(day, vectors, kind="user"):
+    """A DailyEmbeddingSet of one kind from {entity id: vector}."""
+    ids = sorted(vectors)
+    if not ids:
+        return DailyEmbeddingSet(day, embedding_rows())
+    return DailyEmbeddingSet(day, embedding_rows(KIND_CODES[kind], ids, 0,
+                                                 [vectors[i] for i in ids]))
+
+
+def daily_vectors(daily):
+    """{(kind, entity id): vector} of a DailyEmbeddingSet, in row order."""
+    return dict(zip(entity_keys(daily.records), daily.records["vec"]))
