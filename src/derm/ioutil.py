@@ -15,11 +15,32 @@ fill the payload exactly, raising the format's error.
 it, then renames it over `path`, so a crash leaves the old file or the new one,
 never a prefix of the new one. `write_new` links the temp file into place
 instead, so it never replaces an existing file.
+
+`crc64` is CRC-64/XZ. Below two lanes of `LANE` bytes it runs the
+byte-at-a-time table loop. From two lanes up it does the same arithmetic on
+numpy arrays, by zlib's `crc32_combine` method at 64 bits. Shifting a CRC
+register over n zero bytes is linear over GF(2), so it is 8 tables of 256 u64,
+one per byte of the register: the shifted register is the XOR of the 8 entries
+its bytes pick.
+  lanes  The first k·LANE bytes are viewed, not copied, as k lanes of LANE
+         bytes, which all run at once: lane 0 from the all-ones init, the
+         others from 0. One step XORs each lane's next 8-byte word into its
+         register and shifts the register over 8 zero bytes (slicing-by-8).
+  fold   Lane i must still pass over the (k-1-i)·LANE bytes after it. Zero
+         registers in front of lane 0 make the count a power of two (a zero
+         register shifts to zero). Each level then shifts the left register of
+         every pair over LANE·2**level zero bytes and XORs in the right one.
+  tail   The last len % LANE bytes run through the table loop.
+The table for 2**j zero bytes is built on first use, once per process, by
+squaring the one for 2**(j-1); importing builds none. The fold uses the tables
+for LANE·2**level bytes, so the cache holds LANE's tables: LANE is a constant,
+not a parameter.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import os
 import struct
@@ -43,15 +64,79 @@ def _crc64_table() -> list[int]:
 
 
 _CRC64_TABLE = _crc64_table()
+_ALL_ONES = 0xFFFFFFFFFFFFFFFF
+LANE = 256  # bytes; a power of two, at least 8
+_LANE_WORDS = LANE // 8
+_LOG2_LANE = LANE.bit_length() - 1
+_BYTE_ROWS = np.arange(0, 8 * 256, 256).reshape(8, 1)  # table row of each byte
 
 
-def crc64(data: bytes, value: int = 0) -> int:
+def crc64(data: bytes) -> int:
     """CRC-64/XZ: reflected 0xC96C5795D7870F42, init and xorout all-ones."""
-    crc = value ^ 0xFFFFFFFFFFFFFFFF
+    k = len(data) // LANE
+    if k < 2:
+        return _crc64_loop(_ALL_ONES, data) ^ _ALL_ONES
+    words = np.frombuffer(data, "<u8", k * _LANE_WORDS).reshape(k, _LANE_WORDS)
+    levels = (k - 1).bit_length()
+    regs = np.zeros(1 << levels, "<u8")
+    lanes = regs[-k:]
+    lanes[0] = _ALL_ONES
+    step = _shift_table(3)  # 8 zero bytes
+    rows = np.empty((8, k), np.intp)
+    looked = np.empty((8, k), "<u8")
+    lane_bytes = lanes.view(np.uint8).reshape(k, 8).T
+    for j in range(_LANE_WORDS):
+        lanes ^= words[:, j]
+        np.add(lane_bytes, _BYTE_ROWS, out=rows)
+        step.take(rows, out=looked, mode="wrap")  # in range; "wrap" is unbuffered
+        np.bitwise_xor.reduce(looked, axis=0, out=lanes)
+    for level in range(levels):
+        left = regs[0::2].copy()
+        _shift(_shift_table(_LOG2_LANE + level), left)
+        left ^= regs[1::2]
+        regs = left
+    return _crc64_loop(int(regs[0]), memoryview(data)[k * LANE:]) ^ _ALL_ONES
+
+
+def _crc64_loop(crc: int, data) -> int:
+    """The register after data, one table step per byte."""
     table = _CRC64_TABLE
     for b in data:
         crc = table[(crc ^ b) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFFFFFFFFFF
+    return crc
+
+
+def _shift(table: np.ndarray, regs: np.ndarray) -> None:
+    """Shift each register of the contiguous "<u8" array regs, in place, over
+    the zero bytes that table (from `_shift_table`) stands for."""
+    rows = regs.view(np.uint8).reshape(-1, 8).T + _BYTE_ROWS
+    np.bitwise_xor.reduce(table.take(rows, mode="wrap"), axis=0, out=regs)
+
+
+@functools.cache
+def _shift_table(log2_bytes: int) -> np.ndarray:
+    """Shift over 2**log2_bytes zero bytes as a read-only flat (8·256,) "<u8"
+    table: entry 256·p + v is the register that holds v in its byte p, after
+    the shift."""
+    if log2_bytes == 0:
+        # one zero byte: bit i < 8 leaves as table[1 << i], the rest move down 8
+        columns = np.concatenate([
+            np.array(_CRC64_TABLE, "<u8")[1 << np.arange(8)],
+            np.left_shift(1, np.arange(56, dtype="<u8"))], dtype="<u8")
+    else:  # the square of the half shift: its image of each bit, shifted again
+        half = _shift_table(log2_bytes - 1)
+        columns = half[_BYTE_ROWS + (1 << np.arange(8))].ravel()
+        _shift(half, columns)
+    # the image of v is the XOR of its bits' columns: entries [2**i, 2**(i+1))
+    # are entries [0, 2**i) with bit i's column added
+    by_value = np.zeros((256, 8), "<u8")
+    bit_columns = columns.reshape(8, 8).T
+    for i in range(8):
+        np.bitwise_xor(by_value[:1 << i], bit_columns[i],
+                       out=by_value[1 << i:2 << i])
+    table = by_value.T.ravel()
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ import numpy as np
 from .data import KIND_CODES, PIN, USER, SampleBatch, embedding_rows, entity_keys
 from .errors import (
     DayGapError,
+    DimInconsistentError,
     EmptyIntersectionError,
     EmptyUniverseError,
     WatermarkBehindDayError,
@@ -170,6 +171,13 @@ def aggregate_day(state: AggregatedStoreState,
         raise DayGapError(
             f"daily set for day {daily.day} cannot follow state day {state.day}"
         )
+    dim = daily.records["vec"].shape[1]  # 0 for a day without rows
+    if dim and state.entries:
+        state_dim = len(next(iter(state.entries.values())).vector)
+        if dim != state_dim:
+            raise DimInconsistentError(
+                f"daily set for day {daily.day} has dim {dim}, "
+                f"but the state has dim {state_dim}")
     entries = dict(state.entries)
     prev_daily = dict(state.prev_daily) if h.kind == AP else state.prev_daily
     for key, d in zip(entity_keys(daily.records), daily.records["vec"]):

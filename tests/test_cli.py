@@ -32,10 +32,12 @@ from derm.config import (
     parse_config,
 )
 from derm.errors import ConfigParseError, DermError, MissingPrerequisiteError
-from derm.ioutil import SealedFormat
+from derm.ioutil import LANE, SealedFormat
 from derm.lifecycle import AggregationHeuristic
 from derm.store import (STATE_FILE, generation_bytes, generation_name,
                         list_generations)
+
+from test_ioutil import reference_crc64
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +362,19 @@ class TestPipeline:
         before = tree_digest(world)
         run_cli(["generate", "-c", pipeline.ini])
         assert tree_digest(world) == before
+
+    def test_every_sealed_kind_carries_the_reference_crc(self, pipeline):
+        paths = pipeline.cfg.paths
+        (*_, (_, _, generation)) = list_generations(paths.store, "ctr-upstream")
+        for path in (paths.world / "day001.events",
+                     paths.snapshots / "ctr" / "day007.snap",
+                     paths.embeddings / "ctr" / "day007.kv",
+                     paths.state / "ctr" / "ma0.8" / STATE_FILE,
+                     generation):
+            blob = path.read_bytes()
+            body, (stored,) = blob[:-8], struct.unpack("<Q", blob[-8:])
+            assert len(body) >= 2 * LANE, path  # past the byte-loop path
+            assert stored == reference_crc64(body), path
 
     def test_snapshots_cover_window_and_increments(self, pipeline):
         sdir = pipeline.cfg.paths.snapshots / "ctr"

@@ -4,6 +4,7 @@ import pytest
 from derm.data import KIND_CODES, embedding_rows
 from derm.errors import (
     DayGapError,
+    DimInconsistentError,
     EmptyIntersectionError,
     EmptyUniverseError,
     WatermarkBehindDayError,
@@ -248,6 +249,21 @@ class TestAggregateDay:
         state = aggregate_day(initial_state(ACC), daily_set(1, {1: [1.0]}))
         with pytest.raises(DayGapError):
             aggregate_day(state, daily_set(3, {1: [1.0]}))
+
+    @pytest.mark.parametrize("heuristic", [MA(0.8), AP, ACC],
+                             ids=["ma", "ap", "acc"])
+    def test_dim_change_rejected_naming_day_and_dims(self, heuristic):
+        state = aggregate_day(initial_state(heuristic),
+                              daily_set(1, {1: [1.0, 0.0]}))
+        with pytest.raises(DimInconsistentError,
+                           match=r"day 2 has dim 3, but the state has dim 2"):
+            aggregate_day(state, daily_set(2, {1: [1.0, 0.0, 0.0]}))
+
+    def test_empty_day_and_empty_state_skip_the_dim_check(self):
+        state = aggregate_day(initial_state(AP), daily_set(1, {}))
+        state = aggregate_day(state, daily_set(2, {1: [1.0, 0.0]}))
+        state = aggregate_day(state, daily_set(3, {}))
+        assert state.entries[("user", 1)].vector.shape == (2,)
 
     def test_carry_over_is_bit_exact(self):
         state = aggregate_day(initial_state(MA(0.8)),

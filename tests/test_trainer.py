@@ -8,7 +8,6 @@ from derm.errors import (
     IoFailureError,
     WatermarkGapError,
 )
-from derm.ioutil import crc64
 from derm.params import params_equal_exact
 from derm.trainer import (
     SNAPSHOT,
@@ -76,15 +75,6 @@ class TestSgdStep:
         sgd_step(p, g, lr=1.0, momentum=0.5, velocity=v)
         # v = 0.5*1 + 1 = 1.5
         assert v[0] == 1.5 and p[0] == -2.5
-
-
-class TestCrc64:
-    def test_check_value(self):
-        # standard CRC-64/XZ check string
-        assert crc64(b"123456789") == 0x995DC9BBDF1939FA
-
-    def test_streaming_is_not_concatenation(self):
-        assert crc64(b"ab") != crc64(b"a") ^ crc64(b"b")
 
 
 class TestSnapshotSerialization:

@@ -3,17 +3,20 @@
     python tools/compare_pipeline.py PARENT CHANGE
 
 PARENT and CHANGE are the roots of two derm checkouts. For each one the
-script makes a temp dir, writes the default config there (and a copy that
-sets `grid = inputs`), and runs every stage as `python -m derm.cli` with
-PYTHONPATH=<root>/src:
+script makes a temp dir and writes the default config there (and a copy that
+sets `grid = inputs`). It then runs every stage as `python -m derm.cli` with
+PYTHONPATH=<root>/src, in each tree's own dir:
   generate; for ctr and cvr: train-upstream, infer --back-window 14,
   infer --day 15..17, aggregate, publish; then train-downstream and the
   heuristics and inputs experiment grids.
+Each command runs in both trees before the next one starts, PARENT first on
+even-numbered commands and CHANGE first on odd ones, so a command's two walls
+are measured seconds apart and the machine's drift over the run falls on both.
 It then compares every file under run/ and each command's stdout, prints
 one `DIFF <what>` line per difference, a summary line, one line per command
-with its wall seconds in each tree (for information only) and each tree's
-count of non-blank lines in src/derm/*.py, and exits 1 if anything differs
-(2 if a command fails).
+with its wall seconds in each tree and their ratio (for information only) and
+each tree's count of non-blank lines in src/derm/*.py, and exits 1 if
+anything differs (2 if a command fails).
 """
 
 from __future__ import annotations
@@ -46,44 +49,57 @@ def src_lines(root: Path) -> int:
                for line in p.read_text().split("\n") if line.strip())
 
 
-def run_tree(root: Path, work: Path
-             ) -> tuple[dict[str, bytes], dict[str, str], dict[str, float]]:
-    """(run/ file bytes by relative path, stdout by command, wall seconds
-    by command) for one tree."""
+def derm(root: Path, work: Path, args: list[str]) -> tuple[str, float]:
+    """(stdout, wall seconds) of one command of root's derm, run in work."""
     env = {**os.environ, "PYTHONPATH": str(root.resolve() / "src")}
-    walls: dict[str, float] = {}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "derm.cli", *args],
+                          cwd=work, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        print(f"{root}: derm {' '.join(args)} failed:\n{proc.stderr}",
+              file=sys.stderr)
+        sys.exit(2)
+    return proc.stdout, wall
 
-    def derm(args: list[str]) -> str:
-        start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "derm.cli", *args],
-                              cwd=work, env=env, capture_output=True, text=True)
-        walls[" ".join(args)] = time.perf_counter() - start
-        if proc.returncode != 0:
-            print(f"{root}: derm {' '.join(args)} failed:\n{proc.stderr}",
-                  file=sys.stderr)
-            sys.exit(2)
-        return proc.stdout
 
-    text = derm(["default-config"])
-    (work / "derm.ini").write_text(text)
-    (work / INPUTS_INI).write_text(
-        text.replace("grid = heuristics", "grid = inputs"))
-    stdouts = {" ".join(args): derm(args) for args in commands()}
-    files = {str(p.relative_to(work)): p.read_bytes()
-             for p in sorted((work / "run").rglob("*")) if p.is_file()}
-    return files, stdouts, walls
+def run_pipelines(roots: list[Path], works: list[Path]
+                  ) -> list[tuple[dict[str, str], dict[str, float]]]:
+    """(stdout by command, wall seconds by command) for each tree, the trees
+    taking turns to go first, one command at a time."""
+    for root, work in zip(roots, works):
+        text, _ = derm(root, work, ["default-config"])
+        (work / "derm.ini").write_text(text)
+        (work / INPUTS_INI).write_text(
+            text.replace("grid = heuristics", "grid = inputs"))
+    results = [({}, {}) for _ in roots]
+    for i, args in enumerate(commands()):
+        print(f"derm {' '.join(args)}", flush=True)
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        for t in order:
+            stdouts, walls = results[t]
+            cmd = " ".join(args)
+            stdouts[cmd], walls[cmd] = derm(roots[t], works[t], args)
+    return results
+
+
+def run_files(work: Path) -> dict[str, bytes]:
+    """run/ file bytes by relative path."""
+    return {str(p.relative_to(work)): p.read_bytes()
+            for p in sorted((work / "run").rglob("*")) if p.is_file()}
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    results = []
-    for root in map(Path, argv):
-        with tempfile.TemporaryDirectory(prefix="derm-compare-") as tmp:
-            print(f"running the pipeline on {root}", flush=True)
-            results.append(run_tree(root, Path(tmp)))
-    (files_a, out_a, wall_a), (files_b, out_b, wall_b) = results
+    roots = [Path(a) for a in argv]
+    with tempfile.TemporaryDirectory(prefix="derm-compare-") as tmp:
+        works = [Path(tmp) / name for name in ("parent", "change")]
+        for work in works:
+            work.mkdir()
+        (out_a, wall_a), (out_b, wall_b) = run_pipelines(roots, works)
+        files_a, files_b = (run_files(work) for work in works)
     file_diffs = [p for p in sorted(files_a.keys() | files_b.keys())
                   if files_a.get(p) != files_b.get(p)]
     out_diffs = [c for c in out_a if out_a[c] != out_b[c]]
@@ -94,11 +110,12 @@ def main(argv: list[str]) -> int:
     total = len(files_a.keys() | files_b.keys())
     print(f"{len(file_diffs)} of {total} files differ; "
           f"{len(out_diffs)} of {len(out_a)} stdouts differ")
-    print(f"wall seconds per command, {argv[0]} then {argv[1]} "
-          "(informational):")
+    print(f"wall seconds per command, {argv[0]} then {argv[1]}, and their "
+          "ratio (informational):")
     for cmd in out_a:
-        print(f"  {wall_a[cmd]:7.2f} s  {wall_b[cmd]:7.2f} s  derm {cmd}")
-    parent, change = (src_lines(Path(root)) for root in argv)
+        print(f"  {wall_a[cmd]:7.2f} s  {wall_b[cmd]:7.2f} s  "
+              f"{wall_b[cmd] / wall_a[cmd]:5.2f}  derm {cmd}")
+    parent, change = (src_lines(root) for root in roots)
     print(f"non-blank src/ lines: {parent} in {argv[0]}, {change} in "
           f"{argv[1]} ({change - parent:+d})")
     return 1 if file_diffs or out_diffs else 0
