@@ -42,7 +42,6 @@ from .errors import (
     ConfigParseError,
     CorruptGenerationError,
     DermError,
-    DimInconsistentError,
     IoFailureError,
     MissingPrerequisiteError,
 )
@@ -263,12 +262,13 @@ def cmd_publish(cfg: PipelineConfig, args) -> int:
 
 
 def _latest_generation(sdir: Path, source: str) -> StoreGeneration | None:
-    """The newest generation of source under sdir that verifies, or None if
-    none is published; each newer one that fails is reported and skipped."""
+    """The newest generation of source under sdir that verifies and holds
+    only source's rows, or None if none is published; each newer one that
+    fails is reported and skipped."""
     found = list_generations(sdir, source)
     for _, _, path in reversed(found):
         try:
-            return load_generation(path)
+            return load_generation(path, source)
         except (CorruptGenerationError, IoFailureError) as e:
             print(f"skipped: {e}", file=sys.stderr)
     if found:
@@ -279,29 +279,28 @@ def _latest_generation(sdir: Path, source: str) -> StoreGeneration | None:
     return None
 
 
+def served_generation(sdir: Path) -> StoreGeneration:
+    """The latest generation of each upstream source under sdir, joined with
+    no copy of their rows: each holds only its own source's keys."""
+    gens = [g for g in (_latest_generation(sdir, source)
+                        for source in UPSTREAM_SOURCES.values()) if g is not None]
+    if not any(len(g) for g in gens):
+        raise MissingPrerequisiteError(
+            f"no generations under {sdir} (run `derm publish` first)"
+        )
+    return StoreGeneration(max(g.day for g in gens),
+                           [t for g in gens for t in g.tables])
+
+
 def cmd_serve(cfg: PipelineConfig, args) -> int:
     ttl = math.inf if args.ttl_seconds is None else args.ttl_seconds
     if not ttl >= 0:
         raise ConfigParseError(f"--ttl-seconds must be >= 0, got {ttl}")
     sdir = args.store_dir if args.store_dir is not None else cfg.paths.store
-    gens = [g for g in (_latest_generation(sdir, source)
-                        for source in UPSTREAM_SOURCES.values()) if g is not None]
-    merged: dict = {}
-    for g in gens:
-        merged.update(g.vectors)
-    if not merged:
-        raise MissingPrerequisiteError(
-            f"no generations under {sdir} (run `derm publish` first)"
-        )
-    dims = {g.dim for g in gens}
-    if len(dims) > 1:
-        raise DimInconsistentError(
-            f"generations disagree on vector dim: {sorted(dims)}"
-        )
-    gen = StoreGeneration(max(g.day for g in gens), dims.pop(), merged)
+    gen = served_generation(sdir)
     handle = serve(gen, (cfg.serve.host, cfg.serve.port))
     host, port = handle.address
-    print(f"serving {len(merged)} vectors from {len(gens)} generations "
+    print(f"serving {len(gen)} vectors from {len(gen.tables)} generations "
           f"on {host}:{port}", flush=True)
     try:
         deadline = time.monotonic() + ttl

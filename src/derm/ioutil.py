@@ -158,10 +158,11 @@ class SealedFormat:
 
     def unpack(self, blob: bytes, what: str, tables) -> tuple[tuple, list]:
         """Check a complete file; returns (the header fields after the version,
-        one read-only array per (row dtype, count) of tables(*fields))."""
+        one read-only array per (row dtype, count) of tables(*fields)), each a
+        view of blob."""
         if len(blob) < 16:
             raise self.error(f"{what} is truncated")
-        body, (stored,) = blob[:-8], struct.unpack("<Q", blob[-8:])
+        body, (stored,) = memoryview(blob)[:-8], struct.unpack("<Q", blob[-8:])
         if crc64(body) != stored:
             raise self.error(f"{what} fails its checksum")
         magic, version = struct.unpack_from("<4sI", body)

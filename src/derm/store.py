@@ -8,8 +8,25 @@ Every file here is sealed (see ioutil). A generation file, little-endian:
 
 Vectors are downcast to f32 at publish; the file is immutable once written,
 and a repeat publish for the same day claims the next generation suffix.
-Daily embedding files share the layout: save_daily and load_daily copy the
-fields of a day's embedding rows (data.embedding_rows) to and from it.
+Keys must be strictly increasing; a file with a key repeated or out of order
+is corrupt. Daily embedding files share the layout: save_daily and load_daily
+copy the fields of a day's embedding rows (data.embedding_rows) to and from
+it.
+
+A loaded StoreGeneration keeps its record tables where the reader put them,
+viewing the file's bytes, and adds an index of 11 + 4·2**bits / n bytes a key
+(about 21 at 100k keys):
+  keys   contiguous kind u8, id u64 and source u16 columns, one row per
+         record, over all the generation's tables (cli's serve joins one
+         table per source without copying their rows)
+  slots  int32, 2**bits > 2n of them: a row number, or -1 for empty
+A key's home slot is the top bits of (id·C1 ^ (kind << 16 | source)·C2)
+mod 2**64. A lookup hashes the key with Python ints, then probes linearly
+from the home slot through memoryviews of the slots and key columns until it
+finds the key, whose row it returns as a (dim,) view, or an empty slot. Ids
+outside u64 hash like any int and miss. The index is built in numpy: each
+round, every unplaced row tries its next slot, the lowest row wins a free
+slot, and the rest move on.
 
 The aggregated state is the single file `state.bin`, at f64, so a state
 loads back exactly and `aggregate` gives the same bytes however it is split:
@@ -27,6 +44,8 @@ The wire protocol frames one request per message: u32 length, then
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 import socket
 import socketserver
@@ -85,27 +104,94 @@ class StoreKey:
     source: str
 
     def packed(self) -> tuple[int, int, int]:
-        return (KIND_CODES[self.kind], self.entity_id, source_code(self.source))
+        """(kind code, id, source code), each a Python int."""
+        return (KIND_CODES[self.kind], operator.index(self.entity_id),
+                source_code(self.source))
+
+
+# the key hash: the top bits of (id * _ID_MUL ^ (kind << 16 | source) * _TAG_MUL)
+# mod 2**64, odd multipliers (Fibonacci hashing)
+_ID_MUL = 0x9E3779B97F4A7C15
+_TAG_MUL = 0xC2B2AE3D27D4EB4F
+_U64 = (1 << 64) - 1
+
+
+def _home_slots(kind: np.ndarray, ids: np.ndarray, source: np.ndarray,
+                bits: int) -> np.ndarray:
+    """Each key's first slot among 2**bits, as lookup_packed hashes it."""
+    h = kind.astype(np.uint64)  # worked in place; ids * _ID_MUL is the one temporary
+    h <<= np.uint64(16)
+    h |= source
+    h *= np.uint64(_TAG_MUL)
+    h ^= ids * np.uint64(_ID_MUL)
+    h >>= np.uint64(64 - bits)
+    return h.view(np.int64)
+
+
+def _slot_table(kind: np.ndarray, ids: np.ndarray,
+                source: np.ndarray) -> tuple[int, np.ndarray]:
+    """(bits, int32 table of 2**bits > 2n slots: a row number or -1) for
+    linear probing. Each round every unplaced row tries its next slot; a free
+    slot goes to the lowest row trying it, and the others move on."""
+    bits = (2 * len(ids)).bit_length()
+    empty = np.iinfo(np.int32).max  # until the end, so a claim is a minimum
+    slots = np.full(1 << bits, empty, np.int32)
+    rows = np.arange(len(ids), dtype=np.int32)
+    at = _home_slots(kind, ids, source, bits)
+    while len(rows):
+        free = slots[at] == empty
+        np.minimum.at(slots, at[free], rows[free])
+        left = slots[at] != rows
+        rows, at = rows[left], (at[left] + 1) & (len(slots) - 1)
+    slots[slots == empty] = -1
+    return bits, slots
 
 
 class StoreGeneration:
-    """An immutable, checksum-verified set of served vectors."""
+    """An immutable, checksum-verified set of served vectors.
 
-    def __init__(self, day: int, dim: int,
-                 vectors: dict[tuple[int, int, int], np.ndarray]):
+    tables are generation row tables, each sorted by key and kept as given;
+    one index over all their keys finds a key's row. Keys repeated across
+    tables resolve to the first table's row.
+    """
+
+    def __init__(self, day: int, tables: list[np.ndarray]):
+        dims = sorted({t.dtype["vec"].shape[0] for t in tables})
+        if len(dims) > 1:
+            raise DimInconsistentError(f"generations disagree on vector dim: {dims}")
         self.day = day
-        self.dim = dim
-        self.vectors = vectors
+        self.dim = dims[0]
+        self.tables = tuple(tables)
+        keys = [np.concatenate([t[name] for t in tables])
+                for name, _ in _GENERATION_KEY]
+        bits, slots = _slot_table(*keys)
+        self._shift, self._mask = 64 - bits, (1 << bits) - 1
+        self._kind, self._id, self._source = map(memoryview, keys)
+        self._slots = memoryview(slots)
+        starts = itertools.accumulate(map(len, tables), initial=0)
+        self._parts = [(start, t["vec"]) for start, t in zip(starts, tables)][::-1]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self._id)
 
     def lookup(self, key: StoreKey) -> np.ndarray | None:
-        return self.vectors.get(key.packed())
+        return self.lookup_packed(*key.packed())
 
     def lookup_packed(self, kind_code: int, entity_id: int,
                       source: int) -> np.ndarray | None:
-        return self.vectors.get((kind_code, entity_id, source))
+        """The (dim,) row of the key, or None; ints of any size miss rather
+        than raise."""
+        slots, ids, mask = self._slots, self._id, self._mask
+        slot = ((entity_id * _ID_MUL ^ (kind_code << 16 | source) * _TAG_MUL)
+                & _U64) >> self._shift
+        while (row := slots[slot]) >= 0:
+            if (ids[row] == entity_id and self._kind[row] == kind_code
+                    and self._source[row] == source):
+                for start, vecs in self._parts:
+                    if row >= start:
+                        return vecs[row - start]
+            slot = (slot + 1) & mask
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +222,6 @@ def _check_kinds(what: str, error, *tables: np.ndarray) -> None:
             raise error(f"{what} has unknown kind {unknown[0]}")
 
 
-def _generation(day: int, rows: np.ndarray) -> StoreGeneration:
-    """Rows back the vectors: one aligned copy of the vector column."""
-    keys = zip(rows["kind"].tolist(), rows["id"].tolist(),
-               rows["source"].tolist())
-    return StoreGeneration(day, rows.dtype["vec"].shape[0],
-                           dict(zip(keys, np.array(rows["vec"]))))
-
-
 # ---------------------------------------------------------------------------
 # generations and daily embedding files
 
@@ -161,16 +239,36 @@ def _generation_rows(blob: bytes, what: str) -> tuple[int, np.ndarray]:
     (_, _, day), (rows,) = GENERATION.unpack(blob, what, lambda dim, count, _: [
         (_row_type(_GENERATION_KEY, "<f4", dim), count)])
     _check_kinds(what, CorruptGenerationError, rows)
+    k, i, s = (rows[name] for name, _ in _GENERATION_KEY)
+    later = (k[1:] > k[:-1]) | (k[1:] == k[:-1]) & (
+        (i[1:] > i[:-1]) | (i[1:] == i[:-1]) & (s[1:] > s[:-1]))
+    if not later.all():
+        raise CorruptGenerationError(f"{what} has record {np.argmin(later) + 1} "
+                                     "out of key order or repeated")
     return day, rows
 
 
+def _check_source(rows: np.ndarray, source: str, subject: str) -> None:
+    """IoFailure unless every row carries source's code; subject names the
+    file and its verb ("daily embeddings <path> hold")."""
+    code = source_code(source)
+    if (other := np.setdiff1d(rows["source"], [code])).size:
+        raise IoFailureError(f"{subject} rows of source code {other[0]}, "
+                             f"not of {source} (code {code})")
+
+
 def parse_generation(blob: bytes, what: str = "generation") -> StoreGeneration:
-    return _generation(*_generation_rows(blob, what))
+    day, rows = _generation_rows(blob, what)
+    return StoreGeneration(day, [rows])
 
 
-def load_generation(path) -> StoreGeneration:
+def load_generation(path, source: str | None = None) -> StoreGeneration:
+    """The generation at path; given source, every row must carry its code."""
     what = f"generation {path}"
-    return parse_generation(read_file(path, what), what)
+    gen = parse_generation(read_file(path, what), what)
+    if source is not None:
+        _check_source(gen.tables[0], source, f"{what} holds")
+    return gen
 
 
 def _state_rows(state: AggregatedStoreState, source: str) -> np.ndarray:
@@ -183,7 +281,7 @@ def _state_rows(state: AggregatedStoreState, source: str) -> np.ndarray:
 def state_generation(state: AggregatedStoreState,
                      source: str) -> StoreGeneration:
     """The generation a publish of this state serves."""
-    return _generation(state.day, _state_rows(state, source))
+    return StoreGeneration(state.day, [_state_rows(state, source)])
 
 
 def state_payload(state: AggregatedStoreState, day: int, source: str) -> bytes:
@@ -204,9 +302,7 @@ def save_daily(daily: DailyEmbeddingSet, path, source: str) -> None:
 def load_daily(path, source: str) -> DailyEmbeddingSet:
     what = f"generation {path}"
     day, rows = _generation_rows(read_file(path, what), what)
-    if (other := np.setdiff1d(rows["source"], [source_code(source)])).size:
-        raise IoFailureError(f"daily embeddings {path} hold rows of source code {other[0]}, "
-                             f"not of {source} (code {source_code(source)})")
+    _check_source(rows, source, f"daily embeddings {path} hold")
     return DailyEmbeddingSet(day, embedding_rows(rows["kind"], rows["id"], 0,
                                                  rows["vec"]))
 

@@ -90,6 +90,7 @@ from util import (
     daily_set,
     daily_vectors,
     fd_check_params,
+    generation_vectors,
     random_unit_rows,
     separable_samples,
     tiny_model,
@@ -676,7 +677,7 @@ def test_criterion_09_store(tmp_path):
     assert (gen.day, gen.dim, len(gen)) == (9, 16, 10_000)
     for key, vec in items:
         assert gen.lookup(key).tobytes() == vec.tobytes()
-    assert generation_bytes(gen.day, gen.dim, gen.vectors) == blob
+    assert generation_bytes(gen.day, gen.dim, generation_vectors(gen)) == blob
 
     for pos in (100, len(blob) - 3):  # one in the body, one in the checksum
         bad = bytearray(blob)

@@ -18,11 +18,12 @@ import numpy as np
 
 import derm.downstream
 import derm.lifecycle
-from derm.cli import embedding_path, main
+from derm.cli import embedding_path, main, served_generation
 from derm.config import UPSTREAM_SOURCES, load_config
 from derm.downstream import DownstreamConfig
 from derm.lifecycle import AggregationHeuristic, fold_days, initial_state
-from derm.store import load_daily, state_generation
+from derm.store import (EmbeddingClient, StoreKey, load_daily, serve,
+                        state_generation)
 from derm.trainer import make_snapshot
 
 from util import separable_samples, tiny_model
@@ -92,3 +93,26 @@ def test_traced_counters_count_rows_kept_entities_and_hits():
         len(np.unique(b.user_id)) + len(np.unique(b.pin_id))
         for b in data.values())
     assert counts["store.lookup.hits"] > 0
+
+
+def test_serve_set_up_publishes_what_derm_serves(tmp_path):
+    bench_module("spans")
+    loadgen = bench_module("loadgen")
+    workloads = bench_module("workloads")
+    data = loadgen.StoreData(seed=5, per_source=workloads.TOY.serve_size)
+    workloads.publish_store(tmp_path, data)
+    gen = served_generation(tmp_path)
+    assert len(gen) == len(loadgen.SOURCES) * workloads.TOY.serve_size
+    for source in loadgen.SOURCES:
+        for kind in loadgen.KINDS:
+            for entity_id in range(len(data.row[(source, kind)])):
+                vec = gen.lookup(StoreKey(kind, entity_id, source))
+                want = data.expected(source, kind, entity_id)
+                assert (None if vec is None else vec.tobytes()) == want, \
+                    (source, kind, entity_id)
+            assert len(data.absent[(source, kind)])
+    source, kind = loadgen.SOURCES[-1], loadgen.KINDS[-1]
+    entity_id = int(np.flatnonzero(data.row[(source, kind)] >= 0)[-1])
+    with serve(gen) as handle, EmbeddingClient(*handle.address) as client:
+        status, vec = client.request(StoreKey(kind, entity_id, source))
+    assert status == 0 and vec.tobytes() == data.expected(source, kind, entity_id)

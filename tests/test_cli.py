@@ -35,9 +35,10 @@ from derm.errors import ConfigParseError, DermError, MissingPrerequisiteError
 from derm.ioutil import LANE, SealedFormat
 from derm.lifecycle import AggregationHeuristic
 from derm.store import (STATE_FILE, generation_bytes, generation_name,
-                        list_generations)
+                        list_generations, source_code)
 
 from test_ioutil import reference_crc64
+from util import generation_vectors
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +445,7 @@ class TestPipeline:
             "ctr-upstream"]
         *_, (_, _, published) = list_generations(cfg.paths.store,
                                                  "ctr-upstream")
-        assert generation_bytes(gen.day, gen.dim, gen.vectors) == \
+        assert generation_bytes(gen.day, gen.dim, generation_vectors(gen)) == \
             published.read_bytes()
 
     def test_commands_read_only_the_day_files_they_use(self, pipeline):
@@ -534,6 +535,35 @@ class TestPipeline:
         assert all(re.fullmatch(r"skipped: generation .+-g\d+\.kv fails its "
                                 r"checksum", line) for line in skipped)
         # the same first line, up to the port the server happened to bind
+        assert out.splitlines()[0].split(" on ")[0] == \
+            want.splitlines()[0].split(" on ")[0]
+        if command == "train-downstream":
+            name = "downstream-ctr.json"
+            assert (paths.reports / name).read_bytes() == \
+                (clean.reports / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["serve", "train-downstream"])
+    def test_generation_of_another_source_is_skipped(self, pipeline, tmp_path,
+                                                     command):
+        store = tmp_path / "store"
+        shutil.copytree(pipeline.cfg.paths.store, store)
+        day, attempt, _ = list_generations(store, "cvr-upstream")[-1]
+        *_, (_, _, ctr) = list_generations(store, "ctr-upstream")
+        renamed = store / generation_name("cvr-upstream", day, attempt + 1)
+        shutil.copyfile(ctr, renamed)
+        paths = replace(pipeline.cfg.paths, store_dir=store,
+                        report_dir=tmp_path / "report")
+        ini = tmp_path / "renamed.ini"
+        ini.write_text(emit_config(replace(pipeline.cfg, paths=paths)))
+        clean = replace(pipeline.cfg.paths, report_dir=tmp_path / "clean")
+        (tmp_path / "clean.ini").write_text(
+            emit_config(replace(pipeline.cfg, paths=clean)))
+        want, _ = run_cli(self._command(command, str(tmp_path / "clean.ini")))
+        out, err = run_cli(self._command(command, str(ini)))
+        assert err.strip() == (
+            f"skipped: generation {renamed} holds rows of source code "
+            f"{source_code('ctr-upstream')}, not of cvr-upstream "
+            f"(code {source_code('cvr-upstream')})")
         assert out.splitlines()[0].split(" on ")[0] == \
             want.splitlines()[0].split(" on ")[0]
         if command == "train-downstream":
@@ -644,12 +674,13 @@ class TestPipeline:
                                     list_generations, load_generation)
             gens = list_generations(pipeline.cfg.paths.store, "ctr-upstream")
             gen = load_generation(gens[-1][2])
-            packed = sorted(gen.vectors)[0]
-            key = StoreKey(KIND_NAMES[packed[0]], packed[1], "ctr-upstream")
+            first = gen.tables[0][0]  # rows are sorted by key
+            key = StoreKey(KIND_NAMES[int(first["kind"])], int(first["id"]),
+                           "ctr-upstream")
             client = EmbeddingClient(host, port)
             status, vec = client.request(key)
             assert status == 0
-            assert vec.tobytes() == gen.vectors[packed].tobytes()
+            assert vec.tobytes() == first["vec"].tobytes()
         finally:
             proc.terminate()
             proc.wait(timeout=10)

@@ -32,7 +32,7 @@ from derm.errors import (
     UnknownTaskError,
 )
 from derm.lifecycle import AggregationHeuristic, MA
-from derm.store import StoreGeneration, StoreKey, source_code
+from derm.store import StoreKey, generation_bytes, parse_generation, source_code
 from derm.synth import WorldConfig, _pair_count_auc, generate_world
 from derm.towers import pad_sequences
 
@@ -280,7 +280,7 @@ def fake_generation(source, vecs, day=17):
     packed = {(KIND_CODES[kind], eid, src): np.asarray(v, dtype=np.float32)
               for (kind, eid), v in vecs.items()}
     dim = len(next(iter(vecs.values()))) if vecs else 0
-    return StoreGeneration(day, dim, packed)
+    return parse_generation(generation_bytes(day, dim, packed))
 
 
 def noise_samples(seed, days, per_day, zu, zp, task="click"):

@@ -1,7 +1,9 @@
+import gc
 import os
 import struct
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from derm.store import (
     load_daily,
     load_generation,
     load_state,
+    parse_generation,
     publish,
     save_daily,
     save_state,
@@ -41,7 +44,7 @@ from derm.store import (
 )
 
 import derm.store
-from util import random_unit_rows
+from util import generation_vectors, random_unit_rows
 
 
 def make_state(num_users=40, num_pins=50, dim=6, seed=0, heuristic=None,
@@ -86,7 +89,7 @@ class TestDailyFiles:
             daily.records[["kind", "id"]].tolist()
         assert np.array_equal(back.records["vec"],
                               daily.records["vec"].astype("<f4"))
-        assert {src for _, _, src in load_generation(path).vectors} == \
+        assert set(load_generation(path).tables[0]["source"].tolist()) == \
             {source_code("cvr-upstream")}
 
     def test_zero_rows_round_trip_with_dim_0(self, tmp_path):
@@ -171,6 +174,187 @@ class TestPublishLoad:
         publish(state, 2, "ctr-upstream", tmp_path)
         gens = list_generations(tmp_path, "ctr-upstream")
         assert [(d, a) for d, a, _ in gens] == [(1, 1), (2, 1), (2, 2)]
+
+
+def reference_index(gen):
+    """{(kind code, id, source code): row bytes}: the dict a generation's
+    index must agree with."""
+    return {key: vec.tobytes() for key, vec in generation_vectors(gen).items()}
+
+
+def generation_file(keys, dim=3, day=5, seed=0):
+    """Generation file bytes holding keys in the order given, each with a
+    random vector: a file no derm writer would make if keys are unsorted."""
+    rows = np.zeros(len(keys), derm.store._row_type(
+        derm.store._GENERATION_KEY, "<f4", dim))
+    for name, column in zip(("kind", "id", "source"), zip(*keys)):
+        rows[name] = column
+    rows["vec"] = np.random.default_rng(seed).normal(size=(len(keys), dim))
+    return derm.store._generation_file(day, rows)
+
+
+class TestIndex:
+    SOURCES = [source_code(t) for t in
+               ("ctr-upstream", "cvr-upstream", "ctr-downstream")]
+
+    def _generation(self, seed, n_random=290, n_shared=10):
+        """A parsed generation of both kinds and three sources, with ids 0 and
+        2**64-1 and n_shared keys whose home slot is the last one, so their
+        probes wrap to the start of the table."""
+        rng = np.random.default_rng(seed)
+        keys = {(0, 0, self.SOURCES[0]), (1, 2**64 - 1, self.SOURCES[2])}
+        while len(keys) < n_random:
+            keys.add((int(rng.integers(2)), int(rng.integers(2**64, dtype=np.uint64)),
+                      self.SOURCES[int(rng.integers(3))]))
+        n = n_random + n_shared
+        bits = (2 * n).bit_length()
+        ids = rng.integers(2**64, size=50_000, dtype=np.uint64)
+        home = derm.store._home_slots(np.ones(len(ids), np.uint8), ids,
+                                      np.full(len(ids), self.SOURCES[1], np.uint16),
+                                      bits)
+        shared = ids[home == (1 << bits) - 1][:n_shared]
+        assert len(shared) == n_shared
+        keys |= {(1, int(i), self.SOURCES[1]) for i in shared}
+        assert len(keys) == n
+        vectors = {k: rng.normal(size=4).astype("<f4") for k in keys}
+        return parse_generation(derm.store.generation_bytes(7, 4, vectors)), vectors
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_agrees_with_a_dict_of_the_rows(self, seed):
+        gen, vectors = self._generation(seed)
+        want = reference_index(gen)
+        assert len(gen) == len(want) == len(vectors)
+        for key, vec in vectors.items():
+            assert want[key] == vec.tobytes()
+            assert gen.lookup_packed(*key).tobytes() == want[key]
+        rng = np.random.default_rng(seed + 100)
+        absent = [(int(rng.integers(2)), int(rng.integers(2**64, dtype=np.uint64)),
+                   self.SOURCES[int(rng.integers(3))]) for _ in range(500)]
+        absent += [(k ^ 1, i, src) for k, i, src in vectors]  # other kind
+        for key in absent:
+            if key not in want:
+                assert gen.lookup_packed(*key) is None
+
+    def test_unknown_source_and_out_of_range_ids_miss(self):
+        gen, vectors = self._generation(0)
+        for kind, entity_id, src in vectors:
+            assert gen.lookup_packed(kind, entity_id, 0xFFFF) is None
+            assert gen.lookup_packed(kind, entity_id + 2**64, src) is None
+            assert gen.lookup_packed(kind, entity_id - 2**64, src) is None
+        for kind in (0, 1):
+            for src in self.SOURCES:
+                assert gen.lookup_packed(kind, -1, src) is None
+                assert gen.lookup_packed(kind, 2**64, src) is None
+                assert gen.lookup_packed(kind, 2**80, src) is None
+
+    def test_same_id_and_home_slot_under_another_kind_or_source_misses(self):
+        keys = sorted([(0, 7, self.SOURCES[0]), (0, 12345, self.SOURCES[2]),
+                       (1, 2**64 - 1, self.SOURCES[1])])
+        gen = parse_generation(generation_file(keys))
+        bits = (2 * len(keys)).bit_length()
+
+        def home(kind, entity_id, src):
+            kind, src = np.broadcast_arrays(kind, src)
+            return derm.store._home_slots(
+                kind.astype(np.uint8), np.full(kind.shape, entity_id, np.uint64),
+                src.astype(np.uint16), bits)
+
+        for kind, entity_id, src in keys:
+            slot = home(kind, entity_id, src)
+            kinds = np.flatnonzero(home(np.arange(256), entity_id, src) == slot)
+            sources = np.flatnonzero(home(kind, entity_id, np.arange(2**16)) == slot)
+            others = [(int(k), entity_id, src) for k in kinds if k != kind]
+            others += [(kind, entity_id, int(s)) for s in sources if s != src]
+            assert len(others) > 100
+            for key in others:
+                assert gen.lookup_packed(*key) is None, key
+
+    def test_key_lookup_takes_numpy_ids(self):
+        gen, vectors = self._generation(1)
+        kind, entity_id, _ = next(k for k in vectors if k[2] == self.SOURCES[0])
+        key = StoreKey(("user", "pin")[kind], np.uint64(entity_id), "ctr-upstream")
+        assert gen.lookup(key).tobytes() == vectors[key.packed()].tobytes()
+
+    def test_keys_sharing_a_home_slot_all_hit(self):
+        gen, vectors = self._generation(2, n_random=10, n_shared=40)
+        shared = [k for k in vectors if k[2] == self.SOURCES[1] and k[0] == 1]
+        assert len(shared) >= 40
+        for key in shared:
+            assert gen.lookup_packed(*key).tobytes() == vectors[key].tobytes()
+
+    def test_empty_generation_misses_everything(self):
+        gen = parse_generation(derm.store.generation_bytes(3, 0, {}))
+        assert (len(gen), gen.day, gen.dim) == (0, 3, 0)
+        for kind, entity_id, src in [(0, 0, self.SOURCES[0]), (1, 2**64 - 1, 1),
+                                     (0, -1, 0), (1, 2**64, 0)]:
+            assert gen.lookup_packed(kind, entity_id, src) is None
+
+    def test_rows_are_returned_in_place(self, tmp_path):
+        path, _ = publish(make_state(), 9, "ctr-upstream", tmp_path)
+        gen = load_generation(path)
+        row = gen.lookup(StoreKey("user", 3, "ctr-upstream"))
+        assert row.shape == (gen.dim,) and not row.flags.writeable
+        assert np.shares_memory(row, gen.tables[0])
+
+    def test_loaded_generation_retains_under_twice_its_file(self, tmp_path):
+        rng = np.random.default_rng(11)
+        src = source_code("ctr-upstream")
+        vecs = rng.normal(size=(100_000, 16)).astype("<f4")
+        path = tmp_path / "big.kv"
+        path.write_bytes(derm.store.generation_bytes(1, 16, {
+            (i % 2, i // 2, src): v for i, v in enumerate(vecs)}))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            gen = load_generation(path)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(gen) == 100_000
+        assert retained < 2 * size, f"{retained} bytes retained for a {size}-byte file"
+
+
+class TestKeyOrder:
+    SRC = source_code("ctr-upstream")
+
+    @pytest.mark.parametrize("keys", [
+        [(0, 4, SRC), (0, 4, SRC)],
+        [(0, 1, SRC), (0, 5, SRC), (0, 3, SRC)],
+        [(1, 1, SRC), (0, 2, SRC)],
+        [(0, 1, SRC + 1), (0, 1, SRC)],
+    ], ids=["repeated", "ids_out_of_order", "kinds_out_of_order",
+            "sources_out_of_order"])
+    def test_generation_rejected(self, keys):
+        with pytest.raises(CorruptGenerationError,
+                           match=r"generation has record \d+ out of key order "
+                                 r"or repeated"):
+            parse_generation(generation_file(keys))
+
+    @pytest.mark.parametrize("keys", [
+        [(0, 4, SRC), (0, 4, SRC)],
+        [(0, 2, SRC), (0, 1, SRC)],
+    ], ids=["repeated", "out_of_order"])
+    def test_daily_file_rejected(self, tmp_path, keys):
+        path = tmp_path / "day005.kv"
+        path.write_bytes(generation_file(keys))
+        with pytest.raises(CorruptGenerationError,
+                           match=rf"{path.name} has record 1 out of key order"):
+            load_daily(path, "ctr-upstream")
+
+    def test_sorted_keys_accepted(self):
+        keys = [(0, 1, self.SRC), (0, 1, self.SRC + 1), (0, 2, 0), (1, 0, 0)]
+        gen = parse_generation(generation_file(keys))
+        assert generation_vectors(gen).keys() == set(keys)
+
+    def test_another_source_is_an_io_failure_naming_both_codes(self, tmp_path):
+        path, _ = publish(make_state(), 9, "ctr-upstream", tmp_path)
+        with pytest.raises(IoFailureError,
+                           match=rf"{path.name} holds rows of source code "
+                                 rf"{self.SRC}, not of cvr-upstream \(code "
+                                 rf"{source_code('cvr-upstream')}\)"):
+            load_generation(path, "cvr-upstream")
+        assert len(load_generation(path, "ctr-upstream")) == 90
 
 
 class TestCorruption:

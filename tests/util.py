@@ -122,6 +122,13 @@ def daily_set(day, vectors, kind="user"):
                                                  [vectors[i] for i in ids]))
 
 
+def generation_vectors(gen):
+    """{(kind code, id, source code): vector} of a StoreGeneration's rows: the
+    dict store.generation_bytes encodes."""
+    return {key: vec for t in gen.tables for key, vec in zip(
+        zip(t["kind"].tolist(), t["id"].tolist(), t["source"].tolist()), t["vec"])}
+
+
 def daily_vectors(daily):
     """{(kind, entity id): vector} of a DailyEmbeddingSet, in row order."""
     return dict(zip(entity_keys(daily.records), daily.records["vec"]))

@@ -12,11 +12,13 @@ PYTHONPATH=<root>/src, in each tree's own dir:
 Each command runs in both trees before the next one starts, PARENT first on
 even-numbered commands and CHANGE first on odd ones, so a command's two walls
 are measured seconds apart and the machine's drift over the run falls on both.
-It then compares every file under run/ and each command's stdout, prints
-one `DIFF <what>` line per difference, a summary line, one line per command
-with its wall seconds in each tree and their ratio (for information only) and
-each tree's count of non-blank lines in src/derm/*.py, and exits 1 if
-anything differs (2 if a command fails).
+Each command is started with Popen and reaped with os.wait4, whose
+ru_maxrss is the command's peak resident set size. It then compares every
+file under run/ and each command's stdout, prints one `DIFF <what>` line per
+difference, a summary line, one line per command with its wall seconds and
+its peak RSS in each tree and the change/parent ratio of each (for
+information only), and each tree's count of non-blank lines in
+src/derm/*.py, and exits 1 if anything differs (2 if a command fails).
 """
 
 from __future__ import annotations
@@ -49,37 +51,45 @@ def src_lines(root: Path) -> int:
                for line in p.read_text().split("\n") if line.strip())
 
 
-def derm(root: Path, work: Path, args: list[str]) -> tuple[str, float]:
-    """(stdout, wall seconds) of one command of root's derm, run in work."""
+def derm(root: Path, work: Path, args: list[str]) -> tuple[str, float, float]:
+    """(stdout, wall seconds, peak RSS in MB) of one command of root's derm,
+    run in work."""
     env = {**os.environ, "PYTHONPATH": str(root.resolve() / "src")}
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "derm.cli", *args],
-                          cwd=work, env=env, capture_output=True, text=True)
-    wall = time.perf_counter() - start
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "derm.cli", *args],
+                                cwd=work, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped above
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read().decode(), err.read().decode()
     if proc.returncode != 0:
-        print(f"{root}: derm {' '.join(args)} failed:\n{proc.stderr}",
+        print(f"{root}: derm {' '.join(args)} failed:\n{stderr}",
               file=sys.stderr)
         sys.exit(2)
-    return proc.stdout, wall
+    return stdout, wall, usage.ru_maxrss / 1024.0
 
 
 def run_pipelines(roots: list[Path], works: list[Path]
-                  ) -> list[tuple[dict[str, str], dict[str, float]]]:
-    """(stdout by command, wall seconds by command) for each tree, the trees
-    taking turns to go first, one command at a time."""
+                  ) -> list[tuple[dict[str, str], dict[str, float],
+                                  dict[str, float]]]:
+    """(stdout, wall seconds and peak RSS MB, each by command) for each tree,
+    the trees taking turns to go first, one command at a time."""
     for root, work in zip(roots, works):
-        text, _ = derm(root, work, ["default-config"])
+        text, _, _ = derm(root, work, ["default-config"])
         (work / "derm.ini").write_text(text)
         (work / INPUTS_INI).write_text(
             text.replace("grid = heuristics", "grid = inputs"))
-    results = [({}, {}) for _ in roots]
+    results = [({}, {}, {}) for _ in roots]
     for i, args in enumerate(commands()):
         print(f"derm {' '.join(args)}", flush=True)
         order = (0, 1) if i % 2 == 0 else (1, 0)
         for t in order:
-            stdouts, walls = results[t]
+            stdouts, walls, rss = results[t]
             cmd = " ".join(args)
-            stdouts[cmd], walls[cmd] = derm(roots[t], works[t], args)
+            stdouts[cmd], walls[cmd], rss[cmd] = derm(roots[t], works[t], args)
     return results
 
 
@@ -98,7 +108,8 @@ def main(argv: list[str]) -> int:
         works = [Path(tmp) / name for name in ("parent", "change")]
         for work in works:
             work.mkdir()
-        (out_a, wall_a), (out_b, wall_b) = run_pipelines(roots, works)
+        (out_a, wall_a, rss_a), (out_b, wall_b, rss_b) = run_pipelines(roots,
+                                                                       works)
         files_a, files_b = (run_files(work) for work in works)
     file_diffs = [p for p in sorted(files_a.keys() | files_b.keys())
                   if files_a.get(p) != files_b.get(p)]
@@ -110,11 +121,13 @@ def main(argv: list[str]) -> int:
     total = len(files_a.keys() | files_b.keys())
     print(f"{len(file_diffs)} of {total} files differ; "
           f"{len(out_diffs)} of {len(out_a)} stdouts differ")
-    print(f"wall seconds per command, {argv[0]} then {argv[1]}, and their "
-          "ratio (informational):")
+    print(f"wall seconds and peak RSS per command, {argv[0]} then {argv[1]}, "
+          "each with its ratio (informational):")
     for cmd in out_a:
         print(f"  {wall_a[cmd]:7.2f} s  {wall_b[cmd]:7.2f} s  "
-              f"{wall_b[cmd] / wall_a[cmd]:5.2f}  derm {cmd}")
+              f"{wall_b[cmd] / wall_a[cmd]:5.2f}   "
+              f"{rss_a[cmd]:6.1f} MB  {rss_b[cmd]:6.1f} MB  "
+              f"{rss_b[cmd] / rss_a[cmd]:5.2f}  derm {cmd}")
     parent, change = (src_lines(root) for root in roots)
     print(f"non-blank src/ lines: {parent} in {argv[0]}, {change} in "
           f"{argv[1]} ({change - parent:+d})")
