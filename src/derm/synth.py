@@ -10,7 +10,18 @@ day with a small extra per-event jitter. Entities skip days at random, which
 is what carry-over aggregation and back inference later have to deal with.
 
 Every draw comes from a generator seeded by (seed, stream tag, ...indices),
-so any day can be regenerated independently and bit-identically.
+so any day can be regenerated independently and bit-identically. A day's
+event stream draws, in order:
+
+  per active user  poisson(events_per_user - 1), its events beyond the first
+  per event        integers(len(pins)); for click, then conversion: normal(),
+                   then uniform() unless threshold_labels; uniform(-1, 1) for
+                   the hour; normal(size=latent_dim) for the user's jitter,
+                   then again for the pin's
+
+Only these draws run per event. Pin ids, labels, observations, histories and
+the event table are per-day numpy, each value made by the same float
+operations in the same order as one event at a time.
 
 A day is one SampleBatch (see data), made from the event table a day file
 holds, whether generate_day draws that table or parse_day_file reads it.
@@ -84,8 +95,8 @@ class WorldConfig:
         # written so that NaN fails too
         if not (0 <= self.noise_level < np.inf):
             raise InvalidRatesError("noise_level must be finite and >= 0")
-        if not (0 < self.events_per_user < np.inf):
-            raise InvalidRatesError("events_per_user must be finite and > 0")
+        if not (1 <= self.events_per_user < np.inf):
+            raise InvalidRatesError("events_per_user must be finite and >= 1")
         if not (0 <= self.seed < 2**64):
             raise InvalidRatesError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -137,38 +148,25 @@ class World:
         )
         return rng.normal(size=cfg.latent_dim)
 
-    def observe(self, kind: str, entity_id: int, day: int,
-                jitter: np.ndarray | None = None) -> np.ndarray:
+    def observe(self, kind: str, entity_id: int, day: int) -> np.ndarray:
         cfg = self.cfg
         if kind == USER:
             base = self.user_proj @ self.user_latents[entity_id]
         else:
             base = self.pin_proj @ self.pin_latents[entity_id]
-        out = base + cfg.noise_level * self.day_noise(kind, entity_id, day)
-        if jitter is not None:
-            out = out + cfg.noise_level * EVENT_JITTER * jitter
-        return out
+        return base + cfg.noise_level * self.day_noise(kind, entity_id, day)
 
-    def true_logit(self, task: str, user_id: int, pin_id: int) -> float:
+    def true_logits(self, task: str, user: np.ndarray, pin: np.ndarray) -> np.ndarray:
+        """The noise-free logit of each (user, pin) pair. The stacked matmul
+        sums each pair's products as a 1-d dot does; (U * P).sum(1) does not."""
         sub = self.cfg.task_subspace(task)
-        zu = self.user_latents[user_id, sub]
-        zp = self.pin_latents[pin_id, sub]
-        return GAIN * float(zu @ zp) + self.cfg.intercept(task)
+        dots = (self.user_latents[user, sub][:, None, :]
+                @ self.pin_latents[pin, sub][:, :, None])[:, 0, 0]
+        return GAIN * dots + self.cfg.intercept(task)
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
     return m / np.linalg.norm(m, axis=1, keepdims=True)
-
-
-def _label(world: World, task: str, user_id: int, pin_id: int,
-           rng: np.random.Generator) -> int:
-    cfg = world.cfg
-    logit = world.true_logit(task, user_id, pin_id)
-    logit += cfg.noise_level * float(rng.normal())
-    if cfg.threshold_labels:
-        return int(logit > 0.0)
-    p = 1.0 / (1.0 + np.exp(-logit))
-    return int(rng.uniform() < p)
 
 
 def generate_day(world: World, day: int,
@@ -183,22 +181,42 @@ def generate_day(world: World, day: int,
     rng = np.random.default_rng([cfg.seed, _EVENTS, day])
     users = world.active_ids(USER, day)
     pins = world.active_ids(PIN, day)
-    events, flat = [], []
-    for u in users:
-        count = 1 + rng.poisson(cfg.events_per_user - 1.0)
-        for _ in range(count):
-            p = int(pins[rng.integers(len(pins))])
-            click = _label(world, CLICK, u, p, rng)
-            conv = _label(world, CONVERSION, u, p, rng)
-            hour = float(rng.uniform(-1.0, 1.0))
-            jit_u = rng.normal(size=cfg.latent_dim)
-            jit_p = rng.normal(size=cfg.latent_dim)
-            hist = history.get(u, [])[-HISTORY_LEN:]
-            flat += hist
-            events.append((u, p, len(events), click, conv, hour,
-                           world.observe(USER, u, day, jit_u),
-                           world.observe(PIN, p, day, jit_p), len(hist)))
-    return _batch(np.array(events, _event_type(cfg.latent_dim, cfg.latent_dim)), flat)
+    counts, picks, z, v, hour, jit = [], [], [], [], [], []
+    for _ in users:
+        counts.append(1 + rng.poisson(cfg.events_per_user - 1.0))
+        for _ in range(counts[-1]):
+            picks.append(rng.integers(len(pins)))
+            for _ in (CLICK, CONVERSION):
+                z.append(rng.normal())
+                if not cfg.threshold_labels:
+                    v.append(rng.uniform())
+            hour.append(rng.uniform(-1.0, 1.0))
+            jit.append(rng.normal(size=cfg.latent_dim))
+            jit.append(rng.normal(size=cfg.latent_dim))
+    z, v = np.array(z), np.array(v)
+    jit = cfg.noise_level * EVENT_JITTER * np.reshape(jit, (-1, 2, cfg.latent_dim))
+
+    user = np.repeat(users, counts)
+    pin = np.take(pins, picks)
+    distinct_pins, pin_row = np.unique(pin, return_inverse=True)
+
+    labels = {}
+    for i, task in enumerate((CLICK, CONVERSION)):
+        logit = world.true_logits(task, user, pin)
+        logit += cfg.noise_level * z[i::2]
+        labels[task] = (logit > 0.0 if cfg.threshold_labels
+                        else v[i::2] < 1.0 / (1.0 + np.exp(-logit)))
+
+    obs_user = np.array([world.observe(USER, u, day) for u in users])
+    obs_pin = np.array([world.observe(PIN, p, day) for p in distinct_pins.tolist()])
+    # history holds prior days only, so one slice serves all of a user's events
+    hists = [history.get(u, [])[-HISTORY_LEN:] for u in users]
+    flat = [p for h, count in zip(hists, counts) for p in h * count]
+    hist_len = np.repeat([len(h) for h in hists], counts)
+    return _batch(_event_table(
+        user, pin, np.arange(len(hour)), labels[CLICK], labels[CONVERSION], hour,
+        np.repeat(obs_user, counts, 0) + jit[:, 0], obs_pin[pin_row] + jit[:, 1],
+        hist_len), flat)
 
 
 def generate_world(cfg: WorldConfig) -> dict[int, SampleBatch]:
@@ -223,33 +241,6 @@ def positive_rates(data: dict[int, SampleBatch]) -> dict[str, float]:
             for t in (CLICK, CONVERSION)}
 
 
-def _pair_count_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Exact ROC-AUC by pair counting; generator-side reference scorer."""
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    if len(pos) == 0 or len(neg) == 0:
-        raise EmptyInputError("need both positive and negative labels")
-    diff = pos[:, None] - neg[None, :]
-    return float(((diff > 0).sum() + 0.5 * (diff == 0).sum()) / (len(pos) * len(neg)))
-
-
-def oracle_auc_bound(cfg: WorldConfig, task: str,
-                     days: list[int] | None = None) -> float:
-    """ROC-AUC of scoring with the true noise-free logits over the given days.
-
-    This is the ceiling any learned model can reach on the same split, up to
-    label-noise luck.
-    """
-    world = World(cfg)
-    data = generate_world(cfg)
-    batch = SampleBatch.concat([data[d] for d in (days if days is not None
-                                                  else sorted(data))])
-    sub = cfg.task_subspace(task)
-    dots = (world.user_latents[batch.user_id, sub]
-            * world.pin_latents[batch.pin_id, sub]).sum(axis=1)
-    return _pair_count_auc(GAIN * dots + cfg.intercept(task), batch.labels[task])
-
-
 # ---------------------------------------------------------------------------
 # day-partitioned dataset files
 
@@ -259,6 +250,14 @@ def _event_type(profile_dim: int, attrs_dim: int) -> np.dtype:
                      ("click", "u1"), ("conversion", "u1"), ("hour", "<f8"),
                      ("profile", "<f8", (profile_dim,)), ("attrs", "<f8", (attrs_dim,)),
                      ("hist_len", "<u2")])
+
+
+def _event_table(*cols) -> np.ndarray:
+    """One day's event table from its columns, in _event_type's field order."""
+    events = np.zeros(len(cols[0]), _event_type(cols[6].shape[1], cols[7].shape[1]))
+    for name, col in zip(events.dtype.names, cols):
+        events[name] = col
+    return events
 
 
 def _batch(events: np.ndarray, history) -> SampleBatch:
@@ -276,12 +275,10 @@ def _batch(events: np.ndarray, history) -> SampleBatch:
 def day_file_bytes(day: int, batch: SampleBatch) -> bytes:
     hist, lengths = batch.user.sequence["hist"]
     profile, attrs = batch.user.dense["profile"], batch.pin.dense["attrs"]
-    events = np.zeros(len(batch), _event_type(profile.shape[1], attrs.shape[1]))
-    for name, col in zip(events.dtype.names, (
-            batch.user_id, batch.pin_id, batch.event_seq, batch.labels[CLICK],
-            batch.labels[CONVERSION], batch.context.dense["hour"][:, 0], profile,
-            attrs, lengths)):
-        events[name] = col
+    events = _event_table(
+        batch.user_id, batch.pin_id, batch.event_seq, batch.labels[CLICK],
+        batch.labels[CONVERSION], batch.context.dense["hour"][:, 0], profile,
+        attrs, lengths)
     history = hist[np.arange(hist.shape[1]) < lengths[:, None]].astype("<u4")
     return DAY_FILE.pack((day, len(events), profile.shape[1], attrs.shape[1],
                           len(history)), events, history)

@@ -149,6 +149,8 @@ class TestConfigInvariants:
         ("experiment", "heuristics", {"heuristics": (
             AggregationHeuristic("acc"), AggregationHeuristic("acc"))}),
         ("world", "click_rate", {"click_rate": 2.0}),
+        # numpy's Poisson draw rejects the negative rate events_per_user - 1
+        ("world", "events_per_user", {"events_per_user": 0.5}),
         ("world", "days", {"days": 0}),
         ("world", "num_users", {"num_users": 1}),
         ("downstream", "num_experts", {"num_experts": 0}),
@@ -165,7 +167,8 @@ class TestConfigInvariants:
         # bind() takes only 0-65535
         ("serve", "port", {"port": 70000}),
     ], ids=["num_layers", "contrastive_weight", "supervised_weight",
-            "heuristics", "duplicate_heuristic_labels", "click_rate", "days",
+            "heuristics", "duplicate_heuristic_labels", "click_rate",
+            "events_per_user", "days",
             "num_users", "num_experts", "projection_dim", "downstream_task",
             "duplicate_derm_inputs", "world_seed", "upstream_seed",
             "downstream_seed", "experiment_seed_range",

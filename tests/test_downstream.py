@@ -33,10 +33,10 @@ from derm.errors import (
 )
 from derm.lifecycle import AggregationHeuristic, MA
 from derm.store import StoreKey, generation_bytes, parse_generation, source_code
-from derm.synth import WorldConfig, _pair_count_auc, generate_world
+from derm.synth import WorldConfig, generate_world
 from derm.towers import pad_sequences
 
-from util import fd_check_params, random_unit_rows
+from util import fd_check_params, pair_count_auc, random_unit_rows
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ class TestRocAuc:
             labels = rng.integers(0, 2, size=n)
             labels[0], labels[-1] = 0, 1
             assert roc_auc(scores, labels) == pytest.approx(
-                _pair_count_auc(scores, labels), abs=1e-12)
+                pair_count_auc(scores, labels), abs=1e-12)
 
     def test_degenerate_labels(self):
         with pytest.raises(DegenerateLabelsError):

@@ -4,22 +4,30 @@ import struct
 import numpy as np
 import pytest
 
-from derm.data import PIN, USER
+from derm.data import KIND_CODES, PIN, USER
 from derm.errors import InvalidRatesError, IoFailureError
 from derm.synth import (
     CLICK,
     CONVERSION,
     DAY_FILE,
+    EVENT_JITTER,
+    GAIN,
+    HISTORY_LEN,
+    _ACTIVITY,
+    _EVENTS,
     World,
     WorldConfig,
+    _batch,
+    _event_type,
     day_file_bytes,
     day_file_name,
     generate_world,
     load_world_files,
-    oracle_auc_bound,
     positive_rates,
     write_world_files,
 )
+
+from util import oracle_auc_bound
 
 
 def assert_identical(a: np.ndarray, b: np.ndarray):
@@ -69,6 +77,12 @@ class TestConfigValidation:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(InvalidRatesError):
             small_cfg(**{field: value}).validate()
+
+    @pytest.mark.parametrize("value", [0.0, 0.5, 0.999])
+    def test_events_per_user_below_one_rejected(self, value):
+        # each active user has 1 + Poisson(events_per_user - 1) events
+        with pytest.raises(InvalidRatesError, match=r"^events_per_user "):
+            small_cfg(events_per_user=value).validate()
 
     def test_conversion_must_be_sparser(self):
         with pytest.raises(InvalidRatesError):
@@ -151,6 +165,115 @@ class TestGeneration:
             cos = float(mean_obs @ clean / (np.linalg.norm(mean_obs)
                                             * np.linalg.norm(clean)))
             assert cos > 0.7
+
+
+# ---------------------------------------------------------------------------
+# the one-event-at-a-time generator, kept as the reference that the per-day
+# generate_day must match byte for byte
+
+
+def true_logit(world, task, user_id, pin_id):
+    sub = world.cfg.task_subspace(task)
+    zu = world.user_latents[user_id, sub]
+    zp = world.pin_latents[pin_id, sub]
+    return GAIN * float(zu @ zp) + world.cfg.intercept(task)
+
+
+def _label(world, task, user_id, pin_id, rng):
+    cfg = world.cfg
+    logit = true_logit(world, task, user_id, pin_id)
+    logit += cfg.noise_level * float(rng.normal())
+    if cfg.threshold_labels:
+        return int(logit > 0.0)
+    p = 1.0 / (1.0 + np.exp(-logit))
+    return int(rng.uniform() < p)
+
+
+def reference_generate_day(world, day, history):
+    cfg = world.cfg
+    rng = np.random.default_rng([cfg.seed, _EVENTS, day])
+    users = world.active_ids(USER, day)
+    pins = world.active_ids(PIN, day)
+    events, flat = [], []
+    for u in users:
+        count = 1 + rng.poisson(cfg.events_per_user - 1.0)
+        for _ in range(count):
+            p = int(pins[rng.integers(len(pins))])
+            click = _label(world, CLICK, u, p, rng)
+            conv = _label(world, CONVERSION, u, p, rng)
+            hour = float(rng.uniform(-1.0, 1.0))
+            jit_u = rng.normal(size=cfg.latent_dim)
+            jit_p = rng.normal(size=cfg.latent_dim)
+            hist = history.get(u, [])[-HISTORY_LEN:]
+            flat += hist
+            events.append((
+                u, p, len(events), click, conv, hour,
+                world.observe(USER, u, day) + cfg.noise_level * EVENT_JITTER * jit_u,
+                world.observe(PIN, p, day) + cfg.noise_level * EVENT_JITTER * jit_p,
+                len(hist)))
+    return _batch(np.array(events, _event_type(cfg.latent_dim, cfg.latent_dim)), flat)
+
+
+def activity_below_floor(cfg, kind, day, floor):
+    """Whether the day's activity draw left fewer than floor ids of kind."""
+    total = cfg.num_users if kind == USER else cfg.num_pins
+    rng = np.random.default_rng([cfg.seed, _ACTIVITY, KIND_CODES[kind], day])
+    return (rng.uniform(size=total) < cfg.activity_rate).sum() < floor
+
+
+REFERENCE_WORLDS = {
+    "default": WorldConfig(),
+    "threshold_labels": WorldConfig(seed=7, threshold_labels=True),
+    "noise_level_0": WorldConfig(seed=3, noise_level=0.0),
+    "two_by_two": WorldConfig(num_users=2, num_pins=2, seed=5),
+    "one_event_each": WorldConfig(events_per_user=1.0, seed=9),
+    "id_floors": WorldConfig(num_users=4, num_pins=4, activity_rate=0.05, seed=13),
+    "long_histories": WorldConfig(num_users=4, num_pins=6, events_per_user=12.0,
+                                  days=6, click_rate=0.6, conversion_rate=0.3,
+                                  seed=17),
+}
+
+# what a world must reach for its case to test what its name says
+REACHES = {
+    "one_event_each": lambda world, data, history: all(
+        len(data[d]) == len(world.active_ids(USER, d)) for d in data),
+    "id_floors": lambda world, data, history: all(
+        any(activity_below_floor(world.cfg, kind, d, floor) for d in data)
+        for kind, floor in ((USER, 1), (PIN, 2))),
+    "long_histories": lambda world, data, history: (
+        max(map(len, history.values())) > HISTORY_LEN
+        and max(int(b.user.sequence["hist"][1].max()) for b in data.values())
+        == HISTORY_LEN),
+}
+
+
+class TestPerEventReference:
+    @pytest.mark.parametrize("task", [CLICK, CONVERSION])
+    def test_true_logits_match_the_scalar_dot(self, task):
+        cfg = WorldConfig()
+        world = World(cfg)
+        user, pin = (a.ravel() for a in np.meshgrid(
+            np.arange(cfg.num_users), np.arange(cfg.num_pins), indexing="ij"))
+        want = np.array([true_logit(world, task, u, p)
+                         for u, p in zip(user.tolist(), pin.tolist())])
+        assert_identical(world.true_logits(task, user, pin), want)
+
+    @pytest.mark.parametrize("case", list(REFERENCE_WORLDS))
+    def test_every_column_matches_per_event_generator(self, case):
+        cfg = REFERENCE_WORLDS[case]
+        world = World(cfg)
+        data = generate_world(cfg)
+        history: dict[int, list[int]] = {}
+        for day in range(1, cfg.days + 1):
+            want = reference_generate_day(world, day, history)
+            assert_batches_identical(data[day], want)
+            assert day_file_bytes(day, data[day]) == day_file_bytes(day, want)
+            clicked = want.labels[CLICK] == 1
+            for u, p in zip(want.user_id[clicked].tolist(),
+                            want.pin_id[clicked].tolist()):
+                history.setdefault(u, []).append(p)
+        if case in REACHES:
+            assert REACHES[case](world, data, history)
 
 
 class TestOracleBound:

@@ -1,12 +1,14 @@
 """Shared helpers: gradient checks, a tiny upstream model, separable batches,
-daily embedding sets."""
+daily embedding sets, the synthetic world's oracle AUC."""
 
 import numpy as np
 
 from derm.data import KIND_CODES, FeatureBundle, SampleBatch, embedding_rows, entity_keys
+from derm.errors import EmptyInputError
 from derm.lifecycle import DailyEmbeddingSet
 from derm.numerics import check_gradient
 from derm.params import flatten_params, unflatten_params
+from derm.synth import World, WorldConfig, generate_world
 from derm.towers import SlotSpec, TowerConfig, build_upstream_model, pad_sequences
 
 
@@ -132,3 +134,28 @@ def generation_vectors(gen):
 def daily_vectors(daily):
     """{(kind, entity id): vector} of a DailyEmbeddingSet, in row order."""
     return dict(zip(entity_keys(daily.records), daily.records["vec"]))
+
+
+def pair_count_auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Exact ROC-AUC by pair counting; the reference scorer."""
+    pos = scores[labels == 1]
+    neg = scores[labels == 0]
+    if len(pos) == 0 or len(neg) == 0:
+        raise EmptyInputError("need both positive and negative labels")
+    diff = pos[:, None] - neg[None, :]
+    return float(((diff > 0).sum() + 0.5 * (diff == 0).sum()) / (len(pos) * len(neg)))
+
+
+def oracle_auc_bound(cfg: WorldConfig, task: str,
+                     days: list[int] | None = None) -> float:
+    """ROC-AUC of scoring with the true noise-free logits over the given days.
+
+    This is the ceiling any learned model can reach on the same split, up to
+    label-noise luck.
+    """
+    world = World(cfg)
+    data = generate_world(cfg)
+    batch = SampleBatch.concat([data[d] for d in (days if days is not None
+                                                  else sorted(data))])
+    return pair_count_auc(world.true_logits(task, batch.user_id, batch.pin_id),
+                          batch.labels[task])
