@@ -110,10 +110,10 @@ class DownstreamSection:
     train_day_start: int = 8
     test_day: int = 18
 
-    def model_config(self, derm_inputs: tuple[str, ...] | None = None) -> DownstreamConfig:
+    def model_config(self) -> DownstreamConfig:
         return DownstreamConfig(
             task=self.task,
-            derm_inputs=self.derm_inputs if derm_inputs is None else derm_inputs,
+            derm_inputs=self.derm_inputs,
             projection_dim=self.projection_dim,
             num_experts=self.num_experts,
             cross_layers=self.cross_layers,
@@ -253,7 +253,6 @@ def default_config() -> PipelineConfig:
                 negatives_per_pair=15,
                 seed=i,
                 contrastive_weight=1.0,
-                supervised_weights={UPSTREAM_TASKS[name]: 1.0},
             ),
         )
         for i, name in enumerate(UPSTREAM_MODELS)
@@ -310,7 +309,7 @@ def tower_configs(world: WorldConfig, spec: UpstreamSpec):
 def build_model(world: WorldConfig, spec: UpstreamSpec) -> UpstreamModel:
     user_cfg, pin_cfg, inter_cfg = tower_configs(world, spec)
     return build_upstream_model(user_cfg, pin_cfg, inter_cfg,
-                                tasks=(spec.task,), seed=spec.train.seed)
+                                task=spec.task, seed=spec.train.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -400,25 +399,21 @@ def _keys(cls, skip: tuple[str, ...] = ()) -> tuple[tuple[str, _Codec], ...]:
                  for f in fields(cls) if f.name not in skip)
 
 
-# [upstream.*] flattens an UpstreamSpec: its task, the TrainConfig fields
-# with one supervised_weight for that task, then the tower sizes
-_TRAIN_KEYS = _keys(TrainConfig, skip=("supervised_weights",))
+# [upstream.*] flattens an UpstreamSpec: its task, the TrainConfig fields,
+# then the tower sizes
+_TRAIN_KEYS = _keys(TrainConfig)
 _UPSTREAM_KEYS = (("task", _Codec(_upstream_task, str)), *_TRAIN_KEYS,
-                  ("supervised_weight", _CODECS[float]),
                   *_keys(UpstreamSpec, skip=("task", "source", "train")))
 
 
 def _upstream_values(spec: UpstreamSpec) -> dict:
-    flat = {**vars(spec), **vars(spec.train),
-            "supervised_weight": spec.train.weight_for(spec.task)}
+    flat = {**vars(spec), **vars(spec.train)}
     return {key: flat[key] for key, _ in _UPSTREAM_KEYS}
 
 
 def _upstream_spec(model: str, values: dict) -> UpstreamSpec:
     rest = dict(values)
-    weight = rest.pop("supervised_weight")
-    train = TrainConfig(**{key: rest.pop(key) for key, _ in _TRAIN_KEYS},
-                        supervised_weights={rest["task"]: weight})
+    train = TrainConfig(**{key: rest.pop(key) for key, _ in _TRAIN_KEYS})
     return UpstreamSpec(source=UPSTREAM_SOURCES[model], train=train, **rest)
 
 

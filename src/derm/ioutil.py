@@ -14,7 +14,8 @@ fill the payload exactly, raising the format's error.
 `write_atomic` writes `<path>.<random>.tmp` in the same directory, fsyncs
 it, then renames it over `path`, so a crash leaves the old file or the new one,
 never a prefix of the new one. `write_new` links the temp file into place
-instead, so it never replaces an existing file.
+instead, so it never replaces an existing file. Either then fsyncs the
+directory, so the placed name survives a power loss too.
 
 `crc64` is CRC-64/XZ. Below two lanes of `LANE` bytes it runs the
 byte-at-a-time table loop. From two lanes up it does the same arithmetic on
@@ -208,6 +209,7 @@ def _write_via_temp(path, blob: bytes, place) -> None:
             os.fsync(f.fileno())
         placing = True
         place(tmp, path)
+        _fsync_dir(path.parent)
     except OSError as e:
         if placing and isinstance(e, FileExistsError):
             raise  # write_new's path is taken; the caller picks another
@@ -215,6 +217,14 @@ def _write_via_temp(path, blob: bytes, place) -> None:
     finally:
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
+
+
+def _fsync_dir(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def read_file(path, what: str) -> bytes:

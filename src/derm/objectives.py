@@ -13,22 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBatchError, NonPositiveTauError, UnknownTaskError
+from .errors import EmptyBatchError, NonPositiveTauError
 from .numerics import sigmoid
 
-CONTRASTIVE = "contrastive"
-
 DEFAULT_NEGATIVES_PER_PAIR = 15
-
-
-@dataclass
-class ContrastiveBatch:
-    """Aligned per-pair arrays; embeddings are unit-norm rows."""
-
-    user_embs: np.ndarray  # (B, D)
-    pin_embs: np.ndarray  # (B, D)
-    pin_ids: list[int]
-    positives: np.ndarray  # (B,) bool mask of click/conversion positives
 
 
 @dataclass
@@ -37,8 +25,6 @@ class ContrastiveResult:
     du: np.ndarray  # (B, D) grads w.r.t. user embeddings
     dp: np.ndarray  # (B, D) grads w.r.t. pin embeddings
     dlog_tau: float
-    num_positives: int
-    empty_positives: bool
 
 
 def estimate_batch_frequencies(pin_ids: list[int]) -> dict[int, float]:
@@ -53,7 +39,10 @@ def estimate_batch_frequencies(pin_ids: list[int]) -> dict[int, float]:
 
 
 def sampled_softmax_loss(
-    batch: ContrastiveBatch,
+    U: np.ndarray,
+    P: np.ndarray,
+    pin_ids: list[int],
+    positives: np.ndarray,
     q: dict[int, float],
     tau: float,
     negatives_per_pair: int = DEFAULT_NEGATIVES_PER_PAIR,
@@ -61,21 +50,22 @@ def sampled_softmax_loss(
 ) -> ContrastiveResult:
     """Bias-corrected in-batch sampled-softmax loss, averaged over positives.
 
+    U and P are the batch's (B, D) unit-norm user and pin embeddings, pin_ids
+    its B pin ids and positives its (B,) bool mask of labelled pairs.
     Returns the loss together with gradients w.r.t. every user embedding,
     every pin embedding involved as positive or sampled negative, and
-    log(tau). A batch with no positive pairs yields loss 0, zero grads and
-    the empty_positives flag instead of an error.
+    log(tau). A batch with no positive pairs yields loss 0 and zero grads
+    instead of an error.
     """
     if tau <= 0:
         raise NonPositiveTauError(f"tau must be positive, got {tau}")
     rng = np.random.default_rng(rng_seed)  # a Generator passes through as is
-    U, P = batch.user_embs, batch.pin_embs
-    ids = np.asarray(batch.pin_ids)
+    ids = np.asarray(pin_ids)
     du = np.zeros_like(U)
     dp = np.zeros_like(P)
-    pos_idx = np.flatnonzero(batch.positives)
+    pos_idx = np.flatnonzero(positives)
     if not pos_idx.size:
-        return ContrastiveResult(0.0, du, dp, 0.0, 0, True)
+        return ContrastiveResult(0.0, du, dp, 0.0)
 
     # member rows: the positive, then its negatives drawn from the other
     # batch positions holding a different pin, one draw per positive in
@@ -94,7 +84,7 @@ def sampled_softmax_loss(
     Ui = U[pos_idx]
     Pm = P[members]  # (positives, width, D)
     sims = (Pm @ Ui[:, :, None])[..., 0]
-    log_q = np.log([q[pid] for pid in batch.pin_ids])
+    log_q = np.log([q[pid] for pid in pin_ids])
     logits = np.where(valid, sims / tau - log_q[members], -np.inf)
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
@@ -108,7 +98,7 @@ def sampled_softmax_loss(
     du[pos_idx] = (dlogit[:, None, :] @ Pm)[:, 0] / tau
     np.add.at(dp, members[valid], (dlogit[..., None] * Ui[:, None, :])[valid] / tau)
     dlog_tau = float((dlogit * (-sims / tau)).sum())
-    return ContrastiveResult(loss, du, dp, dlog_tau, len(pos_idx), False)
+    return ContrastiveResult(loss, du, dp, dlog_tau)
 
 
 def bce_loss(logit, label) -> tuple[np.ndarray, np.ndarray]:
@@ -118,25 +108,3 @@ def bce_loss(logit, label) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(label, dtype=np.float64)
     loss = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
     return loss, sigmoid(x) - y
-
-
-def combined_loss(
-    supervised_losses: dict[str, float],
-    contrastive: float,
-    weights: dict[str, float] | None = None,
-) -> float:
-    """Weighted sum of per-task supervised losses and the contrastive term.
-
-    Weight keys are task names plus the reserved key "contrastive"; any
-    unknown key is rejected. Missing weights default to 1.0.
-    """
-    weights = dict(weights or {})
-    for key in weights:
-        if key != CONTRASTIVE and key not in supervised_losses:
-            raise UnknownTaskError(f"weight given for unknown task {key!r}")
-        if weights[key] < 0:
-            raise UnknownTaskError(f"negative weight for {key!r}")
-    total = weights.get(CONTRASTIVE, 1.0) * contrastive
-    for task, value in supervised_losses.items():
-        total += weights.get(task, 1.0) * value
-    return float(total)

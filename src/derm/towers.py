@@ -9,8 +9,9 @@ The slot tokens are mixed into (B, n, d) tokens and refined through
 stacked layers, every layer summing two feature-interaction blocks plus a
 shortcut. Entity towers L2-normalize each flattened row into the served
 (B, D) embeddings; the interaction tower consumes both entity embeddings
-together with context features and feeds per-task affine heads with (B,)
-logits, so context never touches the entity embeddings themselves.
+together with context features and feeds one affine head with (B,) logits
+for the model's task, so context never touches the entity embeddings
+themselves.
 
 Block kinds, each taking inputs with any leading axes (..., n, d):
   masknet   - sigmoid gate from the (flattened) block input applied to a
@@ -361,7 +362,7 @@ def embed_entity_backward(cfg, params, prefix, emb_cache, dY, grads):
 
 
 # ---------------------------------------------------------------------------
-# upstream model: user tower + pin tower + interaction tower + heads
+# upstream model: user tower + pin tower + interaction tower + head
 
 
 @dataclass
@@ -369,7 +370,7 @@ class UpstreamModel:
     user_cfg: TowerConfig
     pin_cfg: TowerConfig
     inter_cfg: TowerConfig
-    tasks: tuple[str, ...]
+    task: str
     params: ParamDict = field(default_factory=dict)
 
     @property
@@ -381,7 +382,7 @@ def build_upstream_model(
     user_cfg: TowerConfig,
     pin_cfg: TowerConfig,
     inter_cfg: TowerConfig,
-    tasks: tuple[str, ...],
+    task: str,
     seed: int,
 ) -> UpstreamModel:
     if user_cfg.output_dim != pin_cfg.output_dim:
@@ -393,11 +394,10 @@ def build_upstream_model(
     init_tower_params(pin_cfg, rng, "pin", params)
     init_tower_params(inter_cfg, rng, "inter", params)
     zdim = inter_cfg.output_dim
-    for t in tasks:
-        params[f"head/{t}/w"] = rng.normal(0.0, 1.0 / np.sqrt(zdim), (zdim,))
-        params[f"head/{t}/b"] = np.zeros(1)
+    params[f"head/{task}/w"] = rng.normal(0.0, 1.0 / np.sqrt(zdim), (zdim,))
+    params[f"head/{task}/b"] = np.zeros(1)
     params["log_tau"] = np.array([np.log(TAU_INIT)])
-    return UpstreamModel(user_cfg, pin_cfg, inter_cfg, tuple(tasks), params)
+    return UpstreamModel(user_cfg, pin_cfg, inter_cfg, task, params)
 
 
 def _check_inter_cfg(inter_cfg: TowerConfig, emb_dim: int) -> None:
@@ -413,23 +413,23 @@ def _check_inter_cfg(inter_cfg: TowerConfig, emb_dim: int) -> None:
 
 def interaction_forward(model: UpstreamModel, U, P, context):
     """Cross the entity embeddings U, P (B, D) with the batch's context
-    bundle; returns {task: (B,) logits} and a backward cache."""
+    bundle; returns the task's (B,) logits and a backward cache."""
     bundle = replace(context, dense={**context.dense, USER_EMB_SLOT: U, PIN_EMB_SLOT: P,
                                      UDOTP_SLOT: (U * P).sum(axis=1, keepdims=True)})
     z, cache = tower_forward(model.inter_cfg, model.params, "inter", bundle)
-    logits = {t: z @ model.params[f"head/{t}/w"] + model.params[f"head/{t}/b"][0]
-              for t in model.tasks}
+    head = f"head/{model.task}"
+    logits = z @ model.params[f"{head}/w"] + model.params[f"{head}/b"][0]
     return logits, (cache, z, U, P)
 
 
-def interaction_backward(model: UpstreamModel, fwd_cache, dlogits: dict, grads: ParamDict):
-    """Backprop per-task (B,) logit grads; returns (dU, dP) for the entity towers."""
+def interaction_backward(model: UpstreamModel, fwd_cache, dlogits, grads: ParamDict):
+    """Backprop (B,) logit grads; returns (dU, dP) for the entity towers."""
     cache, z, U, P = fwd_cache
-    dz = np.zeros_like(z)
-    for t, dl in dlogits.items():
-        grads[f"head/{t}/w"] += dl @ z
-        grads[f"head/{t}/b"][0] += dl.sum()
-        dz += dl[:, None] * model.params[f"head/{t}/w"]
+    head = f"head/{model.task}"
+    grads[f"{head}/w"] += dlogits @ z
+    grads[f"{head}/b"][0] += dlogits.sum()
+    dz = np.zeros_like(z)  # adding into zeros turns a -0.0 product into +0.0
+    dz += dlogits[:, None] * model.params[f"{head}/w"]
     input_grads = tower_backward(
         model.inter_cfg, model.params, "inter", cache, dz, grads, want_input_grads=True
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,14 +37,7 @@ from .errors import (
 )
 # crc64 stays importable from here: perfbench's patcher test wraps it here
 from .ioutil import SealedFormat, crc64, read_file, write_atomic  # noqa: F401
-from .objectives import (
-    CONTRASTIVE,
-    ContrastiveBatch,
-    bce_loss,
-    combined_loss,
-    estimate_batch_frequencies,
-    sampled_softmax_loss,
-)
+from .objectives import bce_loss, estimate_batch_frequencies, sampled_softmax_loss
 from .params import (ParamDict, clone_params, flat_views, flatten_params,
                      unflatten_params, zeros_like_params)
 from .towers import (
@@ -70,7 +63,7 @@ class TrainConfig:
     negatives_per_pair: int = 15
     seed: int = 0
     contrastive_weight: float = 1.0
-    supervised_weights: dict[str, float] = field(default_factory=dict)
+    supervised_weight: float = 1.0
 
     def validate(self) -> None:
         if not (self.learning_rate > 0):
@@ -90,13 +83,9 @@ class TrainConfig:
         if not (self.contrastive_weight >= 0.0):
             raise ValueError(
                 f"contrastive_weight must be >= 0, got {self.contrastive_weight}")
-        for task, weight in self.supervised_weights.items():
-            if not (weight >= 0.0):
-                raise ValueError(
-                    f"supervised_weight must be >= 0, got {weight} for {task!r}")
-
-    def weight_for(self, task: str) -> float:
-        return float(self.supervised_weights.get(task, 1.0))
+        if not (self.supervised_weight >= 0.0):
+            raise ValueError(
+                f"supervised_weight must be >= 0, got {self.supervised_weight}")
 
 
 @dataclass
@@ -141,32 +130,28 @@ def batch_step(model: UpstreamModel, batch: SampleBatch,
     """One combined forward/backward pass over a minibatch.
 
     Adds the gradients into grads, which the caller zeroes, and returns the
-    combined loss. Loss weights come from cfg; the contrastive positives are
-    the events whose first-task label is 1.
+    combined loss: contrastive_weight times the sampled softmax plus
+    supervised_weight times the mean BCE of the interaction logits. The
+    contrastive positives are the events whose label for the model's task is 1.
     """
     B = len(batch)
     U, user_cache = embed_entity(model.user_cfg, model.params, "user", batch.user)
     P, pin_cache = embed_entity(model.pin_cfg, model.params, "pin", batch.pin)
 
-    positives = batch.labels[model.tasks[0]] == 1
+    labels = batch.labels[model.task]
     pin_ids = batch.pin_id.tolist()
     q = estimate_batch_frequencies(pin_ids)
-    con = sampled_softmax_loss(
-        ContrastiveBatch(U, P, pin_ids, positives), q, tau=model.temperature,
-        negatives_per_pair=cfg.negatives_per_pair, rng_seed=rng)
+    con = sampled_softmax_loss(U, P, pin_ids, labels == 1, q, tau=model.temperature,
+                               negatives_per_pair=cfg.negatives_per_pair, rng_seed=rng)
 
-    w_con = cfg.contrastive_weight
+    w_con, w_sup = cfg.contrastive_weight, cfg.supervised_weight
     grads["log_tau"][0] += w_con * con.dlog_tau
 
     logits, inter_cache = interaction_forward(model, U, P, batch.context)
-    labels = np.stack([batch.labels[t] for t in model.tasks], axis=1)
-    losses, dl = bce_loss(np.stack([logits[t] for t in model.tasks], axis=1), labels)
-    weights = {t: cfg.weight_for(t) for t in model.tasks} | {CONTRASTIVE: w_con}
-    sup_losses = {t: float(losses[:, j].sum()) / B for j, t in enumerate(model.tasks)}
-    total = combined_loss(sup_losses, con.loss, weights)
+    losses, dl = bce_loss(logits, labels)
+    total = w_con * con.loss + w_sup * (float(losses.sum()) / B)
 
-    dlogits = {t: weights[t] * dl[:, j] / B for j, t in enumerate(model.tasks)}
-    dU, dP = interaction_backward(model, inter_cache, dlogits, grads)
+    dU, dP = interaction_backward(model, inter_cache, w_sup * dl / B, grads)
     embed_entity_backward(model.user_cfg, model.params, "user", user_cache,
                           w_con * con.du + dU, grads)
     embed_entity_backward(model.pin_cfg, model.params, "pin", pin_cache,

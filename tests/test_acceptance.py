@@ -49,7 +49,6 @@ from derm.lifecycle import (
     noisy_daily_stability,
 )
 from derm.objectives import (
-    ContrastiveBatch,
     estimate_batch_frequencies,
     sampled_softmax_loss,
 )
@@ -240,9 +239,9 @@ def _softmax_grad_err(seed: int) -> float:
     }
 
     def make_loss(pd):
-        batch = ContrastiveBatch(pd["U"], pd["P"], ids, pos)
+        batch = (pd["U"], pd["P"], ids, pos)
         res = sampled_softmax_loss(
-            batch, q, tau=float(np.exp(pd["log_tau"][0])),
+            *batch, q, tau=float(np.exp(pd["log_tau"][0])),
             negatives_per_pair=3, rng_seed=seed,
         )
         return res.loss, {"U": res.du, "P": res.dp,
@@ -358,35 +357,35 @@ def test_criterion_02_softmax_closed_forms():
         return v / np.linalg.norm(v)
 
     # no negatives sampled: the positive is the whole candidate set
-    b = ContrastiveBatch(np.array([unit([1.0, 1.0])]),
-                         np.array([unit([1.0, -1.0])]), [0],
-                         np.array([True]))
-    res = sampled_softmax_loss(b, {0: 1.0}, tau=0.5, negatives_per_pair=0)
+    b = (np.array([unit([1.0, 1.0])]),
+         np.array([unit([1.0, -1.0])]), [0],
+         np.array([True]))
+    res = sampled_softmax_loss(*b, {0: 1.0}, tau=0.5, negatives_per_pair=0)
     assert res.loss == 0.0
     assert np.all(res.du == 0.0) and np.all(res.dp == 0.0)
     assert res.dlog_tau == 0.0
 
     # identical embeddings and uniform Q: ln(N + 1) with N negatives
     e = unit([1.0, 2.0])
-    b = ContrastiveBatch(np.array([e] * 4), np.array([e] * 4),
-                         [0, 1, 2, 3], np.array([True] * 4))
+    b = (np.array([e] * 4), np.array([e] * 4),
+         [0, 1, 2, 3], np.array([True] * 4))
     q = {i: 0.25 for i in range(4)}
-    res = sampled_softmax_loss(b, q, tau=1.0, negatives_per_pair=3)
+    res = sampled_softmax_loss(*b, q, tau=1.0, negatives_per_pair=3)
     gap = abs(res.loss - np.log(4.0))
     assert gap < CLOSED_FORM_TOL, f"|loss - ln 4| = {gap:.3e}"
 
     # the logQ correction makes the loss invariant to scaling Q
     rng = np.random.default_rng(0)
     ids = list(range(8))
-    b = ContrastiveBatch(random_unit_rows(rng, 8, 4),
-                         random_unit_rows(rng, 8, 4), ids,
-                         np.ones(8, dtype=bool))
+    b = (random_unit_rows(rng, 8, 4),
+         random_unit_rows(rng, 8, 4), ids,
+         np.ones(8, dtype=bool))
     q = {i: float(rng.uniform(0.05, 0.9)) for i in ids}
-    base = sampled_softmax_loss(b, q, tau=0.3, negatives_per_pair=4,
+    base = sampled_softmax_loss(*b, q, tau=0.3, negatives_per_pair=4,
                                 rng_seed=9)
     worst_scale = 0.0
     for c in (0.1, 3.0, 250.0):
-        scaled = sampled_softmax_loss(b, {k: c * v for k, v in q.items()},
+        scaled = sampled_softmax_loss(*b, {k: c * v for k, v in q.items()},
                                       tau=0.3, negatives_per_pair=4,
                                       rng_seed=9)
         worst_scale = max(worst_scale, abs(scaled.loss - base.loss))

@@ -1,6 +1,10 @@
-"""CRC-64 of sealed files: the lane-parallel crc64 against the byte loop."""
+"""CRC-64 of sealed files: the lane-parallel crc64 against the byte loop;
+and the durable write path."""
 
+import errno
 import os
+import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +13,8 @@ import numpy as np
 import pytest
 
 import derm
-from derm.ioutil import LANE, crc64
+from derm.errors import IoFailureError
+from derm.ioutil import LANE, crc64, write_atomic, write_new
 
 
 def _reference_table() -> list[int]:
@@ -76,3 +81,43 @@ def test_importing_the_cli_builds_no_shift_table():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+WRITES = pytest.mark.parametrize("write", [write_atomic, write_new],
+                                 ids=["write_atomic", "write_new"])
+
+
+class TestDurableWrites:
+    @WRITES
+    def test_directory_is_synced_after_the_file(self, tmp_path, monkeypatch, write):
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            synced.append((st.st_dev, st.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        path = tmp_path / "sub" / "blob.bin"
+        write(path, b"payload")
+        assert path.read_bytes() == b"payload"
+        assert synced == [(p.stat().st_dev, p.stat().st_ino)
+                          for p in (path, path.parent)]
+
+    @WRITES
+    def test_directory_sync_failure_names_the_path(self, tmp_path, monkeypatch,
+                                                   write):
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(errno.EIO, "injected")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        path = tmp_path / "blob.bin"
+        with pytest.raises(IoFailureError,
+                           match=rf"^cannot write {re.escape(str(path))}: .*injected"):
+            write(path, b"payload")
+        assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from derm.errors import EmptyBatchError, NonPositiveTauError, UnknownTaskError
+from derm.errors import EmptyBatchError, NonPositiveTauError
 from derm.objectives import (
-    ContrastiveBatch,
     bce_loss,
-    combined_loss,
     estimate_batch_frequencies,
     sampled_softmax_loss,
 )
@@ -19,11 +17,12 @@ def unit(v):
 
 
 def make_batch(U, P, ids, positives=None):
+    """sampled_softmax_loss's leading arguments: U, P, pin ids, positives."""
     U = np.asarray(U, dtype=float)
     P = np.asarray(P, dtype=float)
     if positives is None:
         positives = np.ones(len(ids), dtype=bool)
-    return ContrastiveBatch(U, P, list(ids), np.asarray(positives, dtype=bool))
+    return U, P, list(ids), np.asarray(positives, dtype=bool)
 
 
 class TestBatchFrequencies:
@@ -45,7 +44,7 @@ class TestBatchFrequencies:
 class TestSampledSoftmaxClosedForms:
     def test_zero_negatives_zero_loss(self):
         b = make_batch([unit([1, 1])], [unit([1, -1])], [0])
-        res = sampled_softmax_loss(b, {0: 1.0}, tau=0.5, negatives_per_pair=0)
+        res = sampled_softmax_loss(*b, {0: 1.0}, tau=0.5, negatives_per_pair=0)
         assert res.loss == 0.0
         assert np.all(res.du == 0) and np.all(res.dp == 0)
         assert res.dlog_tau == 0.0
@@ -55,7 +54,7 @@ class TestSampledSoftmaxClosedForms:
         e = unit([1.0, 2.0])
         b = make_batch([e] * 4, [e] * 4, [0, 1, 2, 3])
         q = {i: 0.25 for i in range(4)}
-        res = sampled_softmax_loss(b, q, tau=1.0, negatives_per_pair=3)
+        res = sampled_softmax_loss(*b, q, tau=1.0, negatives_per_pair=3)
         assert res.loss == pytest.approx(np.log(4.0), abs=1e-9)
 
     def test_hand_computed_instance(self):
@@ -68,7 +67,7 @@ class TestSampledSoftmaxClosedForms:
             positives=[True, False, False],
         )
         q = {0: 1.0, 1: 1.0, 2: 1.0}
-        res = sampled_softmax_loss(b, q, tau=1.0, negatives_per_pair=2)
+        res = sampled_softmax_loss(*b, q, tau=1.0, negatives_per_pair=2)
         expect = np.log(1.0 + np.exp(-1.0) + np.exp(-2.0))
         assert res.loss == pytest.approx(expect, abs=1e-9)
         assert res.loss == pytest.approx(0.40761, abs=5e-6)
@@ -77,14 +76,14 @@ class TestSampledSoftmaxClosedForms:
         b = make_batch(
             np.eye(2), np.eye(2), [0, 1], positives=[False, False]
         )
-        res = sampled_softmax_loss(b, {0: 0.5, 1: 0.5}, tau=1.0)
-        assert res.empty_positives
-        assert res.loss == 0.0 and res.num_positives == 0
+        res = sampled_softmax_loss(*b, {0: 0.5, 1: 0.5}, tau=1.0)
+        assert res.loss == 0.0 and res.dlog_tau == 0.0
+        assert np.all(res.du == 0) and np.all(res.dp == 0)
 
     def test_non_positive_tau(self):
         b = make_batch([unit([1, 0])], [unit([1, 0])], [0])
         with pytest.raises(NonPositiveTauError):
-            sampled_softmax_loss(b, {0: 1.0}, tau=0.0)
+            sampled_softmax_loss(*b, {0: 1.0}, tau=0.0)
 
 
 class TestSampledSoftmaxProperties:
@@ -95,10 +94,10 @@ class TestSampledSoftmaxProperties:
         ids = list(range(8))
         b = make_batch(U, P, ids)
         q = {i: float(rng.uniform(0.05, 0.9)) for i in ids}
-        base = sampled_softmax_loss(b, q, tau=0.3, negatives_per_pair=4, rng_seed=9)
+        base = sampled_softmax_loss(*b, q, tau=0.3, negatives_per_pair=4, rng_seed=9)
         for c in (0.1, 3.0, 250.0):
             scaled = sampled_softmax_loss(
-                b, {k: c * v for k, v in q.items()}, tau=0.3,
+                *b, {k: c * v for k, v in q.items()}, tau=0.3,
                 negatives_per_pair=4, rng_seed=9,
             )
             assert scaled.loss == pytest.approx(base.loss, abs=1e-9)
@@ -122,7 +121,7 @@ class TestSampledSoftmaxProperties:
                 U[0] = u
                 b = make_batch(U, P, ids, positives=pos)
                 losses.append(
-                    sampled_softmax_loss(b, q, tau=1.0, negatives_per_pair=5,
+                    sampled_softmax_loss(*b, q, tau=1.0, negatives_per_pair=5,
                                          rng_seed=42).loss
                 )
             assert losses[1] < losses[0]
@@ -134,7 +133,7 @@ class TestSampledSoftmaxProperties:
             P = random_unit_rows(rng, 5, 6)
             b = make_batch(U, P, list(range(5)))
             res = sampled_softmax_loss(
-                b, estimate_batch_frequencies(list(range(5))), tau=0.7,
+                *b, estimate_batch_frequencies(list(range(5))), tau=0.7,
                 negatives_per_pair=3, rng_seed=seed,
             )
             assert res.loss > 0
@@ -146,7 +145,7 @@ class TestSampledSoftmaxProperties:
         P = random_unit_rows(np.random.default_rng(3), 3, 2)
         b = make_batch(U, P, [7, 7, 8])
         q = estimate_batch_frequencies([7, 7, 8])
-        res = sampled_softmax_loss(b, q, tau=1.0, negatives_per_pair=5, rng_seed=0)
+        res = sampled_softmax_loss(*b, q, tau=1.0, negatives_per_pair=5, rng_seed=0)
         # pairs 0 and 1 can only draw pin 8; pair 2 can draw both 7s
         assert res.loss > 0
 
@@ -165,7 +164,7 @@ class TestSampledSoftmaxProperties:
         def make_loss(pd):
             b = make_batch(pd["U"], pd["P"], ids, positives=pos)
             res = sampled_softmax_loss(
-                b, q, tau=float(np.exp(pd["log_tau"][0])),
+                *b, q, tau=float(np.exp(pd["log_tau"][0])),
                 negatives_per_pair=3, rng_seed=seed,
             )
             return res.loss, {"U": res.du, "P": res.dp,
@@ -186,7 +185,7 @@ class TestNegativeDraws:
         pos = [1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1]
         gen = np.random.default_rng(123)
         res = sampled_softmax_loss(
-            make_batch(U, P, ids, positives=pos), estimate_batch_frequencies(ids),
+            *make_batch(U, P, ids, positives=pos), estimate_batch_frequencies(ids),
             tau=0.2, negatives_per_pair=5, rng_seed=gen,
         )
         assert res.loss == pytest.approx(3.18716383297107, rel=0, abs=1e-12)
@@ -233,22 +232,3 @@ class TestBCE:
                 h = 1e-6
                 num = (bce_loss(x + h, y)[0] - bce_loss(x - h, y)[0]) / (2 * h)
                 assert bce_loss(x, y)[1] == pytest.approx(num, abs=1e-6)
-
-
-class TestCombinedLoss:
-    def test_contrastive_weight_zero(self):
-        sup = {"click": 0.4, "conversion": 0.25}
-        out = combined_loss(sup, 9.9, {"contrastive": 0.0})
-        assert out == pytest.approx(0.65)
-
-    def test_default_weights(self):
-        assert combined_loss({"a": 0.5, "b": 0.3}, 0.2) == pytest.approx(1.0)
-
-    def test_explicit_weights(self):
-        out = combined_loss({"a": 0.5, "b": 0.3}, 0.2,
-                            {"a": 2.0, "b": 0.0, "contrastive": 1.0})
-        assert out == pytest.approx(1.2)
-
-    def test_unknown_task(self):
-        with pytest.raises(UnknownTaskError):
-            combined_loss({"a": 0.5}, 0.1, {"bogus": 1.0})

@@ -271,7 +271,7 @@ def micro_model(seed=0, ctx_dim=2, emb_dim=6):
         token_dim=3,
         num_tokens=2,
     )
-    return build_upstream_model(user_cfg, pin_cfg, inter_cfg, ("click",), seed)
+    return build_upstream_model(user_cfg, pin_cfg, inter_cfg, "click", seed)
 
 
 class TestInteractionTower:
@@ -285,7 +285,7 @@ class TestInteractionTower:
         ctx = FeatureBundle(dense={"ctx": rng.normal(size=(1, 2))})
         l1, _ = interaction_forward(model, u[None], p[None], ctx)
         l2, _ = interaction_forward(model, u[None], p[None], ctx)
-        assert np.array_equal(l1["click"], l2["click"])
+        assert np.array_equal(l1, l2)
 
     def test_context_does_not_touch_entity_embeddings(self):
         model = micro_model(seed=1)
@@ -299,7 +299,7 @@ class TestInteractionTower:
         ctx_b = FeatureBundle(dense={"ctx": np.array([[5.0, -3.0]])})
         la, _ = interaction_forward(model, e1, p1, ctx_a)
         lb, _ = interaction_forward(model, e1, p1, ctx_b)
-        assert la["click"][0] != lb["click"][0]
+        assert la[0] != lb[0]
         # embeddings are a function of entity features only; recompute and compare
         assert np.array_equal(embed_entity(model.user_cfg, model.params, "user", ub)[0], e1)
         assert np.array_equal(embed_entity(model.pin_cfg, model.params, "pin", pb)[0], p1)
@@ -353,7 +353,7 @@ class TestInteractionTower:
         z = ya + gate * proj + flat
         w, bias = P["head/click/w"], P["head/click/b"]
         expect = sum(w[c] * z[c] for c in range(z.size)) + bias[0]
-        assert logits["click"][0] == pytest.approx(expect, abs=1e-9)
+        assert logits[0] == pytest.approx(expect, abs=1e-9)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_interaction_grads_including_embedding_inputs(self, seed):
@@ -370,12 +370,12 @@ class TestInteractionTower:
 
         def make_loss(pd):
             m = type(model)(model.user_cfg, model.pin_cfg, model.inter_cfg,
-                            model.tasks, {k: v for k, v in pd.items() if not k.startswith("__")})
+                            model.task, {k: v for k, v in pd.items() if not k.startswith("__")})
             logits, cache = interaction_forward(m, pd["__u"][None], pd["__p"][None], ctx)
-            loss = float(np.tanh(logits["click"][0]))
-            dl = 1.0 - np.tanh(logits["click"]) ** 2
+            loss = float(np.tanh(logits[0]))
+            dl = 1.0 - np.tanh(logits) ** 2
             grads = zeros_like_params(m.params)
-            du, dp = interaction_backward(m, cache, {"click": dl}, grads)
+            du, dp = interaction_backward(m, cache, dl, grads)
             grads["__u"] = du[0]
             grads["__p"] = dp[0]
             return loss, grads
@@ -435,13 +435,13 @@ class TestBatches:
 
         def make_loss(p):
             m = type(model)(model.user_cfg, model.pin_cfg, model.inter_cfg,
-                            model.tasks, p)
+                            model.task, p)
             U, uc = embed_entity(m.user_cfg, p, "user", users)
             P, pc = embed_entity(m.pin_cfg, p, "pin", pins)
             logits, cache = interaction_forward(m, U, P, contexts)
-            t = np.tanh(logits["click"])
+            t = np.tanh(logits)
             grads = zeros_like_params(p)
-            dU, dP = interaction_backward(m, cache, {"click": 1.0 - t ** 2}, grads)
+            dU, dP = interaction_backward(m, cache, 1.0 - t ** 2, grads)
             embed_entity_backward(m.user_cfg, p, "user", uc, dU, grads)
             embed_entity_backward(m.pin_cfg, p, "pin", pc, dP, grads)
             return float(t.sum()), grads

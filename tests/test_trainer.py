@@ -8,10 +8,13 @@ from derm.errors import (
     IoFailureError,
     WatermarkGapError,
 )
-from derm.params import params_equal_exact
+from derm.objectives import bce_loss, estimate_batch_frequencies, sampled_softmax_loss
+from derm.params import params_equal_exact, zeros_like_params
+from derm.towers import embed_entity, interaction_forward
 from derm.trainer import (
     SNAPSHOT,
     TrainConfig,
+    batch_step,
     evaluate_loss,
     load_snapshot,
     make_snapshot,
@@ -150,6 +153,37 @@ class TestSnapshotSerialization:
         path.write_bytes(self._snapshot(**layout))
         with pytest.raises(IoFailureError, match=rf"table\.snap.*{error}"):
             load_snapshot(path)
+
+
+class TestBatchStep:
+    @pytest.mark.parametrize("kept", ["supervised", "contrastive"])
+    def test_zero_weight_leaves_one_term(self, kept):
+        # the loss is contrastive_weight * softmax + supervised_weight * mean
+        # BCE; a zero weight on the other term leaves the kept term alone
+        model = tiny_model(seed=1)
+        batch = separable_samples(seed=4, days=[1], per_day=16)[1]
+        cfg = small_cfg(contrastive_weight=float(kept == "contrastive"),
+                        supervised_weight=float(kept == "supervised"))
+        grads = zeros_like_params(model.params)
+        loss = batch_step(model, batch, cfg, np.random.default_rng(5), grads)
+
+        U, _ = embed_entity(model.user_cfg, model.params, "user", batch.user)
+        P, _ = embed_entity(model.pin_cfg, model.params, "pin", batch.pin)
+        labels = batch.labels["click"]
+        if kept == "supervised":
+            logits, _ = interaction_forward(model, U, P, batch.context)
+            expect = float(bce_loss(logits, labels)[0].mean())
+            assert grads["log_tau"][0] == 0.0
+        else:
+            ids = batch.pin_id.tolist()
+            expect = sampled_softmax_loss(
+                U, P, ids, labels == 1, estimate_batch_frequencies(ids),
+                tau=model.temperature, negatives_per_pair=cfg.negatives_per_pair,
+                rng_seed=np.random.default_rng(5)).loss
+            supervised = [k for k in grads if k.startswith(("head/", "inter/"))]
+            assert supervised and not any(grads[k].any() for k in supervised)
+        assert expect > 0
+        assert loss == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 class TestBatchWindow:

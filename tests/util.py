@@ -39,7 +39,7 @@ NUM_TEST_PINS = 32
 LATENT = 4
 
 
-def tiny_model(seed=0, tasks=("click",)):
+def tiny_model(seed=0, task="click"):
     """Small three-tower model sized for fast unit tests (embedding dim 6)."""
     user_cfg = TowerConfig(
         slots=(
@@ -75,7 +75,7 @@ def tiny_model(seed=0, tasks=("click",)):
         token_dim=3,
         num_tokens=2,
     )
-    return build_upstream_model(user_cfg, pin_cfg, inter_cfg, tasks, seed=seed)
+    return build_upstream_model(user_cfg, pin_cfg, inter_cfg, task, seed=seed)
 
 
 def separable_samples(seed, days, per_day, task="click"):

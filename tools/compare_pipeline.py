@@ -6,9 +6,10 @@ PARENT and CHANGE are the roots of two derm checkouts. For each one the
 script makes a temp dir and writes the default config there (and a copy that
 sets `grid = inputs`). It then runs every stage as `python -m derm.cli` with
 PYTHONPATH=<root>/src, in each tree's own dir:
-  generate; for ctr and cvr: train-upstream, infer --back-window 14,
-  infer --day 15..17, aggregate, publish; then train-downstream and the
-  heuristics and inputs experiment grids.
+  default-config (whose stdout is the config); generate; for ctr and cvr:
+  train-upstream, infer --back-window 14, infer --day 15..17, aggregate,
+  publish; then train-downstream and the heuristics and inputs experiment
+  grids.
 Each command runs in both trees before the next one starts, PARENT first on
 even-numbered commands and CHANGE first on odd ones, so a command's two walls
 are measured seconds apart and the machine's drift over the run falls on both.
@@ -76,13 +77,15 @@ def run_pipelines(roots: list[Path], works: list[Path]
                   ) -> list[tuple[dict[str, str], dict[str, float],
                                   dict[str, float]]]:
     """(stdout, wall seconds and peak RSS MB, each by command) for each tree,
-    the trees taking turns to go first, one command at a time."""
-    for root, work in zip(roots, works):
-        text, _, _ = derm(root, work, ["default-config"])
-        (work / "derm.ini").write_text(text)
-        (work / INPUTS_INI).write_text(
-            text.replace("grid = heuristics", "grid = inputs"))
+    the trees taking turns to go first, one command at a time. The first
+    command, default-config, writes each tree's config files."""
     results = [({}, {}, {}) for _ in roots]
+    for (stdouts, walls, rss), root, work in zip(results, roots, works):
+        cmd = "default-config"
+        stdouts[cmd], walls[cmd], rss[cmd] = derm(root, work, [cmd])
+        (work / "derm.ini").write_text(stdouts[cmd])
+        (work / INPUTS_INI).write_text(
+            stdouts[cmd].replace("grid = heuristics", "grid = inputs"))
     for i, args in enumerate(commands()):
         print(f"derm {' '.join(args)}", flush=True)
         order = (0, 1) if i % 2 == 0 else (1, 0)
