@@ -51,7 +51,7 @@ from .lifecycle import (
     coverage_report,
     fold_days,
     initial_state,
-    stability_report,
+    stability_mean,
 )
 # perfbench's patcher test checks that tracing rebinds this copy
 from .lifecycle import infer_daily  # noqa: F401
@@ -220,7 +220,7 @@ def cmd_aggregate(cfg: PipelineConfig, args) -> int:
     }
     if before is not state and before.entries:
         try:
-            report["stability_mean"] = stability_report(before, state).mean
+            report["stability_mean"] = stability_mean(before, state)
         except DermError:
             pass
     universe = {"user": set(range(cfg.world.num_users)),

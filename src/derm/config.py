@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, get_type_hints
 
-from .downstream import DERM_INPUTS, DownstreamConfig, DownstreamTrainConfig
+from .downstream import DERM_INPUTS, TASK_LABELS, DownstreamConfig, DownstreamTrainConfig
 from .errors import ConfigParseError, DermError, WeightOutOfRangeError
 from .lifecycle import RETENTION_DAYS, AggregationHeuristic
 from .numerics import float_text
@@ -28,7 +28,6 @@ from .towers import SlotSpec, TowerConfig, UpstreamModel, build_upstream_model
 from .trainer import TrainConfig
 
 UPSTREAM_MODELS = ("ctr", "cvr")
-UPSTREAM_TASKS = {"ctr": "click", "cvr": "conversion"}
 UPSTREAM_SOURCES = {"ctr": "ctr-upstream", "cvr": "cvr-upstream"}
 
 
@@ -243,7 +242,7 @@ def default_config() -> PipelineConfig:
     epochs_by_model = {"ctr": 3, "cvr": 8}
     upstream = {
         name: UpstreamSpec(
-            task=UPSTREAM_TASKS[name],
+            task=TASK_LABELS[name],
             source=UPSTREAM_SOURCES[name],
             train=TrainConfig(
                 learning_rate=0.1,
@@ -367,7 +366,7 @@ def _inputs(text: str) -> tuple[str, ...]:
 
 
 def _upstream_task(text: str) -> str:
-    if text not in UPSTREAM_TASKS.values():
+    if text not in TASK_LABELS.values():
         raise ValueError(f"expected click or conversion, got {text!r}")
     return text
 

@@ -175,16 +175,6 @@ class DownstreamConfig:
         return TASK_LABELS[self.task]
 
 
-def cross_layer_multiplies(dim: int, layers: int) -> int:
-    """Matrix-product multiply count of the cross stack: d*d per layer.
-
-    The elementwise gate adds a further d multiplies per layer but that
-    term is linear and not what the d**2 * l scaling is about, so it is
-    excluded from the reported figure.
-    """
-    return layers * dim * dim
-
-
 @dataclass
 class FeatureBatch:
     base: np.ndarray  # (B, base_dim)
@@ -229,17 +219,16 @@ def build_features(samples: SampleBatch, cfg: DownstreamConfig,
         source, kind = DERM_INPUTS[name]
         gen = generations[source]
         ids = samples.user_id if kind == "user" else samples.pin_id
-        vecs = [gen.lookup(StoreKey(kind, i, source)) for i in ids.tolist()]
-        present = np.array([v is not None for v in vecs], dtype=bool)
         block = np.zeros((B, gen.dim))
-        if present.any():
-            block[present] = np.array([v for v in vecs if v is not None],
-                                      dtype=np.float64)
+        for r, i in enumerate(ids.tolist()):
+            vec = gen.lookup(StoreKey(kind, i, source))
+            if vec is not None:
+                block[r] = vec
+                flags[r, k] = 1.0
         # each row's own dot product, summed as np.linalg.norm sums one vector
         norms = np.sqrt((block[:, None, :] @ block[:, :, None])[:, 0, 0])
         np.divide(block, norms[:, None], out=block, where=norms[:, None] > 0.0)
         blocks.append(block)
-        flags[:, k] = present
     hist, hist_len = samples.user.sequence["hist"]
     return FeatureBatch(base, np.concatenate(blocks, axis=1), flags, hist,
                         hist_len, samples.labels[cfg.label].astype(np.float64))
@@ -717,7 +706,6 @@ def run_sensitivity_experiment(
             "pr_auc_mean": float(np.mean([r.pr_auc for r in rs])),
             "pr_auc_std": float(np.std([r.pr_auc for r in rs])),
             "lift_mean": float(np.mean([r.lift for r in rs])),
-            "lift_std": float(np.std([r.lift for r in rs])),
         }
     return ExperimentResult(task, rows, summary)
 

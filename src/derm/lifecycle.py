@@ -33,7 +33,7 @@ from .errors import (
     WeightOutOfRangeError,
     WindowExceedsWatermarkError,
 )
-from .numerics import cosine_similarity, float_text, l2_normalize
+from .numerics import cosine_similarity, float_text
 from .towers import UpstreamModel, embed_entity
 from .trainer import ModelSnapshot, apply_snapshot
 
@@ -222,23 +222,18 @@ def fold_days(state: AggregatedStoreState, dailies: list[DailyEmbeddingSet],
 # reporting
 
 
-@dataclass
-class StabilityReport:
-    per_entity: dict[EntityKey, float]
-    mean: float
-
-
-def stability_report(before: AggregatedStoreState,
-                     after: AggregatedStoreState) -> StabilityReport:
-    """Day-to-day cosine similarity over entities present in both states."""
+def stability_mean(before: AggregatedStoreState,
+                   after: AggregatedStoreState) -> float:
+    """Mean day-to-day cosine similarity over entities present in both
+    states, summed in (kind, id) order."""
     shared = sorted(set(before.entries) & set(after.entries))
     if not shared:
         raise EmptyIntersectionError(
             "states share no entities; stability is undefined"
         )
-    per = {k: cosine_similarity(before.entries[k].vector,
-                                after.entries[k].vector) for k in shared}
-    return StabilityReport(per, float(np.mean(list(per.values()))))
+    return float(np.mean([cosine_similarity(before.entries[k].vector,
+                                            after.entries[k].vector)
+                          for k in shared]))
 
 
 def coverage_report(state: AggregatedStoreState,
@@ -253,27 +248,3 @@ def coverage_report(state: AggregatedStoreState,
         have = sum(1 for i in ids if (kind, i) in state.entries)
         covered[kind] = have / len(ids)
     return covered
-
-
-def noisy_daily_stability(heuristic: AggregationHeuristic,
-                          num_entities: int = 100, days: int = 30,
-                          noise: float = 0.5, seed: int = 0) -> float:
-    """Mean day-to-day cosine under i.i.d. noisy daily embeddings.
-
-    Each entity has a fixed base direction; its daily embedding is the base
-    plus fresh gaussian noise, normalized. Smoother heuristics score higher.
-    """
-    rng = np.random.default_rng([seed, 0x57AB])
-    base = rng.normal(size=(num_entities, 8))
-    base /= np.linalg.norm(base, axis=1, keepdims=True)
-    state = initial_state(heuristic)
-    means = []
-    for day in range(1, days + 1):
-        noisy = base + noise * rng.normal(size=base.shape)
-        rows = embedding_rows(KIND_CODES[USER], np.arange(num_entities), 0,
-                              [l2_normalize(v) for v in noisy])
-        new_state = aggregate_day(state, DailyEmbeddingSet(day, rows))
-        if day > 1:
-            means.append(stability_report(state, new_state).mean)
-        state = new_state
-    return float(np.mean(means))

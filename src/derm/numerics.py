@@ -1,5 +1,5 @@
-"""Dense float64 numeric kernel: validation, normalization, similarity,
-the logistic function, and a central-difference gradient checker.
+"""Dense float64 numeric kernel: validation, the L2 norm, cosine similarity,
+the logistic function, and exact float text.
 
 All public operations are pure functions over numpy float64 arrays.
 Vectors are 1-D arrays, matrices 2-D row-major arrays; helpers below
@@ -9,8 +9,7 @@ built on top can assume clean inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .errors import (
 )
 
 NORM_EPS = 1e-12
-GRAD_CHECK_STEP = 1e-5
 
 
 def float_text(v: float) -> str:
@@ -41,19 +39,6 @@ def as_vector(x: Sequence[float] | np.ndarray) -> np.ndarray:
 
 def l2_norm(v: np.ndarray) -> float:
     return float(np.sqrt(np.dot(v, v)))
-
-
-def l2_normalize(v: Sequence[float] | np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
-    """Scale v to unit L2 norm, preserving direction.
-
-    Raises ZeroNormError when ||v|| <= eps; a degenerate all-zero input
-    is rejected rather than silently emitted.
-    """
-    v = as_vector(v)
-    n = l2_norm(v)
-    if n <= eps:
-        raise ZeroNormError(f"norm {n:.3e} <= {eps:.1e}")
-    return v / n
 
 
 def cosine_similarity(
@@ -79,60 +64,3 @@ def sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out if out.ndim else float(out)
-
-
-@dataclass
-class GradReport:
-    """Outcome of a finite-difference gradient check."""
-
-    max_rel_err: float
-    worst_index: int
-    rel_errs: np.ndarray
-    numeric_grad: np.ndarray
-    analytic_grad: np.ndarray
-
-    def ok(self, tol: float = 1e-4) -> bool:
-        return self.max_rel_err < tol
-
-
-def relative_error(a: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Symmetric relative error |a - n| / max(1e-8, |a| + |n|), elementwise."""
-    denom = np.maximum(1e-8, np.abs(a) + np.abs(n))
-    return np.abs(a - n) / denom
-
-def check_gradient(
-    f: Callable[[np.ndarray], float],
-    x: Sequence[float] | np.ndarray,
-    analytic_grad: Sequence[float] | np.ndarray,
-    step: float = GRAD_CHECK_STEP,
-) -> GradReport:
-    """Compare analytic_grad against central differences of f at x.
-
-    f must be a scalar function of a 1-D array, finite in a neighborhood
-    of x at the probe step. Returns the elementwise symmetric relative
-    errors and their maximum.
-    """
-    x = as_vector(x).copy()
-    g = as_vector(analytic_grad)
-    if x.shape != g.shape:
-        raise DimMismatchError("gradient shape does not match input")
-    numeric = np.zeros_like(x)
-    for i in range(x.size):
-        orig = x[i]
-        x[i] = orig + step
-        fp = float(f(x))
-        x[i] = orig - step
-        fm = float(f(x))
-        x[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NonFiniteFunctionError(f"f non-finite near x at index {i}")
-        numeric[i] = (fp - fm) / (2.0 * step)
-    rel = relative_error(g, numeric)
-    worst = int(np.argmax(rel)) if rel.size else 0
-    return GradReport(
-        max_rel_err=float(rel[worst]) if rel.size else 0.0,
-        worst_index=worst,
-        rel_errs=rel,
-        numeric_grad=numeric,
-        analytic_grad=np.array(g),
-    )

@@ -2,8 +2,8 @@
 
 Parameters for every model are kept in one dict keyed by slash-separated
 paths ("user/layer0/a/Wg", "head/click/w", ...). Flattening iterates keys
-in sorted order so serialization, SGD updates and finite-difference
-checks all see the same deterministic layout.
+in sorted order so snapshot files and SGD updates see the same
+deterministic layout, and unflatten_params reads that layout back.
 """
 
 from __future__ import annotations
@@ -60,12 +60,3 @@ def _views(vec: np.ndarray, layout: list[tuple[str, tuple[int, ...]]]) -> ParamD
         out[name] = vec[..., off : off + n].reshape(vec.shape[:-1] + shape)
         off += n
     return out
-
-
-def params_equal_exact(a: ParamDict, b: ParamDict) -> bool:
-    """Bit-exact comparison (shapes and every byte)."""
-    if a.keys() != b.keys():
-        return False
-    return all(
-        a[k].shape == b[k].shape and a[k].tobytes() == b[k].tobytes() for k in a
-    )

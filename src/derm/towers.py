@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import pad_flat
 from .errors import ShapeMismatchError, UnknownCategoricalIdError, ZeroNormError
 from .numerics import NORM_EPS, sigmoid
 from .params import ParamDict
@@ -159,12 +158,6 @@ def _column(s: SlotSpec, bundle):
             raise UnknownCategoricalIdError(
                 f"slot {s.name}: id {bad[0]} outside [0, {s.cardinality})")
     return col
-
-
-def pad_sequences(seqs) -> tuple[np.ndarray, np.ndarray]:
-    """(B, L) int64 ids padded with 0, L = max(1, longest), and (B,) lengths."""
-    return pad_flat([i for q in seqs for i in q],
-                    np.array([len(q) for q in seqs], dtype=np.int64))
 
 
 def _history(col):

@@ -90,7 +90,6 @@ class TrainConfig:
 
 @dataclass
 class ModelSnapshot:
-    format_version: int
     watermark_day: int
     rng_seed: int
     params: ParamDict
@@ -100,8 +99,7 @@ class ModelSnapshot:
 def make_snapshot(model: UpstreamModel, watermark_day: int, rng_seed: int,
                   velocity: ParamDict | None = None) -> ModelSnapshot:
     vel = clone_params(velocity) if velocity is not None else zeros_like_params(model.params)
-    return ModelSnapshot(SNAPSHOT.version, watermark_day, rng_seed,
-                         clone_params(model.params), vel)
+    return ModelSnapshot(watermark_day, rng_seed, clone_params(model.params), vel)
 
 
 def apply_snapshot(model: UpstreamModel, snapshot: ModelSnapshot) -> None:
@@ -273,6 +271,6 @@ def load_snapshot(path) -> ModelSnapshot:
         layout = [(n.decode("utf-8"), s) for n, s in zip(table["name"].tolist(), shapes)]
     except UnicodeDecodeError as e:
         raise IoFailureError(f"{what} has a name that is not UTF-8: {e}") from e
-    return ModelSnapshot(SNAPSHOT.version, watermark, rng_seed,
+    return ModelSnapshot(watermark, rng_seed,
                          unflatten_params(params, layout),
                          unflatten_params(velocity, layout))

@@ -3,7 +3,8 @@ import pytest
 
 from derm.data import SampleBatch
 from derm.synth import WorldConfig, day_file_bytes, generate_world, parse_day_file
-from derm.towers import pad_sequences
+
+from util import pad_sequences
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,9 @@ from derm.errors import (
     WindowExceedsWatermarkError,
 )
 from derm.lifecycle import (
+    AggregatedStoreState,
     AggregationHeuristic,
+    StoreEntry,
     aggregate_day,
     apply_retention,
     back_infer,
@@ -20,14 +22,15 @@ from derm.lifecycle import (
     dedup_day,
     infer_daily,
     initial_state,
-    noisy_daily_stability,
-    stability_report,
+    stability_mean,
 )
+from derm.numerics import cosine_similarity
 from derm.trainer import make_snapshot
 
 from util import (
     daily_set,
     daily_vectors,
+    noisy_daily_stability,
     random_unit_rows,
     separable_samples,
     tiny_model,
@@ -428,19 +431,41 @@ class TestReports:
     def test_stability_unchanged_state_is_one(self):
         state = aggregate_day(initial_state(ACC),
                               daily_set(1, {1: [1.0, 0.0], 2: [0.6, 0.8]}))
-        rep = stability_report(state, state)
-        assert rep.mean == pytest.approx(1.0, abs=1e-12)
+        assert stability_mean(state, state) == pytest.approx(1.0, abs=1e-12)
 
     def test_stability_orthogonal_replacement_is_zero(self):
         a = aggregate_day(initial_state(ACC), daily_set(1, {1: [1.0, 0.0]}))
         b = aggregate_day(a, daily_set(2, {1: [0.0, 1.0]}))
-        assert stability_report(a, b).mean == pytest.approx(0.0, abs=1e-12)
+        assert stability_mean(a, b) == pytest.approx(0.0, abs=1e-12)
+
+    def test_stability_mean_sums_in_key_order(self):
+        # cosines 1 and -1 bracket five of 2**-53 in (kind, id) order, so
+        # 1 + 2**-53 rounds to 1 and the sum cancels to 0; the entries are
+        # inserted in the reverse order, where the five survive the sum
+        tiny = 2.0 ** -53
+        after_vecs = {("pin", 1): [1.0, 0.0], ("user", 9): [-1.0, 0.0],
+                      **{("user", i): [tiny, 1.0] for i in range(1, 6)}}
+        keys = sorted(after_vecs, reverse=True)
+
+        def state(vecs):
+            return AggregatedStoreState(
+                1, ACC, {k: StoreEntry(np.array(vecs[k]), 1) for k in keys})
+
+        before = state({k: [1.0, 0.0] for k in keys})
+        after = state(after_vecs)
+
+        def mean_cosine(order):
+            return float(np.mean([cosine_similarity([1.0, 0.0], after_vecs[k])
+                                  for k in order]))
+
+        assert mean_cosine(sorted(keys)) != mean_cosine(keys)
+        assert stability_mean(before, after) == mean_cosine(sorted(keys))
 
     def test_stability_empty_intersection(self):
         a = aggregate_day(initial_state(ACC), daily_set(1, {1: [1.0]}))
         b = aggregate_day(initial_state(ACC), daily_set(1, {2: [1.0]}))
         with pytest.raises(EmptyIntersectionError):
-            stability_report(a, b)
+            stability_mean(a, b)
 
     def test_ma_more_stable_than_acc_under_noise(self):
         ma = noisy_daily_stability(MA(0.8), seed=7)

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from derm.errors import ZeroNormError
-from derm.numerics import (
-    check_gradient,
-    cosine_similarity,
-    l2_normalize,
-    sigmoid,
-)
+from derm.numerics import cosine_similarity, sigmoid
+
+from util import check_gradient, l2_normalize
 
 
 class TestL2Normalize:
@@ -73,8 +70,7 @@ class TestCosineSimilarity:
 class TestCheckGradient:
     def test_quadratic(self):
         f = lambda v: float(v @ v)
-        rep = check_gradient(f, [1.0, 2.0], [2.0, 4.0])
-        assert rep.max_rel_err < 1e-6
+        assert check_gradient(f, [1.0, 2.0], [2.0, 4.0]) < 1e-6
 
     def test_softmax_cross_entropy(self):
         # oracle: the central-difference evaluation inside check_gradient
@@ -90,13 +86,12 @@ class TestCheckGradient:
 
         analytic = softmax(x).copy()
         analytic[2] -= 1.0
-        rep = check_gradient(f, x, analytic)
-        assert rep.max_rel_err < 1e-4
+        assert check_gradient(f, x, analytic) < 1e-4
 
     def test_flags_wrong_gradient(self):
         f = lambda v: float(v @ v)
-        rep = check_gradient(f, [1.0, 2.0], [4.0, 8.0])  # analytic scaled by 2
-        assert rep.max_rel_err == pytest.approx(1 / 3, abs=1e-4)
+        err = check_gradient(f, [1.0, 2.0], [4.0, 8.0])  # analytic scaled by 2
+        assert err == pytest.approx(1 / 3, abs=1e-4)
 
 
 class TestSigmoid:

@@ -170,8 +170,7 @@ class TestSampledSoftmaxProperties:
             return res.loss, {"U": res.du, "P": res.dp,
                               "log_tau": np.array([res.dlog_tau])}
 
-        rep = fd_check_params(make_loss, params)
-        assert rep.max_rel_err < 1e-4
+        assert fd_check_params(make_loss, params) < 1e-4
 
 
 class TestNegativeDraws:

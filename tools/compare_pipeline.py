@@ -19,7 +19,9 @@ file under run/ and each command's stdout, prints one `DIFF <what>` line per
 difference, a summary line, one line per command with its wall seconds and
 its peak RSS in each tree and the change/parent ratio of each (for
 information only), and each tree's count of non-blank lines in
-src/derm/*.py, and exits 1 if anything differs (2 if a command fails).
+src/derm/*.py beside its count in tests/*.py (so code moved from src/ to
+tests/ shows as a move), and exits 1 if anything differs (2 if a command
+fails).
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ def commands() -> list[list[str]]:
                   ["experiment", "-c", INPUTS_INI]]
 
 
-def src_lines(root: Path) -> int:
-    """Non-blank lines of src/derm/*.py, as `grep -cv '^\\s*$'` counts them."""
-    return sum(1 for p in (root / "src" / "derm").glob("*.py")
+def nonblank_lines(folder: Path) -> int:
+    """Non-blank lines of folder/*.py, as `grep -cv '^\\s*$'` counts them."""
+    return sum(1 for p in folder.glob("*.py")
                for line in p.read_text().split("\n") if line.strip())
 
 
@@ -131,9 +133,10 @@ def main(argv: list[str]) -> int:
               f"{wall_b[cmd] / wall_a[cmd]:5.2f}   "
               f"{rss_a[cmd]:6.1f} MB  {rss_b[cmd]:6.1f} MB  "
               f"{rss_b[cmd] / rss_a[cmd]:5.2f}  derm {cmd}")
-    parent, change = (src_lines(root) for root in roots)
-    print(f"non-blank src/ lines: {parent} in {argv[0]}, {change} in "
-          f"{argv[1]} ({change - parent:+d})")
+    for folder in ("src/derm", "tests"):
+        parent, change = (nonblank_lines(root / folder) for root in roots)
+        print(f"non-blank {folder}/*.py lines: {parent} in {argv[0]}, "
+              f"{change} in {argv[1]} ({change - parent:+d})")
     return 1 if file_diffs or out_diffs else 0
 
 
