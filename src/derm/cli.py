@@ -126,7 +126,7 @@ def cmd_generate(cfg: PipelineConfig, args) -> int:
 def cmd_train_upstream(cfg: PipelineConfig, args) -> int:
     data = _load_world(cfg, range(1, cfg.upstream_end_day + 1))
     spec = cfg.upstream[args.model]
-    model = build_model(cfg.world, spec)
+    model = build_model(cfg.world, args.model, spec)
     end = spec.batch_window_end
     window = {d: data[d] for d in range(1, end + 1)}
     loss_log: list = []
@@ -165,11 +165,10 @@ def cmd_infer(cfg: PipelineConfig, args) -> int:
     spath = _require(snapshot_path(cfg, args.model, snap_day),
                      f"snapshot for day {snap_day} "
                      "(run `derm train-upstream` first)")
-    sets = back_infer(load_snapshot(spath), build_model(cfg.world, spec),
-                      days, data)
-    for daily in sets:
+    model = build_model(cfg.world, args.model, spec)
+    for daily in back_infer(load_snapshot(spath), model, days, data):
         path = embedding_path(cfg, args.model, daily.day)
-        save_daily(daily, path, spec.source)
+        save_daily(daily, path, UPSTREAM_SOURCES[args.model])
         print(f"day {daily.day}: {len(daily.records)} entities, wrote {path}")
     return 0
 
@@ -187,7 +186,6 @@ def _load_dailies(cfg: PipelineConfig, model: str, first: int, last: int):
 
 
 def cmd_aggregate(cfg: PipelineConfig, args) -> int:
-    spec = cfg.upstream[args.model]
     heuristic = cfg.lifecycle.heuristic
     sdir = state_dir(cfg, args.model, heuristic.label)
     if (sdir / STATE_FILE).exists():
@@ -209,7 +207,7 @@ def cmd_aggregate(cfg: PipelineConfig, args) -> int:
     retention = cfg.lifecycle.retention_days
     before = fold_days(state, dailies[:-1], retention)
     state = fold_days(before, dailies[-1:], retention)
-    save_state(state, sdir, spec.source)
+    save_state(state, sdir, UPSTREAM_SOURCES[args.model])
     report = {
         "model": args.model,
         "heuristic": heuristic.label,
@@ -242,21 +240,21 @@ def cmd_aggregate(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_publish(cfg: PipelineConfig, args) -> int:
-    spec = cfg.upstream[args.model]
+    source = UPSTREAM_SOURCES[args.model]
     heuristic = cfg.lifecycle.heuristic
     sdir = state_dir(cfg, args.model, heuristic.label)
     _require(sdir / STATE_FILE,
              "aggregated state (run `derm aggregate` first)")
     state = load_state(sdir)
-    candidate = state_payload(state, state.day, spec.source)
+    candidate = state_payload(state, state.day, source)
     existing = [(d, a, p) for d, a, p in
-                list_generations(cfg.paths.store, spec.source)
+                list_generations(cfg.paths.store, source)
                 if d == state.day]
     if existing and existing[-1][2].read_bytes() == candidate:
         _, _, path = existing[-1]
         print(f"unchanged since {path}; not republishing")
         return 0
-    path, gen = publish(state, state.day, spec.source, cfg.paths.store)
+    path, gen = publish(state, state.day, source, cfg.paths.store)
     print(f"published {len(gen)} vectors (day {gen.day}) to {path}")
     return 0
 

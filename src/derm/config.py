@@ -72,8 +72,6 @@ class PathsConfig:
 
 @dataclass(frozen=True)
 class UpstreamSpec:
-    task: str
-    source: str
     train: TrainConfig
     batch_window_end: int = 14
     token_dim: int = 4
@@ -122,7 +120,7 @@ class DownstreamSection:
     def train_config(self) -> DownstreamTrainConfig:
         return DownstreamTrainConfig(learning_rate=self.learning_rate,
                                      batch_size=self.batch_size,
-                                     epochs=self.epochs, seed=self.seed)
+                                     epochs=self.epochs)
 
 
 @dataclass(frozen=True)
@@ -210,8 +208,7 @@ class PipelineConfig:
         ex = self.experiment
         if ex.grid not in ("heuristics", "inputs"):
             fail("experiment", "grid", f"must be heuristics or inputs, got {ex.grid!r}")
-        if ex.task not in UPSTREAM_MODELS:
-            fail("experiment", "task", f"unknown task {ex.task!r}")
+        check("experiment", DownstreamConfig(ex.task, ex.derm_inputs).validate)
         seeds = ex.seeds
         if len(set(seeds)) < len(seeds) or not all(0 <= s < 2**64 for s in seeds):
             fail("experiment", "seeds", f"must be distinct, in [0, 2**64), got {seeds}")
@@ -221,9 +218,6 @@ class PipelineConfig:
         if len(set(labels)) != len(labels):
             fail("experiment", "heuristics",
                  f"labels must be distinct, got {', '.join(labels)}")
-        for name in ex.derm_inputs:
-            if name not in DERM_INPUTS:
-                fail("experiment", "derm_inputs", f"unknown derm input {name!r}")
         # emit_config's text must parse back (an empty list, for one, does not)
         for section, keys, values in _sections(self):
             for key, codec in keys:
@@ -242,8 +236,6 @@ def default_config() -> PipelineConfig:
     epochs_by_model = {"ctr": 3, "cvr": 8}
     upstream = {
         name: UpstreamSpec(
-            task=TASK_LABELS[name],
-            source=UPSTREAM_SOURCES[name],
             train=TrainConfig(
                 learning_rate=0.1,
                 momentum=0.0,
@@ -267,14 +259,14 @@ _USER_BLOCKS = (("mlp", "masknet"), ("attention", "mlp"), ("mlp", "mlp"))
 _PIN_BLOCKS = (("masknet", "mlp"), ("mlp", "attention"), ("mlp", "mlp"))
 
 
-def tower_configs(world: WorldConfig, spec: UpstreamSpec):
+def build_model(world: WorldConfig, model: str, spec: UpstreamSpec) -> UpstreamModel:
+    """Upstream model `model` (ctr or cvr), trained on its own label."""
     user_cfg = TowerConfig(
         slots=(
             SlotSpec("profile", "dense", dim=world.latent_dim),
             SlotSpec("uid", "categorical", cardinality=world.num_users),
             SlotSpec("hist", "sequence", cardinality=world.num_pins),
         ),
-        num_layers=spec.num_layers,
         blocks=_USER_BLOCKS[:spec.num_layers],
         token_dim=spec.token_dim,
         num_tokens=spec.num_tokens,
@@ -284,31 +276,13 @@ def tower_configs(world: WorldConfig, spec: UpstreamSpec):
             SlotSpec("attrs", "dense", dim=world.latent_dim),
             SlotSpec("pid", "categorical", cardinality=world.num_pins),
         ),
-        num_layers=spec.num_layers,
         blocks=_PIN_BLOCKS[:spec.num_layers],
         token_dim=spec.token_dim,
         num_tokens=spec.num_tokens,
     )
-    emb = user_cfg.output_dim
-    inter_cfg = TowerConfig(
-        slots=(
-            SlotSpec("user_emb", "dense", dim=emb),
-            SlotSpec("pin_emb", "dense", dim=emb),
-            SlotSpec("u_dot_p", "dense", dim=1),
-            SlotSpec("hour", "dense", dim=1),
-        ),
-        num_layers=1,
-        blocks=(("mlp", "masknet"),),
-        token_dim=spec.token_dim,
-        num_tokens=spec.num_tokens,
-    )
-    return user_cfg, pin_cfg, inter_cfg
-
-
-def build_model(world: WorldConfig, spec: UpstreamSpec) -> UpstreamModel:
-    user_cfg, pin_cfg, inter_cfg = tower_configs(world, spec)
-    return build_upstream_model(user_cfg, pin_cfg, inter_cfg,
-                                task=spec.task, seed=spec.train.seed)
+    context = (SlotSpec("hour", "dense", dim=1),)
+    return build_upstream_model(user_cfg, pin_cfg, context,
+                                task=TASK_LABELS[model], seed=spec.train.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +339,6 @@ def _inputs(text: str) -> tuple[str, ...]:
     return {("all",): tuple(DERM_INPUTS), ("none",): ()}.get(items, items)
 
 
-def _upstream_task(text: str) -> str:
-    if text not in TASK_LABELS.values():
-        raise ValueError(f"expected click or conversion, got {text!r}")
-    return text
-
-
 _CODECS = {
     int: _Codec(_number(int, "an integer"), str),
     float: _Codec(_number(float, "a number"), float_text),
@@ -398,11 +366,10 @@ def _keys(cls, skip: tuple[str, ...] = ()) -> tuple[tuple[str, _Codec], ...]:
                  for f in fields(cls) if f.name not in skip)
 
 
-# [upstream.*] flattens an UpstreamSpec: its task, the TrainConfig fields,
-# then the tower sizes
+# [upstream.*] flattens an UpstreamSpec: the TrainConfig fields, then the
+# tower sizes; the section name picks the model's label and source
 _TRAIN_KEYS = _keys(TrainConfig)
-_UPSTREAM_KEYS = (("task", _Codec(_upstream_task, str)), *_TRAIN_KEYS,
-                  *_keys(UpstreamSpec, skip=("task", "source", "train")))
+_UPSTREAM_KEYS = (*_TRAIN_KEYS, *_keys(UpstreamSpec, skip=("train",)))
 
 
 def _upstream_values(spec: UpstreamSpec) -> dict:
@@ -410,10 +377,10 @@ def _upstream_values(spec: UpstreamSpec) -> dict:
     return {key: flat[key] for key, _ in _UPSTREAM_KEYS}
 
 
-def _upstream_spec(model: str, values: dict) -> UpstreamSpec:
+def _upstream_spec(values: dict) -> UpstreamSpec:
     rest = dict(values)
     train = TrainConfig(**{key: rest.pop(key) for key, _ in _TRAIN_KEYS})
-    return UpstreamSpec(source=UPSTREAM_SOURCES[model], train=train, **rest)
+    return UpstreamSpec(train=train, **rest)
 
 
 def _sections(cfg: PipelineConfig):
@@ -512,7 +479,7 @@ def parse_config(text: str) -> PipelineConfig:
         for name, keys, dflt in sections
     }
     cfg = PipelineConfig(
-        upstream={model: _upstream_spec(model, values[f"upstream.{model}"])
+        upstream={model: _upstream_spec(values[f"upstream.{model}"])
                   for model in UPSTREAM_MODELS},
         **{f.name: type(getattr(defaults, f.name))(**values[f.name])
            for f in fields(PipelineConfig) if f.name != "upstream"},

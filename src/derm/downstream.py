@@ -503,7 +503,6 @@ class DownstreamTrainConfig:
     learning_rate: float = 0.1
     batch_size: int = 32
     epochs: int = 4
-    seed: int = 0
 
 
 def train_downstream(model: DownstreamModel, features: FeatureBatch,
@@ -518,10 +517,10 @@ def train_downstream(model: DownstreamModel, features: FeatureBatch,
     forward pass until it overflows.
 
     A stacked model trains all its models in one loop, and each ends exactly
-    as it would alone. Model m shuffles the rows with its own seed,
-    model.seeds[m], reads its own arm's derm and flags blocks when
-    features.arm is set, and clips by its own global norm. An unstacked
-    model trains as a stack of one that shuffles with cfg.seed.
+    as it would alone. Every model m, stacked or not, shuffles the rows with
+    its own seed, model.seeds[m]; it reads its own arm's derm and flags
+    blocks when features.arm is set, and clips by its own global norm. An
+    unstacked model trains as a stack of one.
 
     The parameters become views of one flat (M, P) f64 buffer, one row per
     model, and the gradients views of another, so each step's clipping,
@@ -533,7 +532,6 @@ def train_downstream(model: DownstreamModel, features: FeatureBatch,
     if n == 0:
         raise EmptyInputError("no training features")
     stack = model if model.stacked else DownstreamModel.stack([model])
-    seeds = stack.seeds if model.stacked else (cfg.seed,)
     flat, stack.params = flat_views(stack.params, lead=1)
     gflat, grads = flat_views(zeros_like_params(stack.params), lead=1)
     velocity = np.zeros_like(flat)
@@ -541,7 +539,7 @@ def train_downstream(model: DownstreamModel, features: FeatureBatch,
     step = 0
     for epoch in range(cfg.epochs):
         orders = np.stack([np.random.default_rng([seed, 0xD5, epoch])
-                           .permutation(n) for seed in seeds])
+                           .permutation(n) for seed in stack.seeds])
         for start in range(0, n, cfg.batch_size):
             batch = features.slice(orders[:, start:start + cfg.batch_size])
             logits, cache = stack.forward(batch)

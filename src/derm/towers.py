@@ -6,12 +6,13 @@ of its spec: dense (B, dim) rows, categorical (B,) ids, and sequences as
 history reads id 0. A missing column, a dense width other than the slot's
 or an id outside the slot's range is an error.
 The slot tokens are mixed into (B, n, d) tokens and refined through
-stacked layers, every layer summing two feature-interaction blocks plus a
-shortcut. Entity towers L2-normalize each flattened row into the served
-(B, D) embeddings; the interaction tower consumes both entity embeddings
-together with context features and feeds one affine head with (B,) logits
-for the model's task, so context never touches the entity embeddings
-themselves.
+stacked layers, one per block pair, every layer summing its two
+feature-interaction blocks plus a shortcut. Entity towers L2-normalize each
+flattened row into the served (B, D) embeddings. build_upstream_model makes
+the interaction tower itself: its slots are both entity embeddings, their
+dot product and the given context slots, and it feeds one affine head with
+(B,) logits for the model's task, so context never touches the entity
+embeddings themselves.
 
 Block kinds, each taking inputs with any leading axes (..., n, d):
   masknet   - sigmoid gate from the (flattened) block input applied to a
@@ -45,7 +46,6 @@ BLOCK_KINDS = ("masknet", "attention", "mlp")
 USER_EMB_SLOT = "user_emb"
 PIN_EMB_SLOT = "pin_emb"
 UDOTP_SLOT = "u_dot_p"
-_EMB_SLOTS = (USER_EMB_SLOT, PIN_EMB_SLOT, UDOTP_SLOT)  # filled from U and P
 
 TAU_INIT = 0.07  # the contrastive temperature a new model starts from
 
@@ -69,7 +69,6 @@ class SlotSpec:
 @dataclass(frozen=True)
 class TowerConfig:
     slots: tuple[SlotSpec, ...]
-    num_layers: int = 1
     blocks: tuple[tuple[str, str], ...] = (("mlp", "masknet"),)
     token_dim: int = 8
     num_tokens: int = 4
@@ -83,10 +82,8 @@ class TowerConfig:
             raise ShapeMismatchError("tower needs at least one input slot")
         for s in self.slots:
             s.validate()
-        if self.num_layers < 1:
-            raise ShapeMismatchError("num_layers must be >= 1")
-        if len(self.blocks) != self.num_layers:
-            raise ShapeMismatchError("blocks must list exactly two kinds per layer")
+        if not self.blocks:
+            raise ShapeMismatchError("tower needs at least one layer of blocks")
         for pair in self.blocks:
             if len(pair) != 2 or any(k not in BLOCK_KINDS for k in pair):
                 raise ShapeMismatchError(f"bad block pair {pair!r}")
@@ -326,7 +323,7 @@ def tower_backward(cfg: TowerConfig, params: ParamDict, prefix: str, cache,
     """
     cols, T0, layer_caches = cache
     dX = dflat.reshape(len(dflat), cfg.num_tokens, cfg.token_dim)
-    for li in range(cfg.num_layers - 1, -1, -1):
+    for li in reversed(range(len(cfg.blocks))):
         ka, kb = cfg.blocks[li]
         ca, cb = layer_caches[li]
         da = _block_backward(ka, dX, ca, params, f"{prefix}/layer{li}/a", grads)
@@ -374,13 +371,23 @@ class UpstreamModel:
 def build_upstream_model(
     user_cfg: TowerConfig,
     pin_cfg: TowerConfig,
-    inter_cfg: TowerConfig,
+    context: tuple[SlotSpec, ...],
     task: str,
     seed: int,
 ) -> UpstreamModel:
+    """The three towers and the task's head; the interaction tower takes
+    one mlp + masknet layer at the user tower's token sizes."""
     if user_cfg.output_dim != pin_cfg.output_dim:
         raise ShapeMismatchError("user and pin towers must share output_dim")
-    _check_inter_cfg(inter_cfg, user_cfg.output_dim)
+    emb = user_cfg.output_dim
+    inter_cfg = TowerConfig(
+        slots=(SlotSpec(USER_EMB_SLOT, DENSE, dim=emb),
+               SlotSpec(PIN_EMB_SLOT, DENSE, dim=emb),
+               SlotSpec(UDOTP_SLOT, DENSE, dim=1), *context),
+        blocks=(("mlp", "masknet"),),
+        token_dim=user_cfg.token_dim,
+        num_tokens=user_cfg.num_tokens,
+    )
     rng = np.random.default_rng([seed, 0x44455]) # derived stream for init
     params: ParamDict = {}
     init_tower_params(user_cfg, rng, "user", params)
@@ -391,17 +398,6 @@ def build_upstream_model(
     params[f"head/{task}/b"] = np.zeros(1)
     params["log_tau"] = np.array([np.log(TAU_INIT)])
     return UpstreamModel(user_cfg, pin_cfg, inter_cfg, task, params)
-
-
-def _check_inter_cfg(inter_cfg: TowerConfig, emb_dim: int) -> None:
-    names = {s.name: s for s in inter_cfg.slots}
-    for required in _EMB_SLOTS:
-        if required not in names:
-            raise ShapeMismatchError(f"interaction tower missing slot {required!r}")
-    if names[USER_EMB_SLOT].dim != emb_dim or names[PIN_EMB_SLOT].dim != emb_dim:
-        raise ShapeMismatchError("interaction embedding slots must match output_dim")
-    if names[UDOTP_SLOT].dim != 1:
-        raise ShapeMismatchError(f"{UDOTP_SLOT} slot must have dim 1")
 
 
 def interaction_forward(model: UpstreamModel, U, P, context):

@@ -60,7 +60,6 @@ from derm.store import (
     load_generation,
     parse_generation,
     serve,
-    source_code,
 )
 from derm.synth import generate_world
 from derm.towers import (
@@ -254,7 +253,7 @@ def _softmax_grad_err(seed: int) -> float:
 def _block_grad_err(kind: str, seed: int) -> float:
     cfg = TowerConfig(
         slots=(SlotSpec("obs", "dense", dim=3),),
-        num_layers=1, blocks=((kind, kind),), token_dim=3, num_tokens=2,
+        blocks=((kind, kind),), token_dim=3, num_tokens=2,
     )
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(2, 3))
@@ -279,7 +278,7 @@ def _tower_grad_err(seed: int) -> float:
             SlotSpec("obs", "dense", dim=3),
             SlotSpec("seq", "sequence", cardinality=7),
         ),
-        num_layers=2, blocks=(("mlp", "masknet"), ("attention", "mlp")),
+        blocks=(("mlp", "masknet"), ("attention", "mlp")),
         token_dim=3, num_tokens=2,
     )
     params: dict = {}
@@ -626,7 +625,7 @@ def test_criterion_08_coverage():
     for seed in (0, 1, 2):
         wcfg = replace(cfg.world, seed=seed)
         data = generate_world(wcfg)
-        model = build_model(wcfg, spec)
+        model = build_model(wcfg, "ctr", spec)
         snap = make_snapshot(model, watermark_day=end, rng_seed=0)
         sets = back_infer(snap, model, list(range(1, end + 1)), data)
         universe: dict[str, set] = {"user": set(), "pin": set()}

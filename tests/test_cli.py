@@ -26,6 +26,7 @@ from derm.config import (
     _sections,
     _upstream_spec,
     _upstream_values,
+    build_model,
     default_config,
     emit_config,
     load_config,
@@ -120,8 +121,14 @@ class TestConfigErrors:
         assert "grid" in msg
 
     def test_bad_upstream_task(self):
-        msg = self._err("[upstream.ctr]\ntask = shares\n")
-        assert "task" in msg
+        # default-config text as derm wrote it while each section had a task key
+        text = emit_config(default_config())
+        for model, label in (("ctr", "click"), ("cvr", "conversion")):
+            text = text.replace(f"[upstream.{model}]\n",
+                                f"[upstream.{model}]\ntask = {label}\n")
+        msg = self._err(text)
+        assert re.fullmatch(r"line \d+, column \d+: \[upstream\.ctr\] task: "
+                            r"unknown key", msg)
 
     def test_negative_learning_rate_rejected(self):
         msg = self._err("[upstream.ctr]\nlearning_rate = -0.5\n")
@@ -132,8 +139,7 @@ def with_keys(cfg: PipelineConfig, section: str, values: dict) -> PipelineConfig
     """cfg with the given keys of one section set, as the key table reads them."""
     if section.startswith("upstream."):
         model = section.removeprefix("upstream.")
-        spec = _upstream_spec(model, {**_upstream_values(cfg.upstream[model]),
-                                      **values})
+        spec = _upstream_spec({**_upstream_values(cfg.upstream[model]), **values})
         return replace(cfg, upstream={**cfg.upstream, model: spec})
     return replace(cfg, **{section: replace(getattr(cfg, section), **values)})
 
@@ -157,6 +163,7 @@ class TestConfigInvariants:
         ("downstream", "projection_dim", {"projection_dim": 0}),
         ("downstream", "task", {"task": "foo"}),
         ("downstream", "derm_inputs", {"derm_inputs": ("ctr-user", "ctr-user")}),
+        ("experiment", "derm_inputs", {"derm_inputs": ("ctr-user", "ctr-user")}),
         # numpy rejects a negative seed, and a snapshot stores it as a u64
         ("world", "seed", {"seed": -1}),
         ("upstream.ctr", "seed", {"seed": 2**64}),
@@ -170,7 +177,8 @@ class TestConfigInvariants:
             "heuristics", "duplicate_heuristic_labels", "click_rate",
             "events_per_user", "days",
             "num_users", "num_experts", "projection_dim", "downstream_task",
-            "duplicate_derm_inputs", "world_seed", "upstream_seed",
+            "duplicate_derm_inputs", "duplicate_experiment_derm_inputs",
+            "world_seed", "upstream_seed",
             "downstream_seed", "experiment_seed_range",
             "duplicate_experiment_seeds", "serve_port"])
     def test_rejected_as_one_located_error(self, tmp_path, section, key, values):
@@ -219,6 +227,12 @@ class TestConfigValues:
         with pytest.raises(MissingPrerequisiteError) as exc:
             load_config(tmp_path / "absent.ini")
         assert "absent.ini" in str(exc.value)
+
+    def test_each_model_trains_on_its_own_label(self):
+        cfg = default_config()
+        for model, label in (("ctr", "click"), ("cvr", "conversion")):
+            built = build_model(cfg.world, model, cfg.upstream[model])
+            assert built.task == label and f"head/{label}/w" in built.params
 
     def test_upstream_end_day(self):
         cfg = default_config()

@@ -762,7 +762,7 @@ class TestTraining:
                                 seq_vocab=16, seed=0)
         log = []
         train_downstream(model, feats,
-                         DownstreamTrainConfig(learning_rate=0.3, epochs=6, seed=0),
+                         DownstreamTrainConfig(learning_rate=0.3, epochs=6),
                          loss_log=log)
         first = np.mean(log[:3])
         last = np.mean(log[-3:])
@@ -775,7 +775,7 @@ class TestTraining:
             model = DownstreamModel(cfg, feats.base.shape[1],
                                     feats.derm.shape[1], seq_vocab=16, seed=5)
             train_downstream(model, feats,
-                             DownstreamTrainConfig(epochs=2, seed=5))
+                             DownstreamTrainConfig(epochs=2))
             runs.append({k: v.tobytes() for k, v in model.params.items()})
         assert runs[0] == runs[1]
 
@@ -792,7 +792,7 @@ class TestTraining:
         model = DownstreamModel(cfg, feats.base.shape[1], feats.derm.shape[1],
                                 seq_vocab=16, seed=0)
         train_downstream(model, feats,
-                         DownstreamTrainConfig(learning_rate=0.3, epochs=6, seed=0))
+                         DownstreamTrainConfig(learning_rate=0.3, epochs=6))
         rep = evaluate(model, feats)
         assert rep.samples == len(feats)
         assert rep.positives == int(feats.labels.sum())
@@ -862,7 +862,7 @@ class TestStackedTraining:
             test_feats = build_features(self.test, cfg, gens)
             for seed in self.SEEDS:
                 lone = self._lone(cfg, feats, seed)
-                train_downstream(lone, feats, replace(self.tcfg, seed=seed))
+                train_downstream(lone, feats, self.tcfg)
                 member = stack.member(m)
                 assert member.params.keys() == lone.params.keys()
                 for k in lone.params:
@@ -886,7 +886,7 @@ class TestStackedTraining:
             feats = build_features(self.train, cfg, arm_gens)
             for seed in self.SEEDS:
                 lone = self._lone(cfg, feats, seed)
-                train_downstream(lone, feats, replace(tcfg, seed=seed))
+                train_downstream(lone, feats, tcfg)
                 report = evaluate(lone, build_features(self.test, cfg, arm_gens))
                 row = next(rows)
                 assert (row.arm, row.seed) == (arm.name, seed)
@@ -903,7 +903,7 @@ class TestStackedTraining:
             log = []
             with pytest.raises(DivergedLossError):
                 train_downstream(self._lone(arms[0][0], feats, seed), feats,
-                                 replace(tcfg, seed=seed), loss_log=log)
+                                 tcfg, loss_log=log)
             steps.append(len(log))
         # the stack stops where its first model to diverge alone does: here
         # the second one, a step before the first

@@ -1,11 +1,11 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from derm.data import FeatureBundle
 from derm.errors import ShapeMismatchError, UnknownCategoricalIdError, ZeroNormError
-from derm.numerics import sigmoid
 from derm.params import zeros_like_params
 from derm.towers import (
     CATEGORICAL,
@@ -35,7 +35,6 @@ def micro_tower_cfg():
             SlotSpec("obs", DENSE, dim=3),
             SlotSpec("seq", SEQUENCE, cardinality=7),
         ),
-        num_layers=2,
         blocks=(("mlp", "masknet"), ("attention", "mlp")),
         token_dim=3,
         num_tokens=2,
@@ -65,12 +64,8 @@ class TestConfigValidation:
         with pytest.raises(ShapeMismatchError):
             cfg.validate()
 
-    def test_layer_count_must_match_blocks(self):
-        cfg = TowerConfig(
-            slots=(SlotSpec("x", DENSE, dim=2),),
-            num_layers=2,
-            blocks=(("mlp", "mlp"),),
-        )
+    def test_empty_blocks_rejected(self):
+        cfg = TowerConfig(slots=(SlotSpec("x", DENSE, dim=2),), blocks=())
         with pytest.raises(ShapeMismatchError):
             cfg.validate()
 
@@ -92,7 +87,6 @@ class TestEmbedEntity:
     def test_zero_params_zero_features_rejected(self):
         cfg = TowerConfig(
             slots=(SlotSpec("obs", DENSE, dim=3),),
-            num_layers=1,
             blocks=(("mlp", "mlp"),),
             token_dim=2,
             num_tokens=2,
@@ -149,7 +143,6 @@ class TestBlockGradients:
     def test_block_param_grads(self, kind, seed):
         cfg = TowerConfig(
             slots=(SlotSpec("obs", DENSE, dim=3),),
-            num_layers=1,
             blocks=((kind, kind),),
             token_dim=3,
             num_tokens=2,
@@ -173,7 +166,6 @@ class TestBlockGradients:
         X = rng.normal(size=(2, 3))
         cfg = TowerConfig(
             slots=(SlotSpec("obs", DENSE, dim=3),),
-            num_layers=1,
             blocks=(("masknet", "mlp"),),
             token_dim=3,
             num_tokens=2,
@@ -243,34 +235,33 @@ class TestTowerGradients:
         assert fd_check_params(make_loss, params) < 1e-4
 
 
-def micro_model(seed=0, ctx_dim=2, emb_dim=6):
+def micro_model(seed=0, ctx_dim=2):
     user_cfg = micro_tower_cfg()
     pin_cfg = TowerConfig(
         slots=(
             SlotSpec("pid", CATEGORICAL, cardinality=6),
             SlotSpec("pobs", DENSE, dim=3),
         ),
-        num_layers=1,
         blocks=(("masknet", "attention"),),
         token_dim=3,
         num_tokens=2,
     )
-    inter_cfg = TowerConfig(
-        slots=(
-            SlotSpec("user_emb", DENSE, dim=emb_dim),
-            SlotSpec("pin_emb", DENSE, dim=emb_dim),
-            SlotSpec("u_dot_p", DENSE, dim=1),
-            SlotSpec("ctx", DENSE, dim=ctx_dim),
-        ),
-        num_layers=1,
-        blocks=(("mlp", "masknet"),),
-        token_dim=3,
-        num_tokens=2,
-    )
-    return build_upstream_model(user_cfg, pin_cfg, inter_cfg, "click", seed)
+    context = (SlotSpec("ctx", DENSE, dim=ctx_dim),)
+    return build_upstream_model(user_cfg, pin_cfg, context, "click", seed)
 
 
 class TestInteractionTower:
+    def test_built_from_the_entity_towers(self):
+        cfg = micro_model(ctx_dim=2).inter_cfg
+        assert [(s.name, s.kind, s.dim) for s in cfg.slots] == [
+            ("user_emb", DENSE, 6), ("pin_emb", DENSE, 6), ("u_dot_p", DENSE, 1),
+            ("ctx", DENSE, 2)]
+        assert cfg.blocks == (("mlp", "masknet"),)
+        assert (cfg.token_dim, cfg.num_tokens) == (3, 2)
+        narrow = replace(micro_tower_cfg(), num_tokens=1)
+        with pytest.raises(ShapeMismatchError, match="share output_dim"):
+            build_upstream_model(micro_tower_cfg(), narrow, (), "click", 0)
+
     def test_determinism(self):
         model = micro_model()
         rng = np.random.default_rng(0)

@@ -4,6 +4,7 @@ batches, daily embedding sets, the synthetic world's oracle AUC."""
 
 import numpy as np
 
+from derm.config import UpstreamSpec, build_model
 from derm.data import (KIND_CODES, USER, FeatureBundle, SampleBatch, embedding_rows,
                        entity_keys, pad_flat)
 from derm.errors import (DimMismatchError, EmptyInputError, NonFiniteFunctionError,
@@ -13,7 +14,7 @@ from derm.lifecycle import (AggregationHeuristic, DailyEmbeddingSet, aggregate_d
 from derm.numerics import NORM_EPS, as_vector, l2_norm
 from derm.params import ParamDict, flatten_params, unflatten_params
 from derm.synth import World, WorldConfig, generate_world
-from derm.towers import SlotSpec, TowerConfig, build_upstream_model
+from derm.trainer import TrainConfig
 
 
 def l2_normalize(v, eps: float = NORM_EPS) -> np.ndarray:
@@ -107,43 +108,13 @@ NUM_TEST_PINS = 32
 LATENT = 4
 
 
-def tiny_model(seed=0, task="click"):
-    """Small three-tower model sized for fast unit tests (embedding dim 6)."""
-    user_cfg = TowerConfig(
-        slots=(
-            SlotSpec("profile", "dense", dim=LATENT),
-            SlotSpec("uid", "categorical", cardinality=NUM_TEST_USERS),
-            SlotSpec("hist", "sequence", cardinality=NUM_TEST_PINS),
-        ),
-        num_layers=2,
-        blocks=(("mlp", "masknet"), ("attention", "mlp")),
-        token_dim=3,
-        num_tokens=2,
-    )
-    pin_cfg = TowerConfig(
-        slots=(
-            SlotSpec("attrs", "dense", dim=LATENT),
-            SlotSpec("pid", "categorical", cardinality=NUM_TEST_PINS),
-        ),
-        num_layers=2,
-        blocks=(("masknet", "mlp"), ("mlp", "attention")),
-        token_dim=3,
-        num_tokens=2,
-    )
-    emb_dim = user_cfg.output_dim
-    inter_cfg = TowerConfig(
-        slots=(
-            SlotSpec("user_emb", "dense", dim=emb_dim),
-            SlotSpec("pin_emb", "dense", dim=emb_dim),
-            SlotSpec("u_dot_p", "dense", dim=1),
-            SlotSpec("hour", "dense", dim=1),
-        ),
-        num_layers=1,
-        blocks=(("mlp", "masknet"),),
-        token_dim=3,
-        num_tokens=2,
-    )
-    return build_upstream_model(user_cfg, pin_cfg, inter_cfg, task, seed=seed)
+def tiny_model(seed=0):
+    """Small ctr model sized for fast unit tests (embedding dim 6)."""
+    world = WorldConfig(num_users=NUM_TEST_USERS, num_pins=NUM_TEST_PINS,
+                        latent_dim=LATENT)
+    spec = UpstreamSpec(train=TrainConfig(seed=seed), token_dim=3, num_tokens=2,
+                        num_layers=2)
+    return build_model(world, "ctr", spec)
 
 
 def separable_samples(seed, days, per_day, task="click"):

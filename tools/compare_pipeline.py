@@ -16,9 +16,10 @@ are measured seconds apart and the machine's drift over the run falls on both.
 Each command is started with Popen and reaped with os.wait4, whose
 ru_maxrss is the command's peak resident set size. It then compares every
 file under run/ and each command's stdout, prints one `DIFF <what>` line per
-difference, a summary line, one line per command with its wall seconds and
-its peak RSS in each tree and the change/parent ratio of each (for
-information only), and each tree's count of non-blank lines in
+difference (a stdout's line is followed by the first DIFF_LINES lines of
+its unified diff), a summary line, one line per command with its wall
+seconds and its peak RSS in each tree and the change/parent ratio of each
+(for information only), and each tree's count of non-blank lines in
 src/derm/*.py beside its count in tests/*.py (so code moved from src/ to
 tests/ shows as a move), and exits 1 if anything differs (2 if a command
 fails).
@@ -26,6 +27,8 @@ fails).
 
 from __future__ import annotations
 
+import difflib
+import itertools
 import os
 import subprocess
 import sys
@@ -34,6 +37,7 @@ import time
 from pathlib import Path
 
 INPUTS_INI = "inputs.ini"
+DIFF_LINES = 40
 
 
 def commands() -> list[list[str]]:
@@ -123,6 +127,10 @@ def main(argv: list[str]) -> int:
         print(f"DIFF {path}")
     for cmd in out_diffs:
         print(f"DIFF stdout of `derm {cmd}`")
+        diff = difflib.unified_diff(out_a[cmd].splitlines(), out_b[cmd].splitlines(),
+                                    argv[0], argv[1], lineterm="")
+        for line in itertools.islice(diff, DIFF_LINES):
+            print(f"  {line}")
     total = len(files_a.keys() | files_b.keys())
     print(f"{len(file_diffs)} of {total} files differ; "
           f"{len(out_diffs)} of {len(out_a)} stdouts differ")
