@@ -60,7 +60,7 @@ from .store import (
     StoreGeneration,
     list_generations,
     load_daily,
-    load_generation,
+    load_generation_rows,
     load_state,
     publish,
     save_daily,
@@ -259,14 +259,16 @@ def cmd_publish(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _latest_generation(sdir: Path, source: str) -> StoreGeneration | None:
-    """The newest generation of source under sdir that verifies and holds
-    only source's rows, or None if none is published; each newer one that
-    fails is reported and skipped."""
+def _latest_generation_rows(sdir: Path, source: str
+                            ) -> tuple[int, np.ndarray] | None:
+    """(day, row table) of the newest generation of source under sdir that
+    verifies and holds only source's rows, or None if none is published;
+    each newer one that fails is reported and skipped. Callers build the
+    index over the rows they serve."""
     found = list_generations(sdir, source)
     for _, _, path in reversed(found):
         try:
-            return load_generation(path, source)
+            return load_generation_rows(path, source)
         except (CorruptGenerationError, IoFailureError) as e:
             print(f"skipped: {e}", file=sys.stderr)
     if found:
@@ -279,15 +281,16 @@ def _latest_generation(sdir: Path, source: str) -> StoreGeneration | None:
 
 def served_generation(sdir: Path) -> StoreGeneration:
     """The latest generation of each upstream source under sdir, joined with
-    no copy of their rows: each holds only its own source's keys."""
-    gens = [g for g in (_latest_generation(sdir, source)
-                        for source in UPSTREAM_SOURCES.values()) if g is not None]
-    if not any(len(g) for g in gens):
+    no copy of their rows under one index: each holds only its own source's
+    keys."""
+    found = [f for f in (_latest_generation_rows(sdir, source)
+                         for source in UPSTREAM_SOURCES.values()) if f is not None]
+    if not any(len(rows) for _, rows in found):
         raise MissingPrerequisiteError(
             f"no generations under {sdir} (run `derm publish` first)"
         )
-    return StoreGeneration(max(g.day for g in gens),
-                           [t for g in gens for t in g.tables])
+    return StoreGeneration(max(day for day, _ in found),
+                           [rows for _, rows in found])
 
 
 def cmd_serve(cfg: PipelineConfig, args) -> int:
@@ -325,19 +328,20 @@ def _generations_for(cfg: PipelineConfig, inputs) -> dict[str, StoreGeneration]:
     sources = {DERM_INPUTS[name][0] for name in inputs}
     gens = {}
     for source in sorted(sources):
-        gen = _latest_generation(cfg.paths.store, source)
-        if gen is None:
+        found = _latest_generation_rows(cfg.paths.store, source)
+        if found is None:
             raise MissingPrerequisiteError(
                 f"no published generation for {source} under "
                 f"{cfg.paths.store} (run `derm publish` first)"
             )
-        if gen.day >= cfg.downstream.test_day:
+        day, rows = found
+        if day >= cfg.downstream.test_day:
             raise MissingPrerequisiteError(
                 f"need a generation for {source} published before test day "
                 f"{cfg.downstream.test_day}; latest under {cfg.paths.store} "
-                f"is day {gen.day}"
+                f"is day {day}"
             )
-        gens[source] = gen
+        gens[source] = StoreGeneration(day, [rows])
     return gens
 
 

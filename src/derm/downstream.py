@@ -568,9 +568,25 @@ def train_downstream(model: DownstreamModel, features: FeatureBatch,
         model.params = stack.member(0).params
 
 
+# the most rows one forward in evaluate scores: a forward's cache costs about
+# 3.2 KB a row, so scoring a whole training set at once would set the peak
+EVAL_ROWS = 512
+
+
 def evaluate(model: DownstreamModel, features: FeatureBatch) -> EvalReport:
-    """Metrics of one unstacked model (a stack's member(m)) on features."""
-    logits, _ = model.forward(features)
+    """Metrics of one unstacked model (a stack's member(m)) on features.
+
+    The model scores consecutive basic slices (views) of at most EVAL_ROWS
+    rows and only each slice's logits are kept, so memory does not grow
+    with the rows scored. Up to EVAL_ROWS rows that is one forward over the
+    whole batch, and the report is byte-identical to it; above, a logit may
+    differ from a whole-batch forward's in the last bit, as matmul may round
+    a row differently at another row count.
+    """
+    logits = np.empty(len(features))
+    for start in range(0, len(features), EVAL_ROWS):
+        rows = slice(start, start + EVAL_ROWS)
+        logits[rows], _ = model.forward(features.slice(rows))
     y = features.labels.astype(int)
     return EvalReport(
         roc_auc=roc_auc(logits, y),

@@ -262,13 +262,22 @@ def parse_generation(blob: bytes, what: str = "generation") -> StoreGeneration:
     return StoreGeneration(day, [rows])
 
 
+def load_generation_rows(path, source: str | None = None
+                         ) -> tuple[int, np.ndarray]:
+    """(day, row table) of the generation at path, with every check of the
+    file (checksum, magic and version, kinds, key order) and no index built;
+    given source, every row must carry its code."""
+    what = f"generation {path}"
+    day, rows = _generation_rows(read_file(path, what), what)
+    if source is not None:
+        _check_source(rows, source, f"{what} holds")
+    return day, rows
+
+
 def load_generation(path, source: str | None = None) -> StoreGeneration:
     """The generation at path; given source, every row must carry its code."""
-    what = f"generation {path}"
-    gen = parse_generation(read_file(path, what), what)
-    if source is not None:
-        _check_source(gen.tables[0], source, f"{what} holds")
-    return gen
+    day, rows = load_generation_rows(path, source)
+    return StoreGeneration(day, [rows])
 
 
 def _state_rows(state: AggregatedStoreState, source: str) -> np.ndarray:

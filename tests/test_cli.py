@@ -15,10 +15,12 @@ from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import derm
-from derm.cli import build_parser, experiment_generations, main, snapshot_path
+from derm.cli import (build_parser, experiment_generations, main,
+                      served_generation, snapshot_path)
 from derm.config import (
     PathsConfig,
     PipelineConfig,
@@ -701,6 +703,33 @@ class TestPipeline:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+
+
+def test_served_generation_builds_one_index(tmp_path, monkeypatch):
+    """Each source's rows are loaded checked but unindexed; one index is
+    built over the join and finds the keys of both sources."""
+    vectors = {}
+    for day, source in enumerate(("ctr-upstream", "cvr-upstream"), 4):
+        code = source_code(source)
+        mine = {(kind, i, code): np.full(3, 10.0 * kind + i + code % 7)
+                for kind in (0, 1) for i in range(day, 3 * day)}
+        (tmp_path / generation_name(source, day, 1)).write_bytes(
+            generation_bytes(day, 3, mine))
+        vectors.update(mine)
+    built = []
+    slot_table = derm.store._slot_table
+
+    def counted(*keys):
+        built.append(len(keys[1]))
+        return slot_table(*keys)
+    monkeypatch.setattr(derm.store, "_slot_table", counted)
+    gen = served_generation(tmp_path)
+    assert built == [len(vectors)]
+    assert (gen.day, len(gen.tables)) == (5, 2)
+    for key, vec in vectors.items():
+        assert gen.lookup_packed(*key).tobytes() == \
+            vec.astype(np.float32).tobytes(), key
+    assert gen.lookup_packed(0, 99, source_code("ctr-upstream")) is None
 
 
 class TestCliErrors:

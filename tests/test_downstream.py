@@ -8,6 +8,7 @@ import pytest
 from derm.data import FeatureBundle, KIND_CODES, SampleBatch
 from derm.downstream import (
     DERM_INPUTS,
+    EVAL_ROWS,
     ArmSpec,
     DownstreamConfig,
     DownstreamModel,
@@ -798,6 +799,50 @@ class TestTraining:
         assert rep.positives == int(feats.labels.sum())
         assert rep.roc_auc > 0.8
         assert 0.0 <= rep.pr_auc <= 1.0
+
+
+class TestEvaluateChunks:
+    """evaluate scores at most EVAL_ROWS rows per forward."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Each forward's batch and logits, recorded as evaluate runs."""
+        calls = []
+        forward = DownstreamModel.forward
+
+        def spy(self, batch):
+            logits, cache = forward(self, batch)
+            calls.append((batch, logits))
+            return logits, cache
+        monkeypatch.setattr(DownstreamModel, "forward", spy)
+        return calls
+
+    def test_large_batch_is_scored_in_bounded_views(self, monkeypatch):
+        n = EVAL_ROWS * 5 // 2
+        feats = small_batch(np.random.default_rng(3), n=n)
+        calls = self._spy(monkeypatch)
+        rep = evaluate(small_model(1), feats)
+        assert [len(b) for b, _ in calls] == [EVAL_ROWS, EVAL_ROWS,
+                                              n - 2 * EVAL_ROWS]
+        assert all(np.shares_memory(b.base, feats.base)
+                   and np.shares_memory(b.derm, feats.derm) for b, _ in calls)
+        logits = np.concatenate([lg for _, lg in calls])
+        y = feats.labels.astype(int)
+        assert (rep.roc_auc, rep.pr_auc) == (roc_auc(logits, y),
+                                             pr_auc(logits, y))
+        assert (rep.samples, rep.positives) == (n, int(y.sum()))
+
+    @pytest.mark.parametrize("n", [7, EVAL_ROWS])
+    def test_up_to_eval_rows_equals_one_whole_forward(self, n):
+        feats = small_batch(np.random.default_rng(4), n=n)
+        model = small_model(2)
+        logits, _ = model.forward(feats)
+        y = feats.labels.astype(int)
+        rep = evaluate(model, feats)
+        assert np.float64(rep.roc_auc).tobytes() == \
+            np.float64(roc_auc(logits, y)).tobytes()
+        assert np.float64(rep.pr_auc).tobytes() == \
+            np.float64(pr_auc(logits, y)).tobytes()
 
 
 class TestStackedTraining:
