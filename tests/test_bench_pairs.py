@@ -1,27 +1,11 @@
 """tools/bench_pairs.py's summary of alternating pairs, on made-up runs."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+from util import module_at
 
-
-def tool_module(name: str):
-    """A tools/ module, loaded from its file under the name its siblings
-    import it by."""
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return sys.modules[name]
-
-
-tool_module("compare_pipeline")
-bench_pairs = tool_module("bench_pairs")
+module_at("tools", "compare_pipeline")
+bench_pairs = module_at("tools", "bench_pairs")
 
 PARENT = [10.0, 12.0, 11.0, 13.0, 14.0]
 
@@ -66,15 +50,17 @@ def test_ties_count_for_neither_side():
     assert s["verdict"] == "within bound"
 
 
-@pytest.mark.parametrize("change, verdict", [
+@pytest.mark.parametrize("parent, change, verdict", [
     # the parent's spread (2/12) is wider than a 0.1 bound
-    ([a * 1.05 for a in PARENT], "unresolved"),
-    # unless every change run beats every parent run
-    ([9.0] * 5, "gain"),
+    (PARENT, [a * 1.05 for a in PARENT], "unresolved"),
+    # unless every change run beats every parent run, here by a median gap
+    # (1.1) within the parent's IQR (4.5), so it is no gain either
+    ([10.0, 10.5, 11.0, 15.0, 16.0], [9.9] * 5, "within bound"),
 ])
-def test_spread_wider_than_the_bound_is_unresolved(change, verdict):
-    assert bench_pairs.summarize(PARENT, change, "lower", 0.1)["verdict"] \
-        == verdict
+def test_spread_wider_than_the_bound_is_unresolved(parent, change, verdict):
+    s = bench_pairs.summarize(parent, change, "lower", 0.1)
+    assert s["parent_spread"] > 0.1
+    assert s["verdict"] == verdict
 
 
 def test_workload_summary_reads_each_metric_and_the_checks():
@@ -88,7 +74,7 @@ def test_workload_summary_reads_each_metric_and_the_checks():
                 "metrics": {"peak_rss_mb": rss, "ops_per_s": ops}}
     runs = {"parent": [run(58.0, 0.2), run(59.0, 0.2, failed=1)],
             "change": [run(45.0, 0.21), run(46.0, 0.19)]}
-    out = bench_pairs.summarize_workload(spec, runs, [7, 8], 10.0)
+    out = bench_pairs.summarize_workload(spec, runs, [7, 8])
     assert out["first"] == ["parent", "change"]
     assert out["checks"]["parent"] == {"correct_runs": 1, "runs": 2,
                                        "failed": 1, "attempted": 8}
@@ -98,3 +84,10 @@ def test_workload_summary_reads_each_metric_and_the_checks():
     assert (rss["unit"], rss["wins"], rss["verdict"]) == ("MB", 2, "gain")
     assert rss["ratio"] == 45.5 / 58.5
     assert out["metrics"]["ops_per_s"]["wins"] == 1
+    # the same runs with the failure moved to the change: every pair is still
+    # won, but the change failed more checks, so it is no gain
+    runs = {"parent": [run(58.0, 0.2), run(59.0, 0.2)],
+            "change": [run(45.0, 0.21), run(46.0, 0.19, failed=1)]}
+    out = bench_pairs.summarize_workload(spec, runs, [7, 8])
+    rss = out["metrics"]["peak_rss_mb"]
+    assert (rss["wins"], rss["verdict"]) == (2, "within bound")

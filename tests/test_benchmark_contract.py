@@ -9,10 +9,7 @@ the benchmark unnoticed.
 
 import contextlib
 import importlib
-import importlib.util
 import io
-import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -26,24 +23,11 @@ from derm.store import (EmbeddingClient, StoreKey, load_daily, serve,
                         state_generation)
 from derm.trainer import make_snapshot
 
-from util import separable_samples, tiny_model
-
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def bench_module(name: str):
-    """A perfbench module, loaded from its file under its own name, the name
-    its siblings import it by."""
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return sys.modules[name]
+from util import module_at, separable_samples, tiny_model
 
 
 def test_every_traced_name_resolves():
-    traced = bench_module("spans").TRACED
+    traced = module_at("perfbench", "spans").TRACED
     assert traced
     missing = []
     for module, attr in traced:
@@ -56,9 +40,9 @@ def test_every_traced_name_resolves():
 
 
 def test_grid_set_up_writes_dailies_derm_loads(tmp_path):
-    bench_module("spans")
-    bench_module("loadgen")
-    workloads = bench_module("workloads")
+    module_at("perfbench", "spans")
+    module_at("perfbench", "loadgen")
+    workloads = module_at("perfbench", "workloads")
     sections = {"paths": {"root": tmp_path / "run"}, **workloads.TOY.sections}
     ini = tmp_path / "derm.ini"
     ini.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
@@ -75,7 +59,7 @@ def test_grid_set_up_writes_dailies_derm_loads(tmp_path):
 
 
 def test_traced_counters_count_rows_kept_entities_and_hits():
-    spans = bench_module("spans")
+    spans = module_at("perfbench", "spans")
     model = tiny_model(seed=1)
     snap = make_snapshot(model, watermark_day=3, rng_seed=0)
     data = separable_samples(seed=2, days=[1, 2, 3], per_day=12)
@@ -96,9 +80,9 @@ def test_traced_counters_count_rows_kept_entities_and_hits():
 
 
 def test_serve_set_up_publishes_what_derm_serves(tmp_path):
-    bench_module("spans")
-    loadgen = bench_module("loadgen")
-    workloads = bench_module("workloads")
+    module_at("perfbench", "spans")
+    loadgen = module_at("perfbench", "loadgen")
+    workloads = module_at("perfbench", "workloads")
     data = loadgen.StoreData(seed=5, per_source=workloads.TOY.serve_size)
     workloads.publish_store(tmp_path, data)
     gen = served_generation(tmp_path)

@@ -1,6 +1,11 @@
 """Shared helpers: gradient checks, exact parameter comparison, sequence
 padding, the noisy-day stability probe, a tiny upstream model, separable
-batches, daily embedding sets, the synthetic world's oracle AUC."""
+batches, daily embedding sets, the synthetic world's oracle AUC, and a loader
+for the scripts beside the package."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -15,6 +20,21 @@ from derm.numerics import NORM_EPS, as_vector, l2_norm
 from derm.params import ParamDict, flatten_params, unflatten_params
 from derm.synth import World, WorldConfig, generate_world
 from derm.trainer import TrainConfig
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def module_at(folder: str, name: str):
+    """The module folder/name.py under the repo root, loaded from its file
+    under its own name, the name its siblings import it by."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, ROOT / folder / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def l2_normalize(v, eps: float = NORM_EPS) -> np.ndarray:

@@ -1,24 +1,25 @@
 """Run perfbench on two checkouts in alternating pairs and summarise them.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N \\
-        --seed S [--seconds T] --out BENCH_<pr>.json
+        --seed S --out BENCH_<pr>.json
 
 PARENT and CHANGE are the roots of two derm checkouts. Pair i runs
-`perfbench/run.py --workload W --seed S+i --seconds T --trace 0` in each
-tree's root, PARENT first on even i and CHANGE first on odd i, so both runs
-of a pair see the same machine drift. Each run's last output line is its
-JSON result. After every pair the script rewrites --out with, for each
+`perfbench/run.py --workload W --seed S+i --trace 0` in each tree's root
+(perfbench sets the run length), PARENT first on even i and CHANGE first on
+odd i, so both runs of a pair see the same machine drift. Each run's last
+output line is its JSON result. After every pair the script rewrites --out with, for each
 end-to-end metric of BENCHMARK.json (unit, direction and bound read from
 CHANGE's copy):
   each tree's values, median and quartiles (numpy's linear percentiles);
   the change/parent ratio of the medians and of each pair;
   the pairs the change won (ties count for neither side);
   the spread of the parent's runs, its interquartile range over its median;
-  a verdict: "gain" when the change won at least nine tenths of the pairs
-  and its median beats the parent's by more than the parent's interquartile
-  range; else "unresolved" when the parent's spread is wider than the bound
-  and not every change run beats every parent run; else "regression" when
-  the change's median is worse by more than the bound; else "within bound".
+  a verdict: "gain" when the change won at least nine tenths of the pairs,
+  its median beats the parent's by more than the parent's interquartile
+  range, and its runs failed no more checks than the parent's; else
+  "unresolved" when the parent's spread is wider than the bound and not
+  every change run beats every parent run; else "regression" when the
+  change's median is worse by more than the bound; else "within bound".
 Beside them go each run's correct flag and failed/attempted checks, each
 tree's non-blank src/derm/*.py and tests/*.py lines (as compare_pipeline
 counts them), nproc, and the Python and numpy versions. A file that already
@@ -44,12 +45,12 @@ TREES = ("parent", "change")
 CLAIM_SHARE = 0.9  # share of pairs the change must win to claim a gain
 
 
-def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(root: Path, workload: str, seed: int) -> dict:
     """The JSON result line of one untraced perfbench run in root."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -73,9 +74,10 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(parent: list[float], change: list[float], better: str,
-              bound: float) -> dict:
+              bound: float, failed: tuple[int, int] = (0, 0)) -> dict:
     """The comparison of one metric over pairs: parent[i] and change[i] are
-    pair i's two runs; better is "lower" or "higher"."""
+    pair i's two runs; better is "lower" or "higher"; failed holds the
+    parent's and the change's failed checks over all their runs."""
     sign = 1.0 if better == "lower" else -1.0  # sign * (a - b) > 0: b is better
     p, c = quartiles(parent), quartiles(change)
     iqr = p["q3"] - p["q1"]
@@ -85,7 +87,8 @@ def summarize(parent: list[float], change: list[float], better: str,
     spread = iqr / abs(p["median"]) if p["median"] else 0.0
     worse_by = -gain / abs(p["median"]) if p["median"] else 0.0
     all_better = all(sign * (a - b) > 0 for a in parent for b in change)
-    if wins >= CLAIM_SHARE * len(parent) and gain > iqr:
+    if (wins >= CLAIM_SHARE * len(parent) and gain > iqr
+            and failed[1] <= failed[0]):
         verdict = "gain"
     elif spread > bound and not all_better:
         verdict = "unresolved"
@@ -105,21 +108,22 @@ def summarize(parent: list[float], change: list[float], better: str,
 
 
 def summarize_workload(spec: dict, runs: dict[str, list[dict]],
-                       seeds: list[int], seconds: float) -> dict:
+                       seeds: list[int]) -> dict:
     """Every end-to-end metric of spec summarised over the pairs in runs."""
+    checks = {t: {"correct_runs": sum(r["correct"] for r in runs[t]),
+                  "runs": len(runs[t]),
+                  "failed": sum(r["failed"] for r in runs[t]),
+                  "attempted": sum(r["attempted"] for r in runs[t])}
+              for t in TREES}
+    failed = tuple(checks[t]["failed"] for t in TREES)
     metrics = {}
     for m in spec["end_to_end"]:
         parent, change = ([r["metrics"][m["name"]] for r in runs[t]]
                           for t in TREES)
         metrics[m["name"]] = {"unit": m["unit"],
                               **summarize(parent, change, m["better"],
-                                          m["bound"])}
-    checks = {t: {"correct_runs": sum(r["correct"] for r in runs[t]),
-                  "runs": len(runs[t]),
-                  "failed": sum(r["failed"] for r in runs[t]),
-                  "attempted": sum(r["attempted"] for r in runs[t])}
-              for t in TREES}
-    return {"seeds": seeds, "seconds": seconds,
+                                          m["bound"], failed)}
+    return {"seeds": seeds,
             "first": [TREES[i % 2] for i in range(len(seeds))],
             "checks": checks, "metrics": metrics,
             "runs": {t: [{"correct": r["correct"], "failed": r["failed"],
@@ -141,7 +145,6 @@ def main(argv: list[str]) -> int:
                     choices=("offline", "grid", "serve"))
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -158,8 +161,7 @@ def main(argv: list[str]) -> int:
     for i in range(args.pairs):
         seed = args.seed + i
         for t in (0, 1) if i % 2 == 0 else (1, 0):
-            runs[TREES[t]].append(run_bench(roots[t], args.workload, seed,
-                                            args.seconds))
+            runs[TREES[t]].append(run_bench(roots[t], args.workload, seed))
         seeds.append(seed)
         pair = {name: (runs["parent"][-1]["metrics"][name],
                        runs["change"][-1]["metrics"][name])
@@ -168,7 +170,7 @@ def main(argv: list[str]) -> int:
             f"{name} {a:.4g} -> {b:.4g}" for name, (a, b) in pair.items()),
             flush=True)
         bench["workloads"][args.workload] = summarize_workload(
-            spec, runs, seeds, args.seconds)
+            spec, runs, seeds)
         args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     for name, m in bench["workloads"][args.workload]["metrics"].items():
         print(f"  {name:<12} parent {m['parent']['median']:.4g} "
