@@ -348,20 +348,20 @@ def _generations_for(cfg: PipelineConfig, inputs) -> dict[str, StoreGeneration]:
 def cmd_train_downstream(cfg: PipelineConfig, args) -> int:
     data = _load_world(cfg, _downstream_days(cfg))
     ds = cfg.downstream
-    model_cfg = ds.model_config()
-    gens = _generations_for(cfg, ds.derm_inputs)
+    model_cfg = ds.model
+    gens = _generations_for(cfg, model_cfg.derm_inputs)
     train, test = _split_samples(cfg, data)
     train_feats = build_features(train, model_cfg, gens)
     test_feats = build_features(test, model_cfg, gens)
     model = DownstreamModel(model_cfg, train_feats.base.shape[1],
                             train_feats.derm.shape[1],
                             seq_vocab=cfg.world.num_pins, seed=ds.seed)
-    train_downstream(model, train_feats, ds.train_config())
+    train_downstream(model, train_feats, ds.train)
     train_rep = evaluate(model, train_feats)
     test_rep = evaluate(model, test_feats)
     report = {
         "task": ds.task,
-        "derm_inputs": list(ds.derm_inputs),
+        "derm_inputs": list(model_cfg.derm_inputs),
         "train": {"roc_auc": train_rep.roc_auc, "pr_auc": train_rep.pr_auc,
                   "samples": train_rep.samples},
         "test": {"roc_auc": test_rep.roc_auc, "pr_auc": test_rep.pr_auc,
@@ -408,8 +408,8 @@ def cmd_experiment(cfg: PipelineConfig, args) -> int:
     result = run_sensitivity_experiment(
         ex.task, arms, list(ex.seeds), train, test, generations,
         seq_vocab=cfg.world.num_pins,
-        model_cfg_base=ds.model_config(),
-        train_cfg=ds.train_config(),
+        model_cfg_base=ds.model,
+        train_cfg=ds.train,
     )
     stem = f"experiment-{ex.grid}-{ex.task}"
     csv_path = cfg.paths.reports / f"{stem}.csv"

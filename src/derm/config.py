@@ -7,15 +7,21 @@ carry the line and column of the offending entry. emit_config writes the
 canonical form; parse(emit(parse(text))) equals parse(text).
 
 The section dataclasses are the schema: each field is one key, and the
-field's type picks the codec that reads and writes its value.
+field's type picks the codec that reads and writes its value. A field whose
+type has no codec is a nested config, and its keys take its place in the
+section: [upstream.*] holds an UpstreamSpec's TrainConfig keys, then its
+tower sizes; [downstream] holds its DownstreamConfig keys, then its
+DownstreamTrainConfig keys, then its own. DownstreamConfig's expert_hidden,
+expert_out and seq_dim are fixed sizes that no key sets.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, get_type_hints
 
@@ -31,6 +37,11 @@ UPSTREAM_MODELS = ("ctr", "cvr")
 UPSTREAM_SOURCES = {"ctr": "ctr-upstream", "cvr": "cvr-upstream"}
 
 
+def _under_root(name: str) -> property:
+    """The path its {name}_dir key sets, else root/name."""
+    return property(lambda paths: getattr(paths, f"{name}_dir") or paths.root / name)
+
+
 @dataclass(frozen=True)
 class PathsConfig:
     root: Path = Path("run")
@@ -41,33 +52,12 @@ class PathsConfig:
     store_dir: Path | None = None
     report_dir: Path | None = None
 
-    def resolved(self, name: str) -> Path:
-        explicit = getattr(self, f"{name}_dir")
-        return explicit if explicit is not None else self.root / name
-
-    @property
-    def world(self) -> Path:
-        return self.resolved("world")
-
-    @property
-    def snapshots(self) -> Path:
-        return self.resolved("snapshot")
-
-    @property
-    def embeddings(self) -> Path:
-        return self.resolved("embeddings")
-
-    @property
-    def state(self) -> Path:
-        return self.resolved("state")
-
-    @property
-    def store(self) -> Path:
-        return self.resolved("store")
-
-    @property
-    def reports(self) -> Path:
-        return self.resolved("report")
+    world = _under_root("world")
+    snapshots = _under_root("snapshot")
+    embeddings = _under_root("embeddings")
+    state = _under_root("state")
+    store = _under_root("store")
+    reports = _under_root("report")
 
 
 @dataclass(frozen=True)
@@ -94,33 +84,15 @@ class ServeConfig:
 
 @dataclass(frozen=True)
 class DownstreamSection:
-    task: str = "ctr"
-    derm_inputs: tuple[str, ...] = tuple(DERM_INPUTS)
-    projection_dim: int | None = 16
-    num_experts: int = 4
-    cross_layers: int = 2
-    sequence_encoder: bool = True
-    learning_rate: float = 0.1
-    batch_size: int = 32
-    epochs: int = 24
+    model: DownstreamConfig = DownstreamConfig(derm_inputs=tuple(DERM_INPUTS))
+    train: DownstreamTrainConfig = DownstreamTrainConfig(epochs=24)
     seed: int = 0
     train_day_start: int = 8
     test_day: int = 18
 
-    def model_config(self) -> DownstreamConfig:
-        return DownstreamConfig(
-            task=self.task,
-            derm_inputs=self.derm_inputs,
-            projection_dim=self.projection_dim,
-            num_experts=self.num_experts,
-            cross_layers=self.cross_layers,
-            sequence_encoder=self.sequence_encoder,
-        )
-
-    def train_config(self) -> DownstreamTrainConfig:
-        return DownstreamTrainConfig(learning_rate=self.learning_rate,
-                                     batch_size=self.batch_size,
-                                     epochs=self.epochs)
+    @property
+    def task(self) -> str:
+        return self.model.task
 
 
 @dataclass(frozen=True)
@@ -161,12 +133,16 @@ class PipelineConfig:
             where = locate(section, key) if locate else ""
             raise ConfigParseError(f"{where}[{section}] {key}: {detail}")
 
-        def check(section: str, validate: Callable[[], None]):
-            # each message of these validators starts with its key
+        def check(section: str, validate: Callable[[], None],
+                  key: str | None = None):
+            # each message of these validators is about key, when given,
+            # else starts with its key
             try:
                 validate()
             except (ValueError, DermError) as e:
-                key, _, detail = str(e).partition(" ")
+                detail = str(e)
+                if key is None:
+                    key, _, detail = detail.partition(" ")
                 fail(section, key, detail)
 
         check("world", self.world.validate)
@@ -184,23 +160,19 @@ class PipelineConfig:
                 fail(section, "num_layers", f"{spec.num_layers} must lie in "
                      f"[1, {len(_USER_BLOCKS)}], one per block pair")
         lc = self.lifecycle
-        lc.heuristic.validate()
+        check("lifecycle", lc.heuristic.validate, "heuristic")
         for key in ("retention_days", "back_window"):
             if getattr(lc, key) < 1:
                 fail("lifecycle", key, "must be >= 1")
         ds = self.downstream
-        check("downstream", ds.model_config().validate)
+        check("downstream", ds.model.validate)
         if not (1 <= ds.train_day_start < ds.test_day):
             fail("downstream", "train_day_start", f"{ds.train_day_start} must "
                  f"lie in [1, test_day) = [1, {ds.test_day})")
         if ds.test_day > self.world.days:
             fail("downstream", "test_day", f"{ds.test_day} is past the last "
                  f"day of the world, {self.world.days}")
-        if not ds.learning_rate > 0:
-            fail("downstream", "learning_rate", "must be > 0")
-        for key in ("batch_size", "epochs"):
-            if getattr(ds, key) < 1:
-                fail("downstream", key, "must be >= 1")
+        check("downstream", ds.train.validate)
         if not (0 <= ds.seed < 2**64):
             fail("downstream", "seed", f"{ds.seed} must lie in [0, 2**64)")
         if not (0 <= self.serve.port <= 65535):
@@ -213,15 +185,15 @@ class PipelineConfig:
         if len(set(seeds)) < len(seeds) or not all(0 <= s < 2**64 for s in seeds):
             fail("experiment", "seeds", f"must be distinct, in [0, 2**64), got {seeds}")
         for h in ex.heuristics:
-            h.validate()
+            check("experiment", h.validate, "heuristics")
         labels = [h.label for h in ex.heuristics]
         if len(set(labels)) != len(labels):
             fail("experiment", "heuristics",
                  f"labels must be distinct, got {', '.join(labels)}")
         # emit_config's text must parse back (an empty list, for one, does not)
-        for section, keys, values in _sections(self):
-            for key, codec in keys:
-                text = codec.emit(values[key])
+        for section, part in _sections(self):
+            for key, codec, value in _entries(part):
+                text = codec.emit(value)
                 try:
                     if text is not None:
                         codec.parse(text)
@@ -236,15 +208,8 @@ def default_config() -> PipelineConfig:
     epochs_by_model = {"ctr": 3, "cvr": 8}
     upstream = {
         name: UpstreamSpec(
-            train=TrainConfig(
-                learning_rate=0.1,
-                momentum=0.0,
-                batch_size=32,
-                epochs=epochs_by_model[name],
-                negatives_per_pair=15,
-                seed=i,
-                contrastive_weight=1.0,
-            ),
+            train=TrainConfig(learning_rate=0.1, batch_size=32,
+                              epochs=epochs_by_model[name], seed=i),
         )
         for i, name in enumerate(UPSTREAM_MODELS)
     }
@@ -360,40 +325,58 @@ _CODECS = {
 }
 
 
-def _keys(cls, skip: tuple[str, ...] = ()) -> tuple[tuple[str, _Codec], ...]:
+# DownstreamConfig's layer sizes: fixed, so no key sets them
+_FIXED_SIZES = ("expert_hidden", "expert_out", "seq_dim")
+
+
+@functools.cache
+def _schema(cls) -> tuple[tuple[str, _Codec | None], ...]:
+    """(field, codec) for each field of cls that the text sets; a nested
+    config's codec is None."""
     hints = get_type_hints(cls)
-    return tuple((f.name, _CODECS[hints[f.name]])
-                 for f in fields(cls) if f.name not in skip)
+    return tuple((f.name, _CODECS.get(hints[f.name]))
+                 for f in fields(cls) if f.name not in _FIXED_SIZES)
 
 
-# [upstream.*] flattens an UpstreamSpec: the TrainConfig fields, then the
-# tower sizes; the section name picks the model's label and source
-_TRAIN_KEYS = _keys(TrainConfig)
-_UPSTREAM_KEYS = (*_TRAIN_KEYS, *_keys(UpstreamSpec, skip=("train",)))
+def _entries(part):
+    """(key, codec, value) for each key of part, in file order."""
+    for name, codec in _schema(type(part)):
+        value = getattr(part, name)
+        if codec is None:
+            yield from _entries(value)
+        else:
+            yield name, codec, value
 
 
-def _upstream_values(spec: UpstreamSpec) -> dict:
-    flat = {**vars(spec), **vars(spec.train)}
-    return {key: flat[key] for key, _ in _UPSTREAM_KEYS}
-
-
-def _upstream_spec(values: dict) -> UpstreamSpec:
-    rest = dict(values)
-    train = TrainConfig(**{key: rest.pop(key) for key, _ in _TRAIN_KEYS})
-    return UpstreamSpec(train=train, **rest)
+def _build(part, values: dict):
+    """part with each key in values set, inside nested configs too."""
+    changes = {}
+    for name, codec in _schema(type(part)):
+        if codec is None:
+            changes[name] = _build(getattr(part, name), values)
+        elif name in values:
+            changes[name] = values[name]
+    return replace(part, **changes)
 
 
 def _sections(cfg: PipelineConfig):
-    """(section, keys, values of cfg) for every section, in file order."""
+    """(section, part of cfg) for every section, in file order; the name of
+    an [upstream.*] section picks the model's label and source."""
     for f in fields(PipelineConfig):
         part = getattr(cfg, f.name)
         if f.name == "upstream":
             for model in UPSTREAM_MODELS:
-                yield (f"upstream.{model}", _UPSTREAM_KEYS,
-                       _upstream_values(part[model]))
+                yield f"upstream.{model}", part[model]
         else:
-            keys = _keys(type(part))
-            yield f.name, keys, {key: getattr(part, key) for key, _ in keys}
+            yield f.name, part
+
+
+def _from_sections(parts: dict) -> PipelineConfig:
+    """The config whose _sections are parts."""
+    return PipelineConfig(
+        upstream={model: parts[f"upstream.{model}"] for model in UPSTREAM_MODELS},
+        **{f.name: parts[f.name] for f in fields(PipelineConfig)
+           if f.name != "upstream"})
 
 
 # ---------------------------------------------------------------------------
@@ -435,22 +418,22 @@ class _Locator:
         return ""
 
 
-def _read_section(name: str, raw: dict[str, str],
-                  keys: tuple[tuple[str, _Codec], ...], defaults: dict,
+def _read_section(name: str, raw: dict[str, str], part,
                   locator: _Locator) -> dict:
-    """The defaults, with every key present in raw read by its codec."""
+    """Each key of part present in raw, read by its codec."""
 
     def fail(key: str, detail: str):
         raise ConfigParseError(f"{locator.locate(name, key)}[{name}] {key}: {detail}")
 
-    values = dict(defaults)
-    for key, codec in keys:
+    codecs = {key: codec for key, codec, _ in _entries(part)}
+    values = {}
+    for key, codec in codecs.items():
         if key in raw:
             try:
                 values[key] = codec.parse(raw[key].strip())
             except (ValueError, WeightOutOfRangeError) as e:
                 fail(key, str(e))
-    unknown = sorted(raw.keys() - dict(keys).keys())
+    unknown = sorted(raw.keys() - codecs.keys())
     if unknown:
         fail(unknown[0], "unknown key")
     return values
@@ -466,24 +449,17 @@ def parse_config(text: str) -> PipelineConfig:
         raise ConfigParseError(
             f"line {lineno}, column 1: {e.message.splitlines()[0]}"
         ) from e
-    defaults = default_config()
-    sections = list(_sections(defaults))
-    known = {name for name, _, _ in sections}
+    defaults = dict(_sections(default_config()))
     for section in parser.sections():
-        if section not in known:
+        if section not in defaults:
             raise ConfigParseError(
                 f"{locator.locate(section)}unknown section [{section}]")
-    values = {
-        name: _read_section(name, dict(parser[name]) if parser.has_section(name)
-                            else {}, keys, dflt, locator)
-        for name, keys, dflt in sections
-    }
-    cfg = PipelineConfig(
-        upstream={model: _upstream_spec(values[f"upstream.{model}"])
-                  for model in UPSTREAM_MODELS},
-        **{f.name: type(getattr(defaults, f.name))(**values[f.name])
-           for f in fields(PipelineConfig) if f.name != "upstream"},
-    )
+    cfg = _from_sections({
+        name: _build(part, _read_section(
+            name, dict(parser[name]) if parser.has_section(name) else {},
+            part, locator))
+        for name, part in defaults.items()
+    })
     cfg.validate(locator.locate)
     return cfg
 
@@ -506,10 +482,10 @@ def load_config(path: Path) -> PipelineConfig:
 def emit_config(cfg: PipelineConfig) -> str:
     """Canonical text form; every key explicit, fixed order."""
     blocks = []
-    for name, keys, values in _sections(cfg):
+    for name, part in _sections(cfg):
         lines = [f"[{name}]"]
-        for key, codec in keys:
-            text = codec.emit(values[key])
+        for key, codec, value in _entries(part):
+            text = codec.emit(value)
             if text is not None:
                 lines.append(f"{key} = {text}")
         blocks.append("\n".join(lines))

@@ -498,11 +498,19 @@ MAX_GRAD_NORM = 5.0
 WEIGHT_DECAY = 1e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class DownstreamTrainConfig:
     learning_rate: float = 0.1
     batch_size: int = 32
     epochs: int = 4
+
+    def validate(self) -> None:
+        """Each error's message starts with the key it is about."""
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for key in ("batch_size", "epochs"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
 
 
 def train_downstream(model: DownstreamModel, features: FeatureBatch,
@@ -528,6 +536,7 @@ def train_downstream(model: DownstreamModel, features: FeatureBatch,
     whole-buffer operations. loss_log gets each step's loss: a float for an
     unstacked model, else the (M,) losses.
     """
+    cfg.validate()
     n = len(features)
     if n == 0:
         raise EmptyInputError("no training features")
@@ -657,8 +666,8 @@ def run_sensitivity_experiment(
         test_samples: SampleBatch,
         generations_by_heuristic: dict[str, dict[str, StoreGeneration]],
         seq_vocab: int,
-        model_cfg_base: DownstreamConfig | None = None,
-        train_cfg: DownstreamTrainConfig | None = None) -> ExperimentResult:
+        model_cfg_base: DownstreamConfig = DownstreamConfig(),
+        train_cfg: DownstreamTrainConfig = DownstreamTrainConfig()) -> ExperimentResult:
     """Train and evaluate every (arm, seed) pair against a shared baseline.
 
     Each arm reads store generations for its heuristic label; the baseline
@@ -668,11 +677,9 @@ def run_sensitivity_experiment(
         raise MissingBaselineError("experiment grid lacks the no-embedding arm")
     if len({a.name for a in arms}) != len(arms):
         raise MissingBaselineError("arm names must be unique")
-    base_cfg = model_cfg_base or DownstreamConfig(task=task)
-    tcfg = train_cfg or DownstreamTrainConfig()
 
     def arm_inputs(arm: ArmSpec):
-        return (replace(base_cfg, task=task, derm_inputs=arm.derm_inputs),
+        return (replace(model_cfg_base, task=task, derm_inputs=arm.derm_inputs),
                 generations_by_heuristic.get(arm.heuristic_label, {}))
 
     def arm_models(arm: ArmSpec) -> list[DownstreamModel]:
@@ -696,7 +703,7 @@ def run_sensitivity_experiment(
                                   len(seeds))
         stack = DownstreamModel.stack([m for _, models in group
                                        for m in models])
-        train_downstream(stack, feats, tcfg)
+        train_downstream(stack, feats, train_cfg)
         for a, (arm, _) in enumerate(group):
             test_feats = build_features(test_samples, *arm_inputs(arm))
             for i, seed in enumerate(seeds):

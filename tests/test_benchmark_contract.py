@@ -12,6 +12,7 @@ import importlib
 import io
 
 import numpy as np
+import pytest
 
 import derm.downstream
 import derm.lifecycle
@@ -39,15 +40,44 @@ def test_every_traced_name_resolves():
     assert not missing, f"perfbench traces names derm lacks: {missing}"
 
 
-def test_grid_set_up_writes_dailies_derm_loads(tmp_path):
+def workloads_module():
     module_at("perfbench", "spans")
     module_at("perfbench", "loadgen")
-    workloads = module_at("perfbench", "workloads")
-    sections = {"paths": {"root": tmp_path / "run"}, **workloads.TOY.sections}
+    return module_at("perfbench", "workloads")
+
+
+def toy_ini(tmp_path, *overrides: dict):
+    """A config file of perfbench's TOY sections, then each override's, as
+    the benchmark merges them, under tmp_path/run."""
+    sections = {"paths": {"root": tmp_path / "run"}}
+    for extra in (workloads_module().TOY.sections, *overrides):
+        for name, values in extra.items():
+            sections.setdefault(name, {}).update(values)
     ini = tmp_path / "derm.ini"
     ini.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
                                                   for k, v in values.items())
                            for name, values in sections.items()))
+    return ini
+
+
+@pytest.mark.parametrize("workload", ["offline", "grid"])
+def test_every_config_read_resolves(tmp_path, workload):
+    # the attributes perfbench's workloads read from a loaded config
+    cfg = load_config(toy_ini(tmp_path, getattr(workloads_module().TOY, workload)))
+    assert cfg.downstream.task == "ctr"
+    for path in (cfg.paths.world, cfg.paths.store, cfg.paths.reports):
+        assert path.parent == tmp_path / "run"
+    assert 1 <= cfg.upstream_end_day < cfg.world.days
+    ex = cfg.experiment
+    assert ex.grid in ("heuristics", "inputs") and ex.task == "ctr"
+    assert ex.seeds and all(isinstance(s, int) for s in ex.seeds)
+    assert ex.heuristics and all(isinstance(h, AggregationHeuristic)
+                                 for h in ex.heuristics)
+
+
+def test_grid_set_up_writes_dailies_derm_loads(tmp_path):
+    workloads = workloads_module()
+    ini = toy_ini(tmp_path)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["generate", "-c", str(ini)]) == 0
     workloads.write_dailies(ini, seed=3)
@@ -80,9 +110,8 @@ def test_traced_counters_count_rows_kept_entities_and_hits():
 
 
 def test_serve_set_up_publishes_what_derm_serves(tmp_path):
-    module_at("perfbench", "spans")
+    workloads = workloads_module()
     loadgen = module_at("perfbench", "loadgen")
-    workloads = module_at("perfbench", "workloads")
     data = loadgen.StoreData(seed=5, per_source=workloads.TOY.serve_size)
     workloads.publish_store(tmp_path, data)
     gen = served_generation(tmp_path)

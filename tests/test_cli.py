@@ -25,9 +25,10 @@ from derm.config import (
     PathsConfig,
     PipelineConfig,
     ServeConfig,
+    _build,
+    _entries,
+    _from_sections,
     _sections,
-    _upstream_spec,
-    _upstream_values,
     build_model,
     default_config,
     emit_config,
@@ -139,11 +140,9 @@ class TestConfigErrors:
 
 def with_keys(cfg: PipelineConfig, section: str, values: dict) -> PipelineConfig:
     """cfg with the given keys of one section set, as the key table reads them."""
-    if section.startswith("upstream."):
-        model = section.removeprefix("upstream.")
-        spec = _upstream_spec({**_upstream_values(cfg.upstream[model]), **values})
-        return replace(cfg, upstream={**cfg.upstream, model: spec})
-    return replace(cfg, **{section: replace(getattr(cfg, section), **values)})
+    parts = dict(_sections(cfg))
+    parts[section] = _build(parts[section], values)
+    return _from_sections(parts)
 
 
 class TestConfigInvariants:
@@ -156,6 +155,10 @@ class TestConfigInvariants:
         # two arms with one label would share a state directory
         ("experiment", "heuristics", {"heuristics": (
             AggregationHeuristic("acc"), AggregationHeuristic("acc"))}),
+        # a heuristic built in code skips the parser's weight check
+        ("lifecycle", "heuristic", {"heuristic": AggregationHeuristic("ma", 2.0)}),
+        ("experiment", "heuristics", {"heuristics": (
+            AggregationHeuristic("acc"), AggregationHeuristic("ma", 2.0))}),
         ("world", "click_rate", {"click_rate": 2.0}),
         # numpy's Poisson draw rejects the negative rate events_per_user - 1
         ("world", "events_per_user", {"events_per_user": 0.5}),
@@ -170,18 +173,24 @@ class TestConfigInvariants:
         ("world", "seed", {"seed": -1}),
         ("upstream.ctr", "seed", {"seed": 2**64}),
         ("downstream", "seed", {"seed": -1}),
+        ("downstream", "learning_rate", {"learning_rate": -1.0}),
+        ("downstream", "batch_size", {"batch_size": 0}),
+        ("downstream", "epochs", {"epochs": 0}),
         ("experiment", "seeds", {"seeds": (0, 2**64)}),
         # two runs of one seed would write duplicate CSV rows
         ("experiment", "seeds", {"seeds": (0, 0)}),
         # bind() takes only 0-65535
         ("serve", "port", {"port": 70000}),
     ], ids=["num_layers", "contrastive_weight", "supervised_weight",
-            "heuristics", "duplicate_heuristic_labels", "click_rate",
+            "heuristics", "duplicate_heuristic_labels",
+            "lifecycle_heuristic_weight", "experiment_heuristic_weight",
+            "click_rate",
             "events_per_user", "days",
             "num_users", "num_experts", "projection_dim", "downstream_task",
             "duplicate_derm_inputs", "duplicate_experiment_derm_inputs",
             "world_seed", "upstream_seed",
-            "downstream_seed", "experiment_seed_range",
+            "downstream_seed", "downstream_learning_rate",
+            "downstream_batch_size", "downstream_epochs", "experiment_seed_range",
             "duplicate_experiment_seeds", "serve_port"])
     def test_rejected_as_one_located_error(self, tmp_path, section, key, values):
         cfg = with_keys(small_config(tmp_path / "run"), section, values)
@@ -199,13 +208,13 @@ class TestConfigInvariants:
 class TestConfigValues:
     def test_projection_none(self):
         cfg = parse_config("[downstream]\nprojection_dim = none\n")
-        assert cfg.downstream.projection_dim is None
+        assert cfg.downstream.model.projection_dim is None
 
     def test_derm_inputs_shorthand(self):
         cfg = parse_config("[downstream]\nderm_inputs = all\n")
-        assert len(cfg.downstream.derm_inputs) == 4
+        assert len(cfg.downstream.model.derm_inputs) == 4
         cfg = parse_config("[downstream]\nderm_inputs = none\n")
-        assert cfg.downstream.derm_inputs == ()
+        assert cfg.downstream.model.derm_inputs == ()
 
     def test_seed_list(self):
         cfg = parse_config("[experiment]\nseeds = 3, 1, 4\n")
@@ -242,8 +251,32 @@ class TestConfigValues:
 
 
 DEFAULT_VALUES = {(section, key): value
-                  for section, _, values in _sections(default_config())
-                  for key, value in values.items()}
+                  for section, part in _sections(default_config())
+                  for key, _, value in _entries(part)}
+
+UPSTREAM_KEYS = ("learning_rate", "momentum", "batch_size", "epochs",
+                 "negatives_per_pair", "seed", "contrastive_weight",
+                 "supervised_weight", "batch_window_end", "token_dim",
+                 "num_tokens", "num_layers")
+
+# every section's keys in file order; a key added, dropped or moved shows here
+KEY_TABLE = [
+    ("world", ("num_users", "num_pins", "latent_dim", "days", "activity_rate",
+               "click_rate", "conversion_rate", "noise_level",
+               "events_per_user", "seed", "threshold_labels")),
+    ("paths", ("root", "world_dir", "snapshot_dir", "embeddings_dir",
+               "state_dir", "store_dir", "report_dir")),
+    ("upstream.ctr", UPSTREAM_KEYS),
+    ("upstream.cvr", UPSTREAM_KEYS),
+    ("lifecycle", ("heuristic", "retention_days", "back_window")),
+    ("serve", ("host", "port")),
+    # DownstreamConfig's expert_hidden, expert_out and seq_dim are not keys
+    ("downstream", ("task", "derm_inputs", "projection_dim", "num_experts",
+                    "cross_layers", "sequence_encoder", "learning_rate",
+                    "batch_size", "epochs", "seed", "train_day_start",
+                    "test_day")),
+    ("experiment", ("grid", "task", "seeds", "heuristics", "derm_inputs")),
+]
 
 
 def non_default_texts(value) -> list[str]:
@@ -269,6 +302,10 @@ def non_default_texts(value) -> list[str]:
 
 
 class TestConfigKeys:
+    def test_key_table_is_pinned(self):
+        assert [(section, tuple(key for key, _, _ in _entries(part)))
+                for section, part in _sections(default_config())] == KEY_TABLE
+
     @pytest.mark.parametrize("section,key", sorted(DEFAULT_VALUES))
     def test_each_key_round_trips(self, section, key):
         default = default_config()
@@ -319,7 +356,7 @@ def small_config(root: Path) -> PipelineConfig:
         for name, spec in base.upstream.items()
     }
     downstream = replace(base.downstream, train_day_start=4, test_day=8,
-                         epochs=2)
+                         train=replace(base.downstream.train, epochs=2))
     lifecycle = replace(base.lifecycle, back_window=5)
     experiment = replace(base.experiment, seeds=(0, 1))
     return PipelineConfig(

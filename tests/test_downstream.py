@@ -780,6 +780,20 @@ class TestTraining:
             runs.append({k: v.tobytes() for k, v in model.params.items()})
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", 0),  # was a ZeroDivisionError
+        ("epochs", 0),  # was an untrained model, returned silently
+        ("learning_rate", -1.0),  # was training uphill
+    ])
+    def test_bad_train_config_rejected_before_any_step(self, key, value):
+        cfg, feats = self._features(1, [1], 20)
+        model = DownstreamModel(cfg, feats.base.shape[1], feats.derm.shape[1],
+                                seq_vocab=16, seed=0)
+        before = {k: v.copy() for k, v in model.params.items()}
+        with pytest.raises(ValueError, match=rf"^{key} must be "):
+            train_downstream(model, feats, DownstreamTrainConfig(**{key: value}))
+        assert all(np.array_equal(v, before[k]) for k, v in model.params.items())
+
     def test_empty_features_raise(self):
         model = small_model(derm=False)
         empty = FeatureBatch(np.zeros((0, 3)), np.zeros((0, 0)),
