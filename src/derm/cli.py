@@ -263,8 +263,8 @@ def _latest_generation_rows(sdir: Path, source: str
                             ) -> tuple[int, np.ndarray] | None:
     """(day, row table) of the newest generation of source under sdir that
     verifies and holds only source's rows, or None if none is published;
-    each newer one that fails is reported and skipped. Callers build the
-    index over the rows they serve."""
+    each newer one that fails is reported and skipped. The rows still view
+    the file's bytes: StoreGeneration searches them in place."""
     found = list_generations(sdir, source)
     for _, _, path in reversed(found):
         try:
@@ -281,8 +281,7 @@ def _latest_generation_rows(sdir: Path, source: str
 
 def served_generation(sdir: Path) -> StoreGeneration:
     """The latest generation of each upstream source under sdir, joined with
-    no copy of their rows under one index: each holds only its own source's
-    keys."""
+    no copy of their rows: each holds only its own source's keys."""
     found = [f for f in (_latest_generation_rows(sdir, source)
                          for source in UPSTREAM_SOURCES.values()) if f is not None]
     if not any(len(rows) for _, rows in found):

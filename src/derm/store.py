@@ -14,19 +14,15 @@ copy the fields of a day's embedding rows (data.embedding_rows) to and from
 it.
 
 A loaded StoreGeneration keeps its record tables where the reader put them,
-viewing the file's bytes, and adds an index of 11 + 4·2**bits / n bytes a key
-(about 21 at 100k keys):
-  keys   contiguous kind u8, id u64 and source u16 columns, one row per
-         record, over all the generation's tables (cli's serve joins one
-         table per source without copying their rows)
-  slots  int32, 2**bits > 2n of them: a row number, or -1 for empty
-A key's home slot is the top bits of (id·C1 ^ (kind << 16 | source)·C2)
-mod 2**64. A lookup hashes the key with Python ints, then probes linearly
-from the home slot through memoryviews of the slots and key columns until it
-finds the key, whose row it returns as a (dim,) view, or an empty slot. Ids
-outside u64 hash like any int and miss. The index is built in numpy: each
-round, every unplaced row tries its next slot, the lowest row wins a free
-slot, and the rest move on.
+viewing the file's bytes (cli's serve joins one table per source without
+copying their rows). The key order every generation keeps makes each table
+its own index: a lookup binary-searches a table's rows of the key's kind for
+the id, scans the rows of that id for the source, and returns the row as a
+(dim,) view. The search reads contiguous copies of those rows' ids (u64) and
+sources (u16), 10 bytes a key. Such a span is listed under each (kind,
+source) pair it holds, in table order, so a lookup searches only the tables
+that hold its pair and a key held by two tables resolves to the first. Ids of
+any size, unknown kinds and unknown sources miss.
 
 The aggregated state is the single file `state.bin`, at f64, so a state
 loads back exactly and `aggregate` gives the same bytes however it is split:
@@ -44,7 +40,7 @@ The wire protocol frames one request per message: u32 length, then
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import operator
 import re
 import socket
@@ -109,50 +105,11 @@ class StoreKey:
                 source_code(self.source))
 
 
-# the key hash: the top bits of (id * _ID_MUL ^ (kind << 16 | source) * _TAG_MUL)
-# mod 2**64, odd multipliers (Fibonacci hashing)
-_ID_MUL = 0x9E3779B97F4A7C15
-_TAG_MUL = 0xC2B2AE3D27D4EB4F
-_U64 = (1 << 64) - 1
-
-
-def _home_slots(kind: np.ndarray, ids: np.ndarray, source: np.ndarray,
-                bits: int) -> np.ndarray:
-    """Each key's first slot among 2**bits, as lookup_packed hashes it."""
-    h = kind.astype(np.uint64)  # worked in place; ids * _ID_MUL is the one temporary
-    h <<= np.uint64(16)
-    h |= source
-    h *= np.uint64(_TAG_MUL)
-    h ^= ids * np.uint64(_ID_MUL)
-    h >>= np.uint64(64 - bits)
-    return h.view(np.int64)
-
-
-def _slot_table(kind: np.ndarray, ids: np.ndarray,
-                source: np.ndarray) -> tuple[int, np.ndarray]:
-    """(bits, int32 table of 2**bits > 2n slots: a row number or -1) for
-    linear probing. Each round every unplaced row tries its next slot; a free
-    slot goes to the lowest row trying it, and the others move on."""
-    bits = (2 * len(ids)).bit_length()
-    empty = np.iinfo(np.int32).max  # until the end, so a claim is a minimum
-    slots = np.full(1 << bits, empty, np.int32)
-    rows = np.arange(len(ids), dtype=np.int32)
-    at = _home_slots(kind, ids, source, bits)
-    while len(rows):
-        free = slots[at] == empty
-        np.minimum.at(slots, at[free], rows[free])
-        left = slots[at] != rows
-        rows, at = rows[left], (at[left] + 1) & (len(slots) - 1)
-    slots[slots == empty] = -1
-    return bits, slots
-
-
 class StoreGeneration:
     """An immutable, checksum-verified set of served vectors.
 
-    tables are generation row tables, each sorted by key and kept as given;
-    one index over all their keys finds a key's row. Keys repeated across
-    tables resolve to the first table's row.
+    tables are generation row tables, each sorted by key and kept as given.
+    Keys repeated across tables resolve to the first table's row.
     """
 
     def __init__(self, day: int, tables: list[np.ndarray]):
@@ -162,17 +119,21 @@ class StoreGeneration:
         self.day = day
         self.dim = dims[0]
         self.tables = tuple(tables)
-        keys = [np.concatenate([t[name] for t in tables])
-                for name, _ in _GENERATION_KEY]
-        bits, slots = _slot_table(*keys)
-        self._shift, self._mask = 64 - bits, (1 << bits) - 1
-        self._kind, self._id, self._source = map(memoryview, keys)
-        self._slots = memoryview(slots)
-        starts = itertools.accumulate(map(len, tables), initial=0)
-        self._parts = [(start, t["vec"]) for start, t in zip(starts, tables)][::-1]
+        # (kind, source) -> [(ids, sources, vecs)]: one span per table
+        # holding the pair, the rows of its kind, in table order
+        self._spans: dict[tuple[int, int], list] = {}
+        for t in tables:
+            for kind in np.unique(t["kind"]).tolist():
+                rows = t[slice(*np.searchsorted(t["kind"], [kind, kind + 1]))]
+                # copies: a memoryview of a strided key field cannot be indexed
+                span = (memoryview(rows["id"].astype(np.uint64)),
+                        memoryview(rows["source"].astype(np.uint16)),
+                        rows["vec"])
+                for source in np.unique(rows["source"]).tolist():
+                    self._spans.setdefault((kind, source), []).append(span)
 
     def __len__(self) -> int:
-        return len(self._id)
+        return sum(map(len, self.tables))
 
     def lookup(self, key: StoreKey) -> np.ndarray | None:
         return self.lookup_packed(*key.packed())
@@ -181,16 +142,12 @@ class StoreGeneration:
                       source: int) -> np.ndarray | None:
         """The (dim,) row of the key, or None; ints of any size miss rather
         than raise."""
-        slots, ids, mask = self._slots, self._id, self._mask
-        slot = ((entity_id * _ID_MUL ^ (kind_code << 16 | source) * _TAG_MUL)
-                & _U64) >> self._shift
-        while (row := slots[slot]) >= 0:
-            if (ids[row] == entity_id and self._kind[row] == kind_code
-                    and self._source[row] == source):
-                for start, vecs in self._parts:
-                    if row >= start:
-                        return vecs[row - start]
-            slot = (slot + 1) & mask
+        for ids, sources, vecs in self._spans.get((kind_code, source), ()):
+            row = bisect.bisect_left(ids, entity_id)
+            while row < len(ids) and ids[row] == entity_id:
+                if sources[row] == source:
+                    return vecs[row]
+                row += 1
         return None
 
 
@@ -265,8 +222,8 @@ def parse_generation(blob: bytes, what: str = "generation") -> StoreGeneration:
 def load_generation_rows(path, source: str | None = None
                          ) -> tuple[int, np.ndarray]:
     """(day, row table) of the generation at path, with every check of the
-    file (checksum, magic and version, kinds, key order) and no index built;
-    given source, every row must carry its code."""
+    file (checksum, magic and version, kinds, key order); given source, every
+    row must carry its code."""
     what = f"generation {path}"
     day, rows = _generation_rows(read_file(path, what), what)
     if source is not None:

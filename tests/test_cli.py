@@ -742,30 +742,28 @@ class TestPipeline:
             proc.wait(timeout=10)
 
 
-def test_served_generation_builds_one_index(tmp_path, monkeypatch):
-    """Each source's rows are loaded checked but unindexed; one index is
-    built over the join and finds the keys of both sources."""
-    vectors = {}
+def test_served_generation_joins_both_sources_in_place(tmp_path):
+    """Each source's newest rows are loaded checked and joined under one
+    StoreGeneration that views each file's bytes and finds both sources'
+    keys."""
+    vectors, files = {}, []
     for day, source in enumerate(("ctr-upstream", "cvr-upstream"), 4):
         code = source_code(source)
         mine = {(kind, i, code): np.full(3, 10.0 * kind + i + code % 7)
                 for kind in (0, 1) for i in range(day, 3 * day)}
-        (tmp_path / generation_name(source, day, 1)).write_bytes(
-            generation_bytes(day, 3, mine))
+        files.append(tmp_path / generation_name(source, day, 1))
+        files[-1].write_bytes(generation_bytes(day, 3, mine))
         vectors.update(mine)
-    built = []
-    slot_table = derm.store._slot_table
-
-    def counted(*keys):
-        built.append(len(keys[1]))
-        return slot_table(*keys)
-    monkeypatch.setattr(derm.store, "_slot_table", counted)
     gen = served_generation(tmp_path)
-    assert built == [len(vectors)]
-    assert (gen.day, len(gen.tables)) == (5, 2)
+    assert (gen.day, len(gen.tables), len(gen)) == (5, 2, len(vectors))
+    for table, path in zip(gen.tables, files):
+        # a read-only view of the bytes read from path, not a copy of its rows
+        assert not table.flags.owndata and not table.flags.writeable
+        assert table.base.obj == path.read_bytes()
     for key, vec in vectors.items():
-        assert gen.lookup_packed(*key).tobytes() == \
-            vec.astype(np.float32).tobytes(), key
+        row = gen.lookup_packed(*key)
+        assert row.tobytes() == vec.astype(np.float32).tobytes(), key
+        assert any(np.shares_memory(row, t) for t in gen.tables)
     assert gen.lookup_packed(0, 99, source_code("ctr-upstream")) is None
 
 

@@ -197,25 +197,14 @@ class TestIndex:
     SOURCES = [source_code(t) for t in
                ("ctr-upstream", "cvr-upstream", "ctr-downstream")]
 
-    def _generation(self, seed, n_random=290, n_shared=10):
-        """A parsed generation of both kinds and three sources, with ids 0 and
-        2**64-1 and n_shared keys whose home slot is the last one, so their
-        probes wrap to the start of the table."""
+    def _generation(self, seed, n=300):
+        """A parsed generation of n keys over both kinds and three sources,
+        with ids 0 and 2**64-1."""
         rng = np.random.default_rng(seed)
         keys = {(0, 0, self.SOURCES[0]), (1, 2**64 - 1, self.SOURCES[2])}
-        while len(keys) < n_random:
+        while len(keys) < n:
             keys.add((int(rng.integers(2)), int(rng.integers(2**64, dtype=np.uint64)),
                       self.SOURCES[int(rng.integers(3))]))
-        n = n_random + n_shared
-        bits = (2 * n).bit_length()
-        ids = rng.integers(2**64, size=50_000, dtype=np.uint64)
-        home = derm.store._home_slots(np.ones(len(ids), np.uint8), ids,
-                                      np.full(len(ids), self.SOURCES[1], np.uint16),
-                                      bits)
-        shared = ids[home == (1 << bits) - 1][:n_shared]
-        assert len(shared) == n_shared
-        keys |= {(1, int(i), self.SOURCES[1]) for i in shared}
-        assert len(keys) == n
         vectors = {k: rng.normal(size=4).astype("<f4") for k in keys}
         return parse_generation(derm.store.generation_bytes(7, 4, vectors)), vectors
 
@@ -247,27 +236,47 @@ class TestIndex:
                 assert gen.lookup_packed(kind, 2**64, src) is None
                 assert gen.lookup_packed(kind, 2**80, src) is None
 
-    def test_same_id_and_home_slot_under_another_kind_or_source_misses(self):
-        keys = sorted([(0, 7, self.SOURCES[0]), (0, 12345, self.SOURCES[2]),
-                       (1, 2**64 - 1, self.SOURCES[1])])
+    def test_one_id_under_every_kind_and_source_hits_its_own_row(self):
+        """Six rows share id 7, so a lookup scans the equal ids for its
+        source; their neighbours 6 and 8 hold one source each."""
+        keys = sorted([(kind, 7, src) for kind in (0, 1) for src in self.SOURCES]
+                      + [(0, 6, self.SOURCES[2]), (1, 8, self.SOURCES[0])])
         gen = parse_generation(generation_file(keys))
-        bits = (2 * len(keys)).bit_length()
+        want = reference_index(gen)
+        assert len(want) == len(keys) == 8
+        for key in keys:
+            assert gen.lookup_packed(*key).tobytes() == want[key], key
+        for kind in (0, 1):
+            assert gen.lookup_packed(kind, 7, 0xFFFF) is None
+            for src in self.SOURCES:
+                for entity_id in (5, 9):
+                    assert gen.lookup_packed(kind, entity_id, src) is None
+        assert gen.lookup_packed(0, 6, self.SOURCES[0]) is None
+        assert gen.lookup_packed(1, 8, self.SOURCES[2]) is None
 
-        def home(kind, entity_id, src):
-            kind, src = np.broadcast_arrays(kind, src)
-            return derm.store._home_slots(
-                kind.astype(np.uint8), np.full(kind.shape, entity_id, np.uint64),
-                src.astype(np.uint16), bits)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_first_and_last_row_of_each_kind_hit(self, seed):
+        gen, _ = self._generation(seed + 10)
+        (table,) = gen.tables
+        for kind in (0, 1):
+            rows = table[table["kind"] == kind]
+            for row in (rows[0], rows[-1]):
+                key = (kind, int(row["id"]), int(row["source"]))
+                assert gen.lookup_packed(*key).tobytes() == row["vec"].tobytes()
+            # one id below the first and one above the last, where ids allow
+            for entity_id in (int(rows[0]["id"]) - 1, int(rows[-1]["id"]) + 1):
+                for src in self.SOURCES:
+                    assert gen.lookup_packed(kind, entity_id, src) is None
 
-        for kind, entity_id, src in keys:
-            slot = home(kind, entity_id, src)
-            kinds = np.flatnonzero(home(np.arange(256), entity_id, src) == slot)
-            sources = np.flatnonzero(home(kind, entity_id, np.arange(2**16)) == slot)
-            others = [(int(k), entity_id, src) for k in kinds if k != kind]
-            others += [(kind, entity_id, int(s)) for s in sources if s != src]
-            assert len(others) > 100
-            for key in others:
-                assert gen.lookup_packed(*key) is None, key
+    def test_unknown_kinds_and_sources_miss(self):
+        gen, vectors = self._generation(3)
+        unknown = [s for s in (0, 1, 0xFFFF, 2**16, -1) if s not in self.SOURCES]
+        for _, entity_id, src in list(vectors)[:50]:
+            for kind in (2, 255, -1):
+                assert gen.lookup_packed(kind, entity_id, src) is None
+            for kind in (0, 1):
+                for other in unknown:
+                    assert gen.lookup_packed(kind, entity_id, other) is None
 
     def test_key_lookup_takes_numpy_ids(self):
         gen, vectors = self._generation(1)
@@ -275,12 +284,24 @@ class TestIndex:
         key = StoreKey(("user", "pin")[kind], np.uint64(entity_id), "ctr-upstream")
         assert gen.lookup(key).tobytes() == vectors[key.packed()].tobytes()
 
-    def test_keys_sharing_a_home_slot_all_hit(self):
-        gen, vectors = self._generation(2, n_random=10, n_shared=40)
-        shared = [k for k in vectors if k[2] == self.SOURCES[1] and k[0] == 1]
-        assert len(shared) >= 40
-        for key in shared:
-            assert gen.lookup_packed(*key).tobytes() == vectors[key].tobytes()
+    def test_key_in_two_tables_resolves_to_the_first(self):
+        src = self.SOURCES[0]
+        first = parse_generation(generation_file([(0, 1, src), (1, 5, src)], seed=1))
+        second = parse_generation(generation_file(
+            [(0, 1, src), (0, 2, src), (1, 5, src), (1, 6, self.SOURCES[1])], seed=2))
+        gen = derm.store.StoreGeneration(7, [first.tables[0], second.tables[0]])
+        assert len(gen) == 6
+        assert (first.lookup_packed(0, 1, src).tobytes()
+                != second.lookup_packed(0, 1, src).tobytes())
+        for key in [(0, 1, src), (1, 5, src)]:
+            row = gen.lookup_packed(*key)
+            assert row.tobytes() == first.lookup_packed(*key).tobytes()
+            assert np.shares_memory(row, gen.tables[0])
+        for key in [(0, 2, src), (1, 6, self.SOURCES[1])]:  # in the second only
+            row = gen.lookup_packed(*key)
+            assert row.tobytes() == second.lookup_packed(*key).tobytes()
+            assert np.shares_memory(row, gen.tables[1])
+        assert gen.lookup_packed(0, 2, self.SOURCES[1]) is None
 
     def test_empty_generation_misses_everything(self):
         gen = parse_generation(derm.store.generation_bytes(3, 0, {}))
