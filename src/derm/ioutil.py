@@ -11,31 +11,42 @@ state are sealed, little-endian:
 truncation, checksum, magic and version, then reads the tables, which must
 fill the payload exactly, raising the format's error.
 
-`write_atomic` writes `<path>.<random>.tmp` in the same directory, fsyncs
-it, then renames it over `path`, so a crash leaves the old file or the new one,
-never a prefix of the new one. `write_new` links the temp file into place
-instead, so it never replaces an existing file. Either then fsyncs the
-directory, so the placed name survives a power loss too.
+`write_atomic` writes `<path>.<pid>.<8 hex>.tmp` in the same directory,
+fsyncs it, then renames it over `path`, so a crash leaves the old file or the
+new one, never a prefix of the new one. `write_new` links the temp file into
+place instead, so it never replaces an existing file. Either then fsyncs the
+directory, so the placed name survives a power loss too. A crash can still
+leave the temp file behind, so each write first removes the temps of `path`
+whose pid no longer runs; a running writer's temp is never touched.
 
-`crc64` is CRC-64/XZ. Below two lanes of `LANE` bytes it runs the
-byte-at-a-time table loop. From two lanes up it does the same arithmetic on
-numpy arrays, by zlib's `crc32_combine` method at 64 bits. Shifting a CRC
+`crc64` is CRC-64/XZ; `crc64(data, value)` continues value, the CRC of the
+bytes before data, as `zlib.crc32` does. Below two lanes of `LANE` bytes it
+runs the byte-at-a-time table loop. From two lanes up it does the same
+arithmetic on numpy arrays, by zlib's `crc32_combine` method at 64 bits, one
+block of k <= `BLOCK_LANES` lanes (512 KB) after another. Shifting a CRC
 register over n zero bytes is linear over GF(2), so it is 8 tables of 256 u64,
 one per byte of the register: the shifted register is the XOR of the 8 entries
 its bytes pick.
-  lanes  The first k·LANE bytes are viewed, not copied, as k lanes of LANE
-         bytes, which all run at once: lane 0 from the all-ones init, the
-         others from 0. One step XORs each lane's next 8-byte word into its
-         register and shifts the register over 8 zero bytes (slicing-by-8).
-  fold   Lane i must still pass over the (k-1-i)·LANE bytes after it. Zero
-         registers in front of lane 0 make the count a power of two (a zero
-         register shifts to zero). Each level then shifts the left register of
-         every pair over LANE·2**level zero bytes and XORs in the right one.
-  tail   The last len % LANE bytes run through the table loop.
-The table for 2**j zero bytes is built on first use, once per process, by
-squaring the one for 2**(j-1); importing builds none. The fold uses the tables
-for LANE·2**level bytes, so the cache holds LANE's tables: LANE is a constant,
-not a parameter.
+  lanes  A block's k·LANE bytes are viewed, not copied, as k lanes of LANE
+         bytes, which all run at once: lane 0 from the register the bytes
+         before the block left (the all-ones init before the first block),
+         the others from 0. One step XORs each lane's next 8-byte word into
+         its register and shifts the register over 8 zero bytes
+         (slicing-by-8).
+  fold   Lane i must still pass over the (k-1-i)·LANE bytes after it in its
+         block. Zero registers in front of lane 0 make the count a power of two
+         (a zero register shifts to zero). Each level then shifts the left
+         register of every pair over LANE·2**level zero bytes and XORs in the
+         right one. What is left is the register after the block, and the next
+         block's lane 0 starts from it.
+  tail   Under two lanes left (one lane as the last block, or len % LANE
+         bytes) run through the table loop.
+So the scratch arrays hold at most BLOCK_LANES entries, about 0.4 MB whatever
+the size of data. The table for 2**j zero bytes is built on first use, once
+per process, by squaring the one for 2**(j-1); importing builds none. The fold
+uses the tables for LANE·2**level bytes, level < log2(BLOCK_LANES), so the
+cache holds at most 19 tables of 16 KB: LANE and BLOCK_LANES are constants,
+not parameters.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ import contextlib
 import functools
 import itertools
 import os
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,26 +81,39 @@ _ALL_ONES = 0xFFFFFFFFFFFFFFFF
 LANE = 256  # bytes; a power of two, at least 8
 _LANE_WORDS = LANE // 8
 _LOG2_LANE = LANE.bit_length() - 1
+BLOCK_LANES = 2048  # lanes a block; a power of two (2048 · 256 B = 512 KB)
 _BYTE_ROWS = np.arange(0, 8 * 256, 256).reshape(8, 1)  # table row of each byte
 
 
-def crc64(data: bytes) -> int:
-    """CRC-64/XZ: reflected 0xC96C5795D7870F42, init and xorout all-ones."""
-    k = len(data) // LANE
-    if k < 2:
-        return _crc64_loop(_ALL_ONES, data) ^ _ALL_ONES
-    words = np.frombuffer(data, "<u8", k * _LANE_WORDS).reshape(k, _LANE_WORDS)
+def crc64(data, value: int = 0) -> int:
+    """CRC-64/XZ: reflected 0xC96C5795D7870F42, init and xorout all-ones, of a
+    bytes-like of bytes; value continues a previous result, so
+    crc64(b, crc64(a)) == crc64(a + b)."""
+    crc, start = value ^ _ALL_ONES, 0
+    while (k := min((len(data) - start) // LANE, BLOCK_LANES)) >= 2:
+        crc = _crc64_lanes(crc, np.frombuffer(data, "<u8", k * _LANE_WORDS, start))
+        start += k * LANE
+    return _crc64_loop(crc, memoryview(data)[start:]) ^ _ALL_ONES
+
+
+def _crc64_lanes(crc: int, words: np.ndarray) -> int:
+    """The register after k >= 2 whole lanes (k·LANE/8 words), from crc."""
+    k = len(words) // _LANE_WORDS
+    words = words.reshape(k, _LANE_WORDS)
     levels = (k - 1).bit_length()
     regs = np.zeros(1 << levels, "<u8")
     lanes = regs[-k:]
-    lanes[0] = _ALL_ONES
+    lanes[0] = crc
     step = _shift_table(3)  # 8 zero bytes
-    rows = np.empty((8, k), np.intp)
+    # rows[p, i] = 256·p + byte p of lane i: the byte is the low half of a u16
+    rows = np.empty((8, k), "<u2")
+    row_bytes = rows.view(np.uint8).reshape(8, k, 2)
+    row_bytes[..., 1] = np.arange(8).reshape(8, 1)
     looked = np.empty((8, k), "<u8")
     lane_bytes = lanes.view(np.uint8).reshape(k, 8).T
     for j in range(_LANE_WORDS):
         lanes ^= words[:, j]
-        np.add(lane_bytes, _BYTE_ROWS, out=rows)
+        np.copyto(row_bytes[..., 0], lane_bytes)
         step.take(rows, out=looked, mode="wrap")  # in range; "wrap" is unbuffered
         np.bitwise_xor.reduce(looked, axis=0, out=lanes)
     for level in range(levels):
@@ -96,7 +121,7 @@ def crc64(data: bytes) -> int:
         _shift(_shift_table(_LOG2_LANE + level), left)
         left ^= regs[1::2]
         regs = left
-    return _crc64_loop(int(regs[0]), memoryview(data)[k * LANE:]) ^ _ALL_ONES
+    return int(regs[0])
 
 
 def _crc64_loop(crc: int, data) -> int:
@@ -152,10 +177,13 @@ class SealedFormat:
 
     def pack(self, fields: tuple, *payload) -> bytes:
         """The complete file: header, payload (bytes or contiguous arrays),
-        CRC-64 trailer."""
-        body = b"".join([struct.pack(self.header, self.magic, self.version,
-                                     *fields), *payload])
-        return body + struct.pack("<Q", crc64(body))
+        CRC-64 trailer, joined once; each part is checksummed in place."""
+        parts = [struct.pack(self.header, self.magic, self.version, *fields),
+                 *(memoryview(part).cast("B") for part in payload)]
+        crc = 0
+        for part in parts:
+            crc = crc64(part, crc)
+        return b"".join([*parts, struct.pack("<Q", crc)])
 
     def unpack(self, blob: bytes, what: str, tables) -> tuple[tuple, list]:
         """Check a complete file; returns (the header fields after the version,
@@ -198,8 +226,9 @@ def write_new(path, blob: bytes) -> None:
 
 def _write_via_temp(path, blob: bytes, place) -> None:
     path = Path(path)
+    _remove_orphaned_temps(path)
     # a fresh name per call ("xb": unlike mkstemp, it keeps the umask's mode)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     placing = False
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -217,6 +246,33 @@ def _write_via_temp(path, blob: bytes, place) -> None:
     finally:
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
+
+
+_TEMP_SUFFIX = re.compile(r"(\d+)\.[0-9a-f]{8}\.tmp")  # after "<name>."
+
+
+def _remove_orphaned_temps(path: Path) -> None:
+    """Unlink the temp files of path whose writer's pid no longer runs."""
+    prefix = f"{path.name}."
+    try:
+        names = os.listdir(path.parent)
+    except OSError:
+        return  # no directory yet, so no temps
+    for name in names:
+        temp = name.startswith(prefix) and _TEMP_SUFFIX.fullmatch(name, len(prefix))
+        if temp and not _pid_runs(int(temp[1])):
+            with contextlib.suppress(OSError):
+                os.unlink(path.parent / name)
+
+
+def _pid_runs(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)  # signal 0: checks the pid, sends nothing
+    except ProcessLookupError:
+        return False
+    except (OSError, OverflowError):
+        pass  # another user's process, or no pid at all: keep its temp
+    return True
 
 
 def _fsync_dir(path: Path) -> None:

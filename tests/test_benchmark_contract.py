@@ -18,10 +18,11 @@ import derm.downstream
 import derm.lifecycle
 from derm.cli import embedding_path, main, served_generation
 from derm.config import UPSTREAM_SOURCES, load_config
+from derm.data import KIND_CODES
 from derm.downstream import DownstreamConfig
 from derm.lifecycle import AggregationHeuristic, fold_days, initial_state
-from derm.store import (EmbeddingClient, StoreKey, load_daily, serve,
-                        state_generation)
+from derm.store import (EmbeddingClient, StoreKey, generation_bytes, load_daily,
+                        parse_generation, serve, source_code, state_generation)
 from derm.trainer import make_snapshot
 
 from util import module_at, separable_samples, tiny_model
@@ -107,6 +108,20 @@ def test_traced_counters_count_rows_kept_entities_and_hits():
         len(np.unique(b.user_id)) + len(np.unique(b.pin_id))
         for b in data.values())
     assert counts["store.lookup.hits"] > 0
+
+
+def test_crc64_bytes_count_each_sealed_byte_once_per_pass():
+    # perfbench counts len(args[0]) per crc64 call, so pack must hand it flat
+    # byte views: a record table there would count rows, not bytes
+    spans = module_at("perfbench", "spans")
+    code = source_code("ctr-upstream")
+    vectors = {(KIND_CODES["user"], i, code): np.full(16, i, "<f4")
+               for i in range(8000)}  # about 600 KB: more than one crc64 block
+    tracer = spans.Tracer()
+    with spans.Patcher(tracer):
+        blob = generation_bytes(3, 16, vectors)
+        assert len(parse_generation(blob)) == len(vectors)
+    assert tracer.counts["ioutil.crc64.bytes"] == 2 * (len(blob) - 8)
 
 
 def test_serve_set_up_publishes_what_derm_serves(tmp_path):

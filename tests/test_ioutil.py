@@ -1,12 +1,15 @@
-"""CRC-64 of sealed files: the lane-parallel crc64 against the byte loop;
-and the durable write path."""
+"""CRC-64 of sealed files: the lane-parallel crc64 against the byte loop,
+its continuation and its scratch bound; pack's single copy; and the durable
+write path."""
 
 import errno
 import os
 import re
 import stat
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,8 @@ import pytest
 
 import derm
 from derm.errors import IoFailureError
-from derm.ioutil import LANE, crc64, write_atomic, write_new
+from derm.ioutil import (_LOG2_LANE, BLOCK_LANES, LANE, SealedFormat, _shift_table,
+                         crc64, write_atomic, write_new)
 
 
 def _reference_table() -> list[int]:
@@ -28,6 +32,7 @@ def _reference_table() -> list[int]:
 
 
 _TABLE = _reference_table()
+BLOCK = BLOCK_LANES * LANE  # bytes
 
 
 def reference_crc64(data: bytes) -> int:
@@ -36,6 +41,16 @@ def reference_crc64(data: bytes) -> int:
     for b in data:
         crc = _TABLE[(crc ^ b) & 0xFF] ^ (crc >> 8)
     return crc ^ 0xFFFFFFFFFFFFFFFF
+
+
+def traced_peak(fn) -> int:
+    """The peak of the memory traced while fn() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCrc64:
@@ -49,9 +64,18 @@ class TestCrc64:
     @pytest.mark.parametrize("size", [
         0, 1, LANE - 1, LANE, LANE + 1, 2 * LANE - 1, 2 * LANE, 2 * LANE + 1,
         7 * LANE + 3,  # an odd lane count
-        (1 << 20) + 13,  # 4,096 lanes: twelve fold levels
+        (1 << 20) + 13,  # 4,096 lanes: two whole blocks, then 13 tail bytes
     ])
     def test_matches_reference_at_lane_edges(self, size):
+        data = np.random.default_rng(size).bytes(size)
+        assert crc64(data) == reference_crc64(data)
+
+    @pytest.mark.parametrize("size", [
+        BLOCK - 1, BLOCK, BLOCK + 1,
+        BLOCK + LANE,  # a last block of one lane runs through the table loop
+        2 * BLOCK + 3 * LANE + 5,
+    ], ids=["block-1", "block", "block+1", "block+lane", "2block+3lane+5"])
+    def test_matches_reference_at_block_edges(self, size):
         data = np.random.default_rng(size).bytes(size)
         assert crc64(data) == reference_crc64(data)
 
@@ -63,11 +87,43 @@ class TestCrc64:
         data = bytes([byte]) * size
         assert crc64(data) == reference_crc64(data)
 
+    @pytest.mark.parametrize("byte", [0x00, 0xFF])
+    def test_runs_of_one_byte_across_a_block_edge(self, byte):
+        # the second block's lane 0 starts from the register the first left
+        data = bytearray(np.random.default_rng(byte).bytes(BLOCK + 9 * LANE + 3))
+        data[BLOCK - 3 * LANE - 1:BLOCK + 5 * LANE + 2] = bytes([byte]) * (8 * LANE + 3)
+        assert crc64(data) == reference_crc64(data)
+
+    @pytest.mark.parametrize("split", [0, 100, 3 * LANE, BLOCK, BLOCK + 5 * LANE + 7],
+                             ids=["empty-head", "in-a-lane", "lane-edge",
+                                  "block-edge", "empty-tail"])
+    def test_value_continues_a_previous_crc(self, split):
+        data = np.random.default_rng(7).bytes(BLOCK + 5 * LANE + 7)
+        head, tail = data[:split], memoryview(data)[split:]
+        assert crc64(tail, crc64(head)) == crc64(data) == reference_crc64(data)
+
+    def test_scratch_and_table_cache_stay_bounded(self):
+        data = np.random.default_rng(8).bytes(8 << 20)
+        _shift_table.cache_clear()  # count this call's tables alone
+        assert traced_peak(lambda: crc64(data)) < 1 << 20  # not the file's size
+        assert _shift_table.cache_info().currsize <= \
+            _LOG2_LANE + BLOCK_LANES.bit_length() - 1 + 1
+
     @pytest.mark.parametrize("seed", range(20))
     def test_random_bytes_match_reference(self, seed):
         rng = np.random.default_rng(100 + seed)
         data = rng.bytes(int(rng.integers(0, 40 * LANE)))
         assert crc64(data) == reference_crc64(data)
+
+
+def test_pack_copies_the_payload_once():
+    sealed = SealedFormat(b"TEST", 1, "<4sIQ")
+    payload = np.random.default_rng(9).integers(0, 1 << 63, 1 << 20, dtype="<u8")
+    blobs = []
+    assert traced_peak(lambda: blobs.append(sealed.pack((len(payload),), payload))) \
+        <= 1.25 * payload.nbytes  # the file once, not the body and then the file
+    body = struct.pack("<4sIQ", b"TEST", 1, len(payload)) + payload.tobytes()
+    assert blobs == [body + struct.pack("<Q", reference_crc64(body))]
 
 
 def test_importing_the_cli_builds_no_shift_table():
@@ -121,3 +177,48 @@ class TestDurableWrites:
                            match=rf"^cannot write {re.escape(str(path))}: .*injected"):
             write(path, b"payload")
         assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
+
+
+class TestOrphanedTemps:
+    @WRITES
+    def test_temp_names_carry_the_writer_pid(self, tmp_path, monkeypatch, write):
+        placed = []
+        for name in ("replace", "link"):
+            real = getattr(os, name)
+            monkeypatch.setattr(os, name, lambda src, dst, real=real:
+                                placed.append(Path(src).name) or real(src, dst))
+        write(tmp_path / "blob.bin", b"payload")
+        assert len(placed) == 1
+        assert re.fullmatch(rf"blob\.bin\.{os.getpid()}\.[0-9a-f]{{8}}\.tmp",
+                            placed[0])
+
+    @WRITES
+    def test_a_write_removes_only_its_dead_writers_temps(self, tmp_path, write):
+        # 4194304 is above Linux's PID_MAX_LIMIT, so no process has that pid
+        orphan = "blob.bin.4194304.0123abcd.tmp"
+        kept = [f"blob.bin.{os.getpid()}.0123abcd.tmp",  # a running writer's
+                "blob.bin.0123456789abcdef.tmp",  # old-style: no pid
+                "blob.bin.x.4194304.0123abcd.tmp",  # the temp of blob.bin.x
+                "other.bin.4194304.0123abcd.tmp",  # another file's
+                "blob.bin.4194304.notes"]
+        for name in (orphan, *kept):
+            (tmp_path / name).write_bytes(b"partial")
+        write(tmp_path / "blob.bin", b"payload")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["blob.bin", *kept])
+        assert (tmp_path / "blob.bin").read_bytes() == b"payload"
+
+    @WRITES
+    def test_an_orphan_that_cannot_be_removed_is_left(self, tmp_path, monkeypatch,
+                                                      write):
+        orphan = tmp_path / "blob.bin.4194304.0123abcd.tmp"
+        orphan.write_bytes(b"partial")
+        real_unlink = os.unlink
+
+        def unlink(path, *args, **kwargs):
+            if Path(path) == orphan:
+                raise PermissionError(errno.EACCES, "injected")
+            real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", unlink)
+        write(tmp_path / "blob.bin", b"payload")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blob.bin", orphan.name]
