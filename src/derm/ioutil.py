@@ -41,12 +41,12 @@ its bytes pick.
          block's lane 0 starts from it.
   tail   Under two lanes left (one lane as the last block, or len % LANE
          bytes) run through the table loop.
-So the scratch arrays hold at most BLOCK_LANES entries, about 0.4 MB whatever
-the size of data. The table for 2**j zero bytes is built on first use, once
-per process, by squaring the one for 2**(j-1); importing builds none. The fold
-uses the tables for LANE·2**level bytes, level < log2(BLOCK_LANES), so the
-cache holds at most 19 tables of 16 KB: LANE and BLOCK_LANES are constants,
-not parameters.
+So the scratch arrays are sized by one block, not by data: about 0.4 MB at
+most. The table for 2**j zero bytes is built on first use, once per process,
+by squaring the one for 2**(j-1); importing builds none. The fold uses the
+tables for LANE·2**level bytes, level < log2(BLOCK_LANES), so the cache holds
+at most 19 tables of 16 KB: LANE and BLOCK_LANES are constants, not
+parameters.
 """
 
 from __future__ import annotations
