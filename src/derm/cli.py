@@ -353,7 +353,7 @@ def cmd_train_downstream(cfg: PipelineConfig, args) -> int:
     train_feats = build_features(train, model_cfg, gens)
     test_feats = build_features(test, model_cfg, gens)
     model = DownstreamModel(model_cfg, train_feats.base.shape[1],
-                            train_feats.derm.shape[1],
+                            train_feats.derm_dim,
                             seq_vocab=cfg.world.num_pins, seed=ds.seed)
     train_downstream(model, train_feats, ds.train)
     train_rep = evaluate(model, train_feats)

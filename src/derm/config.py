@@ -467,6 +467,7 @@ def parse_config(text: str) -> PipelineConfig:
 def load_config(path: Path) -> PipelineConfig:
     from .errors import MissingPrerequisiteError
 
+    path = Path(path)
     if not path.is_file():
         raise MissingPrerequisiteError(f"config file {path} does not exist")
     try:

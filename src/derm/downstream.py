@@ -1,7 +1,8 @@
 """Downstream CTR/CVR consumers, evaluation metrics, sensitivity experiments.
 
 The consumer model runs on whole minibatches of B rows (`FeatureBatch`):
-  derm    (B, derm_dim) pretrained embeddings fetched from the store and
+  derm    (B, derm_dim) pretrained embeddings: one row number per input
+          into that input's table of store vectors, gathered and
           concatenated, reduced by an affine projection to (B, proj_dim) and
           crossed by a small DCN stack (the quadratic cost lives in these
           feature interactions, which is why the projection feeds them)
@@ -24,8 +25,9 @@ training buffers. One forward/backward then steps all M models, and each
 model's numbers are bit-for-bit those of its lone run. An experiment trains
 each group of same-shape (arm, seed) models as one stack.
 
-Missing store lookups become a zero vector with presence flag 0, so serving
-gaps degrade smoothly instead of erroring.
+A missing store lookup is row 0 of its input's table, the zero vector, and
+reads as presence flag 0, so serving gaps degrade smoothly instead of
+erroring.
 """
 from __future__ import annotations
 
@@ -177,24 +179,50 @@ class DownstreamConfig:
 
 @dataclass
 class FeatureBatch:
+    """A batch's model inputs. The embeddings are row numbers into small
+    per-input tables, so a vector that many events share is held once; the
+    dense derm and flags blocks are gathered from them when read."""
+
     base: np.ndarray  # (B, base_dim)
-    derm: np.ndarray  # (B, derm_dim_total), zeros when absent
-    flags: np.ndarray  # (B, n_inputs)
+    rows: np.ndarray  # (B, n_inputs) int32 row of each input's table, 0: miss
+    # one (R_k, d_k) table of L2-normalised vectors per input; row 0 is zero
+    tables: tuple[np.ndarray, ...]
     hist: np.ndarray  # (B, L) int64 history ids, padded with 0
     hist_len: np.ndarray  # (B,) history lengths
     labels: np.ndarray  # (B,)
-    # with one derm and flags block per arm, (A, B, .), the block each
+    # with one block of rows per arm, (A, B, n_inputs), the block each
     # stacked model reads
     arm: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.labels)
 
+    @property
+    def derm_dim(self) -> int:
+        """The width of derm, read without gathering it."""
+        return sum(t.shape[1] for t in self.tables)
+
+    @property
+    def derm(self) -> np.ndarray:
+        """(..., B, derm_dim): each input's vectors, gathered and joined in
+        input order; zeros where the store missed."""
+        return np.concatenate(
+            [np.zeros((*self.rows.shape[:-1], 0)),
+             *(np.take(t, self.rows[..., k], axis=0)
+               for k, t in enumerate(self.tables))], axis=-1)
+
+    @property
+    def flags(self) -> np.ndarray:
+        """(..., B, n_inputs) presence flags: 1.0 where the store had the
+        key, even for a stored zero vector."""
+        return (self.rows > 0).astype(np.float64)
+
     def slice(self, idx) -> "FeatureBatch":
         """Rows idx. A (M, b) idx gives a stacked batch whose model m holds
-        rows idx[m], of its own arm's block when arm is set."""
+        rows idx[m], of its own arm's block when arm is set. Only the row
+        numbers are picked; the tables are shared."""
         pick = idx if self.arm is None else (self.arm[:, None], idx)
-        return FeatureBatch(self.base[idx], self.derm[pick], self.flags[pick],
+        return FeatureBatch(self.base[idx], self.rows[pick], self.tables,
                             self.hist[idx], self.hist_len[idx], self.labels[idx])
 
 
@@ -202,8 +230,10 @@ def build_features(samples: SampleBatch, cfg: DownstreamConfig,
                    generations: dict[str, StoreGeneration]) -> FeatureBatch:
     """Assemble the downstream input matrices for a batch of events.
 
-    generations maps source tags to loaded store generations; lookups that
-    miss produce a zero block with presence flag 0.  Present blocks are
+    generations maps source tags to loaded store generations. Each input
+    looks up each distinct id once; its table holds the zero vector in row
+    0, for the ids the store misses (presence flag 0), then one row per id
+    it has (flag 1, even for a stored zero vector).  Present vectors are
     L2-normalized so the consumer sees directions only: aggregation heuristics
     differ wildly in vector magnitude (lifetime sums grow without bound) and
     magnitude would otherwise dominate the projection layer's input scale.
@@ -213,25 +243,26 @@ def build_features(samples: SampleBatch, cfg: DownstreamConfig,
         raise EmptyInputError("no samples to featurize")
     base = np.concatenate([samples.user.dense["profile"], samples.pin.dense["attrs"],
                            samples.context.dense["hour"]], axis=1)
-    blocks = [np.zeros((B, 0))]
-    flags = np.zeros((B, len(cfg.derm_inputs)))
+    rows = np.zeros((B, len(cfg.derm_inputs)), dtype=np.int32)
+    tables = []
     for k, name in enumerate(cfg.derm_inputs):
         source, kind = DERM_INPUTS[name]
         gen = generations[source]
-        ids = samples.user_id if kind == "user" else samples.pin_id
-        block = np.zeros((B, gen.dim))
-        for r, i in enumerate(ids.tolist()):
-            vec = gen.lookup(StoreKey(kind, i, source))
-            if vec is not None:
-                block[r] = vec
-                flags[r, k] = 1.0
+        ids, inverse = np.unique(samples.user_id if kind == "user"
+                                 else samples.pin_id, return_inverse=True)
+        vecs = [gen.lookup(StoreKey(kind, i, source)) for i in ids.tolist()]
+        hit = np.array([v is not None for v in vecs], dtype=bool)
+        table = np.zeros((1 + int(hit.sum()), gen.dim))
+        for r, vec in enumerate((v for v in vecs if v is not None), start=1):
+            table[r] = vec
         # each row's own dot product, summed as np.linalg.norm sums one vector
-        norms = np.sqrt((block[:, None, :] @ block[:, :, None])[:, 0, 0])
-        np.divide(block, norms[:, None], out=block, where=norms[:, None] > 0.0)
-        blocks.append(block)
+        norms = np.sqrt((table[:, None, :] @ table[:, :, None])[:, 0, 0])
+        np.divide(table, norms[:, None], out=table, where=norms[:, None] > 0.0)
+        tables.append(table)
+        rows[:, k] = np.where(hit, np.cumsum(hit), 0)[inverse]
     hist, hist_len = samples.user.sequence["hist"]
-    return FeatureBatch(base, np.concatenate(blocks, axis=1), flags, hist,
-                        hist_len, samples.labels[cfg.label].astype(np.float64))
+    return FeatureBatch(base, rows, tuple(tables), hist, hist_len,
+                        samples.labels[cfg.label].astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +388,15 @@ class DownstreamModel:
         cfg = self.cfg
         p = self.params
         pieces = [batch.base]
-        cache: dict = {"batch": batch}
+        cache: dict = {}
         if self.has_derm:
-            if batch.derm.shape[-1] != self.derm_dim:
+            if batch.derm_dim != self.derm_dim:
                 raise ShapeMismatchError(
-                    f"derm block is {batch.derm.shape[-1]}-dim, model expects "
+                    f"derm block is {batch.derm_dim}-dim, model expects "
                     f"{self.derm_dim}"
                 )
-            Z = batch.derm @ _t(p["proj/W"]) + p["proj/b"][..., None, :]
+            cache["derm"] = derm = batch.derm  # gathered once, for backward
+            Z = derm @ _t(p["proj/W"]) + p["proj/b"][..., None, :]
             cache["Z0"] = Z
             zs, acts = [Z], []
             for l in range(cfg.cross_layers):
@@ -448,8 +480,7 @@ class DownstreamModel:
                 grads[f"cross/{l}/b"] += dA.sum(axis=-2)
                 dZ = dZ + dA @ p[f"cross/{l}/W"]
             dZ0 += dZ
-            batch = cache["batch"]
-            grads["proj/W"] += _t(dZ0) @ batch.derm
+            grads["proj/W"] += _t(dZ0) @ cache["derm"]
             grads["proj/b"] += dZ0.sum(axis=-2)
         if cfg.sequence_encoder:
             mask, rows, T, a = cache["seq"]
@@ -526,8 +557,8 @@ def train_downstream(model: DownstreamModel, features: FeatureBatch,
 
     A stacked model trains all its models in one loop, and each ends exactly
     as it would alone. Every model m, stacked or not, shuffles the rows with
-    its own seed, model.seeds[m]; it reads its own arm's derm and flags
-    blocks when features.arm is set, and clips by its own global norm. An
+    its own seed, model.seeds[m]; it reads its own arm's block of row
+    numbers when features.arm is set, and clips by its own global norm. An
     unstacked model trains as a stack of one.
 
     The parameters become views of one flat (M, P) f64 buffer, one row per
@@ -585,9 +616,10 @@ EVAL_ROWS = 512
 def evaluate(model: DownstreamModel, features: FeatureBatch) -> EvalReport:
     """Metrics of one unstacked model (a stack's member(m)) on features.
 
-    The model scores consecutive basic slices (views) of at most EVAL_ROWS
-    rows and only each slice's logits are kept, so memory does not grow
-    with the rows scored. Up to EVAL_ROWS rows that is one forward over the
+    The model scores consecutive basic slices of at most EVAL_ROWS rows,
+    each a view of the row numbers plus one small gather of their vectors,
+    and only each slice's logits are kept, so memory does not grow with the
+    rows scored. Up to EVAL_ROWS rows that is one forward over the
     whole batch, and the report is byte-identical to it; above, a logit may
     differ from a whole-batch forward's in the last bit, as matmul may round
     a row differently at another row count.
@@ -682,19 +714,21 @@ def run_sensitivity_experiment(
         return (replace(model_cfg_base, task=task, derm_inputs=arm.derm_inputs),
                 generations_by_heuristic.get(arm.heuristic_label, {}))
 
-    def arm_models(arm: ArmSpec) -> list[DownstreamModel]:
-        """The arm's models, one per seed, each drawn as a lone run draws
-        it; one featurized row gives their input widths."""
+    def arm_models(arm: ArmSpec) -> tuple[tuple, list[DownstreamModel]]:
+        """The arm's stack key and its models, one per seed, each drawn as
+        a lone run draws it; one featurized row gives their input widths."""
         cfg, gens = arm_inputs(arm)
         row = build_features(train_samples[:1], cfg, gens)
-        return [DownstreamModel(cfg, row.base.shape[1], row.derm.shape[1],
-                                seq_vocab, seed=seed) for seed in seeds]
+        models = [DownstreamModel(cfg, row.base.shape[1], row.derm_dim,
+                                  seq_vocab, seed=seed) for seed in seeds]
+        # a stack joins its arms' tables input by input, so their widths match
+        return (models[0].shapes, tuple(t.shape[1] for t in row.tables)), models
 
     # arms whose models have equal parameter shapes train as one stack
     groups: dict[tuple, list[tuple[ArmSpec, list[DownstreamModel]]]] = {}
     for arm in arms:
-        models = arm_models(arm)
-        groups.setdefault(models[0].shapes, []).append((arm, models))
+        key, models = arm_models(arm)
+        groups.setdefault(key, []).append((arm, models))
 
     results: dict[tuple[str, int], ArmResult] = {}
     for group in groups.values():
@@ -735,20 +769,29 @@ def _stacked_features(samples: SampleBatch,
                       arm_inputs: list[tuple[DownstreamConfig, dict]],
                       models_per_arm: int) -> FeatureBatch:
     """The features of each (config, generations) arm in one FeatureBatch:
-    one copy of the columns every arm shares, one derm and flags block per
-    arm, and the arm index of models_per_arm models in a row per arm."""
-    stacked = None
-    for a, (cfg, gens) in enumerate(arm_inputs):
+    one copy of the columns every arm shares, one (A, n, n_inputs) block of
+    row numbers, one table per input that joins the arms' tables under a
+    shared zero row (each arm's hits shifted past the earlier arms'), and
+    the arm index of models_per_arm models in a row per arm. The arms' inputs
+    must have equal widths, input by input."""
+    first, rows, arm_tables = None, [], []
+    for cfg, gens in arm_inputs:
         feats = build_features(samples, cfg, gens)
-        if stacked is None:
-            stacked = replace(
-                feats,
-                derm=np.empty((len(arm_inputs), *feats.derm.shape)),
-                flags=np.empty((len(arm_inputs), *feats.flags.shape)),
-                arm=np.repeat(np.arange(len(arm_inputs)), models_per_arm))
-        stacked.derm[a], stacked.flags[a] = feats.derm, feats.flags
-        del feats  # before the next arm's features are built
-    return stacked
+        if first is None:
+            first = feats
+        rows.append(feats.rows)
+        arm_tables.append(feats.tables)
+        del feats  # its base block, before the next arm's is built
+    rows = np.stack(rows)
+    tables = []
+    for k in range(rows.shape[-1]):
+        hits = [t[k][1:] for t in arm_tables]
+        shift = np.cumsum([0, *map(len, hits[:-1])], dtype=np.int32)
+        rows[..., k] += np.where(rows[..., k] > 0, shift[:, None], 0)
+        tables.append(np.concatenate([arm_tables[0][k][:1], *hits]))
+    return FeatureBatch(first.base, rows, tuple(tables), first.hist,
+                        first.hist_len, first.labels,
+                        arm=np.repeat(np.arange(len(rows)), models_per_arm))
 
 
 def heuristic_arms(derm_inputs: tuple[str, ...],

@@ -282,6 +282,7 @@ _GEN_RE = re.compile(r"(?P<source>.+)-day(?P<day>\d{3})-g(?P<attempt>\d+)\.kv$")
 
 def list_generations(store_dir, source: str | None = None):
     """Sorted (day, attempt, path) triples found under store_dir."""
+    store_dir = Path(store_dir)
     if not store_dir.is_dir():
         return []
     out = []
@@ -298,6 +299,7 @@ def publish(state: AggregatedStoreState, day: int, source: str, store_dir):
 
     Returns (path, StoreGeneration as loaded back from disk).
     """
+    store_dir = Path(store_dir)
     blob = state_payload(state, day, source)
     existing = [a for d, a, _ in list_generations(store_dir, source) if d == day]
     attempt = max(existing, default=0) + 1

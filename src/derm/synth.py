@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -304,6 +305,7 @@ def write_world_files(out_dir, cfg: WorldConfig) -> dict:
 
     Returns the manifest written to world.json.
     """
+    out_dir = Path(out_dir)
     data = generate_world(cfg)
     for day, batch in sorted(data.items()):
         write_atomic(out_dir / day_file_name(day), day_file_bytes(day, batch))
@@ -325,6 +327,7 @@ def load_world_files(world_dir, days=None
     days limits the day files read (days outside 1..cfg.days are skipped);
     None reads every day.
     """
+    world_dir = Path(world_dir)
     manifest_path = world_dir / "world.json"
     try:
         cfg = WorldConfig(**json.loads(manifest_path.read_text())["config"])

@@ -33,7 +33,6 @@ from derm.data import FeatureBundle
 from derm.downstream import (
     DownstreamConfig,
     DownstreamModel,
-    FeatureBatch,
     pr_auc,
     roc_auc,
 )
@@ -85,6 +84,7 @@ from util import (
     cross_layer_multiplies,
     daily_set,
     daily_vectors,
+    dense_feature_batch,
     fd_check_params,
     generation_vectors,
     noisy_daily_stability,
@@ -318,7 +318,7 @@ def _downstream_grad_err(seed: int) -> float:
     flags = np.ones((n, 2))
     derm[1] = 0.0
     flags[1] = 0.0
-    batch = FeatureBatch(
+    batch = dense_feature_batch(
         base=rng.normal(size=(n, 3)), derm=derm, flags=flags, hist=hist,
         hist_len=hist_len, labels=rng.integers(0, 2, size=n).astype(float),
     )

@@ -44,6 +44,23 @@ def test_higher_is_better_wins_when_the_change_reads_higher():
         == "regression"
 
 
+def test_order_effect_shows_in_the_ratios_of_each_order():
+    # the change reads 10% low when it runs second (even pairs) and 2% high
+    # when it runs first (odd pairs)
+    parent = [10.0, 20.0, 10.0, 20.0, 10.0, 20.0]
+    change = [9.0, 20.4, 9.0, 20.4, 9.0, 20.4]
+    s = bench_pairs.summarize(parent, change, "lower", 0.25)
+    assert s["parent_first_ratio"] == pytest.approx(0.9)
+    assert s["change_first_ratio"] == pytest.approx(1.02)
+    assert s["pair_ratios"][0::2] == [s["parent_first_ratio"]] * 3
+    # one pair has no change-first half; a zero parent reading has no ratio
+    one = bench_pairs.summarize([10.0], [8.0], "lower", 0.25)
+    assert (one["parent_first_ratio"], one["change_first_ratio"]) == (0.8, None)
+    zero = bench_pairs.summarize([0.0, 4.0, 2.0], [1.0, 3.0, 3.0], "lower", 0.25)
+    assert (zero["parent_first_ratio"], zero["change_first_ratio"]) \
+        == (1.5, 0.75)
+
+
 def test_ties_count_for_neither_side():
     s = bench_pairs.summarize(PARENT, list(PARENT), "lower", 0.25)
     assert (s["wins"], s["ties"], s["ratio"]) == (0, 5, 1.0)

@@ -13,7 +13,6 @@ from derm.downstream import (
     DownstreamConfig,
     DownstreamModel,
     DownstreamTrainConfig,
-    FeatureBatch,
     build_features,
     evaluate,
     heuristic_arms,
@@ -31,11 +30,14 @@ from derm.errors import (
     ShapeMismatchError,
     UnknownTaskError,
 )
+from derm.downstream import _stacked_features
 from derm.lifecycle import AggregationHeuristic, MA
-from derm.store import StoreKey, generation_bytes, parse_generation, source_code
+from derm.store import (StoreGeneration, StoreKey, generation_bytes,
+                        parse_generation, source_code)
 from derm.synth import WorldConfig, generate_world
 from util import (
     cross_layer_multiplies,
+    dense_feature_batch,
     fd_check_params,
     pad_sequences,
     pair_count_auc,
@@ -253,9 +255,10 @@ class TestProjection:
                                 seq_vocab=1, seed=0)
         model.params["proj/W"], model.params["proj/b"] = W, b
         n = len(derm)
-        batch = FeatureBatch(np.zeros((n, 1)), np.asarray(derm), np.ones((n, 1)),
-                             np.zeros((n, 1), dtype=np.int64),
-                             np.zeros(n, dtype=np.int64), np.zeros(n))
+        batch = dense_feature_batch(np.zeros((n, 1)), np.asarray(derm),
+                                    np.ones((n, 1)),
+                                    np.zeros((n, 1), dtype=np.int64),
+                                    np.zeros(n, dtype=np.int64), np.zeros(n))
         return model.forward(batch)[1]["Z0"]
 
     def test_identity_projection_preserves_input(self):
@@ -468,7 +471,7 @@ def small_model(seed=0, derm=True, seq=True, cross=2):
                            seq_vocab=10, seed=seed)
 
 
-def small_batch(rng, n=7, derm_dim=6, with_missing=True):
+def small_batch(rng, n=7, derm_dim=6, with_missing=True, inputs=2):
     hist = []
     for i in range(n):
         k = int(rng.integers(0, 4))
@@ -476,11 +479,11 @@ def small_batch(rng, n=7, derm_dim=6, with_missing=True):
     hist[0] = []  # keep one guaranteed-empty sequence
     hist, hist_len = pad_sequences(hist)
     derm = rng.normal(size=(n, derm_dim))
-    flags = np.ones((n, 2))
+    flags = np.ones((n, inputs))
     if with_missing:
         derm[1] = 0.0
         flags[1] = 0.0
-    return FeatureBatch(
+    return dense_feature_batch(
         base=rng.normal(size=(n, 3)),
         derm=derm,
         flags=flags,
@@ -504,8 +507,7 @@ class TestModelGradients:
 
     def test_no_derm_variant(self):
         model = small_model(derm=False)
-        batch = small_batch(np.random.default_rng(50), derm_dim=0)
-        batch.flags = np.zeros((len(batch), 0))
+        batch = small_batch(np.random.default_rng(50), derm_dim=0, inputs=0)
 
         def make_loss(params):
             model.params = params
@@ -540,14 +542,15 @@ class TestModelBehavior:
         model = small_model()
         rng = np.random.default_rng(60)
         batch = small_batch(rng, with_missing=False)
-        zeroed = FeatureBatch(batch.base.copy(), batch.derm.copy(),
-                              batch.flags.copy(), batch.hist.copy(),
-                              batch.hist_len.copy(), batch.labels.copy())
-        zeroed.derm[2] = 0.0
-        zeroed.flags[2] = 0.0
+        derm, flags = batch.derm, batch.flags  # gathered, so copies
+        derm[2] = 0.0
+        flags[2] = 0.0
+        zeroed = dense_feature_batch(batch.base.copy(), derm, flags,
+                                     batch.hist.copy(), batch.hist_len.copy(),
+                                     batch.labels.copy())
         logits_a, _ = model.forward(zeroed)
-        manual = FeatureBatch(batch.base, zeroed.derm, zeroed.flags,
-                              batch.hist, batch.hist_len, batch.labels)
+        manual = dense_feature_batch(batch.base, zeroed.derm, zeroed.flags,
+                                     batch.hist, batch.hist_len, batch.labels)
         logits_b, _ = model.forward(manual)
         assert np.array_equal(logits_a, logits_b)
 
@@ -687,9 +690,11 @@ class TestBatchedModel:
     def _batch(self, rng, hist, derm_dim=6):
         n = len(hist)
         ids, lengths = pad_sequences(hist)
-        return FeatureBatch(rng.normal(size=(n, 3)), rng.normal(size=(n, derm_dim)),
-                            np.ones((n, 2 if derm_dim else 0)), ids, lengths,
-                            rng.integers(0, 2, size=n).astype(float))
+        return dense_feature_batch(rng.normal(size=(n, 3)),
+                                   rng.normal(size=(n, derm_dim)),
+                                   np.ones((n, 2 if derm_dim else 0)), ids,
+                                   lengths,
+                                   rng.integers(0, 2, size=n).astype(float))
 
     @pytest.mark.parametrize("num_experts", [1, 4])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -796,9 +801,10 @@ class TestTraining:
 
     def test_empty_features_raise(self):
         model = small_model(derm=False)
-        empty = FeatureBatch(np.zeros((0, 3)), np.zeros((0, 0)),
-                             np.zeros((0, 0)), np.zeros((0, 1), dtype=np.int64),
-                             np.zeros(0, dtype=np.int64), np.zeros(0))
+        empty = dense_feature_batch(np.zeros((0, 3)), np.zeros((0, 0)),
+                                    np.zeros((0, 0)),
+                                    np.zeros((0, 1), dtype=np.int64),
+                                    np.zeros(0, dtype=np.int64), np.zeros(0))
         with pytest.raises(EmptyInputError):
             train_downstream(model, empty, DownstreamTrainConfig())
 
@@ -839,7 +845,7 @@ class TestEvaluateChunks:
         assert [len(b) for b, _ in calls] == [EVAL_ROWS, EVAL_ROWS,
                                               n - 2 * EVAL_ROWS]
         assert all(np.shares_memory(b.base, feats.base)
-                   and np.shares_memory(b.derm, feats.derm) for b, _ in calls)
+                   and np.shares_memory(b.rows, feats.rows) for b, _ in calls)
         logits = np.concatenate([lg for _, lg in calls])
         y = feats.labels.astype(int)
         assert (rep.roc_auc, rep.pr_auc) == (roc_auc(logits, y),
@@ -895,7 +901,7 @@ class TestStackedTraining:
     def _stack(self, arms):
         """The arms' stacked models, seeds innermost, and their features."""
         feats = [build_features(self.train, cfg, gens) for cfg, gens in arms]
-        stacked = FeatureBatch(
+        stacked = dense_feature_batch(
             feats[0].base, np.stack([f.derm for f in feats]),
             np.stack([f.flags for f in feats]), feats[0].hist,
             feats[0].hist_len, feats[0].labels,
@@ -992,6 +998,111 @@ class TestStackedTraining:
         with pytest.raises(ShapeMismatchError):
             DownstreamModel.stack([self._lone(self.arms[0][0], feats, 0),
                                    self._lone(self.MODEL, feats, 0)])
+
+
+class TestRowForm:
+    """Features are row numbers into per-input tables of distinct vectors."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(41)
+        self.zu = random_unit_rows(rng, 12, LATENT)
+        self.zp = random_unit_rows(rng, 16, LATENT)
+        self.samples = SampleBatch.concat(list(
+            noise_samples(4, range(1, 4), 30, self.zu, self.zp).values()))
+        vecs = {("user", u): self.zu[u] for u in range(12)}
+        vecs.update({("pin", p): self.zp[p] for p in range(16)})
+        vecs[("user", 3)] = np.zeros(LATENT)  # a stored zero vector is a hit
+        # one store misses users 0 and 5, which the others hold
+        self.arms = [
+            (DownstreamConfig(derm_inputs=("ctr-user", "ctr-pin")),
+             {"ctr-upstream": fake_generation("ctr-upstream", vecs)}),
+            (DownstreamConfig(derm_inputs=("ctr-user", "ctr-pin")),
+             {"ctr-upstream": fake_generation("ctr-upstream", {
+                 k: -2.0 * v[::-1] for k, v in vecs.items()
+                 if k not in {("user", 0), ("user", 5)}})}),
+            (DownstreamConfig(derm_inputs=("ctr-pin", "ctr-user")),
+             {"ctr-upstream": fake_generation("ctr-upstream", {
+                 k: v + 1.0 for k, v in vecs.items()})}),
+        ]
+
+    def test_one_lookup_per_distinct_id_of_each_input(self, monkeypatch):
+        keys = []
+        lookup = StoreGeneration.lookup
+
+        def counted(self, key):
+            keys.append(key)
+            return lookup(self, key)
+        monkeypatch.setattr(StoreGeneration, "lookup", counted)
+        cfg, gens = self.arms[1]
+        feats = build_features(self.samples, cfg, gens)
+        users = set(self.samples.user_id.tolist())
+        pins = set(self.samples.pin_id.tolist())
+        assert len(keys) == len(set(keys)) == len(users) + len(pins)
+        assert {(k.kind, k.entity_id) for k in keys} == \
+            {("user", u) for u in users} | {("pin", p) for p in pins}
+        assert feats.rows.dtype == np.int32
+        assert [len(t) for t in feats.tables] == [
+            1 + len(users - {0, 5}), 1 + len(pins)]
+        # the stored zero vector keeps a row of its own, with its flag up
+        cfg, gens = self.arms[0]
+        feats = build_features(self.samples, cfg, gens)
+        zero = self.samples.user_id == 3
+        assert zero.any() and (feats.rows[zero, 0] > 0).all()
+        assert not feats.derm[zero, :LATENT].any()
+
+    def test_stacked_arms_read_their_lone_features(self):
+        stacked = _stacked_features(self.samples, self.arms, 2)
+        A, n, k = len(self.arms), len(self.samples), 2
+        assert stacked.rows.dtype == np.int32
+        assert stacked.rows.shape == (A, n, k)
+        assert stacked.arm.tolist() == [0, 0, 1, 1, 2, 2]
+        distinct = {"user": len(set(self.samples.user_id.tolist())),
+                    "pin": len(set(self.samples.pin_id.tolist()))}
+        for j in range(k):
+            kinds = [DERM_INPUTS[cfg.derm_inputs[j]][1] for cfg, _ in self.arms]
+            assert len(stacked.tables[j]) <= 1 + sum(distinct[i] for i in kinds)
+        for a, (cfg, gens) in enumerate(self.arms):
+            lone = build_features(self.samples, cfg, gens)
+            mine = replace(stacked, rows=stacked.rows[a], arm=None)
+            for name in ("derm", "flags"):
+                got, want = getattr(mine, name), getattr(lone, name)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (a, name)
+        # the second arm misses users the others hold
+        assert not stacked.flags[1, :, 0].all() and stacked.flags[0].all()
+        # a stacked slice gathers each model's rows of its own arm
+        idx = np.arange(6 * 5).reshape(6, 5) % n
+        sliced = stacked.slice(idx)
+        for m in range(6):
+            lone = build_features(self.samples[idx[m]], *self.arms[m // 2])
+            assert sliced.derm[m].tobytes() == lone.derm.tobytes()
+
+    def test_inputs_of_other_widths_train_as_their_lone_runs(self):
+        # both arms' blocks are 7 wide, but their inputs are 4 + 3 and 3 + 4
+        gens = {"ctr-upstream": self.arms[0][1]["ctr-upstream"],
+                "cvr-upstream": fake_generation("cvr-upstream", {
+                    **{("user", u): self.zu[u, :3] for u in range(12)},
+                    **{("pin", p): self.zp[p, 1:] for p in range(16)}})}
+        base = DownstreamConfig(projection_dim=4, num_experts=2,
+                                expert_hidden=5, expert_out=4,
+                                sequence_encoder=False)
+        arms = [ArmSpec("baseline"), ArmSpec("a", ("ctr-user", "cvr-pin"), "h"),
+                ArmSpec("b", ("cvr-user", "ctr-pin"), "h")]
+        train, test = self.samples[:70], self.samples[70:]
+        tcfg = DownstreamTrainConfig(batch_size=16, epochs=1)
+        result = run_sensitivity_experiment(
+            "ctr", arms, [1], train, test, {"h": gens}, seq_vocab=16,
+            model_cfg_base=base, train_cfg=tcfg)
+        for arm, row in zip(arms, result.rows):
+            cfg = replace(base, derm_inputs=arm.derm_inputs)
+            arm_gens = gens if arm.derm_inputs else {}
+            feats = build_features(train, cfg, arm_gens)
+            lone = DownstreamModel(cfg, feats.base.shape[1], feats.derm_dim,
+                                   seq_vocab=16, seed=1)
+            train_downstream(lone, feats, tcfg)
+            report = evaluate(lone, build_features(test, cfg, arm_gens))
+            assert (row.roc_auc, row.pr_auc) == (report.roc_auc,
+                                                 report.pr_auc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Shared helpers: gradient checks, exact parameter comparison, sequence
 padding, the noisy-day stability probe, a tiny upstream model, separable
-batches, daily embedding sets, the synthetic world's oracle AUC, and a loader
-for the scripts beside the package."""
+batches, daily embedding sets, downstream feature batches from dense blocks,
+the synthetic world's oracle AUC, re-sealing an edited sealed file, and a
+loader for the scripts beside the package."""
 
 import importlib.util
+import math
+import struct
 import sys
 from pathlib import Path
 
@@ -12,8 +15,10 @@ import numpy as np
 from derm.config import UpstreamSpec, build_model
 from derm.data import (KIND_CODES, USER, FeatureBundle, SampleBatch, embedding_rows,
                        entity_keys, pad_flat)
+from derm.downstream import FeatureBatch
 from derm.errors import (DimMismatchError, EmptyInputError, NonFiniteFunctionError,
                          ZeroNormError)
+from derm.ioutil import crc64
 from derm.lifecycle import (AggregationHeuristic, DailyEmbeddingSet, aggregate_day,
                             initial_state, stability_mean)
 from derm.numerics import NORM_EPS, as_vector, l2_norm
@@ -35,6 +40,13 @@ def module_at(folder: str, name: str):
         sys.modules[name] = module
         spec.loader.exec_module(module)
     return sys.modules[name]
+
+
+def reseal(blob: bytes) -> bytes:
+    """A sealed file whose body was edited, with its trailer set to the
+    body's checksum again, as SealedFormat.pack seals it."""
+    body = blob[:-8]
+    return body + struct.pack("<Q", crc64(body))
 
 
 def l2_normalize(v, eps: float = NORM_EPS) -> np.ndarray:
@@ -172,6 +184,26 @@ def separable_samples(seed, days, per_day, task="click"):
             pin=FeatureBundle(dense={"attrs": zp[pins]}, categorical={"pid": pins}),
             context=FeatureBundle(dense={"hour": np.array(hours)[:, None]}))
     return out
+
+
+def dense_feature_batch(base, derm, flags, hist, hist_len, labels,
+                        arm=None) -> FeatureBatch:
+    """The FeatureBatch whose derm and flags read back as the given dense
+    (..., B, D) and (..., B, k) blocks: derm's columns split into k inputs
+    (np.array_split), each input's table a zero row then every event's
+    slice, and each event's row its own (arange + 1) where its flag is up,
+    else 0. A slice under a lowered flag must be zero."""
+    derm, flags = np.asarray(derm, dtype=np.float64), np.asarray(flags)
+    k = flags.shape[-1]
+    own = np.arange(1, 1 + math.prod(flags.shape[:-1])).reshape(flags.shape[:-1])
+    rows = np.where(flags > 0, own[..., None], 0).astype(np.int32)
+    tables = tuple(np.concatenate([np.zeros((1, part.shape[-1])),
+                                   part.reshape(-1, part.shape[-1])])
+                   for part in (np.array_split(derm, k, axis=-1) if k else ()))
+    batch = FeatureBatch(base, rows, tables, hist, hist_len, labels, arm)
+    assert np.array_equal(batch.derm, derm), "a missed input must be zero"
+    assert np.array_equal(batch.flags, flags)
+    return batch
 
 
 def daily_set(day, vectors, kind="user"):

@@ -11,7 +11,9 @@ output line is its JSON result. After every pair the script rewrites --out with,
 end-to-end metric of BENCHMARK.json (unit, direction and bound read from
 CHANGE's copy):
   each tree's values, median and quartiles (numpy's linear percentiles);
-  the change/parent ratio of the medians and of each pair;
+  the change/parent ratio of the medians and of each pair, and the median
+  pair ratio of the parent-first pairs and of the change-first pairs apart,
+  so an effect of the order shows;
   the pairs the change won (ties count for neither side);
   the spread of the parent's runs, its interquartile range over its median;
   a verdict: "gain" when the change won at least nine tenths of the pairs,
@@ -73,11 +75,18 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": list(values)}
 
 
+def median_ratio(ratios: list[float | None]) -> float | None:
+    """The median of the ratios that exist, or None if none does."""
+    known = [r for r in ratios if r is not None]
+    return float(np.median(known)) if known else None
+
+
 def summarize(parent: list[float], change: list[float], better: str,
               bound: float, failed: tuple[int, int] = (0, 0)) -> dict:
     """The comparison of one metric over pairs: parent[i] and change[i] are
-    pair i's two runs; better is "lower" or "higher"; failed holds the
-    parent's and the change's failed checks over all their runs."""
+    pair i's two runs, the parent's first on even i; better is "lower" or
+    "higher"; failed holds the parent's and the change's failed checks over
+    all their runs."""
     sign = 1.0 if better == "lower" else -1.0  # sign * (a - b) > 0: b is better
     p, c = quartiles(parent), quartiles(change)
     iqr = p["q3"] - p["q1"]
@@ -87,6 +96,7 @@ def summarize(parent: list[float], change: list[float], better: str,
     spread = iqr / abs(p["median"]) if p["median"] else 0.0
     worse_by = -gain / abs(p["median"]) if p["median"] else 0.0
     all_better = all(sign * (a - b) > 0 for a in parent for b in change)
+    ratios = [b / a if a else None for a, b in zip(parent, change)]
     if (wins >= CLAIM_SHARE * len(parent) and gain > iqr
             and failed[1] <= failed[0]):
         verdict = "gain"
@@ -100,7 +110,9 @@ def summarize(parent: list[float], change: list[float], better: str,
         "better": better, "bound": bound,
         "parent": p, "change": c,
         "ratio": c["median"] / p["median"] if p["median"] else None,
-        "pair_ratios": [b / a if a else None for a, b in zip(parent, change)],
+        "pair_ratios": ratios,
+        "parent_first_ratio": median_ratio(ratios[0::2]),
+        "change_first_ratio": median_ratio(ratios[1::2]),
         "wins": wins, "ties": ties, "pairs": len(parent),
         "parent_iqr": iqr, "parent_spread": spread,
         "verdict": verdict,
@@ -176,7 +188,9 @@ def main(argv: list[str]) -> int:
         print(f"  {name:<12} parent {m['parent']['median']:.4g} "
               f"[{m['parent']['q1']:.4g}, {m['parent']['q3']:.4g}]  change "
               f"{m['change']['median']:.4g} [{m['change']['q1']:.4g}, "
-              f"{m['change']['q3']:.4g}]  ratio {m['ratio'] or 0:.3f}  "
+              f"{m['change']['q3']:.4g}]  ratio {m['ratio'] or 0:.3f} "
+              f"(parent first {m['parent_first_ratio'] or 0:.3f}, change "
+              f"first {m['change_first_ratio'] or 0:.3f})  "
               f"wins {m['wins']}/{m['pairs']}  {m['verdict']}")
     return 0
 
