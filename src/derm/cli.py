@@ -97,6 +97,11 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
+def _at_least_one(flag: str, value: int | None) -> None:
+    if value is not None and value < 1:
+        raise ConfigParseError(f"{flag} must be >= 1, got {value}")
+
+
 def _load_world(cfg: PipelineConfig, days):
     """The samples of the given days, after checking the world manifest
     against the [world] section; other day files are not read."""
@@ -151,14 +156,13 @@ def cmd_train_upstream(cfg: PipelineConfig, args) -> int:
 
 def cmd_infer(cfg: PipelineConfig, args) -> int:
     spec = cfg.upstream[args.model]
+    _at_least_one("--day", args.day)
     if args.day is not None:
         snap_day, days = args.day, [args.day]
     else:
         back_window = (cfg.lifecycle.back_window if args.back_window is None
                        else args.back_window)
-        if back_window < 1:
-            raise ConfigParseError(
-                f"--back-window must be >= 1, got {back_window}")
+        _at_least_one("--back-window", back_window)
         snap_day = spec.batch_window_end
         days = list(range(max(1, snap_day - back_window + 1), snap_day + 1))
     data = _load_world(cfg, days)
@@ -186,6 +190,7 @@ def _load_dailies(cfg: PipelineConfig, model: str, first: int, last: int):
 
 
 def cmd_aggregate(cfg: PipelineConfig, args) -> int:
+    _at_least_one("--day", args.day)
     heuristic = cfg.lifecycle.heuristic
     sdir = state_dir(cfg, args.model, heuristic.label)
     if (sdir / STATE_FILE).exists():
@@ -203,11 +208,13 @@ def cmd_aggregate(cfg: PipelineConfig, args) -> int:
                 "(run `derm infer` first)"
             )
         target = int(found[-1].stem[3:])
+    if target <= state.day:  # a rerun would lose the report's stability
+        print(f"state already at day {state.day}; nothing to aggregate")
+        return 0
     dailies = _load_dailies(cfg, args.model, state.day + 1, target)
     retention = cfg.lifecycle.retention_days
     before = fold_days(state, dailies[:-1], retention)
     state = fold_days(before, dailies[-1:], retention)
-    save_state(state, sdir, UPSTREAM_SOURCES[args.model])
     report = {
         "model": args.model,
         "heuristic": heuristic.label,
@@ -216,7 +223,7 @@ def cmd_aggregate(cfg: PipelineConfig, args) -> int:
         "stability_mean": None,
         "coverage": None,
     }
-    if before is not state and before.entries:
+    if before.entries:
         try:
             report["stability_mean"] = stability_mean(before, state)
         except DermError:
@@ -228,6 +235,8 @@ def cmd_aggregate(cfg: PipelineConfig, args) -> int:
         f"aggregate-{args.model}-{heuristic.label}-day{state.day:03d}.json"
     write_atomic(rpath, json.dumps(report, sort_keys=True, indent=2).encode()
                  + b"\n")
+    # the state last: a crash before it reruns to the same report
+    save_state(state, sdir, UPSTREAM_SOURCES[args.model])
     stab = report["stability_mean"]
     line = (f"state at day {state.day}: {len(state.entries)} entities, "
             f"coverage user {report['coverage'].get('user', 0.0):.2f} "

@@ -276,22 +276,6 @@ def _number(kind, expected: str):
     return parse
 
 
-_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
-          "false": False, "no": False, "off": False, "0": False}
-
-
-def _bool(text: str) -> bool:
-    if text.lower() not in _BOOLS:
-        raise ValueError(f"expected true or false, got {text!r}")
-    return _BOOLS[text.lower()]
-
-
-def _optional_int(text: str) -> int | None:
-    if text.lower() == "none":
-        return None
-    return _number(int, "an integer or none")(text)
-
-
 def _items(text: str) -> tuple[str, ...]:
     items = tuple(part.strip() for part in text.split(",") if part.strip())
     if not items:
@@ -307,12 +291,9 @@ def _inputs(text: str) -> tuple[str, ...]:
 _CODECS = {
     int: _Codec(_number(int, "an integer"), str),
     float: _Codec(_number(float, "a number"), float_text),
-    bool: _Codec(_bool, lambda v: str(v).lower()),
     str: _Codec(str, str),
     Path: _Codec(Path, str),
     Path | None: _Codec(Path, lambda v: None if v is None else str(v)),
-    int | None: _Codec(_optional_int,
-                       lambda v: "none" if v is None else str(v)),
     AggregationHeuristic: _Codec(AggregationHeuristic.parse,
                                  lambda h: h.label),
     tuple[AggregationHeuristic, ...]: _Codec(

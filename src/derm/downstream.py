@@ -3,12 +3,12 @@
 The consumer model runs on whole minibatches of B rows (`FeatureBatch`):
   derm    (B, derm_dim) pretrained embeddings: one row number per input
           into that input's table of store vectors, gathered and
-          concatenated, reduced by an affine projection to (B, proj_dim) and
+          concatenated, always projected to (B, projection_dim) and
           crossed by a small DCN stack (the quadratic cost lives in these
           feature interactions, which is why the projection feeds them)
   hist    (B, L) engagement-sequence ids padded with 0, and (B,) lengths;
-          the (B, L, seq_dim) table rows are pooled to (B, seq_dim) by one
-          masked attention softmax, and a row of length 0 pools to exactly 0
+          the (B, L, seq_dim) table rows are always pooled to (B, seq_dim)
+          by one masked attention softmax; a row of length 0 pools to 0
   X       (B, concat_dim): base features, the crossed block, the presence
           flags and the pooled sequence, concatenated
   MoE     softmax gate (B, E) over E experts whose weights are stacked as
@@ -142,10 +142,9 @@ class EvalReport:
 class DownstreamConfig:
     task: str = CTR_TASK
     derm_inputs: tuple[str, ...] = ()
-    projection_dim: int | None = 16
+    projection_dim: int = 16
     num_experts: int = 4
     cross_layers: int = 2
-    sequence_encoder: bool = True
     expert_hidden: int = 16
     expert_out: int = 16
     seq_dim: int = 6
@@ -163,14 +162,13 @@ class DownstreamConfig:
             raise ShapeMismatchError("num_experts must be >= 1")
         if self.cross_layers < 0:
             raise ShapeMismatchError("cross_layers must be >= 0")
-        if self.projection_dim is not None:
-            if self.projection_dim < 1:
-                raise ShapeMismatchError("projection_dim must be >= 1")
-            if derm_dim_total is not None and self.projection_dim > derm_dim_total:
-                raise ShapeMismatchError(
-                    f"projection_dim {self.projection_dim} exceeds the "
-                    f"concatenated embedding dim {derm_dim_total}"
-                )
+        if self.projection_dim < 1:
+            raise ShapeMismatchError("projection_dim must be >= 1")
+        if derm_dim_total is not None and self.projection_dim > derm_dim_total:
+            raise ShapeMismatchError(
+                f"projection_dim {self.projection_dim} exceeds the "
+                f"concatenated embedding dim {derm_dim_total}"
+            )
 
     @property
     def label(self) -> str:
@@ -301,15 +299,10 @@ class DownstreamModel:
         self.seq_vocab = seq_vocab
         self.seeds = (seed,)
         self.has_derm = bool(cfg.derm_inputs)
-        if self.has_derm:
-            self.proj_dim = cfg.projection_dim or derm_dim
-        else:
-            self.proj_dim = 0
-        self.concat_dim = base_dim + self.proj_dim
+        self.proj_dim = cfg.projection_dim if self.has_derm else 0
+        self.concat_dim = base_dim + self.proj_dim + cfg.seq_dim
         if self.has_derm:
             self.concat_dim += len(cfg.derm_inputs)  # presence flags
-        if cfg.sequence_encoder:
-            self.concat_dim += cfg.seq_dim
         self.params = self._init_params(seed)
 
     @property
@@ -358,10 +351,9 @@ class DownstreamModel:
                 p[f"cross/{l}/W"] = rng.normal(
                     size=(self.proj_dim, self.proj_dim)) / np.sqrt(self.proj_dim)
                 p[f"cross/{l}/b"] = np.zeros(self.proj_dim)
-        if cfg.sequence_encoder:
-            p["seq/table"] = rng.normal(size=(self.seq_vocab, cfg.seq_dim)) \
-                / np.sqrt(cfg.seq_dim)
-            p["seq/query"] = rng.normal(size=cfg.seq_dim)
+        p["seq/table"] = rng.normal(size=(self.seq_vocab, cfg.seq_dim)) \
+            / np.sqrt(cfg.seq_dim)
+        p["seq/query"] = rng.normal(size=cfg.seq_dim)
         d, E = self.concat_dim, cfg.num_experts
         p["moe/gate/W"] = rng.normal(size=(E, d)) / np.sqrt(d)
         p["moe/gate/b"] = np.zeros(E)
@@ -407,21 +399,20 @@ class DownstreamModel:
             cache["zs"], cache["acts"] = zs, acts
             pieces.append(zs[-1])
             pieces.append(batch.flags)
-        if cfg.sequence_encoder:
-            table = p["seq/table"]
-            mask = np.arange(batch.hist.shape[-1]) < batch.hist_len[..., None]
-            rows = _table_rows(table, batch.hist)
-            T = np.take(table.reshape(-1, cfg.seq_dim), rows, axis=0)
-            scores = (T @ p["seq/query"][..., None, :, None])[..., 0] \
-                * (1.0 / np.sqrt(cfg.seq_dim))
-            top = np.max(scores, axis=-1, where=mask, initial=-np.inf,
-                         keepdims=True)
-            # masked positions, and every position of an empty row, get 0
-            e = np.exp(np.where(mask, scores - top, -np.inf))
-            total = e.sum(axis=-1, keepdims=True)
-            a = np.divide(e, total, out=np.zeros_like(e), where=total > 0.0)
-            cache["seq"] = (mask, rows, T, a)  # T is (..., B, L, seq_dim)
-            pieces.append((a[..., None, :] @ T)[..., 0, :])
+        table = p["seq/table"]
+        mask = np.arange(batch.hist.shape[-1]) < batch.hist_len[..., None]
+        rows = _table_rows(table, batch.hist)
+        T = np.take(table.reshape(-1, cfg.seq_dim), rows, axis=0)
+        scores = (T @ p["seq/query"][..., None, :, None])[..., 0] \
+            * (1.0 / np.sqrt(cfg.seq_dim))
+        top = np.max(scores, axis=-1, where=mask, initial=-np.inf,
+                     keepdims=True)
+        # masked positions, and every position of an empty row, get 0
+        e = np.exp(np.where(mask, scores - top, -np.inf))
+        total = e.sum(axis=-1, keepdims=True)
+        a = np.divide(e, total, out=np.zeros_like(e), where=total > 0.0)
+        cache["seq"] = (mask, rows, T, a)  # T is (..., B, L, seq_dim)
+        pieces.append((a[..., None, :] @ T)[..., 0, :])
         X = np.concatenate(pieces, axis=-1)
         cache["X"] = X
         G = X @ _t(p["moe/gate/W"]) + p["moe/gate/b"][..., None, :]
@@ -482,27 +473,26 @@ class DownstreamModel:
             dZ0 += dZ
             grads["proj/W"] += _t(dZ0) @ cache["derm"]
             grads["proj/b"] += dZ0.sum(axis=-2)
-        if cfg.sequence_encoder:
-            mask, rows, T, a = cache["seq"]
-            q = p["seq/query"]
-            dpooled = dX[..., off:off + cfg.seq_dim]
-            scale = 1.0 / np.sqrt(cfg.seq_dim)
-            da = (T @ dpooled[..., None])[..., 0]  # (..., B, L)
-            ds = a * (da - (da * a).sum(axis=-1, keepdims=True))
-            # (B * L, seq_dim) rows of each model against its (B * L) weights
-            Tf = T.reshape(*T.shape[:-3], -1, cfg.seq_dim)
-            grads["seq/query"] += (_t(Tf) @ ds.reshape(*Tf.shape[:-1], 1)
-                                   )[..., 0] * scale
-            dT = ds[..., None] * q[..., None, None, :]
-            dT *= scale
-            dT += a[..., None] * dpooled[..., None, :]
-            # one bincount adds up each table row's terms over the unmasked
-            # (row, position) pairs in row-major order, as np.add.at would
-            # into the zeroed gradient, for every model at once
-            table = grads["seq/table"]
-            cells = (rows[mask] * cfg.seq_dim)[:, None] + np.arange(cfg.seq_dim)
-            table += np.bincount(cells.ravel(), weights=dT[mask].ravel(),
-                                 minlength=table.size).reshape(table.shape)
+        mask, rows, T, a = cache["seq"]
+        q = p["seq/query"]
+        dpooled = dX[..., off:off + cfg.seq_dim]
+        scale = 1.0 / np.sqrt(cfg.seq_dim)
+        da = (T @ dpooled[..., None])[..., 0]  # (..., B, L)
+        ds = a * (da - (da * a).sum(axis=-1, keepdims=True))
+        # (B * L, seq_dim) rows of each model against its (B * L) weights
+        Tf = T.reshape(*T.shape[:-3], -1, cfg.seq_dim)
+        grads["seq/query"] += (_t(Tf) @ ds.reshape(*Tf.shape[:-1], 1)
+                               )[..., 0] * scale
+        dT = ds[..., None] * q[..., None, None, :]
+        dT *= scale
+        dT += a[..., None] * dpooled[..., None, :]
+        # one bincount adds up each table row's terms over the unmasked
+        # (row, position) pairs in row-major order, as np.add.at would
+        # into the zeroed gradient, for every model at once
+        table = grads["seq/table"]
+        cells = (rows[mask] * cfg.seq_dim)[:, None] + np.arange(cfg.seq_dim)
+        table += np.bincount(cells.ravel(), weights=dT[mask].ravel(),
+                             minlength=table.size).reshape(table.shape)
 
     def loss_and_grads(self, batch: FeatureBatch):
         logits, cache = self.forward(batch)

@@ -248,6 +248,17 @@ def _write_via_temp(path, blob: bytes, place) -> None:
             tmp.unlink(missing_ok=True)
 
 
+def remove_file(path) -> None:
+    """Unlink path, if it exists, and fsync its directory."""
+    try:
+        os.unlink(path)
+        _fsync_dir(Path(path).parent)
+    except FileNotFoundError:
+        pass
+    except OSError as e:
+        raise IoFailureError(f"cannot remove {path}: {e}") from e
+
+
 _TEMP_SUFFIX = re.compile(r"(\d+)\.[0-9a-f]{8}\.tmp")  # after "<name>."
 
 

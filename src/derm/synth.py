@@ -15,7 +15,7 @@ event stream draws, in order:
 
   per active user  poisson(events_per_user - 1), its events beyond the first
   per event        integers(len(pins)); for click, then conversion: normal(),
-                   then uniform() unless threshold_labels; uniform(-1, 1) for
+                   then uniform() for its Bernoulli label; uniform(-1, 1) for
                    the hour; normal(size=latent_dim) for the user's jitter,
                    then again for the pin's
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from .data import KIND_CODES, PIN, USER, FeatureBundle, SampleBatch, pad_flat
 from .errors import EmptyInputError, InvalidRatesError, IoFailureError
-from .ioutil import SealedFormat, read_file, write_atomic
+from .ioutil import SealedFormat, read_file, remove_file, write_atomic
 
 DAY_FILE = SealedFormat(b"DDAY", 2, "<4sIIIIIQ")
 
@@ -73,7 +73,6 @@ class WorldConfig:
     noise_level: float = 0.5
     events_per_user: float = 6.0
     seed: int = 0
-    threshold_labels: bool = False
 
     def validate(self) -> None:
         """Each error's message starts with the key it is about."""
@@ -189,8 +188,7 @@ def generate_day(world: World, day: int,
             picks.append(rng.integers(len(pins)))
             for _ in (CLICK, CONVERSION):
                 z.append(rng.normal())
-                if not cfg.threshold_labels:
-                    v.append(rng.uniform())
+                v.append(rng.uniform())
             hour.append(rng.uniform(-1.0, 1.0))
             jit.append(rng.normal(size=cfg.latent_dim))
             jit.append(rng.normal(size=cfg.latent_dim))
@@ -205,8 +203,7 @@ def generate_day(world: World, day: int,
     for i, task in enumerate((CLICK, CONVERSION)):
         logit = world.true_logits(task, user, pin)
         logit += cfg.noise_level * z[i::2]
-        labels[task] = (logit > 0.0 if cfg.threshold_labels
-                        else v[i::2] < 1.0 / (1.0 + np.exp(-logit)))
+        labels[task] = v[i::2] < 1.0 / (1.0 + np.exp(-logit))
 
     obs_user = np.array([world.observe(USER, u, day) for u in users])
     obs_pin = np.array([world.observe(PIN, p, day) for p in distinct_pins.tolist()])
@@ -301,12 +298,14 @@ def day_file_name(day: int) -> str:
 
 
 def write_world_files(out_dir, cfg: WorldConfig) -> dict:
-    """Generate and write world.json plus one sealed file per day.
+    """Generate and write one sealed file per day, then world.json.
 
-    Returns the manifest written to world.json.
+    The old world.json goes first, so a crash part way leaves no manifest
+    and the world fails to load. Returns the manifest.
     """
     out_dir = Path(out_dir)
     data = generate_world(cfg)
+    remove_file(out_dir / "world.json")
     for day, batch in sorted(data.items()):
         write_atomic(out_dir / day_file_name(day), day_file_bytes(day, batch))
     manifest = {

@@ -1,10 +1,11 @@
-"""tools/bench_pairs.py's summary of alternating pairs, on made-up runs."""
+"""tools/bench_pairs.py's summary of alternating pairs, on made-up runs, and
+the config key count that it and tools/compare_pipeline.py record."""
 
 import pytest
 
 from util import module_at
 
-module_at("tools", "compare_pipeline")
+compare_pipeline = module_at("tools", "compare_pipeline")
 bench_pairs = module_at("tools", "bench_pairs")
 
 PARENT = [10.0, 12.0, 11.0, 13.0, 14.0]
@@ -108,3 +109,11 @@ def test_workload_summary_reads_each_metric_and_the_checks():
     out = bench_pairs.summarize_workload(spec, runs, [7, 8])
     rss = out["metrics"]["peak_rss_mb"]
     assert (rss["wins"], rss["verdict"]) == (2, "within bound")
+
+
+def test_config_keys_counts_key_lines_only():
+    text = ("[world]\nseed = 0\nnoise_level = 0.5\n\n"
+            "# a comment: seed = 1\n[paths]\nroot = run\n\n"
+            "[experiment]\nderm_inputs = none\nheuristics = acc, ma0.8\n")
+    assert compare_pipeline.config_keys(text) == 5
+    assert compare_pipeline.config_keys("") == 0

@@ -7,7 +7,6 @@ import json
 import os
 import re
 import shutil
-import socket
 import struct
 import subprocess
 import sys
@@ -35,11 +34,13 @@ from derm.config import (
     load_config,
     parse_config,
 )
-from derm.errors import ConfigParseError, DermError, MissingPrerequisiteError
+from derm.errors import (ConfigParseError, DermError, IoFailureError,
+                         MissingPrerequisiteError)
 from derm.ioutil import LANE, SealedFormat
 from derm.lifecycle import AggregationHeuristic
 from derm.store import (STATE_FILE, generation_bytes, generation_name,
                         list_generations, source_code)
+from derm.synth import load_world_files
 
 from test_ioutil import reference_crc64
 from util import generation_vectors
@@ -87,13 +88,14 @@ class TestConfigErrors:
         msg = self._err("[world]\nclick_rate = often\n")
         assert "click_rate" in msg and "line 2" in msg
 
-    def test_bad_bool(self):
-        msg = self._err("[downstream]\nsequence_encoder = maybe\n")
-        assert "sequence_encoder" in msg
-
     def test_unknown_key(self):
         msg = self._err("[world]\nseed = 1\nnum_boards = 4\n")
         assert "unknown key" in msg and "line 3" in msg
+
+    def test_projection_dim_takes_only_an_integer(self):
+        assert self._err("[downstream]\nprojection_dim = none\n") == (
+            "line 2, column 18: [downstream] projection_dim: "
+            "expected an integer, got 'none'")
 
     def test_unknown_section(self):
         msg = self._err("[worlds]\nseed = 1\n")
@@ -206,10 +208,6 @@ class TestConfigInvariants:
 
 
 class TestConfigValues:
-    def test_projection_none(self):
-        cfg = parse_config("[downstream]\nprojection_dim = none\n")
-        assert cfg.downstream.model.projection_dim is None
-
     def test_derm_inputs_shorthand(self):
         cfg = parse_config("[downstream]\nderm_inputs = all\n")
         assert len(cfg.downstream.model.derm_inputs) == 4
@@ -263,7 +261,7 @@ UPSTREAM_KEYS = ("learning_rate", "momentum", "batch_size", "epochs",
 KEY_TABLE = [
     ("world", ("num_users", "num_pins", "latent_dim", "days", "activity_rate",
                "click_rate", "conversion_rate", "noise_level",
-               "events_per_user", "seed", "threshold_labels")),
+               "events_per_user", "seed")),
     ("paths", ("root", "world_dir", "snapshot_dir", "embeddings_dir",
                "state_dir", "store_dir", "report_dir")),
     ("upstream.ctr", UPSTREAM_KEYS),
@@ -272,7 +270,7 @@ KEY_TABLE = [
     ("serve", ("host", "port")),
     # DownstreamConfig's expert_hidden, expert_out and seq_dim are not keys
     ("downstream", ("task", "derm_inputs", "projection_dim", "num_experts",
-                    "cross_layers", "sequence_encoder", "learning_rate",
+                    "cross_layers", "learning_rate",
                     "batch_size", "epochs", "seed", "train_day_start",
                     "test_day")),
     ("experiment", ("grid", "task", "seeds", "heuristics", "derm_inputs")),
@@ -282,8 +280,6 @@ KEY_TABLE = [
 def non_default_texts(value) -> list[str]:
     """Values to try, in order, for a key whose default is value; the first
     that parses, validates and differs from the default is used."""
-    if isinstance(value, bool):
-        return [str(not value).lower()]
     if isinstance(value, int):
         return [str(value + 2), str(value - 1)]
     if isinstance(value, float):
@@ -466,10 +462,27 @@ class TestPipeline:
                 pipeline.cfg.paths.embeddings / "ctr" / name).read_bytes()
 
     def test_aggregate_rerun_is_stable(self, pipeline):
-        sdir = pipeline.cfg.paths.state / "ctr" / "ma0.8"
-        before = tree_digest(sdir)
-        run_cli(["aggregate", "-c", pipeline.ini, "--model", "ctr"])
-        assert tree_digest(sdir) == before
+        paths = pipeline.cfg.paths
+        before = tree_digest(paths.state), tree_digest(paths.reports)
+        for day in ([], ["--day", "7"], ["--day", "5"]):
+            out, _ = run_cli(["aggregate", "-c", pipeline.ini, "--model",
+                              "ctr", *day])
+            assert out == "state already at day 7; nothing to aggregate\n"
+        assert (tree_digest(paths.state), tree_digest(paths.reports)) == before
+
+    def test_day_below_one_is_one_error_line(self, pipeline, tmp_path):
+        paths = replace(pipeline.cfg.paths, state_dir=tmp_path / "state",
+                        embeddings_dir=tmp_path / "emb",
+                        report_dir=tmp_path / "reports")
+        ini = tmp_path / "derm.ini"
+        ini.write_text(emit_config(replace(pipeline.cfg, paths=paths)))
+        for command in ("infer", "aggregate"):
+            for day in ("0", "-2"):
+                _, err = run_cli([command, "-c", str(ini), "--model", "ctr",
+                                  "--day", day], expect=1)
+                assert err == f"error: ConfigParse: --day must be >= 1, " \
+                              f"got {day}\n"
+        assert list(tmp_path.iterdir()) == [ini]
 
     def test_aggregate_report_written(self, pipeline):
         rpath = pipeline.cfg.paths.reports / "aggregate-ctr-ma0.8-day007.json"
@@ -551,6 +564,18 @@ class TestPipeline:
         before = csv_path.read_bytes()
         run_cli(["experiment", "-c", pipeline.ini])
         assert csv_path.read_bytes() == before
+
+    def test_model_stages_rerun_bit_identically(self, pipeline):
+        c = pipeline.ini
+        stages = [["train-downstream", "-c", c], ["experiment", "-c", c],
+                  *(["train-upstream", "-c", c, "--model", model]
+                    for model in ("ctr", "cvr"))]
+        for args in stages[:2]:  # the fixture runs neither
+            run_cli(args)
+        before = tree_digest(pipeline.cfg.paths.root)
+        for args in stages:
+            run_cli(args)
+        assert tree_digest(pipeline.cfg.paths.root) == before
 
     def _damaged_store(self, pipeline, tmp_path, keep_previous: bool):
         """A config over a copy of the store where the newest generation of
@@ -641,6 +666,8 @@ class TestPipeline:
         ("report_dir_is_a_file", "IoFailure"),
         ("truncated_world_manifest", "IoFailure"),
         ("world_manifest_without_config", "IoFailure"),
+        # a manifest written while [world] had a threshold_labels key
+        ("world_manifest_with_removed_key", "IoFailure"),
         ("negative_ttl", "ConfigParse"),
         ("nan_ttl", "ConfigParse"),
     ])
@@ -659,11 +686,17 @@ class TestPipeline:
             (paths.world / "world.json").write_text(manifest[:len(manifest) // 2])
         elif case == "world_manifest_without_config":
             (paths.world / "world.json").write_text("{}")
+        elif case == "world_manifest_with_removed_key":
+            old = json.loads(manifest)
+            old["config"]["threshold_labels"] = False
+            (paths.world / "world.json").write_text(json.dumps(old))
         command = {
             "report_dir_is_a_file": ["aggregate", "--model", "ctr"],
             "truncated_world_manifest": ["train-upstream", "--model", "ctr"],
             "world_manifest_without_config": ["infer", "--model", "ctr",
                                               "--day", "6"],
+            "world_manifest_with_removed_key": ["train-upstream", "--model",
+                                                "ctr"],
             "negative_ttl": ["serve", "--ttl-seconds", "-1"],
             "nan_ttl": ["serve", "--ttl-seconds", "nan"],
         }[case]
@@ -765,6 +798,35 @@ def test_served_generation_joins_both_sources_in_place(tmp_path):
         assert row.tobytes() == vec.astype(np.float32).tobytes(), key
         assert any(np.shares_memory(row, t) for t in gen.tables)
     assert gen.lookup_packed(0, 99, source_code("ctr-upstream")) is None
+
+
+@pytest.mark.parametrize("fail_at", [1, 3, 8, 9])  # 8 day files, then world.json
+def test_crashed_generate_leaves_no_mixed_world(tmp_path, monkeypatch, fail_at):
+    cfg = small_config(tmp_path / "run")
+    old, new = tmp_path / "old.ini", tmp_path / "new.ini"
+    old.write_text(emit_config(cfg))
+    new.write_text(emit_config(replace(cfg, world=replace(cfg.world, seed=1))))
+    run_cli(["generate", "-c", str(old)])
+    write_atomic = derm.synth.write_atomic
+    writes = []
+
+    def failing(path, blob):
+        writes.append(path)
+        if len(writes) == fail_at:
+            raise IoFailureError(f"cannot write {path}: disk full")
+        write_atomic(path, blob)
+    monkeypatch.setattr(derm.synth, "write_atomic", failing)
+    _, err = run_cli(["generate", "-c", str(new)], expect=1)
+    assert err.startswith("error: IoFailure: cannot write ")
+    with pytest.raises(DermError):
+        load_world_files(cfg.paths.world)
+    for ini in (old, new):
+        _, err = run_cli(["train-upstream", "-c", str(ini), "--model", "ctr"],
+                         expect=1)
+        assert err.startswith("error: MissingPrerequisite: world manifest")
+    monkeypatch.undo()
+    run_cli(["generate", "-c", str(new)])
+    assert load_world_files(cfg.paths.world)[0].seed == 1
 
 
 class TestCliErrors:

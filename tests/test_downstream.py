@@ -250,7 +250,7 @@ class TestProjection:
     @staticmethod
     def _z0(W, b, derm):
         cfg = DownstreamConfig(derm_inputs=("ctr-user",), projection_dim=len(b),
-                               cross_layers=0, sequence_encoder=False)
+                               cross_layers=0)
         model = DownstreamModel(cfg, base_dim=1, derm_dim=W.shape[1],
                                 seq_vocab=1, seed=0)
         model.params["proj/W"], model.params["proj/b"] = W, b
@@ -461,10 +461,10 @@ def reference_build_features(samples, cfg, generations):
 # the model
 
 
-def small_model(seed=0, derm=True, seq=True, cross=2):
+def small_model(seed=0, derm=True, cross=2):
     cfg = DownstreamConfig(
         derm_inputs=("ctr-user", "ctr-pin") if derm else (),
-        projection_dim=4, cross_layers=cross, sequence_encoder=seq,
+        projection_dim=4, cross_layers=cross,
         num_experts=2, expert_hidden=5, expert_out=4, seq_dim=3,
     )
     return DownstreamModel(cfg, base_dim=3, derm_dim=6 if derm else 0,
@@ -508,16 +508,6 @@ class TestModelGradients:
     def test_no_derm_variant(self):
         model = small_model(derm=False)
         batch = small_batch(np.random.default_rng(50), derm_dim=0, inputs=0)
-
-        def make_loss(params):
-            model.params = params
-            return model.loss_and_grads(batch)
-
-        assert fd_check_params(make_loss, model.params) < 1e-4
-
-    def test_no_sequence_variant(self):
-        model = small_model(seq=False)
-        batch = small_batch(np.random.default_rng(51))
 
         def make_loss(params):
             model.params = params
@@ -590,20 +580,19 @@ def reference_loss_and_grads(model, batch, hist):
             acts.append(A)
             zs.append(Z0 * A + zs[-1])
         pieces += [zs[-1], batch.flags]
-    if cfg.sequence_encoder:
-        pooled = np.zeros((B, cfg.seq_dim))
-        seq = []
-        for i, ids in enumerate(hist):
-            if not ids:
-                seq.append(None)
-                continue
-            T = p["seq/table"][ids]
-            scores = (T @ p["seq/query"]) * scale
-            a = np.exp(scores - scores.max())
-            a /= a.sum()
-            pooled[i] = a @ T
-            seq.append((ids, T, a))
-        pieces.append(pooled)
+    pooled = np.zeros((B, cfg.seq_dim))
+    seq = []
+    for i, ids in enumerate(hist):
+        if not ids:
+            seq.append(None)
+            continue
+        T = p["seq/table"][ids]
+        scores = (T @ p["seq/query"]) * scale
+        a = np.exp(scores - scores.max())
+        a /= a.sum()
+        pooled[i] = a @ T
+        seq.append((ids, T, a))
+    pieces.append(pooled)
     X = np.concatenate(pieces, axis=1)
     G = X @ p["moe/gate/W"].T + p["moe/gate/b"]
     G = G - G.max(axis=1, keepdims=True)
@@ -657,19 +646,18 @@ def reference_loss_and_grads(model, batch, hist):
         dZ0 += dZ
         g["proj/W"] += dZ0.T @ batch.derm
         g["proj/b"] += dZ0.sum(axis=0)
-    if cfg.sequence_encoder:
-        dpooled = dX[:, off:off + cfg.seq_dim]
-        for i, entry in enumerate(seq):
-            if entry is None:
-                continue
-            ids, T, a = entry
-            dp = dpooled[i]
-            da = T @ dp
-            dT = np.outer(a, dp)
-            ds = a * (da - float(da @ a))
-            g["seq/query"] += (T.T @ ds) * scale
-            dT += np.outer(ds, p["seq/query"]) * scale
-            np.add.at(g["seq/table"], ids, dT)
+    dpooled = dX[:, off:off + cfg.seq_dim]
+    for i, entry in enumerate(seq):
+        if entry is None:
+            continue
+        ids, T, a = entry
+        dp = dpooled[i]
+        da = T @ dp
+        dT = np.outer(a, dp)
+        ds = a * (da - float(da @ a))
+        g["seq/query"] += (T.T @ ds) * scale
+        dT += np.outer(ds, p["seq/query"]) * scale
+        np.add.at(g["seq/table"], ids, dT)
     return float(losses.mean()), logits, g
 
 
@@ -758,7 +746,7 @@ class TestTraining:
             **{("pin", p): zp[p] for p in range(16)},
         })}
         cfg = DownstreamConfig(derm_inputs=("ctr-user", "ctr-pin"),
-                               projection_dim=4, sequence_encoder=False)
+                               projection_dim=4)
         samples = SampleBatch.concat([by_day[d] for d in days])
         return cfg, build_features(samples, cfg, gens)
 
@@ -1084,8 +1072,7 @@ class TestRowForm:
                     **{("user", u): self.zu[u, :3] for u in range(12)},
                     **{("pin", p): self.zp[p, 1:] for p in range(16)}})}
         base = DownstreamConfig(projection_dim=4, num_experts=2,
-                                expert_hidden=5, expert_out=4,
-                                sequence_encoder=False)
+                                expert_hidden=5, expert_out=4)
         arms = [ArmSpec("baseline"), ArmSpec("a", ("ctr-user", "cvr-pin"), "h"),
                 ArmSpec("b", ("cvr-user", "ctr-pin"), "h")]
         train, test = self.samples[:70], self.samples[70:]
@@ -1129,8 +1116,7 @@ class TestExperiment:
                 ArmSpec("embedded", ("ctr-user", "ctr-pin"), "ma0.8")]
         result = run_sensitivity_experiment(
             "ctr", arms, [0, 1], train, test, gens, seq_vocab=16,
-            model_cfg_base=DownstreamConfig(projection_dim=4,
-                                            sequence_encoder=False),
+            model_cfg_base=DownstreamConfig(projection_dim=4),
             train_cfg=DownstreamTrainConfig(learning_rate=0.3, epochs=12))
         s = result.summary
         assert 0.35 < s["baseline"]["roc_auc_mean"] < 0.65
@@ -1143,8 +1129,7 @@ class TestExperiment:
                 ArmSpec("embedded", ("ctr-user",), "ma0.8")]
         result = run_sensitivity_experiment(
             "ctr", arms, [0, 1, 2], train, test, gens, seq_vocab=16,
-            model_cfg_base=DownstreamConfig(projection_dim=4,
-                                            sequence_encoder=False),
+            model_cfg_base=DownstreamConfig(projection_dim=4),
             train_cfg=DownstreamTrainConfig(epochs=1))
         lines = result.to_csv().strip().split("\n")
         assert lines[0] == "arm,seed,roc_auc,pr_auc,lift"

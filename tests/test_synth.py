@@ -183,8 +183,6 @@ def _label(world, task, user_id, pin_id, rng):
     cfg = world.cfg
     logit = true_logit(world, task, user_id, pin_id)
     logit += cfg.noise_level * float(rng.normal())
-    if cfg.threshold_labels:
-        return int(logit > 0.0)
     p = 1.0 / (1.0 + np.exp(-logit))
     return int(rng.uniform() < p)
 
@@ -223,7 +221,6 @@ def activity_below_floor(cfg, kind, day, floor):
 
 REFERENCE_WORLDS = {
     "default": WorldConfig(),
-    "threshold_labels": WorldConfig(seed=7, threshold_labels=True),
     "noise_level_0": WorldConfig(seed=3, noise_level=0.0),
     "two_by_two": WorldConfig(num_users=2, num_pins=2, seed=5),
     "one_event_each": WorldConfig(events_per_user=1.0, seed=9),
@@ -277,11 +274,6 @@ class TestPerEventReference:
 
 
 class TestOracleBound:
-    def test_noiseless_threshold_world_is_separable(self):
-        cfg = small_cfg(noise_level=0.0, threshold_labels=True)
-        assert oracle_auc_bound(cfg, CLICK) == 1.0
-        assert oracle_auc_bound(cfg, CONVERSION) == 1.0
-
     def test_pure_noise_labels_near_chance(self):
         cfg = small_cfg(noise_level=50.0, days=12)
         auc = oracle_auc_bound(cfg, CLICK)

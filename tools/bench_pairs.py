@@ -23,10 +23,11 @@ CHANGE's copy):
   every change run beats every parent run; else "regression" when the
   change's median is worse by more than the bound; else "within bound".
 Beside them go each run's correct flag and failed/attempted checks, each
-tree's non-blank src/derm/*.py and tests/*.py lines (as compare_pipeline
-counts them), nproc, and the Python and numpy versions. A file that already
-holds other workloads keeps them, so a second workload merges in. Exits 2 if
-a run fails to produce its result line.
+tree's non-blank src/derm/*.py and tests/*.py lines and the keys of its
+`derm default-config` (as compare_pipeline counts them), nproc, and the
+Python and numpy versions. A file that already holds other workloads keeps
+them, so a second workload merges in. Exits 2 if a run fails to produce its
+result line.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from compare_pipeline import nonblank_lines
+from compare_pipeline import config_keys, derm, nonblank_lines
 
 TREES = ("parent", "change")
 CLAIM_SHARE = 0.9  # share of pairs the change must win to claim a gain
@@ -145,7 +146,9 @@ def summarize_workload(spec: dict, runs: dict[str, list[dict]],
 
 def tree_info(roots: list[Path]) -> dict:
     return {t: {"src_lines": nonblank_lines(root / "src" / "derm"),
-                "tests_lines": nonblank_lines(root / "tests")}
+                "tests_lines": nonblank_lines(root / "tests"),
+                "config_keys": config_keys(
+                    derm(root, root, ["default-config"])[0])}
             for t, root in zip(TREES, roots)}
 
 

@@ -19,10 +19,11 @@ file under run/ and each command's stdout, prints one `DIFF <what>` line per
 difference (a stdout's line is followed by the first DIFF_LINES lines of
 its unified diff), a summary line, one line per command with its wall
 seconds and its peak RSS in each tree and the change/parent ratio of each
-(for information only), and each tree's count of non-blank lines in
+(for information only), each tree's count of non-blank lines in
 src/derm/*.py beside its count in tests/*.py (so code moved from src/ to
-tests/ shows as a move), and exits 1 if anything differs (2 if a command
-fails).
+tests/ shows as a move), and each tree's count of config keys (so an option
+added or removed shows as a moved line does), and exits 1 if anything
+differs (2 if a command fails).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import difflib
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -38,6 +40,7 @@ from pathlib import Path
 
 INPUTS_INI = "inputs.ini"
 DIFF_LINES = 40
+KEY_LINE = re.compile(r"[A-Za-z_]\w* = ")
 
 
 def commands() -> list[list[str]]:
@@ -56,6 +59,12 @@ def nonblank_lines(folder: Path) -> int:
     """Non-blank lines of folder/*.py, as `grep -cv '^\\s*$'` counts them."""
     return sum(1 for p in folder.glob("*.py")
                for line in p.read_text().split("\n") if line.strip())
+
+
+def config_keys(text: str) -> int:
+    """The `key = value` lines of a config text, as default-config
+    prints it."""
+    return sum(1 for line in text.splitlines() if KEY_LINE.match(line))
 
 
 def derm(root: Path, work: Path, args: list[str]) -> tuple[str, float, float]:
@@ -145,6 +154,10 @@ def main(argv: list[str]) -> int:
         parent, change = (nonblank_lines(root / folder) for root in roots)
         print(f"non-blank {folder}/*.py lines: {parent} in {argv[0]}, "
               f"{change} in {argv[1]} ({change - parent:+d})")
+    parent, change = (config_keys(out["default-config"])
+                      for out in (out_a, out_b))
+    print(f"config keys: {parent} in {argv[0]}, {change} in {argv[1]} "
+          f"({change - parent:+d})")
     return 1 if file_diffs or out_diffs else 0
 
 
