@@ -31,6 +31,7 @@ from .data import SampleBatch
 from .downstream import (
     DERM_INPUTS,
     DownstreamModel,
+    Workers,
     build_features,
     evaluate,
     heuristic_arms,
@@ -400,7 +401,6 @@ def experiment_generations(cfg: PipelineConfig, heuristics, sources
 
 
 def cmd_experiment(cfg: PipelineConfig, args) -> int:
-    data = _load_world(cfg, _downstream_days(cfg))
     ex = cfg.experiment
     ds = cfg.downstream
     if ex.grid == "heuristics":
@@ -411,14 +411,20 @@ def cmd_experiment(cfg: PipelineConfig, args) -> int:
         arms = input_count_arms(cfg.lifecycle.heuristic)
         heuristics = [cfg.lifecycle.heuristic]
         sources = sorted({src for src, _ in DERM_INPUTS.values()})
-    generations = experiment_generations(cfg, heuristics, sources)
-    train, test = _split_samples(cfg, data)
-    result = run_sensitivity_experiment(
-        ex.task, arms, list(ex.seeds), train, test, generations,
-        seq_vocab=cfg.world.num_pins,
-        model_cfg_base=ds.model,
-        train_cfg=ds.train,
-    )
+    # the workers start up while the world loads; no grid splits into more
+    # batches than it has models
+    with Workers(len(arms) * len(ex.seeds)) as workers:
+        data = _load_world(cfg, _downstream_days(cfg))
+        generations = experiment_generations(cfg, heuristics, sources)
+        train, test = _split_samples(cfg, data)
+        del data
+        result = run_sensitivity_experiment(
+            ex.task, arms, list(ex.seeds), train, test, generations,
+            seq_vocab=cfg.world.num_pins,
+            model_cfg_base=ds.model,
+            train_cfg=ds.train,
+            workers=workers,
+        )
     stem = f"experiment-{ex.grid}-{ex.task}"
     csv_path = cfg.paths.reports / f"{stem}.csv"
     write_atomic(csv_path, result.to_csv().encode())

@@ -22,8 +22,12 @@ A stack of M same-shape models (DownstreamModel.stack) puts a leading model
 axis on every parameter and activation: features (M, B, d), weights
 (M, h, d), experts (M, E, h, d), and one (M, P) row per model in the flat
 training buffers. One forward/backward then steps all M models, and each
-model's numbers are bit-for-bit those of its lone run. An experiment trains
-each group of same-shape (arm, seed) models as one stack.
+model's numbers are bit-for-bit those of its lone run. An experiment groups
+its same-shape (arm, seed) models and cuts the groups into one batch of
+stacks per CPU (at least MIN_STACK models to a cut stack); the calling
+process trains the largest batch and spawned worker processes the others,
+and the reports, gathered by (arm, seed), are the same bytes on any number
+of CPUs.
 
 A missing store lookup is row 0 of its input's table, the zero vector, and
 reads as presence flag 0, so serving gaps degrade smoothly instead of
@@ -31,9 +35,15 @@ erroring.
 """
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import io
+import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,11 +51,13 @@ import numpy as np
 from .data import SampleBatch
 from .errors import (
     DegenerateLabelsError,
+    DermError,
     DivergedLossError,
     EmptyInputError,
     MissingBaselineError,
     ShapeMismatchError,
     UnknownTaskError,
+    WorkerFailedError,
 )
 from .lifecycle import AggregationHeuristic
 from .params import ParamDict, flat_views, zeros_like_params
@@ -555,7 +567,8 @@ def train_downstream(model: DownstreamModel, features: FeatureBatch,
     model, and the gradients views of another, so each step's clipping,
     weight decay and momentum update (trainer.sgd_step) are a few
     whole-buffer operations. loss_log gets each step's loss: a float for an
-    unstacked model, else the (M,) losses.
+    unstacked model, else the (M,) losses. A DivergedLossError carries the
+    epoch, the step and the stack index (model) of the model it names.
     """
     cfg.validate()
     n = len(features)
@@ -577,10 +590,12 @@ def train_downstream(model: DownstreamModel, features: FeatureBatch,
             diverged = np.flatnonzero(~np.isfinite(loss))
             if len(diverged):
                 m = int(diverged[0])
-                raise DivergedLossError(
+                err = DivergedLossError(
                     f"non-finite downstream loss at epoch {epoch} in model "
                     f"{m} (seed {stack.seeds[m]})"
                 )
+                err.epoch, err.step, err.model = epoch, step, m
+                raise err
             gflat[:] = 0.0
             stack.backward(cache, dlogits, grads)
             # each row's own dot product, summed as gflat[m] @ gflat[m] is
@@ -689,53 +704,71 @@ def run_sensitivity_experiment(
         generations_by_heuristic: dict[str, dict[str, StoreGeneration]],
         seq_vocab: int,
         model_cfg_base: DownstreamConfig = DownstreamConfig(),
-        train_cfg: DownstreamTrainConfig = DownstreamTrainConfig()) -> ExperimentResult:
+        train_cfg: DownstreamTrainConfig = DownstreamTrainConfig(),
+        workers: Workers | None = None) -> ExperimentResult:
     """Train and evaluate every (arm, seed) pair against a shared baseline.
 
     Each arm reads store generations for its heuristic label; the baseline
     arm sees no embeddings at all. Lift is per-seed against the baseline.
+
+    Arms whose models have equal shapes form a group, (arm, seed) models in
+    arm-major order. _batches cuts the groups into one batch of stacks per
+    worker, on W = min(CPUs, batches) workers: this process trains the
+    largest batch and W - 1 children (workers, started early by the caller,
+    or started here) the others. Each model's reports are those of its lone
+    run, whatever shares its stack, and are gathered by (arm, seed), so the
+    result does not depend on W. A failed batch still lets the others end;
+    the DermError raised is the one training the groups in turn in one
+    process would raise first (_train_stacks).
     """
     if not any(a.is_baseline for a in arms):
         raise MissingBaselineError("experiment grid lacks the no-embedding arm")
     if len({a.name for a in arms}) != len(arms):
         raise MissingBaselineError("arm names must be unique")
+    inputs = {a.name: (replace(model_cfg_base, task=task,
+                               derm_inputs=a.derm_inputs),
+                       generations_by_heuristic.get(a.heuristic_label, {}))
+              for a in arms}
 
-    def arm_inputs(arm: ArmSpec):
-        return (replace(model_cfg_base, task=task, derm_inputs=arm.derm_inputs),
-                generations_by_heuristic.get(arm.heuristic_label, {}))
-
-    def arm_models(arm: ArmSpec) -> tuple[tuple, list[DownstreamModel]]:
-        """The arm's stack key and its models, one per seed, each drawn as
-        a lone run draws it; one featurized row gives their input widths."""
-        cfg, gens = arm_inputs(arm)
+    def stack_key(arm: ArmSpec) -> tuple:
+        """The arm's parameter shapes and input widths, from one featurized
+        row: a stack joins its arms' tables input by input."""
+        cfg, gens = inputs[arm.name]
         row = build_features(train_samples[:1], cfg, gens)
-        models = [DownstreamModel(cfg, row.base.shape[1], row.derm_dim,
-                                  seq_vocab, seed=seed) for seed in seeds]
-        # a stack joins its arms' tables input by input, so their widths match
-        return (models[0].shapes, tuple(t.shape[1] for t in row.tables)), models
+        model = DownstreamModel(cfg, row.base.shape[1], row.derm_dim,
+                                seq_vocab, seed=seeds[0])
+        return model.shapes, tuple(t.shape[1] for t in row.tables)
 
-    # arms whose models have equal parameter shapes train as one stack
-    groups: dict[tuple, list[tuple[ArmSpec, list[DownstreamModel]]]] = {}
+    groups: dict[tuple, list[tuple[str, int]]] = {}
     for arm in arms:
-        key, models = arm_models(arm)
-        groups.setdefault(key, []).append((arm, models))
-
-    results: dict[tuple[str, int], ArmResult] = {}
-    for group in groups.values():
-        feats = _stacked_features(train_samples,
-                                  [arm_inputs(arm) for arm, _ in group],
-                                  len(seeds))
-        stack = DownstreamModel.stack([m for _, models in group
-                                       for m in models])
-        train_downstream(stack, feats, train_cfg)
-        for a, (arm, _) in enumerate(group):
-            test_feats = build_features(test_samples, *arm_inputs(arm))
-            for i, seed in enumerate(seeds):
-                report = evaluate(stack.member(a * len(seeds) + i), test_feats)
-                results[(arm.name, seed)] = ArmResult(arm.name, seed,
-                                                      report.roc_auc,
-                                                      report.pr_auc)
-        del feats, stack, test_feats  # before the next stack is built
+        groups.setdefault(stack_key(arm), []).extend(
+            (arm.name, seed) for seed in seeds)
+    members = list(groups.values())
+    batches = sorted(_batches([len(m) for m in members],
+                              len(os.sched_getaffinity(0))),
+                     key=lambda b: -sum(stop - start for _, start, stop in b))
+    stacks = [[(g, start, members[g][start:stop]) for g, start, stop in batch]
+              for batch in batches]
+    with contextlib.nullcontext(workers) if workers is not None else \
+            Workers(len(stacks)) as pool:
+        sent = min(len(pool), len(stacks) - 1)
+        for i, batch in enumerate(stacks[1:sent + 1]):
+            names = {name for _, _, batch_members in batch
+                     for name, _ in batch_members}
+            pool.send(i, (batch, train_samples, test_samples,
+                          {name: inputs[name] for name in names}, seq_vocab,
+                          train_cfg))
+        own = sorted(s for batch in stacks[:1] + stacks[sent + 1:]
+                     for s in batch)
+        outcomes = [_train_stacks(own, train_samples, test_samples, inputs,
+                                  seq_vocab, train_cfg)]
+        outcomes += [pool.receive(i) for i in range(sent)]
+    failures = [f for _, f in outcomes if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    results = {(name, seed): ArmResult(name, seed, *aucs)
+               for reports, _ in outcomes
+               for (name, seed), aucs in reports.items()}
 
     baseline_name = next(a.name for a in arms if a.is_baseline)
     for (name, seed), r in results.items():
@@ -755,15 +788,171 @@ def run_sensitivity_experiment(
     return ExperimentResult(task, rows, summary)
 
 
+# A cut stack holds at least this many models. At the grid benchmark's
+# shapes (8 epochs, 4,263 events; best of 5 in-process runs on 2 vCPUs)
+# stacks of 1 to 6 derm models trained in 0.43, 0.60, 0.72, 0.88, 1.05 and
+# 1.18 s: each cut adds about 0.28 s of CPU. At 3 that grid's 6 + 2 models
+# ran as 3 + 2 | 3 and took longer (medians 2.11 and 2.31 s over 6 and 10
+# runs) than uncut as 6 | 2 at 4 (1.87 and 2.18 s).
+MIN_STACK = 4
+
+
+def _batches(sizes: list[int], workers: int) -> list[list[tuple[int, int, int]]]:
+    """At most `workers` batches of stacks (group, start, stop) that cover
+    groups of the given model counts, balanced by model count. Largest
+    group first, each goes whole into the least loaded batch; a group that
+    would fill it past its share of the models is cut there, if both parts
+    keep MIN_STACK models, and its rest goes on to the next batch. A batch
+    lists its stacks by group."""
+    share = -(-sum(sizes) // workers)
+    loads, batches = [0] * workers, [[] for _ in range(workers)]
+    for g in sorted(range(len(sizes)), key=lambda g: -sizes[g]):
+        start = 0
+        while start < sizes[g]:
+            b = loads.index(min(loads))
+            take = sizes[g] - start
+            if take > share - loads[b] and take >= 2 * MIN_STACK:
+                take = min(max(share - loads[b], MIN_STACK), take - MIN_STACK)
+            batches[b].append((g, start, start + take))
+            loads[b] += take
+            start += take
+    return [sorted(b) for b in batches if b]
+
+
+def _train_stacks(stacks, train_samples: SampleBatch,
+                  test_samples: SampleBatch, inputs: dict, seq_vocab: int,
+                  train_cfg: DownstreamTrainConfig):
+    """Train and evaluate stacks (g, start, members) in turn, each holding
+    members[start:] of group g as (arm name, seed) pairs; inputs maps arm
+    names to (config, generations). Returns each model's (roc_auc, pr_auc)
+    by (arm, seed), and None or, for the first stack that raised a
+    DermError, (key, error). The key orders failures as one process that
+    trains whole groups in turn meets them: by group, then step, then the
+    model's place in its group (a DivergedLossError); any other error sorts
+    after its group's steps."""
+    reports = {}
+    for g, start, members in stacks:
+        arms = list(dict.fromkeys(name for name, _ in members))
+        try:
+            feats = _stacked_features(train_samples,
+                                      [inputs[name] for name in arms],
+                                      [arms.index(name) for name, _ in members])
+            stack = DownstreamModel.stack([
+                DownstreamModel(inputs[name][0], feats.base.shape[1],
+                                feats.derm_dim, seq_vocab, seed=seed)
+                for name, seed in members])
+            train_downstream(stack, feats, train_cfg)
+            del feats  # before the test features are built
+            for name in arms:
+                test_feats = build_features(test_samples, *inputs[name])
+                for m, member in enumerate(members):
+                    if member[0] == name:
+                        report = evaluate(stack.member(m), test_feats)
+                        reports[member] = (report.roc_auc, report.pr_auc)
+            del stack, test_feats  # before the next stack is built
+        except DivergedLossError as e:
+            name, seed = members[e.model]
+            return reports, ((g, e.step, start + e.model), DivergedLossError(
+                f"non-finite downstream loss at epoch {e.epoch} in arm "
+                f"{name} (seed {seed})"))
+        except DermError as e:
+            return reports, ((g, math.inf, start), e)
+    return reports, None
+
+
+def _work(conn) -> None:
+    """A worker process's entry point: train the one batch its pipe brings
+    (pickled by _send) and send back what _train_stacks returns; exit at
+    end of input."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops it
+    try:
+        with os.fdopen(conn.fileno(), "rb", closefd=False) as pipe:
+            job = pickle.load(pipe)
+    except EOFError:
+        return
+    conn.send(_train_stacks(*job))
+
+
+def _send(conn, job) -> None:
+    """Pickle job into conn's pipe as it goes, so the caller holds no whole
+    copy of it while a child still starting has yet to read it (conn.send
+    would: 1.09 MB on the grid benchmark). A child that died before reading
+    it, or a pipe closed on the way out of Workers, is not an error here:
+    Workers.receive reports a child that sent nothing."""
+    with contextlib.suppress(OSError), \
+            os.fdopen(conn.fileno(), "wb", closefd=False) as pipe:
+        pickle.dump(job, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+class Workers:
+    """Child processes that train an experiment's batches beside the caller:
+    min(CPUs, batches) - 1 of them for a grid of at most `batches` batches,
+    so one CPU starts none. Each is a fresh interpreter (spawn: no BLAS
+    thread crosses a fork) that waits on its pipe for one batch, so a caller
+    can start them before it loads the grid's inputs. On the way out of a
+    with block every child is stopped and joined, finished or not."""
+
+    def __init__(self, batches: int):
+        # imported here, so that commands with no worker do not load it
+        import multiprocessing
+        ctx = multiprocessing.get_context("spawn")
+        self._children = []
+        for _ in range(min(len(os.sched_getaffinity(0)), batches) - 1):
+            conn, child_end = ctx.Pipe()
+            proc = ctx.Process(target=_work, args=(child_end,), daemon=True)
+            self._children.append((proc, conn))
+            proc.start()
+            child_end.close()
+        self._senders: dict[int, threading.Thread] = {}
+
+    def __len__(self) -> int:
+        return len(self._children)
+
+    def __enter__(self) -> "Workers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for proc, conn in self._children:
+            conn.close()
+            proc.terminate()
+        for proc, _ in self._children:
+            proc.join()
+        if self._children:
+            # spawn also started multiprocessing's resource tracker, which
+            # would outlive this process, unreaped where init reaps no orphan
+            from multiprocessing import resource_tracker
+            resource_tracker._resource_tracker._stop()
+
+    def send(self, i: int, job) -> None:
+        """Send child i its batch from a thread: a child still starting up
+        reads it only once it is ready."""
+        sender = threading.Thread(target=_send, args=(self._children[i][1],
+                                                      job), daemon=True)
+        sender.start()
+        self._senders[i] = sender
+
+    def receive(self, i: int):
+        """What child i's _work sends back; a WorkerFailedError if the
+        child exited without sending it."""
+        proc, conn = self._children[i]
+        self._senders.pop(i).join()
+        try:
+            return conn.recv()
+        except EOFError:
+            proc.join()
+            raise WorkerFailedError(f"experiment worker {proc.pid} exited "
+                                    f"with code {proc.exitcode}") from None
+
+
 def _stacked_features(samples: SampleBatch,
                       arm_inputs: list[tuple[DownstreamConfig, dict]],
-                      models_per_arm: int) -> FeatureBatch:
+                      arm: list[int]) -> FeatureBatch:
     """The features of each (config, generations) arm in one FeatureBatch:
     one copy of the columns every arm shares, one (A, n, n_inputs) block of
     row numbers, one table per input that joins the arms' tables under a
     shared zero row (each arm's hits shifted past the earlier arms'), and
-    the arm index of models_per_arm models in a row per arm. The arms' inputs
-    must have equal widths, input by input."""
+    the block each stacked model reads, arm[m]. The arms' inputs must have
+    equal widths, input by input."""
     first, rows, arm_tables = None, [], []
     for cfg, gens in arm_inputs:
         feats = build_features(samples, cfg, gens)
@@ -780,8 +969,7 @@ def _stacked_features(samples: SampleBatch,
         rows[..., k] += np.where(rows[..., k] > 0, shift[:, None], 0)
         tables.append(np.concatenate([arm_tables[0][k][:1], *hits]))
     return FeatureBatch(first.base, rows, tuple(tables), first.hist,
-                        first.hist_len, first.labels,
-                        arm=np.repeat(np.arange(len(rows)), models_per_arm))
+                        first.hist_len, first.labels, arm=np.asarray(arm))
 
 
 def heuristic_arms(derm_inputs: tuple[str, ...],

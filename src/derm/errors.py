@@ -119,6 +119,10 @@ class MissingBaselineError(DermError):
     pass
 
 
+class WorkerFailedError(DermError):
+    pass
+
+
 # synth
 class InvalidRatesError(DermError):
     pass

@@ -117,3 +117,42 @@ def test_config_keys_counts_key_lines_only():
             "[experiment]\nderm_inputs = none\nheuristics = acc, ma0.8\n")
     assert compare_pipeline.config_keys(text) == 5
     assert compare_pipeline.config_keys("") == 0
+
+
+def test_each_timed_run_starts_from_a_fresh_copy(tmp_path):
+    prepared = tmp_path / "prepared"
+    (prepared / "run").mkdir(parents=True)
+    (prepared / "run" / "state.bin").write_bytes(b"day 7")
+    seen = []
+
+    def fake(root, work, args):
+        # what the run finds, then what a rerun in place would find next
+        seen.append((work, sorted(p.name for p in work.rglob("*")),
+                     (work / "run" / "state.bin").read_bytes()))
+        (work / "run" / "state.bin").write_bytes(b"day 8")
+        (work / "run" / "report.json").write_text("{}")
+        return "", 1.5, 40.0
+    work = tmp_path / "parent"
+    for _ in range(3):
+        got = bench_pairs.time_command(tmp_path, prepared, work,
+                                       ["aggregate", "--model", "ctr"], fake)
+        assert got == {"wall_s": 1.5, "peak_rss_mb": 40.0}
+    assert seen == [(work, ["run", "state.bin"], b"day 7")] * 3
+    assert (prepared / "run" / "state.bin").read_bytes() == b"day 7"
+    assert not (prepared / "run" / "report.json").exists()
+
+
+def test_command_summary_uses_the_op_and_rss_bounds():
+    spec = {"end_to_end": [
+        {"name": "op_p50_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+    ]}
+    runs = {"parent": [{"wall_s": w, "peak_rss_mb": 50.0} for w in PARENT],
+            "change": [{"wall_s": w - 3.0, "peak_rss_mb": 60.0}
+                       for w in PARENT]}
+    out = bench_pairs.summarize_command(spec, runs)
+    assert out["first"] == ["parent", "change"] * 2 + ["parent"]
+    wall, rss = out["metrics"]["wall_s"], out["metrics"]["peak_rss_mb"]
+    assert (wall["unit"], wall["bound"], wall["verdict"]) == ("s", 0.25, "gain")
+    assert (rss["unit"], rss["bound"], rss["verdict"]) == ("MB", 0.1,
+                                                           "regression")

@@ -4,6 +4,7 @@ import hashlib
 import io
 import contextlib
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -564,6 +565,36 @@ class TestPipeline:
         before = csv_path.read_bytes()
         run_cli(["experiment", "-c", pipeline.ini])
         assert csv_path.read_bytes() == before
+
+    def test_experiment_leaves_no_process(self, pipeline):
+        run_cli(["experiment", "-c", pipeline.ini])
+        assert multiprocessing.active_children() == []
+
+    def test_worker_divergence_is_one_error_line(self, pipeline, tmp_path,
+                                                 monkeypatch):
+        """The baseline group, which trains in the worker on two CPUs,
+        diverges first: both runs name the same arm and seed."""
+        ds = pipeline.cfg.downstream
+        cfg = replace(pipeline.cfg, downstream=replace(
+            ds, train=replace(ds.train, learning_rate=1e40)))
+        ini = tmp_path / "derm.ini"
+        ini.write_text(emit_config(cfg))
+        started, start = [], multiprocessing.context.SpawnProcess.start
+        monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start",
+                            lambda proc: started.append(start(proc)))
+        errs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: cpus)
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, err = run_cli(["experiment", "-c", str(ini)], expect=1)
+            errs.append(err)
+            assert multiprocessing.active_children() == []
+        assert len(started) == 1
+        assert errs[0] == errs[1]
+        assert re.fullmatch(r"error: DivergedLoss: non-finite downstream loss "
+                            r"at epoch 0 in arm baseline \(seed [01]\)\n",
+                            errs[0]), errs[0]
 
     def test_model_stages_rerun_bit_identically(self, pipeline):
         c = pipeline.ini

@@ -1,5 +1,7 @@
 """Metrics, the consumer model, and the sensitivity-experiment harness."""
 
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +11,12 @@ from derm.data import FeatureBundle, KIND_CODES, SampleBatch
 from derm.downstream import (
     DERM_INPUTS,
     EVAL_ROWS,
+    MIN_STACK,
     ArmSpec,
     DownstreamConfig,
     DownstreamModel,
     DownstreamTrainConfig,
+    Workers,
     build_features,
     evaluate,
     heuristic_arms,
@@ -29,8 +33,9 @@ from derm.errors import (
     MissingBaselineError,
     ShapeMismatchError,
     UnknownTaskError,
+    WorkerFailedError,
 )
-from derm.downstream import _stacked_features
+from derm.downstream import _batches, _stacked_features, _train_stacks
 from derm.lifecycle import AggregationHeuristic, MA
 from derm.store import (StoreGeneration, StoreKey, generation_bytes,
                         parse_generation, source_code)
@@ -1039,7 +1044,7 @@ class TestRowForm:
         assert not feats.derm[zero, :LATENT].any()
 
     def test_stacked_arms_read_their_lone_features(self):
-        stacked = _stacked_features(self.samples, self.arms, 2)
+        stacked = _stacked_features(self.samples, self.arms, [0, 0, 1, 1, 2, 2])
         A, n, k = len(self.arms), len(self.samples), 2
         assert stacked.rows.dtype == np.int32
         assert stacked.rows.shape == (A, n, k)
@@ -1165,3 +1170,83 @@ class TestExperiment:
         assert len(names) == 6
         assert arms[-1].derm_inputs == ("ctr-user", "ctr-pin",
                                         "cvr-user", "cvr-pin")
+
+
+class TestGridWorkers:
+    """A grid's groups are cut into one batch of stacks per worker; no
+    report depends on the cut or on the worker count."""
+
+    @pytest.mark.parametrize("sizes, workers, want", [
+        # the default heuristics and inputs grids on two CPUs
+        ([5, 25], 2, [[(1, 0, 15)], [(0, 0, 5), (1, 15, 25)]]),
+        ([5, 20, 5], 2, [[(1, 0, 15)], [(0, 0, 5), (1, 15, 20), (2, 0, 5)]]),
+        # the grid benchmark's: six models are too few to cut
+        ([2, 6], 2, [[(1, 0, 6)], [(0, 0, 2)]]),
+        ([5, 25], 1, [[(0, 0, 5), (1, 0, 25)]]),
+        ([3], 4, [[(0, 0, 3)]]),
+    ])
+    def test_batches(self, sizes, workers, want):
+        assert _batches(sizes, workers) == want
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5, 64])
+    @pytest.mark.parametrize("sizes", [[1], [2, 9], [30], [5, 20, 5],
+                                       [8, 8, 1, 7], [4, 12, 3, 3]])
+    def test_batches_cover_each_group_once(self, sizes, workers):
+        batches = _batches(sizes, workers)
+        assert 1 <= len(batches) <= workers
+        pieces = sorted(s for b in batches for s in b)
+        for g, n in enumerate(sizes):
+            mine = [(start, stop) for h, start, stop in pieces if h == g]
+            assert [start for start, _ in mine] == [0] + [
+                stop for _, stop in mine[:-1]]
+            assert mine[-1][1] == n
+            if len(mine) > 1:
+                assert min(stop - start for start, stop in mine) >= MIN_STACK
+
+    def test_cut_stacks_give_the_uncut_reports(self):
+        train, test, gens = TestExperiment()._world()
+        cfg = DownstreamConfig(projection_dim=4)
+        inputs = {name: (replace(cfg, derm_inputs=(name,)), gens["ma0.8"])
+                  for name in ("ctr-user", "ctr-pin")}
+        tcfg = DownstreamTrainConfig(learning_rate=0.3, epochs=1)
+        # 12 models in stacks of MIN_STACK; one stack holds both arms
+        members = [(name, seed) for name in inputs for seed in range(6)]
+        whole, failure = _train_stacks([(0, 0, members)], train, test,
+                                       inputs, 16, tcfg)
+        assert failure is None and len(whole) == len(members)
+        cut = {}
+        for start in range(0, len(members), MIN_STACK):
+            reports, failure = _train_stacks(
+                [(0, start, members[start:start + MIN_STACK])], train, test,
+                inputs, 16, tcfg)
+            assert failure is None
+            cut.update(reports)
+        assert cut == whole
+
+    def test_one_cpu_and_two_give_the_same_bytes(self, monkeypatch):
+        train, test, gens = TestExperiment()._world()
+        arms = [ArmSpec("baseline"), ArmSpec("embedded", ("ctr-user",), "ma0.8")]
+        started, start = [], multiprocessing.context.SpawnProcess.start
+        monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start",
+                            lambda proc: started.append(start(proc)))
+        out = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: cpus)
+            result = run_sensitivity_experiment(
+                "ctr", arms, [0, 1, 2], train, test, gens, seq_vocab=16,
+                model_cfg_base=DownstreamConfig(projection_dim=4),
+                train_cfg=DownstreamTrainConfig(epochs=1))
+            out.append((result.to_csv(), result.summary_text(), len(started)))
+            assert multiprocessing.active_children() == []
+        assert out[0][:2] == out[1][:2]
+        assert [n for *_, n in out] == [0, 1]
+
+    def test_a_worker_that_dies_is_a_derm_error(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with Workers(2) as pool:
+            assert len(pool) == 1
+            pool.send(0, ("not a batch",))  # _train_stacks(*job) raises
+            with pytest.raises(WorkerFailedError, match="exited with code 1"):
+                pool.receive(0)
+        assert multiprocessing.active_children() == []

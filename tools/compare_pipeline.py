@@ -88,6 +88,14 @@ def derm(root: Path, work: Path, args: list[str]) -> tuple[str, float, float]:
     return stdout, wall, usage.ru_maxrss / 1024.0
 
 
+def write_configs(work: Path, config: str) -> None:
+    """The default config as work/derm.ini, and its copy that sets
+    `grid = inputs`."""
+    (work / "derm.ini").write_text(config)
+    (work / INPUTS_INI).write_text(
+        config.replace("grid = heuristics", "grid = inputs"))
+
+
 def run_pipelines(roots: list[Path], works: list[Path]
                   ) -> list[tuple[dict[str, str], dict[str, float],
                                   dict[str, float]]]:
@@ -98,9 +106,7 @@ def run_pipelines(roots: list[Path], works: list[Path]
     for (stdouts, walls, rss), root, work in zip(results, roots, works):
         cmd = "default-config"
         stdouts[cmd], walls[cmd], rss[cmd] = derm(root, work, [cmd])
-        (work / "derm.ini").write_text(stdouts[cmd])
-        (work / INPUTS_INI).write_text(
-            stdouts[cmd].replace("grid = heuristics", "grid = inputs"))
+        write_configs(work, stdouts[cmd])
     for i, args in enumerate(commands()):
         print(f"derm {' '.join(args)}", flush=True)
         order = (0, 1) if i % 2 == 0 else (1, 0)
