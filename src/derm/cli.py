@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import signal
 import sys
 import time
 from pathlib import Path
@@ -31,7 +32,6 @@ from .data import SampleBatch
 from .downstream import (
     DERM_INPUTS,
     DownstreamModel,
-    Workers,
     build_features,
     evaluate,
     heuristic_arms,
@@ -411,20 +411,22 @@ def cmd_experiment(cfg: PipelineConfig, args) -> int:
         arms = input_count_arms(cfg.lifecycle.heuristic)
         heuristics = [cfg.lifecycle.heuristic]
         sources = sorted({src for src, _ in DERM_INPUTS.values()})
-    # the workers start up while the world loads; no grid splits into more
-    # batches than it has models
-    with Workers(len(arms) * len(ex.seeds)) as workers:
-        data = _load_world(cfg, _downstream_days(cfg))
-        generations = experiment_generations(cfg, heuristics, sources)
-        train, test = _split_samples(cfg, data)
-        del data
+    data = _load_world(cfg, _downstream_days(cfg))
+    generations = experiment_generations(cfg, heuristics, sources)
+    train, test = _split_samples(cfg, data)
+    del data  # split off; the grid's forked workers would inherit it too
+    # a SIGTERM unwinds as an exit, which stops and joins the workers
+    previous = signal.signal(signal.SIGTERM,
+                             lambda signum, _: sys.exit(128 + signum))
+    try:
         result = run_sensitivity_experiment(
             ex.task, arms, list(ex.seeds), train, test, generations,
             seq_vocab=cfg.world.num_pins,
             model_cfg_base=ds.model,
             train_cfg=ds.train,
-            workers=workers,
         )
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     stem = f"experiment-{ex.grid}-{ex.task}"
     csv_path = cfg.paths.reports / f"{stem}.csv"
     write_atomic(csv_path, result.to_csv().encode())

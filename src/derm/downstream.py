@@ -25,9 +25,9 @@ training buffers. One forward/backward then steps all M models, and each
 model's numbers are bit-for-bit those of its lone run. An experiment groups
 its same-shape (arm, seed) models and cuts the groups into one batch of
 stacks per CPU (at least MIN_STACK models to a cut stack); the calling
-process trains the largest batch and spawned worker processes the others,
-and the reports, gathered by (arm, seed), are the same bytes on any number
-of CPUs.
+process trains the largest batch and forked worker processes, which
+inherit their inputs, the others, and the reports, gathered by (arm,
+seed), are the same bytes on any number of CPUs.
 
 A missing store lookup is row 0 of its input's table, the zero vector, and
 reads as presence flag 0, so serving gaps degrade smoothly instead of
@@ -35,15 +35,12 @@ erroring.
 """
 from __future__ import annotations
 
-import contextlib
 import copy
 import csv
 import io
 import math
 import os
-import pickle
 import signal
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -704,8 +701,7 @@ def run_sensitivity_experiment(
         generations_by_heuristic: dict[str, dict[str, StoreGeneration]],
         seq_vocab: int,
         model_cfg_base: DownstreamConfig = DownstreamConfig(),
-        train_cfg: DownstreamTrainConfig = DownstreamTrainConfig(),
-        workers: Workers | None = None) -> ExperimentResult:
+        train_cfg: DownstreamTrainConfig = DownstreamTrainConfig()) -> ExperimentResult:
     """Train and evaluate every (arm, seed) pair against a shared baseline.
 
     Each arm reads store generations for its heuristic label; the baseline
@@ -714,12 +710,13 @@ def run_sensitivity_experiment(
     Arms whose models have equal shapes form a group, (arm, seed) models in
     arm-major order. _batches cuts the groups into one batch of stacks per
     worker, on W = min(CPUs, batches) workers: this process trains the
-    largest batch and W - 1 children (workers, started early by the caller,
-    or started here) the others. Each model's reports are those of its lone
-    run, whatever shares its stack, and are gathered by (arm, seed), so the
-    result does not depend on W. A failed batch still lets the others end;
-    the DermError raised is the one training the groups in turn in one
-    process would raise first (_train_stacks).
+    largest batch and W - 1 forked children, which inherit their inputs,
+    the others. Each model's reports are those of its lone run, whatever
+    shares its stack, and are gathered by (arm, seed), so the result does
+    not depend on W. A failed batch still lets the others end; the
+    DermError raised is the one training the groups in turn in one process
+    would raise first (_train_stacks). Every child is stopped and joined
+    on the way out.
     """
     if not any(a.is_baseline for a in arms):
         raise MissingBaselineError("experiment grid lacks the no-embedding arm")
@@ -749,20 +746,38 @@ def run_sensitivity_experiment(
                      key=lambda b: -sum(stop - start for _, start, stop in b))
     stacks = [[(g, start, members[g][start:stop]) for g, start, stop in batch]
               for batch in batches]
-    with contextlib.nullcontext(workers) if workers is not None else \
-            Workers(len(stacks)) as pool:
-        sent = min(len(pool), len(stacks) - 1)
-        for i, batch in enumerate(stacks[1:sent + 1]):
-            names = {name for _, _, batch_members in batch
-                     for name, _ in batch_members}
-            pool.send(i, (batch, train_samples, test_samples,
-                          {name: inputs[name] for name in names}, seq_vocab,
-                          train_cfg))
-        own = sorted(s for batch in stacks[:1] + stacks[sent + 1:]
-                     for s in batch)
-        outcomes = [_train_stacks(own, train_samples, test_samples, inputs,
-                                  seq_vocab, train_cfg)]
-        outcomes += [pool.receive(i) for i in range(sent)]
+    common = (train_samples, test_samples, inputs, seq_vocab, train_cfg)
+    import multiprocessing  # here, so that other commands do not load it
+    # a forked child inherits its inputs, so nothing is pickled; derm runs
+    # no thread here, and OpenBLAS stops its own pool across a fork
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    # a signal waits until every child is started and listed for the finally
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                  {signal.SIGINT, signal.SIGTERM})
+    try:
+        for batch in stacks[1:]:
+            conn, child_end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_work, args=(child_end, batch, *common))
+            proc.start()
+            children.append((proc, conn))
+            child_end.close()
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        outcomes = [_train_stacks(stacks[0], *common)]
+        for proc, conn in children:
+            try:
+                outcomes.append(conn.recv())
+            except EOFError:
+                proc.join()
+                raise WorkerFailedError(
+                    f"experiment worker {proc.pid} exited with code "
+                    f"{proc.exitcode}") from None
+    finally:
+        for proc, conn in children:
+            proc.terminate()
+            proc.join()
+            conn.close()
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     failures = [f for _, f in outcomes if f is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
@@ -860,88 +875,14 @@ def _train_stacks(stacks, train_samples: SampleBatch,
     return reports, None
 
 
-def _work(conn) -> None:
-    """A worker process's entry point: train the one batch its pipe brings
-    (pickled by _send) and send back what _train_stacks returns; exit at
-    end of input."""
+def _work(conn, *job) -> None:
+    """A worker's entry point, in a forked child that holds its batch and
+    inputs as the parent did: send back what _train_stacks(*job) returns."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops it
-    try:
-        with os.fdopen(conn.fileno(), "rb", closefd=False) as pipe:
-            job = pickle.load(pipe)
-    except EOFError:
-        return
+    # with terminate(): a SIGTERM held across the fork ends it here
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     conn.send(_train_stacks(*job))
-
-
-def _send(conn, job) -> None:
-    """Pickle job into conn's pipe as it goes, so the caller holds no whole
-    copy of it while a child still starting has yet to read it (conn.send
-    would: 1.09 MB on the grid benchmark). A child that died before reading
-    it, or a pipe closed on the way out of Workers, is not an error here:
-    Workers.receive reports a child that sent nothing."""
-    with contextlib.suppress(OSError), \
-            os.fdopen(conn.fileno(), "wb", closefd=False) as pipe:
-        pickle.dump(job, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-class Workers:
-    """Child processes that train an experiment's batches beside the caller:
-    min(CPUs, batches) - 1 of them for a grid of at most `batches` batches,
-    so one CPU starts none. Each is a fresh interpreter (spawn: no BLAS
-    thread crosses a fork) that waits on its pipe for one batch, so a caller
-    can start them before it loads the grid's inputs. On the way out of a
-    with block every child is stopped and joined, finished or not."""
-
-    def __init__(self, batches: int):
-        # imported here, so that commands with no worker do not load it
-        import multiprocessing
-        ctx = multiprocessing.get_context("spawn")
-        self._children = []
-        for _ in range(min(len(os.sched_getaffinity(0)), batches) - 1):
-            conn, child_end = ctx.Pipe()
-            proc = ctx.Process(target=_work, args=(child_end,), daemon=True)
-            self._children.append((proc, conn))
-            proc.start()
-            child_end.close()
-        self._senders: dict[int, threading.Thread] = {}
-
-    def __len__(self) -> int:
-        return len(self._children)
-
-    def __enter__(self) -> "Workers":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        for proc, conn in self._children:
-            conn.close()
-            proc.terminate()
-        for proc, _ in self._children:
-            proc.join()
-        if self._children:
-            # spawn also started multiprocessing's resource tracker, which
-            # would outlive this process, unreaped where init reaps no orphan
-            from multiprocessing import resource_tracker
-            resource_tracker._resource_tracker._stop()
-
-    def send(self, i: int, job) -> None:
-        """Send child i its batch from a thread: a child still starting up
-        reads it only once it is ready."""
-        sender = threading.Thread(target=_send, args=(self._children[i][1],
-                                                      job), daemon=True)
-        sender.start()
-        self._senders[i] = sender
-
-    def receive(self, i: int):
-        """What child i's _work sends back; a WorkerFailedError if the
-        child exited without sending it."""
-        proc, conn = self._children[i]
-        self._senders.pop(i).join()
-        try:
-            return conn.recv()
-        except EOFError:
-            proc.join()
-            raise WorkerFailedError(f"experiment worker {proc.pid} exited "
-                                    f"with code {proc.exitcode}") from None
 
 
 def _stacked_features(samples: SampleBatch,

@@ -135,11 +135,6 @@ class StoreGeneration:
     def __len__(self) -> int:
         return sum(map(len, self.tables))
 
-    def __reduce__(self):
-        """Pickled as its day and row tables (memoryviews do not pickle);
-        the copy builds its own index."""
-        return StoreGeneration, (self.day, list(self.tables))
-
     def lookup(self, key: StoreKey) -> np.ndarray | None:
         return self.lookup_packed(*key.packed())
 

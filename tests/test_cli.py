@@ -8,9 +8,11 @@ import multiprocessing
 import os
 import re
 import shutil
+import signal
 import struct
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -377,6 +379,14 @@ def run_cli(args, expect=0):
     return out.getvalue(), err.getvalue()
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a derm child process, which finds derm where this
+    process did, installed or not."""
+    src = str(Path(derm.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def tree_digest(root: Path) -> dict[str, str]:
     out = {}
     for p in sorted(root.rglob("*")):
@@ -579,8 +589,8 @@ class TestPipeline:
             ds, train=replace(ds.train, learning_rate=1e40)))
         ini = tmp_path / "derm.ini"
         ini.write_text(emit_config(cfg))
-        started, start = [], multiprocessing.context.SpawnProcess.start
-        monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start",
+        started, start = [], multiprocessing.context.ForkProcess.start
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
                             lambda proc: started.append(start(proc)))
         errs = []
         for cpus in ({0}, {0, 1}):
@@ -595,6 +605,35 @@ class TestPipeline:
         assert re.fullmatch(r"error: DivergedLoss: non-finite downstream loss "
                             r"at epoch 0 in arm baseline \(seed [01]\)\n",
                             errs[0]), errs[0]
+
+    def test_sigterm_stops_and_joins_the_workers(self, pipeline):
+        # two CPUs on any host, so that the grid forks a worker, and a
+        # batch that first sleeps, so that the signal finds the worker live
+        code = ("import os, sys, time\n"
+                "from derm import cli, downstream\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "train = downstream._train_stacks\n"
+                "downstream._train_stacks = lambda *job: (time.sleep(60), "
+                "train(*job))[1]\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "experiment", "-c", pipeline.ini],
+            env=child_env(), stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True)
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        try:
+            deadline = time.monotonic() + 60
+            while not (workers := children.read_text().split()):
+                assert proc.poll() is None, "the grid ended before a worker"
+                assert time.monotonic() < deadline, "no worker in 60 s"
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, err) == (128 + signal.SIGTERM, "")
+        assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
 
     def test_model_stages_rerun_bit_identically(self, pipeline):
         c = pipeline.ini
@@ -776,14 +815,11 @@ class TestPipeline:
         assert not paths.state.exists()
 
     def test_serve_round_trip_over_tcp(self, pipeline):
-        # the child finds derm where this process did, installed or not
-        src = str(Path(derm.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.Popen(
             [sys.executable, "-m", "derm.cli", "serve", "-c", pipeline.ini,
              "--ttl-seconds", "20"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)
         try:
             line = proc.stdout.readline()
             m = re.search(r"on ([\d.]+):(\d+)", line)

@@ -16,7 +16,6 @@ from derm.downstream import (
     DownstreamConfig,
     DownstreamModel,
     DownstreamTrainConfig,
-    Workers,
     build_features,
     evaluate,
     heuristic_arms,
@@ -35,6 +34,7 @@ from derm.errors import (
     UnknownTaskError,
     WorkerFailedError,
 )
+from derm import downstream
 from derm.downstream import _batches, _stacked_features, _train_stacks
 from derm.lifecycle import AggregationHeuristic, MA
 from derm.store import (StoreGeneration, StoreKey, generation_bytes,
@@ -1224,10 +1224,15 @@ class TestGridWorkers:
         assert cut == whole
 
     def test_one_cpu_and_two_give_the_same_bytes(self, monkeypatch):
+        """The worker inherits its inputs: no SampleBatch is pickled."""
         train, test, gens = TestExperiment()._world()
         arms = [ArmSpec("baseline"), ArmSpec("embedded", ("ctr-user",), "ma0.8")]
-        started, start = [], multiprocessing.context.SpawnProcess.start
-        monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start",
+
+        def unpicklable(batch, protocol):
+            raise AssertionError("a SampleBatch was pickled")
+        monkeypatch.setattr(SampleBatch, "__reduce_ex__", unpicklable)
+        started, start = [], multiprocessing.context.ForkProcess.start
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
                             lambda proc: started.append(start(proc)))
         out = []
         for cpus in ({0}, {0, 1}):
@@ -1243,10 +1248,20 @@ class TestGridWorkers:
         assert [n for *_, n in out] == [0, 1]
 
     def test_a_worker_that_dies_is_a_derm_error(self, monkeypatch):
+        train, test, gens = TestExperiment()._world()
+        arms = [ArmSpec("baseline"), ArmSpec("embedded", ("ctr-user",), "ma0.8")]
+        parent, train_stacks = os.getpid(), downstream._train_stacks
+
+        def dies_in_a_child(*job):
+            if os.getpid() != parent:
+                os._exit(1)
+            return train_stacks(*job)
+        # the forked worker inherits the patch
+        monkeypatch.setattr(downstream, "_train_stacks", dies_in_a_child)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        with Workers(2) as pool:
-            assert len(pool) == 1
-            pool.send(0, ("not a batch",))  # _train_stacks(*job) raises
-            with pytest.raises(WorkerFailedError, match="exited with code 1"):
-                pool.receive(0)
+        with pytest.raises(WorkerFailedError, match="exited with code 1"):
+            run_sensitivity_experiment(
+                "ctr", arms, [0, 1, 2], train, test, gens, seq_vocab=16,
+                model_cfg_base=DownstreamConfig(projection_dim=4),
+                train_cfg=DownstreamTrainConfig(epochs=1))
         assert multiprocessing.active_children() == []

@@ -39,7 +39,9 @@ temp dir: default-config, then every command listed before it. Each timed
 run starts from a fresh copy of that dir, made outside the timing, since a
 rerun in the same dir may do other work (`aggregate` continues from its
 state, `publish` skips an unchanged generation); compare_pipeline's Popen
-and os.wait4 give its wall seconds and peak RSS. The two are summarised as
+and os.wait4 give its wall seconds and peak RSS, wait4's ru_maxrss being
+the largest peak among the command and the children it reaped (an
+experiment's forked workers). The two are summarised as
 above under "commands" -> DERM ARGS, with the bounds of BENCHMARK.json's
 op_p50_s and peak_rss_mb.
 """

@@ -14,7 +14,9 @@ Each command runs in both trees before the next one starts, PARENT first on
 even-numbered commands and CHANGE first on odd ones, so a command's two walls
 are measured seconds apart and the machine's drift over the run falls on both.
 Each command is started with Popen and reaped with os.wait4, whose
-ru_maxrss is the command's peak resident set size. It then compares every
+ru_maxrss is the command's peak resident set size: the largest peak among
+the command and the children it reaped (an experiment's forked workers), not
+their sum and not the command's own alone. It then compares every
 file under run/ and each command's stdout, prints one `DIFF <what>` line per
 difference (a stdout's line is followed by the first DIFF_LINES lines of
 its unified diff), a summary line, one line per command with its wall
