@@ -360,11 +360,11 @@ def cmd_train_downstream(cfg: PipelineConfig, args) -> int:
     model_cfg = ds.model
     gens = _generations_for(cfg, model_cfg.derm_inputs)
     train, test = _split_samples(cfg, data)
-    train_feats = build_features(train, model_cfg, gens)
-    test_feats = build_features(test, model_cfg, gens)
+    train_feats = build_features(train, model_cfg, gens).astype(np.float32)
+    test_feats = build_features(test, model_cfg, gens).astype(np.float32)
     model = DownstreamModel(model_cfg, train_feats.base.shape[1],
-                            train_feats.derm_dim,
-                            seq_vocab=cfg.world.num_pins, seed=ds.seed)
+                            train_feats.derm_dim, seq_vocab=cfg.world.num_pins,
+                            seed=ds.seed).astype(np.float32)
     train_downstream(model, train_feats, ds.train)
     train_rep = evaluate(model, train_feats)
     test_rep = evaluate(model, test_feats)
@@ -517,7 +517,9 @@ def main(argv=None) -> int:
         if args.command == "default-config":
             return cmd_default_config(args)
         cfg = load_config(args.config)
-        return args.func(cfg, args)
+        # a non-finite loss is derm's own error, not numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(cfg, args)
     except DermError as e:
         print(f"error: {e.condition}: {e}", file=sys.stderr)
         return 1

@@ -29,6 +29,12 @@ process trains the largest batch and forked worker processes, which
 inherit their inputs, the others, and the reports, gathered by (arm,
 seed), are the same bytes on any number of CPUs.
 
+Every array a forward, backward or training step makes follows the dtype
+of the parameters and features. The models are drawn in float64, and
+train-downstream and the grid cast them and their features to float32 at
+build time, so they train and score in float32; a float64 model (the
+finite-difference checks) stays float64.
+
 A missing store lookup is row 0 of its input's table, the zero vector, and
 reads as presence flag 0, so serving gaps degrade smoothly instead of
 erroring.
@@ -214,7 +220,7 @@ class FeatureBatch:
         """(..., B, derm_dim): each input's vectors, gathered and joined in
         input order; zeros where the store missed."""
         return np.concatenate(
-            [np.zeros((*self.rows.shape[:-1], 0)),
+            [np.zeros((*self.rows.shape[:-1], 0), self.base.dtype),
              *(np.take(t, self.rows[..., k], axis=0)
                for k, t in enumerate(self.tables))], axis=-1)
 
@@ -222,7 +228,13 @@ class FeatureBatch:
     def flags(self) -> np.ndarray:
         """(..., B, n_inputs) presence flags: 1.0 where the store had the
         key, even for a stored zero vector."""
-        return (self.rows > 0).astype(np.float64)
+        return (self.rows > 0).astype(self.base.dtype)
+
+    def astype(self, dtype) -> "FeatureBatch":
+        """The batch with its base block, tables and labels in dtype."""
+        return replace(self, base=self.base.astype(dtype),
+                       tables=tuple(t.astype(dtype) for t in self.tables),
+                       labels=self.labels.astype(dtype))
 
     def slice(self, idx) -> "FeatureBatch":
         """Rows idx. A (M, b) idx gives a stacked batch whose model m holds
@@ -348,6 +360,13 @@ class DownstreamModel:
         out.params = {k: v[m] for k, v in self.params.items()}
         return out
 
+    def astype(self, dtype) -> "DownstreamModel":
+        """The model with its parameters in dtype: forward, backward and
+        training follow the dtype of the parameters and features."""
+        out = copy.copy(self)
+        out.params = {k: v.astype(dtype) for k, v in self.params.items()}
+        return out
+
     def _init_params(self, seed: int) -> ParamDict:
         cfg = self.cfg
         rng = np.random.default_rng([seed, 0xD0DE])
@@ -413,7 +432,7 @@ class DownstreamModel:
         rows = _table_rows(table, batch.hist)
         T = np.take(table.reshape(-1, cfg.seq_dim), rows, axis=0)
         scores = (T @ p["seq/query"][..., None, :, None])[..., 0] \
-            * (1.0 / np.sqrt(cfg.seq_dim))
+            * (1.0 / math.sqrt(cfg.seq_dim))
         top = np.max(scores, axis=-1, where=mask, initial=-np.inf,
                      keepdims=True)
         # masked positions, and every position of an empty row, get 0
@@ -485,7 +504,7 @@ class DownstreamModel:
         mask, rows, T, a = cache["seq"]
         q = p["seq/query"]
         dpooled = dX[..., off:off + cfg.seq_dim]
-        scale = 1.0 / np.sqrt(cfg.seq_dim)
+        scale = 1.0 / math.sqrt(cfg.seq_dim)
         da = (T @ dpooled[..., None])[..., 0]  # (..., B, L)
         ds = a * (da - (da * a).sum(axis=-1, keepdims=True))
         # (B * L, seq_dim) rows of each model against its (B * L) weights
@@ -560,9 +579,9 @@ def train_downstream(model: DownstreamModel, features: FeatureBatch,
     numbers when features.arm is set, and clips by its own global norm. An
     unstacked model trains as a stack of one.
 
-    The parameters become views of one flat (M, P) f64 buffer, one row per
-    model, and the gradients views of another, so each step's clipping,
-    weight decay and momentum update (trainer.sgd_step) are a few
+    The parameters become views of one flat (M, P) buffer of their dtype,
+    one row per model, and the gradients views of another, so each step's
+    clipping, weight decay and momentum update (trainer.sgd_step) are a few
     whole-buffer operations. loss_log gets each step's loss: a float for an
     unstacked model, else the (M,) losses. A DivergedLossError carries the
     epoch, the step and the stack index (model) of the model it names.
@@ -611,7 +630,8 @@ def train_downstream(model: DownstreamModel, features: FeatureBatch,
 
 
 # the most rows one forward in evaluate scores: a forward's cache costs about
-# 3.2 KB a row, so scoring a whole training set at once would set the peak
+# 1.6 KB a row in float32, so scoring a whole training set at once would set
+# the peak
 EVAL_ROWS = 512
 
 
@@ -804,11 +824,11 @@ def run_sensitivity_experiment(
 
 
 # A cut stack holds at least this many models. At the grid benchmark's
-# shapes (8 epochs, 4,263 events; best of 5 in-process runs on 2 vCPUs)
-# stacks of 1 to 6 derm models trained in 0.43, 0.60, 0.72, 0.88, 1.05 and
-# 1.18 s: each cut adds about 0.28 s of CPU. At 3 that grid's 6 + 2 models
-# ran as 3 + 2 | 3 and took longer (medians 2.11 and 2.31 s over 6 and 10
-# runs) than uncut as 6 | 2 at 4 (1.87 and 2.18 s).
+# shapes in float32 (8 epochs, 4,347 events; best of 5 in-process runs on 2
+# vCPUs) stacks of 1 to 6 derm models trained in 0.39, 0.55, 0.66, 0.80,
+# 0.91 and 1.07 s: each cut adds about 0.25 s of CPU. At 3 that grid's
+# 6 + 2 models ran as 3 + 2 | 3 and took longer (medians 1.50 and 1.32 s
+# over two sets of 10 runs) than uncut as 6 | 2 at 4 (1.36 and 1.29 s).
 MIN_STACK = 4
 
 
@@ -849,17 +869,18 @@ def _train_stacks(stacks, train_samples: SampleBatch,
     for g, start, members in stacks:
         arms = list(dict.fromkeys(name for name, _ in members))
         try:
-            feats = _stacked_features(train_samples,
-                                      [inputs[name] for name in arms],
-                                      [arms.index(name) for name, _ in members])
+            feats = _stacked_features(
+                train_samples, [inputs[name] for name in arms],
+                [arms.index(name) for name, _ in members]).astype(np.float32)
             stack = DownstreamModel.stack([
                 DownstreamModel(inputs[name][0], feats.base.shape[1],
                                 feats.derm_dim, seq_vocab, seed=seed)
-                for name, seed in members])
+                for name, seed in members]).astype(np.float32)
             train_downstream(stack, feats, train_cfg)
             del feats  # before the test features are built
             for name in arms:
-                test_feats = build_features(test_samples, *inputs[name])
+                test_feats = build_features(test_samples, *inputs[name]
+                                            ).astype(np.float32)
                 for m, member in enumerate(members):
                     if member[0] == name:
                         report = evaluate(stack.member(m), test_feats)

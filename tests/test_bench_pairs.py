@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py's summary of alternating pairs, on made-up runs, and
-the config key count that it and tools/compare_pipeline.py record."""
+"""tools/bench_pairs.py's summary of alternating pairs, on made-up runs, the
+config key count that it and tools/compare_pipeline.py record, and the
+metric drift that tools/compare_pipeline.py prints for a differing report."""
 
 import pytest
 
@@ -156,3 +157,47 @@ def test_command_summary_uses_the_op_and_rss_bounds():
     assert (wall["unit"], wall["bound"], wall["verdict"]) == ("s", 0.25, "gain")
     assert (rss["unit"], rss["bound"], rss["verdict"]) == ("MB", 0.1,
                                                            "regression")
+
+
+def test_largest_drifts_name_the_arm_and_seed():
+    parent = ("arm,seed,roc_auc,pr_auc,lift\n"
+              "baseline,0,0.600000,0.300000,0.000000\n"
+              "ma0.8,0,0.700000,0.400000,0.100000\n"
+              "ma0.8,1,0.710000,0.410000,0.110000\n")
+    change = ("arm,seed,roc_auc,pr_auc,lift\n"
+              "baseline,0,0.600000,0.300000,0.000000\n"
+              "ma0.8,0,0.698000,0.400500,0.098000\n"
+              "ma0.8,1,0.713000,0.410000,0.113000\n")
+    path = "run/reports/experiment-heuristics-ctr.csv"
+    rows = [compare_pipeline.metric_rows(path, text)
+            for text in (parent, change)]
+    assert rows[0]["arm ma0.8 seed 1"] == {"roc_auc": 0.71, "pr_auc": 0.41,
+                                           "lift": 0.11}
+    assert compare_pipeline.largest_drifts(*rows) == [
+        "largest roc_auc difference 0.003000 at arm ma0.8 seed 1 "
+        "(0.710000 -> 0.713000)",
+        "largest pr_auc difference 0.000500 at arm ma0.8 seed 0 "
+        "(0.400000 -> 0.400500)",
+        "largest lift difference 0.003000 at arm ma0.8 seed 1 "
+        "(0.110000 -> 0.113000)",
+    ]
+    # equal tables: each metric's first row, at zero
+    assert compare_pipeline.largest_drifts(rows[0], rows[0])[0] == (
+        "largest roc_auc difference 0.000000 at arm baseline seed 0 "
+        "(0.600000 -> 0.600000)")
+
+
+def test_largest_drifts_of_a_downstream_report_name_the_split():
+    def report(test_auc):
+        return ('{"derm_inputs": [], "task": "ctr", '
+                '"train": {"pr_auc": 0.5, "roc_auc": 0.7, "samples": 9}, '
+                f'"test": {{"pr_auc": 0.4, "roc_auc": {test_auc}, '
+                '"samples": 3}}')
+    path = "run/reports/downstream-ctr.json"
+    rows = [compare_pipeline.metric_rows(path, report(auc))
+            for auc in (0.65, 0.64)]
+    lines = compare_pipeline.largest_drifts(*rows)
+    assert lines[0] == ("largest roc_auc difference 0.010000 at test "
+                        "(0.650000 -> 0.640000)")
+    assert len(lines) == 2  # a downstream report has no lift
+    assert compare_pipeline.metric_rows("run/world/world.json", "{}") is None

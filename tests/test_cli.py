@@ -596,8 +596,7 @@ class TestPipeline:
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid, cpus=cpus: cpus)
-            with np.errstate(over="ignore", invalid="ignore"):
-                _, err = run_cli(["experiment", "-c", str(ini)], expect=1)
+            _, err = run_cli(["experiment", "-c", str(ini)], expect=1)
             errs.append(err)
             assert multiprocessing.active_children() == []
         assert len(started) == 1
@@ -605,6 +604,27 @@ class TestPipeline:
         assert re.fullmatch(r"error: DivergedLoss: non-finite downstream loss "
                             r"at epoch 0 in arm baseline \(seed [01]\)\n",
                             errs[0]), errs[0]
+
+    def test_divergence_prints_one_stderr_line(self, pipeline, tmp_path):
+        """A diverging run's raw stderr, read from a child process, is
+        derm's error line alone, with no numpy warning before it."""
+        ds, ctr = pipeline.cfg.downstream, pipeline.cfg.upstream["ctr"]
+        cfg = replace(
+            pipeline.cfg,
+            upstream={**pipeline.cfg.upstream, "ctr": replace(
+                ctr, train=replace(ctr.train, learning_rate=1e30))},
+            downstream=replace(ds, train=replace(ds.train,
+                                                 learning_rate=1e30)))
+        ini = tmp_path / "derm.ini"
+        ini.write_text(emit_config(cfg))
+        for args in (["train-downstream"], ["train-upstream", "--model", "ctr"],
+                     ["experiment"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "derm.cli", *args, "-c", str(ini)],
+                env=child_env(), capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 1, (args, proc.stderr)
+            assert re.fullmatch(r"error: DivergedLoss: [^\n]+\n",
+                                proc.stderr), (args, proc.stderr)
 
     def test_sigterm_stops_and_joins_the_workers(self, pipeline):
         # two CPUs on any host, so that the grid forks a worker, and a

@@ -858,6 +858,76 @@ class TestEvaluateChunks:
             np.float64(pr_auc(logits, y)).tobytes()
 
 
+def float_arrays(tree, name=""):
+    """(path, array) for every float array in a nest of dicts, lists and
+    tuples, such as a forward cache."""
+    if isinstance(tree, np.ndarray):
+        return [(name, tree)] if tree.dtype.kind == "f" else []
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    return [pair for k, v in items for pair in float_arrays(v, f"{name}/{k}")]
+
+
+class TestDtype:
+    """Training follows the dtype of the parameters and features: float32
+    throughout once both are cast, float64 as they are built."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Every float array of each forward (its logits and cache), each
+        backward (dlogits and the gradients) and each SGD step (the flat
+        parameters, gradients and velocity), as (path, array) pairs."""
+        seen = []
+        forward, backward = DownstreamModel.forward, DownstreamModel.backward
+        sgd_step = downstream.sgd_step
+
+        def spy_forward(self, batch):
+            logits, cache = forward(self, batch)
+            seen.extend(float_arrays({"logits": logits, "cache": cache}))
+            return logits, cache
+
+        def spy_backward(self, cache, dlogits, grads):
+            backward(self, cache, dlogits, grads)
+            seen.extend(float_arrays({"dlogits": dlogits, "grads": grads}))
+
+        def spy_sgd_step(flat, grad, lr, momentum, velocity):
+            sgd_step(flat, grad, lr, momentum, velocity)
+            seen.extend(float_arrays({"flat": flat, "gflat": grad,
+                                      "velocity": velocity}))
+        monkeypatch.setattr(DownstreamModel, "forward", spy_forward)
+        monkeypatch.setattr(DownstreamModel, "backward", spy_backward)
+        monkeypatch.setattr(downstream, "sgd_step", spy_sgd_step)
+        return seen
+
+    def test_a_float32_stack_steps_in_float32(self, monkeypatch):
+        seen = self._record(monkeypatch)
+        rng = np.random.default_rng(6)
+        n = 7
+        one_step = DownstreamTrainConfig(batch_size=n, epochs=1)
+        stack = DownstreamModel.stack([small_model(seed)
+                                       for seed in range(MIN_STACK)])
+        train_downstream(stack.astype(np.float32),
+                         small_batch(rng, n).astype(np.float32), one_step)
+        baseline = small_model(derm=False).astype(np.float32)
+        train_downstream(baseline, small_batch(rng, n, derm_dim=0, inputs=0)
+                         .astype(np.float32), one_step)
+        paths = {path for path, _ in seen}
+        assert {"/logits", "/cache/derm", "/cache/X", "/cache/seq/3",
+                "/dlogits", "/grads/proj/W", "/grads/seq/table", "/flat",
+                "/gflat", "/velocity"} <= paths
+        assert [(path, a.dtype) for path, a in seen
+                if a.dtype != np.float32] == []
+        assert all(v.dtype == np.float32 for v in baseline.params.values())
+
+    def test_a_float64_model_stays_float64(self, monkeypatch):
+        seen = self._record(monkeypatch)
+        loss, grads = small_model(1).loss_and_grads(
+            small_batch(np.random.default_rng(7)))
+        assert len(seen) > len(grads)
+        assert [(path, a.dtype) for path, a in seen
+                if a.dtype != np.float64] == []
+        assert np.asarray(loss).dtype == np.float64
+
+
 class TestStackedTraining:
     """A stack of same-shape models trains each one exactly as a lone run."""
 
@@ -938,14 +1008,17 @@ class TestStackedTraining:
             "ctr", arms, list(self.SEEDS), self.train, self.test, {"h": gens},
             seq_vocab=16, model_cfg_base=self.MODEL, train_cfg=tcfg)
         rows = iter(result.rows)
+        # the grid trains and scores in float32, so its lone runs do too
         for arm in arms:
             cfg = replace(self.MODEL, derm_inputs=arm.derm_inputs)
             arm_gens = gens if arm.derm_inputs else {}
-            feats = build_features(self.train, cfg, arm_gens)
+            feats = build_features(self.train, cfg, arm_gens).astype(np.float32)
+            test_feats = build_features(self.test, cfg, arm_gens
+                                        ).astype(np.float32)
             for seed in self.SEEDS:
-                lone = self._lone(cfg, feats, seed)
+                lone = self._lone(cfg, feats, seed).astype(np.float32)
                 train_downstream(lone, feats, tcfg)
-                report = evaluate(lone, build_features(self.test, cfg, arm_gens))
+                report = evaluate(lone, test_feats)
                 row = next(rows)
                 assert (row.arm, row.seed) == (arm.name, seed)
                 assert (row.roc_auc, row.pr_auc) == (report.roc_auc,

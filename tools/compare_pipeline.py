@@ -18,10 +18,12 @@ ru_maxrss is the command's peak resident set size: the largest peak among
 the command and the children it reaped (an experiment's forked workers), not
 their sum and not the command's own alone. It then compares every
 file under run/ and each command's stdout, prints one `DIFF <what>` line per
-difference (a stdout's line is followed by the first DIFF_LINES lines of
-its unified diff), a summary line, one line per command with its wall
-seconds and its peak RSS in each tree and the change/parent ratio of each
-(for information only), each tree's count of non-blank lines in
+difference (a differing experiment CSV or downstream-*.json is followed by
+the largest absolute difference in each of roc_auc, pr_auc and lift, with
+the arm and seed, or the split, where it is; a stdout's line by the first
+DIFF_LINES lines of its unified diff), a summary line, one line per command
+with its wall seconds and its peak RSS in each tree and the change/parent
+ratio of each (for information only), each tree's count of non-blank lines in
 src/derm/*.py beside its count in tests/*.py (so code moved from src/ to
 tests/ shows as a move), and each tree's count of config keys (so an option
 added or removed shows as a moved line does), and exits 1 if anything
@@ -30,8 +32,11 @@ differs (2 if a command fails).
 
 from __future__ import annotations
 
+import csv
 import difflib
+import io
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -43,6 +48,7 @@ from pathlib import Path
 INPUTS_INI = "inputs.ini"
 DIFF_LINES = 40
 KEY_LINE = re.compile(r"[A-Za-z_]\w* = ")
+METRICS = ("roc_auc", "pr_auc", "lift")
 
 
 def commands() -> list[list[str]]:
@@ -67,6 +73,38 @@ def config_keys(text: str) -> int:
     """The `key = value` lines of a config text, as default-config
     prints it."""
     return sum(1 for line in text.splitlines() if KEY_LINE.match(line))
+
+
+def metric_rows(path: str, text: str) -> dict[str, dict[str, float]] | None:
+    """A downstream report's metrics by where they sit: an experiment CSV's
+    by `arm <arm> seed <seed>`, a downstream-*.json's by split; None for
+    any other file."""
+    name = Path(path).name
+    if name.startswith("experiment-") and name.endswith(".csv"):
+        return {f"arm {r['arm']} seed {r['seed']}":
+                {m: float(r[m]) for m in METRICS}
+                for r in csv.DictReader(io.StringIO(text))}
+    if name.startswith("downstream-") and name.endswith(".json"):
+        report = json.loads(text)
+        return {split: {m: report[split][m] for m in METRICS
+                        if m in report[split]} for split in ("train", "test")}
+    return None
+
+
+def largest_drifts(parent: dict[str, dict[str, float]],
+                   change: dict[str, dict[str, float]]) -> list[str]:
+    """One line per metric that both metric_rows tables hold: its largest
+    absolute difference over their shared rows, and the first row where
+    it is."""
+    lines = []
+    for m in METRICS:
+        rows = [k for k in parent if m in parent[k] and m in change.get(k, {})]
+        if rows:
+            where = max(rows, key=lambda k: abs(change[k][m] - parent[k][m]))
+            a, b = parent[where][m], change[where][m]
+            lines.append(f"largest {m} difference {abs(b - a):.6f} at "
+                         f"{where} ({a:.6f} -> {b:.6f})")
+    return lines
 
 
 def derm(root: Path, work: Path, args: list[str]) -> tuple[str, float, float]:
@@ -142,6 +180,11 @@ def main(argv: list[str]) -> int:
     out_diffs = [c for c in out_a if out_a[c] != out_b[c]]
     for path in file_diffs:
         print(f"DIFF {path}")
+        if path in files_a and path in files_b:
+            parent, change = (metric_rows(path, files[path].decode())
+                              for files in (files_a, files_b))
+            for line in largest_drifts(parent, change) if parent else ():
+                print(f"  {line}")
     for cmd in out_diffs:
         print(f"DIFF stdout of `derm {cmd}`")
         diff = difflib.unified_diff(out_a[cmd].splitlines(), out_b[cmd].splitlines(),
