@@ -35,7 +35,12 @@ loads back exactly and `aggregate` gives the same bytes however it is split:
   trailer CRC-64
 
 The wire protocol frames one request per message: u32 length, then
-{kind u8, id u64, source u16}. Responses are {status u8, dim u32, payload}.
+{kind u8, id u64, source u16}. Responses are {status u8, dim u32, dim * f32}.
+The server reads each connection into one buffer and answers every complete
+frame in it, in order, with one send per read; a length above MAX_FRAME is
+answered BAD_REQUEST and closes the connection, and so does (with no answer)
+an EOF inside a frame or IDLE_TIMEOUT_S with nothing read. The client's
+timeout is enforced by the kernel (SO_RCVTIMEO, SO_SNDTIMEO).
 """
 
 from __future__ import annotations
@@ -84,6 +89,12 @@ STATUS_BAD_REQUEST = 2
 
 REQUEST_LEN = struct.calcsize(RECORD_HEAD)
 MAX_FRAME = 4096
+FRAME_LENGTH = struct.Struct("<I")
+ANSWER_HEAD = struct.Struct("<BI")  # status, dim; dim * f4 follow
+# holds any incomplete frame with room to read one more behind it
+READ_BUFFER = 2 * (FRAME_LENGTH.size + MAX_FRAME)
+# a connection that sends nothing for this long is closed
+IDLE_TIMEOUT_S = 60.0
 # how often serve_forever checks for shutdown; close() waits up to this long
 POLL_INTERVAL_S = 0.05
 
@@ -355,37 +366,53 @@ def load_state(dir_path) -> AggregatedStoreState:
 # serving
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    def handle(self):
-        gen: StoreGeneration = self.server.generation
-        while True:
-            frame = self.rfile.read(4)
-            if len(frame) < 4:
-                return
-            (length,) = struct.unpack("<I", frame)
-            if length > MAX_FRAME:
-                self._respond(STATUS_BAD_REQUEST, b"")
-                return
-            payload = self.rfile.read(length)
-            if len(payload) < length:
-                return
-            if length != REQUEST_LEN:
-                self._respond(STATUS_BAD_REQUEST, b"")
-                continue
-            kind_code, entity_id, src = struct.unpack(RECORD_HEAD, payload)
-            if kind_code not in KIND_NAMES:
-                self._respond(STATUS_BAD_REQUEST, b"")
-                continue
-            vec = gen.lookup_packed(kind_code, entity_id, src)
-            if vec is None:
-                self._respond(STATUS_MISSING, b"")
-            else:
-                self._respond(STATUS_OK, vec.tobytes())
+def _timeval(seconds: float) -> bytes:
+    """A struct timeval for SO_RCVTIMEO or SO_SNDTIMEO, which the kernel
+    enforces on a blocking socket with no poll() before each call."""
+    return struct.pack("ll", int(seconds), int(seconds % 1 * 1e6))
 
-    def _respond(self, status: int, payload: bytes) -> None:
-        dim = len(payload) // 4
-        self.wfile.write(struct.pack("<BI", status, dim) + payload)
-        self.wfile.flush()
+
+class _Handler(socketserver.BaseRequestHandler):
+    def handle(self):
+        sock, gen = self.request, self.server.generation
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO,
+                        _timeval(IDLE_TIMEOUT_S))
+        ok, missing, bad = (ANSWER_HEAD.pack(status, dim) for status, dim in (
+            (STATUS_OK, gen.dim), (STATUS_MISSING, 0), (STATUS_BAD_REQUEST, 0)))
+        buf = bytearray(READ_BUFFER)
+        view, end = memoryview(buf), 0
+        while True:
+            try:
+                got = sock.recv_into(view[end:])
+            except BlockingIOError:  # SO_RCVTIMEO expired: the client is idle
+                return
+            if not got:
+                return
+            end += got
+            pos, out = 0, []
+            while end - pos >= 4:
+                (length,) = FRAME_LENGTH.unpack_from(buf, pos)
+                if length > MAX_FRAME:
+                    sock.sendall(b"".join([*out, bad]))
+                    return
+                if end - pos - 4 < length:
+                    break
+                start, pos = pos + 4, pos + 4 + length
+                if length != REQUEST_LEN:
+                    out.append(bad)
+                    continue
+                kind_code, entity_id, src = struct.unpack_from(RECORD_HEAD,
+                                                               buf, start)
+                if kind_code not in KIND_NAMES:
+                    out.append(bad)
+                    continue
+                vec = gen.lookup_packed(kind_code, entity_id, src)
+                out.append(missing if vec is None else ok + vec.tobytes())
+            if out:
+                sock.sendall(b"".join(out))
+            end -= pos
+            if end:  # an incomplete frame: keep it for the next read
+                buf[:end] = buf[pos:pos + end]
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -428,10 +455,22 @@ def serve(generation: StoreGeneration, bind_address=("127.0.0.1", 0)) -> Serving
 
 
 class EmbeddingClient:
-    """Blocking client; one request per call over a persistent connection."""
+    """Blocking client; one request per call over a persistent connection.
+
+    timeout bounds the connect, then each send and receive as the blocking
+    socket's SO_SNDTIMEO and SO_RCVTIMEO. Every failure of the connection
+    ends as an IoFailureError naming host:port."""
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
-        self.sock = socket.create_connection((host, port), timeout=timeout)
+        self.address = f"{host}:{port}"
+        self.timeout = timeout
+        try:
+            self.sock = socket.create_connection((host, port), timeout=timeout)
+        except OSError as e:
+            raise IoFailureError(f"cannot connect to {self.address}: {e}") from e
+        for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+            self.sock.setsockopt(socket.SOL_SOCKET, option, _timeval(timeout))
+        self.sock.settimeout(None)
 
     def request(self, key: StoreKey) -> tuple[int, np.ndarray | None]:
         kind_code, entity_id, src = key.packed()
@@ -439,24 +478,28 @@ class EmbeddingClient:
                                                entity_id, src))
 
     def request_packed(self, payload: bytes) -> tuple[int, np.ndarray | None]:
-        self.sock.sendall(struct.pack("<I", len(payload)) + payload)
-        head = self._read_exact(5)
-        status, dim = struct.unpack("<BI", head)
-        vec = None
-        if dim:
-            vec = np.frombuffer(self._read_exact(4 * dim), dtype="<f4").copy()
-        return status, vec
-
-    def _read_exact(self, n: int) -> bytes:
-        chunks = []
-        got = 0
-        while got < n:
-            chunk = self.sock.recv(n - got)
-            if not chunk:
-                raise IoFailureError("server closed the connection mid-response")
-            chunks.append(chunk)
-            got += len(chunk)
-        return b"".join(chunks)
+        answer, size = b"", ANSWER_HEAD.size
+        try:
+            self.sock.sendall(FRAME_LENGTH.pack(len(payload)) + payload)
+            while len(answer) < size:  # one recv unless the answer is short
+                more = self.sock.recv(READ_BUFFER)
+                if not more:
+                    raise IoFailureError(f"server {self.address} closed the "
+                                         "connection mid-response")
+                answer += more
+                if len(answer) >= ANSWER_HEAD.size:
+                    status, dim = ANSWER_HEAD.unpack_from(answer)
+                    size = ANSWER_HEAD.size + 4 * dim
+        except BlockingIOError as e:
+            raise IoFailureError(f"no answer from {self.address} within "
+                                 f"{self.timeout} s") from e
+        except OSError as e:
+            raise IoFailureError(f"connection to {self.address} failed: {e}") from e
+        if len(answer) > size:
+            raise IoFailureError(f"server {self.address} sent "
+                                 f"{len(answer) - size} bytes past one answer")
+        return status, (np.frombuffer(answer, "<f4", dim, ANSWER_HEAD.size)
+                        .copy() if dim else None)
 
     def close(self) -> None:
         self.sock.close()

@@ -1,8 +1,17 @@
 """tools/bench_pairs.py's summary of alternating pairs, on made-up runs, the
-config key count that it and tools/compare_pipeline.py record, and the
-metric drift that tools/compare_pipeline.py prints for a differing report."""
+config key count that it and tools/compare_pipeline.py record, the
+metric drift that tools/compare_pipeline.py prints for a differing report,
+and the wire framing its serve comparison speaks."""
 
+import socket
+import struct
+
+import numpy as np
 import pytest
+
+from derm.store import (RECORD_HEAD, STATUS_BAD_REQUEST, STATUS_MISSING,
+                        STATUS_OK, generation_bytes, parse_generation, serve,
+                        source_code)
 
 from util import module_at
 
@@ -201,3 +210,49 @@ def test_largest_drifts_of_a_downstream_report_name_the_split():
                         "(0.650000 -> 0.640000)")
     assert len(lines) == 2  # a downstream report has no lift
     assert compare_pipeline.metric_rows("run/world/world.json", "{}") is None
+
+
+def test_lookup_frames_ask_every_id_of_each_kind_and_source_in_order():
+    frames = compare_pipeline.lookup_frames(2, 3)
+    codes = [source_code(s) for s in ("ctr-upstream", "cvr-upstream")]
+    want = [struct.pack("<I", 11) + struct.pack(RECORD_HEAD, kind, i, code)
+            for code in codes for kind, n in ((0, 2), (1, 3))
+            for i in range(n)]
+    assert frames[:-2] == want
+    assert frames[-2] == struct.pack("<I", 11) + struct.pack(
+        RECORD_HEAD, 0, 2**64 - 1, codes[0])
+    assert frames[-1] == b"\x03\x00\x00\x00\x00\x01\x02"
+
+
+def test_read_answer_reassembles_byte_by_byte_and_stops_at_one_answer():
+    ok = struct.pack("<BI", STATUS_OK, 2) + np.array([1.5, -2.0], "<f4").tobytes()
+    missing = struct.pack("<BI", STATUS_MISSING, 0)
+    stream = bytearray(ok + missing)
+
+    def recv(n):  # at most one byte a call
+        chunk = bytes(stream[:min(n, 1)])
+        del stream[:len(chunk)]
+        return chunk
+
+    assert compare_pipeline.read_answer(recv) == ok
+    assert compare_pipeline.read_answer(recv) == missing
+    with pytest.raises(EOFError):
+        compare_pipeline.read_answer(recv)
+
+
+def test_framing_agrees_with_derm_serve():
+    vectors = {(kind, i, source_code(s)): np.full(4, kind * 10 + i, "<f4")
+               for s in ("ctr-upstream", "cvr-upstream")
+               for kind in (0, 1) for i in range(3)}
+    gen = parse_generation(generation_bytes(9, 4, vectors))
+    frames = compare_pipeline.lookup_frames(3, 3)
+    with serve(gen) as handle, socket.create_connection(handle.address,
+                                                        timeout=10) as sock:
+        answers = []
+        for f in frames:
+            sock.sendall(f)
+            answers.append(compare_pipeline.read_answer(sock.recv))
+    assert answers[:-2] == [struct.pack("<BI", STATUS_OK, 4) + v.tobytes()
+                            for v in vectors.values()]
+    assert answers[-2:] == [struct.pack("<BI", STATUS_MISSING, 0),
+                            struct.pack("<BI", STATUS_BAD_REQUEST, 0)]

@@ -1,8 +1,11 @@
+import contextlib
 import gc
 import os
+import socket
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,6 +27,7 @@ from derm.lifecycle import (
 )
 from derm.store import (
     EmbeddingClient,
+    MAX_FRAME,
     STATE_FILE,
     STATUS_BAD_REQUEST,
     STATUS_MISSING,
@@ -655,3 +659,202 @@ class TestServing:
         _, gen, _ = served
         with pytest.raises(BindFailureError, match="70000"):
             serve(gen, ("127.0.0.1", 70000))
+
+
+def frame(payload: bytes) -> bytes:
+    return struct.pack("<I", len(payload)) + payload
+
+
+def request_frame(key: StoreKey) -> bytes:
+    return frame(struct.pack("<BQH", *key.packed()))
+
+
+def read_until_eof(sock: socket.socket) -> bytes:
+    sock.settimeout(10)
+    chunks = []
+    while chunk := sock.recv(4096):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def read_exactly(sock: socket.socket, n: int) -> bytes:
+    sock.settimeout(10)
+    got = b""
+    while len(got) < n:
+        chunk = sock.recv(n - len(got))
+        assert chunk, f"EOF after {len(got)} of {n} bytes"
+        got += chunk
+    return got
+
+
+class TestWire:
+    """The bytes derm serve answers, sent and read on raw sockets."""
+
+    @pytest.fixture()
+    def served(self, tmp_path):
+        _, gen = publish(make_state(), 9, "ctr-upstream", tmp_path)
+        with serve(gen) as handle:
+            with socket.create_connection(handle.address, timeout=10) as sock:
+                yield gen, handle, sock
+
+    @staticmethod
+    def ok(gen, key: StoreKey) -> bytes:
+        return (struct.pack("<BI", STATUS_OK, gen.dim)
+                + np.asarray(gen.lookup(key), "<f4").tobytes())
+
+    MISSING = struct.pack("<BI", STATUS_MISSING, 0)
+    BAD = struct.pack("<BI", STATUS_BAD_REQUEST, 0)
+    PRESENT = StoreKey("user", 3, "ctr-upstream")
+    ABSENT = StoreKey("pin", 77777, "ctr-upstream")
+
+    def test_answer_bytes_of_each_status(self, served):
+        gen, _, sock = served
+        ok = self.ok(gen, self.PRESENT)
+        assert len(ok) == 5 + 4 * gen.dim
+        for request, want in ((request_frame(self.PRESENT), ok),
+                              (request_frame(self.ABSENT), self.MISSING),
+                              (frame(b"\x01\x02\x03"), self.BAD),
+                              (frame(struct.pack("<BQH", 9, 1, 0)), self.BAD)):
+            sock.sendall(request)
+            assert read_exactly(sock, len(want)) == want
+
+    def test_frame_sent_one_byte_at_a_time(self, served):
+        gen, _, sock = served
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for byte in request_frame(self.PRESENT):
+            sock.sendall(bytes([byte]))
+            time.sleep(0.002)
+        want = self.ok(gen, self.PRESENT)
+        assert read_exactly(sock, len(want)) == want
+
+    def test_three_frames_in_one_send_answered_in_order(self, served):
+        gen, _, sock = served
+        sock.sendall(request_frame(self.ABSENT) + frame(b"\x00")
+                     + request_frame(self.PRESENT))
+        want = self.MISSING + self.BAD + self.ok(gen, self.PRESENT)
+        assert read_exactly(sock, len(want)) == want
+
+    def test_frame_cut_after_a_whole_one_is_kept_for_the_next_read(
+            self, served):
+        gen, _, sock = served
+        second = request_frame(self.PRESENT)
+        sock.sendall(request_frame(self.ABSENT) + second[:6])
+        assert read_exactly(sock, len(self.MISSING)) == self.MISSING
+        sock.sendall(second[6:])
+        want = self.ok(gen, self.PRESENT)
+        assert read_exactly(sock, len(want)) == want
+
+    def test_length_above_max_frame_is_one_bad_request_then_eof(self, served):
+        _, _, sock = served
+        sock.sendall(struct.pack("<I", MAX_FRAME + 1) + b"\x00" * 16)
+        assert read_until_eof(sock) == self.BAD
+
+    def test_eof_mid_frame_closes_with_no_answer(self, served):
+        _, _, sock = served
+        sock.sendall(request_frame(self.PRESENT)[:9])
+        sock.shutdown(socket.SHUT_WR)
+        assert read_until_eof(sock) == b""
+
+    def test_idle_connection_closes_while_a_busy_one_is_answered(
+            self, served, monkeypatch):
+        gen, handle, _ = served
+        monkeypatch.setattr(derm.store, "IDLE_TIMEOUT_S", 0.2)
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        monkeypatch.setattr(handle.server, "handle_error",
+                            lambda *args: hooked.append(args))
+        start = time.monotonic()
+        with socket.create_connection(handle.address, timeout=10) as silent, \
+                EmbeddingClient(*handle.address) as busy:
+            while time.monotonic() - start < 0.8:  # four idle timeouts
+                status, vec = busy.request(self.PRESENT)
+                assert status == STATUS_OK
+                assert vec.tobytes() == gen.lookup(self.PRESENT).tobytes()
+                time.sleep(0.02)
+            assert read_until_eof(silent) == b""
+        assert time.monotonic() - start < 2
+        assert not hooked
+
+
+@contextlib.contextmanager
+def fake_server(answer):
+    """host, port of a listener whose one connection reads a request frame,
+    then has answer(conn) called on it, and is held open until the block
+    ends unless answer closed it."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    done = threading.Event()
+
+    def run():
+        conn, _ = listener.accept()
+        with conn:
+            read_exactly(conn, 4 + struct.calcsize("<BQH"))
+            answer(conn)
+            done.wait(10)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        done.set()
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+
+
+def three_bytes_then_close(conn):
+    conn.sendall(b"\x00\x03\x00")
+    conn.close()
+
+
+def reset(conn):
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    conn.close()  # a zero linger closes with a RST
+
+
+class TestClient:
+    """EmbeddingClient against fake servers: answers in pieces, answers with
+    bytes to spare, and each way a connection fails."""
+
+    KEY = StoreKey("user", 1, "ctr-upstream")
+    VEC = np.array([0.5, -1.25, 3.0], "<f4")
+    ANSWER = struct.pack("<BI", STATUS_OK, 3) + VEC.tobytes()
+
+    def test_answer_sent_in_one_byte_pieces_is_reassembled(self):
+        def trickle(conn):
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in self.ANSWER:
+                conn.sendall(bytes([byte]))
+                time.sleep(0.002)
+
+        with fake_server(trickle) as address, \
+                EmbeddingClient(*address) as client:
+            status, vec = client.request(self.KEY)
+        assert status == STATUS_OK and vec.tobytes() == self.VEC.tobytes()
+
+    def test_bytes_past_one_answer_are_an_io_failure(self):
+        with fake_server(lambda conn: conn.sendall(self.ANSWER + b"\x00")) \
+                as (host, port), EmbeddingClient(host, port) as client:
+            with pytest.raises(IoFailureError,
+                               match=f"{host}:{port} sent 1 bytes past"):
+                client.request(self.KEY)
+
+    def test_refused_connection_is_an_io_failure(self):
+        with socket.create_server(("127.0.0.1", 0)) as bound:
+            host, port = bound.getsockname()
+        with pytest.raises(IoFailureError, match=f"connect to {host}:{port}"):
+            EmbeddingClient(host, port)
+
+    @pytest.mark.parametrize("answer, says", [
+        (three_bytes_then_close, "mid-response"),
+        (reset, "reset"),
+        (lambda conn: None, "within 0.2 s"),
+    ], ids=["closed_mid_answer", "reset", "timeout"])
+    def test_failed_connection_is_an_io_failure(self, answer, says):
+        with fake_server(answer) as (host, port), \
+                EmbeddingClient(host, port, timeout=0.2) as client:
+            start = time.monotonic()
+            with pytest.raises(IoFailureError, match=f"{host}:{port}") as e:
+                client.request(self.KEY)
+            assert time.monotonic() - start < 2
+        assert says in str(e.value)

@@ -28,6 +28,15 @@ src/derm/*.py beside its count in tests/*.py (so code moved from src/ to
 tests/ shows as a move), and each tree's count of config keys (so an option
 added or removed shows as a moved line does), and exits 1 if anything
 differs (2 if a command fails).
+
+After the pipeline, each tree's `derm serve --ttl-seconds SERVE_TTL_S`
+serves its own store on port 0 (the port is read from its banner). The
+script asks both servers, through its own framing code rather than either
+tree's client, for every id 0..num_users-1 of kind user and 0..num_pins-1 of
+kind pin under both upstream sources, then for one absent id and one
+malformed frame, one request at a time. It prints `DIFF serve` with the
+number of answers whose bytes differ, if any, and counts them in the
+summary line.
 """
 
 from __future__ import annotations
@@ -39,16 +48,26 @@ import itertools
 import json
 import os
 import re
+import socket
+import struct
 import subprocess
 import sys
 import tempfile
 import time
+import zlib
 from pathlib import Path
 
 INPUTS_INI = "inputs.ini"
 DIFF_LINES = 40
 KEY_LINE = re.compile(r"[A-Za-z_]\w* = ")
 METRICS = ("roc_auc", "pr_auc", "lift")
+# the wire format derm serve speaks: a u32 length, then {kind u8, id u64,
+# source u16}; each answer is {status u8, dim u32, dim * f4}
+KINDS = {"user": 0, "pin": 1}
+SOURCES = ("ctr-upstream", "cvr-upstream")
+ANSWER_HEAD = struct.Struct("<BI")
+SERVE_TTL_S = 120
+BANNER = re.compile(r"serving .* on (\S+):(\d+)$")
 
 
 def commands() -> list[list[str]]:
@@ -163,6 +182,67 @@ def run_files(work: Path) -> dict[str, bytes]:
             for p in sorted((work / "run").rglob("*")) if p.is_file()}
 
 
+def frame(payload: bytes) -> bytes:
+    return struct.pack("<I", len(payload)) + payload
+
+
+def lookup_frames(num_users: int, num_pins: int) -> list[bytes]:
+    """Every frame the serve comparison sends, in order: each user id below
+    num_users and each pin id below num_pins under each source, then an
+    absent id and a malformed (too short) request."""
+    counts = {"user": num_users, "pin": num_pins}
+    codes = [zlib.crc32(source.encode()) & 0xFFFF for source in SOURCES]
+    frames = [frame(struct.pack("<BQH", KINDS[kind], i, code))
+              for code in codes for kind in KINDS for i in range(counts[kind])]
+    absent = struct.pack("<BQH", KINDS["user"], 2**64 - 1, codes[0])
+    return frames + [frame(absent), frame(b"\x00\x01\x02")]
+
+
+def read_answer(recv) -> bytes:
+    """One whole answer, read through recv(n), which returns at most n bytes
+    and b"" once the server closed the connection."""
+    answer, need = b"", ANSWER_HEAD.size
+    while len(answer) < need:
+        chunk = recv(need - len(answer))
+        if not chunk:
+            raise EOFError(f"the server closed after {len(answer)} bytes of "
+                           "an answer")
+        answer += chunk
+        if len(answer) == ANSWER_HEAD.size:
+            need += 4 * ANSWER_HEAD.unpack(answer)[1]
+    return answer
+
+
+def served_answers(root: Path, work: Path, frames: list[bytes]) -> list[bytes]:
+    """root's `derm serve` over work's store on port 0: its answer to each
+    frame, one request at a time on one connection."""
+    config = work / "derm.ini"
+    serve_ini = work / "serve.ini"
+    serve_ini.write_text(re.sub(r"(?m)^port = .*$", "port = 0",
+                                config.read_text()))
+    env = {**os.environ, "PYTHONPATH": str(root.resolve() / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "derm.cli", "serve", "-c", str(serve_ini),
+         "--ttl-seconds", str(SERVE_TTL_S)],
+        cwd=work, env=env, stdout=subprocess.PIPE, text=True)
+    try:
+        m = BANNER.search(proc.stdout.readline().strip())
+        if m is None:
+            print(f"{root}: derm serve printed no banner", file=sys.stderr)
+            sys.exit(2)
+        with socket.create_connection((m.group(1), int(m.group(2))),
+                                      timeout=10) as sock:
+            answers = []
+            for f in frames:
+                sock.sendall(f)
+                answers.append(read_answer(sock.recv))
+        return answers
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -175,6 +255,12 @@ def main(argv: list[str]) -> int:
         (out_a, wall_a, rss_a), (out_b, wall_b, rss_b) = run_pipelines(roots,
                                                                        works)
         files_a, files_b = (run_files(work) for work in works)
+        config = (works[0] / "derm.ini").read_text()
+        frames = lookup_frames(*(int(re.search(rf"(?m)^{key} = (\d+)$",
+                                               config).group(1))
+                                 for key in ("num_users", "num_pins")))
+        served_a, served_b = (served_answers(root, work, frames)
+                              for root, work in zip(roots, works))
     file_diffs = [p for p in sorted(files_a.keys() | files_b.keys())
                   if files_a.get(p) != files_b.get(p)]
     out_diffs = [c for c in out_a if out_a[c] != out_b[c]]
@@ -191,9 +277,13 @@ def main(argv: list[str]) -> int:
                                     argv[0], argv[1], lineterm="")
         for line in itertools.islice(diff, DIFF_LINES):
             print(f"  {line}")
+    serve_diffs = sum(a != b for a, b in zip(served_a, served_b))
+    if serve_diffs:
+        print(f"DIFF serve: {serve_diffs} of {len(frames)} answers")
     total = len(files_a.keys() | files_b.keys())
     print(f"{len(file_diffs)} of {total} files differ; "
-          f"{len(out_diffs)} of {len(out_a)} stdouts differ")
+          f"{len(out_diffs)} of {len(out_a)} stdouts differ; "
+          f"{serve_diffs} of {len(frames)} serve answers differ")
     print(f"wall seconds and peak RSS per command, {argv[0]} then {argv[1]}, "
           "each with its ratio (informational):")
     for cmd in out_a:
@@ -209,7 +299,7 @@ def main(argv: list[str]) -> int:
                       for out in (out_a, out_b))
     print(f"config keys: {parent} in {argv[0]}, {change} in {argv[1]} "
           f"({change - parent:+d})")
-    return 1 if file_diffs or out_diffs else 0
+    return 1 if file_diffs or out_diffs or serve_diffs else 0
 
 
 if __name__ == "__main__":
